@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "nn/fuse.h"
 #include "tee/fault.h"
@@ -25,19 +27,37 @@ using tee::unpack_floats;
 using tee::unpack_i64;
 
 void pack_tensor(std::vector<uint8_t>& buf, const Tensor& t) {
+  buf.reserve(buf.size() + sizeof(int64_t) * (1 + t.shape().ndim()) +
+              sizeof(float) * static_cast<size_t>(t.numel()));
   pack_i64(buf, t.shape().ndim());
   for (int64_t d : t.shape().dims()) pack_i64(buf, d);
   pack_floats(buf, t.data(), t.numel());
 }
 
+/// Parses a tensor header + data. Inside the TA `buf` is REE-written, hence
+/// hostile: a negative dim, or dims whose product overflows int64 (and so
+/// could wrap to a small element count), is rejected before any data is
+/// read.
 Tensor unpack_tensor(const std::vector<uint8_t>& buf, size_t* offset) {
   const int64_t rank = unpack_i64(buf, offset);
   if (rank < 0 || rank > 8) throw std::out_of_range("unpack_tensor: bad rank");
   std::vector<int64_t> dims;
-  for (int64_t i = 0; i < rank; ++i) dims.push_back(unpack_i64(buf, offset));
-  Shape shape(dims);
-  std::vector<float> data = unpack_floats(buf, offset, shape.numel());
-  return Tensor(shape, std::move(data));
+  int64_t numel = 1;
+  for (int64_t i = 0; i < rank; ++i) {
+    const int64_t d = unpack_i64(buf, offset);
+    if (d < 0 || (d > 0 && numel > std::numeric_limits<int64_t>::max() / d)) {
+      throw std::out_of_range("unpack_tensor: bad dims");
+    }
+    numel *= d;
+    dims.push_back(d);
+  }
+  std::vector<float> data = unpack_floats(buf, offset, numel);
+  return Tensor(Shape(dims), std::move(data));
+}
+
+/// Bytes of `image` not yet parsed past `off`.
+int64_t remaining(const std::vector<uint8_t>& image, size_t off) {
+  return off < image.size() ? static_cast<int64_t>(image.size() - off) : 0;
 }
 
 Tensor to_batch1(const Tensor& image_chw) {
@@ -50,6 +70,7 @@ Tensor to_batch1(const Tensor& image_chw) {
 }
 
 constexpr int64_t kFloat = static_cast<int64_t>(sizeof(float));
+constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
 
 // ------------------------------------------------------------------------
 // TbnetTA: the secure-branch trusted application.
@@ -65,11 +86,20 @@ class TbnetTA : public tee::TrustedApp {
       throw std::runtime_error("TbnetTA: corrupt TA image (stage count)");
     }
     for (int64_t i = 0; i < stages; ++i) {
+      // Lengths are checked against the bytes that remain before anything
+      // is sliced: a negative or oversized length must not read past the
+      // image.
       const int64_t map_len = unpack_i64(image, &off);
+      if (map_len < 0 || map_len > remaining(image, off) / kI64) {
+        throw std::out_of_range("TbnetTA: corrupt TA image (map length)");
+      }
       std::vector<int64_t> map;
       for (int64_t j = 0; j < map_len; ++j) map.push_back(unpack_i64(image, &off));
       fused_flags_.push_back(unpack_i64(image, &off) != 0);
       const int64_t blob_len = unpack_i64(image, &off);
+      if (blob_len < 0 || blob_len > remaining(image, off)) {
+        throw std::out_of_range("TbnetTA: corrupt TA image (block length)");
+      }
       std::string blob(reinterpret_cast<const char*>(image.data()) +
                            static_cast<std::ptrdiff_t>(off),
                        static_cast<size_t>(blob_len));
@@ -361,6 +391,11 @@ std::vector<uint8_t> build_tbnet_ta_image(
 
 }  // namespace
 
+std::unique_ptr<tee::TrustedApp> make_tbnet_ta(
+    const std::vector<uint8_t>& image) {
+  return std::make_unique<TbnetTA>(image);
+}
+
 // --------------------------------------------------------- DeployedTBNet --
 
 DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
@@ -428,7 +463,7 @@ DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
   // permanent secure-world loss without re-freezing the model.
   ta_image_ = build_tbnet_ta_image(model, secure);
   ta_image_bytes_ = static_cast<int64_t>(ta_image_.size());
-  tee_ctx_->world().install(uuid_, std::make_unique<TbnetTA>(ta_image_));
+  tee_ctx_->world().install(uuid_, make_tbnet_ta(ta_image_));
   jitter_state_ = opt_.retry.jitter_seed;
   open_session_with_retry();
   // Pre-pack the REE weight panels (f32 or int8) into this engine's
@@ -437,6 +472,18 @@ DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
   // no-op unless a block is quantized, in which case the scalar int8
   // reference consumes the same pre-packed panels.
   for (auto& block : exposed_) block->prepare_inference(exec_ctx_);
+  // Last: nothing after this may throw, or the joinable thread would
+  // terminate the process as the half-built engine unwinds.
+  ree_thread_ = std::thread([this] { ree_loop(); });
+}
+
+DeployedTBNet::~DeployedTBNet() {
+  {
+    MutexLock lock(ree_mu_);
+    ree_stop_ = true;
+  }
+  ree_cv_.notify_all();
+  ree_thread_.join();
 }
 
 int64_t DeployedTBNet::world_switches() const {
@@ -486,7 +533,7 @@ void DeployedTBNet::reopen(const Tensor& canary_nchw) {
   // Re-install from the retained image. TbnetTA re-parses every blob via
   // nn::load_model, which re-verifies the v4 header and per-layer checksums
   // — a corrupted image throws nn::IntegrityError here, at deploy time.
-  tee_ctx_->world().install(uuid_, std::make_unique<TbnetTA>(ta_image_));
+  tee_ctx_->world().install(uuid_, make_tbnet_ta(ta_image_));
   open_session_with_retry();
   // The fresh TA starts uncapped; restore the engine's width so a recovered
   // worker shards exactly like it did before the loss.
@@ -587,17 +634,95 @@ void DeployedTBNet::run_stages(const Tensor& batch_nchw) {
         "infer_batch: batch " + std::to_string(batch_nchw.dim(0)) +
         " exceeds max_batch " + std::to_string(opt_.max_batch));
   }
-  Tensor x = batch_nchw;
-  std::vector<uint8_t> payload;
-  pack_tensor(payload, x);
-  invoke_with_retry(kCmdSetInput, payload, nullptr, "SetInput");
-  for (size_t i = 0; i < exposed_.size(); ++i) {
-    x = exposed_[i]->forward(exec_ctx_, x, false);
-    payload.clear();
-    pack_i64(payload, static_cast<int64_t>(i));
-    pack_tensor(payload, x);
-    invoke_with_retry(kCmdPushStage, payload, nullptr, "PushStage");
+  {
+    // stop_ree() left the slot and the error empty after the last batch.
+    MutexLock lock(ree_mu_);
+    ree_batch_ = &batch_nchw;
+    ree_cancel_ = false;
   }
+  ree_cv_.notify_all();
+  // R_0 now overlaps the SetInput invoke, and R_{i+1} each PushStage_i.
+  try {
+    std::vector<uint8_t> payload;
+    pack_tensor(payload, batch_nchw);
+    invoke_with_retry(kCmdSetInput, payload, nullptr, "SetInput");
+    for (size_t i = 0; i < exposed_.size(); ++i) {
+      payload = take_ree_payload();
+      invoke_with_retry(kCmdPushStage, payload, nullptr, "PushStage");
+    }
+  } catch (...) {
+    stop_ree();
+    throw;
+  }
+  stop_ree();
+}
+
+void DeployedTBNet::ree_loop() {
+  MutexLock lock(ree_mu_);
+  for (;;) {
+    ree_cv_.wait(lock, [this] {
+      ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
+      return ree_stop_ || ree_batch_ != nullptr;
+    });
+    if (ree_stop_) return;
+    const Tensor* batch = ree_batch_;
+    Tensor x;
+    for (size_t i = 0; i < exposed_.size(); ++i) {
+      // Double buffering: stage i starts once payload i-1 has been taken.
+      ree_cv_.wait(lock, [this] {
+        ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
+        return ree_cancel_ || !ree_payload_.has_value();
+      });
+      if (ree_cancel_) break;
+      lock.unlock();
+      std::vector<uint8_t> payload;
+      std::exception_ptr error;
+      try {
+        x = exposed_[i]->forward(exec_ctx_, i == 0 ? *batch : x, false);
+        pack_i64(payload, static_cast<int64_t>(i));
+        pack_tensor(payload, x);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error) {
+        ree_error_ = error;
+        break;
+      }
+      ree_payload_ = std::move(payload);
+      ree_cv_.notify_all();
+    }
+    // Idle: exec_ctx_ and the batch are the caller's again.
+    ree_batch_ = nullptr;
+    ree_cv_.notify_all();
+  }
+}
+
+std::vector<uint8_t> DeployedTBNet::take_ree_payload() {
+  MutexLock lock(ree_mu_);
+  ree_cv_.wait(lock, [this] {
+    ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
+    return ree_payload_.has_value() || ree_error_ != nullptr;
+  });
+  if (ree_payload_.has_value()) {
+    std::vector<uint8_t> payload = std::move(*ree_payload_);
+    ree_payload_.reset();
+    ree_cv_.notify_all();  // the slot is free: the REE may start the next stage
+    return payload;
+  }
+  std::rethrow_exception(ree_error_);
+}
+
+void DeployedTBNet::stop_ree() {
+  MutexLock lock(ree_mu_);
+  ree_cancel_ = true;
+  ree_cv_.notify_all();
+  ree_cv_.wait(lock, [this] {
+    ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
+    return ree_batch_ == nullptr;
+  });
+  ree_payload_.reset();
+  ree_error_ = nullptr;
 }
 
 Tensor DeployedTBNet::infer_batch(const Tensor& batch_nchw) {

@@ -16,8 +16,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/two_branch.h"
@@ -44,10 +47,21 @@ inline constexpr uint32_t kCmdSetWidth = 7;
 /// channel-invocation count drops from O(stages) per image to O(stages) per
 /// batch. Batched results are bit-identical to per-image calls (every kernel
 /// under it processes batch elements independently in index order). Not
-/// thread-safe: one engine per serving thread — InferenceServer invokes
-/// each of its engines from a single dispatch worker only, so inter-op
-/// parallel serving means one DeployedTBNet instance (own secure world /
-/// session / ExecutionContext) per worker.
+/// thread-safe: one caller at a time — InferenceServer invokes each of its
+/// engines from a single dispatch worker only, so inter-op parallel serving
+/// means one DeployedTBNet instance (own secure world / session /
+/// ExecutionContext) per worker.
+///
+/// Inside a batch the engine pipelines the two worlds the way the paper's
+/// cost model (tee::simulate_two_branch) assumes: each engine owns ONE
+/// internal REE run-ahead thread, started by the constructor and joined by
+/// the destructor. It runs M_R's stages on the REE ExecutionContext and
+/// packs each stage's payload, at most two payloads ahead of the TA, while
+/// the calling thread drives SetInput → PushStage_0..n-1 → GetLogits in
+/// order. Every TA invocation (and so the session, the retry policy and its
+/// jitter PRNG) stays on the calling thread, as an OP-TEE SMC blocks only
+/// its caller; the TA sees the same commands with the same bytes in the
+/// same order as a serial loop, so results are unchanged.
 ///
 /// Deployment is also where the compute graph freezes: both branches' blocks
 /// are cloned, inference-mode BatchNorm is folded into the adjacent conv
@@ -101,12 +115,21 @@ class DeployedTBNet {
                 std::string uuid = "tbnet-secure-branch");
   DeployedTBNet(const core::TwoBranchModel& model, tee::TeeContext& ctx,
                 std::string uuid, Options opt);
+  /// Joins the REE run-ahead thread.
+  ~DeployedTBNet();
+  /// The REE thread holds `this`.
+  DeployedTBNet(const DeployedTBNet&) = delete;
+  DeployedTBNet& operator=(const DeployedTBNet&) = delete;
 
   /// Runs one inference (CHW image), returning the logits the TEE releases.
   Tensor infer(const Tensor& image_chw);
 
   /// Runs a whole NCHW batch (N <= Options::max_batch) through every stage
   /// with one TA invocation per stage; returns the [N, classes] logits.
+  /// A failure on either side (an REE layer rejecting the input, retry
+  /// exhaustion, tee::PermanentFault, tee::IntegrityFault) cancels the
+  /// run-ahead, waits for the REE thread to go idle, and rethrows the
+  /// original exception type.
   Tensor infer_batch(const Tensor& batch_nchw);
 
   /// Runs one inference and returns only the predicted label (the strictly
@@ -171,8 +194,20 @@ class DeployedTBNet {
 
  private:
   /// Pushes `batch` through the REE stages + TA, leaving the TA ready for a
-  /// final GetLogits/Predict command.
-  void run_stages(const Tensor& batch_nchw);
+  /// final GetLogits/Predict command: hands the batch to the REE thread,
+  /// then invokes SetInput and each PushStage as its payload becomes ready.
+  /// Returns (or throws) only once the REE thread is idle again.
+  void run_stages(const Tensor& batch_nchw) TS_EXCLUDES(ree_mu_);
+
+  /// REE run-ahead thread body: waits for a batch, then computes and packs
+  /// one stage payload at a time into ree_payload_.
+  void ree_loop() TS_EXCLUDES(ree_mu_);
+  /// Caller side: the next stage payload, waiting for the REE thread if it
+  /// is not packed yet. Rethrows the REE thread's exception if it failed.
+  std::vector<uint8_t> take_ree_payload() TS_EXCLUDES(ree_mu_);
+  /// Caller side: cancels any further run-ahead and waits until the REE
+  /// thread is idle (no batch), so exec_ctx_ has a single user again.
+  void stop_ree() TS_EXCLUDES(ree_mu_);
 
   /// session_->invoke with the Options::RetryPolicy applied: transient
   /// faults back off (exponential, full jitter) and replay; exhaustion and
@@ -186,6 +221,9 @@ class DeployedTBNet {
   /// "open" faults under Options::RetryPolicy.
   void open_session_with_retry();
 
+  /// M_R's fused-stage blocks. They and exec_ctx_ belong to the REE thread
+  /// while a batch is handed to it (ree_batch_ set) and to the caller
+  /// otherwise; the hand-off under ree_mu_ orders every use on either side.
   std::vector<std::unique_ptr<nn::Layer>> exposed_;
   /// Deliberately NOT mu_-guarded: the engine is single-dispatch-thread by
   /// contract (class comment), and the one cross-thread writer — reopen()
@@ -196,7 +234,7 @@ class DeployedTBNet {
   /// externally synchronized.
   std::unique_ptr<tee::TeeSession> session_;
   Options opt_;
-  ExecutionContext exec_ctx_;  ///< REE-world context (arena + pool)
+  ExecutionContext exec_ctx_;  ///< REE-world context; owner: see exposed_
   tee::TeeContext* tee_ctx_ = nullptr;  ///< not owned; outlives the engine
   std::string uuid_;
   std::vector<uint8_t> ta_image_;  ///< retained for reopen()'s re-deploy
@@ -208,7 +246,31 @@ class DeployedTBNet {
   int64_t retries_ TS_GUARDED_BY(mu_) = 0;
   int64_t reopens_ TS_GUARDED_BY(mu_) = 0;
   uint64_t jitter_state_ TS_GUARDED_BY(mu_) = 0;
+
+  /// REE run-ahead hand-off. The calling thread posts a batch and takes
+  /// payloads; the REE thread computes into the one-payload slot. With the
+  /// payload the caller is invoking, at most two are alive (double
+  /// buffering), and the REE never starts stage i+1 before stage i's
+  /// payload was taken.
+  Mutex ree_mu_;
+  CondVar ree_cv_;
+  /// The batch being run ahead; null while the REE thread is idle. Points
+  /// at the caller's tensor, which run_stages keeps alive until idle.
+  const Tensor* ree_batch_ TS_GUARDED_BY(ree_mu_) = nullptr;
+  std::optional<std::vector<uint8_t>> ree_payload_ TS_GUARDED_BY(ree_mu_);
+  std::exception_ptr ree_error_ TS_GUARDED_BY(ree_mu_);
+  bool ree_cancel_ TS_GUARDED_BY(ree_mu_) = false;
+  bool ree_stop_ TS_GUARDED_BY(ree_mu_) = false;
+  /// Started last in the constructor, after every member ree_loop reads.
+  std::thread ree_thread_;
 };
+
+/// The TBNet trusted application built from a TA image (the bytes
+/// DeployedTBNet installs). The image is parsed as hostile input: a
+/// truncated or malformed one throws (std::out_of_range, or
+/// nn::IntegrityError for a damaged block) instead of reading past its end.
+std::unique_ptr<tee::TrustedApp> make_tbnet_ta(
+    const std::vector<uint8_t>& image);
 
 /// Baseline: whole victim model inside the TEE.
 class FullTeeDeployment {

@@ -5,8 +5,8 @@
 // flowing only from the normal world into the secure world. The channel is a
 // hard invariant here: any attempt to push a payload in the secure->normal
 // direction throws SecurityViolation. The channel also keeps transfer
-// statistics (count, bytes, per-transfer log) that feed the latency model
-// and the experiment reports.
+// statistics (count, bytes) that feed the latency model and the experiment
+// reports — plain counters, so its memory stays flat over any uptime.
 //
 // A `Policy::kBidirectional` mode exists solely to model *prior-art*
 // baselines (DarkneTZ-style partitioning returns TEE feature maps to the
@@ -15,7 +15,6 @@
 // on.
 
 #include <cstdint>
-#include <vector>
 
 #include "tee/world.h"
 #include "tensor/thread_annotations.h"
@@ -32,12 +31,6 @@ class OneWayChannel {
   explicit OneWayChannel(Policy policy = Policy::kOneWayIntoTee)
       : policy_(policy) {}
 
-  struct Transfer {
-    World from = World::kNormal;
-    World to = World::kSecure;
-    int64_t bytes = 0;
-  };
-
   /// Registers a payload crossing worlds. Throws SecurityViolation for a
   /// secure->normal push under the one-way policy.
   ///
@@ -49,7 +42,7 @@ class OneWayChannel {
   Policy policy() const { return policy_; }
   int64_t transfer_count() const {
     MutexLock lock(mu_);
-    return static_cast<int64_t>(log_.size());
+    return transfers_;
   }
   int64_t total_bytes() const {
     MutexLock lock(mu_);
@@ -64,19 +57,13 @@ class OneWayChannel {
     MutexLock lock(mu_);
     return leaked_;
   }
-  /// Snapshot of the per-transfer log (by value: the live log may grow
-  /// concurrently, so handing out a reference would be a data race).
-  std::vector<Transfer> log() const {
-    MutexLock lock(mu_);
-    return log_;
-  }
 
   void reset();
 
  private:
   const Policy policy_;  ///< fixed at construction, safe to read unlocked
   mutable Mutex mu_;
-  std::vector<Transfer> log_ TS_GUARDED_BY(mu_);
+  int64_t transfers_ TS_GUARDED_BY(mu_) = 0;
   int64_t total_bytes_ TS_GUARDED_BY(mu_) = 0;
   int64_t into_tee_ TS_GUARDED_BY(mu_) = 0;
   int64_t leaked_ TS_GUARDED_BY(mu_) = 0;

@@ -205,12 +205,17 @@ void pack_floats(std::vector<uint8_t>& buf, const float* data, int64_t count) {
 
 std::vector<float> unpack_floats(const std::vector<uint8_t>& buf,
                                  size_t* offset, int64_t count) {
-  const size_t bytes = static_cast<size_t>(count) * sizeof(float);
-  if (*offset + bytes > buf.size()) {
+  // `count` may come from a hostile header: bound it by the bytes that
+  // remain BEFORE multiplying, so a negative or huge count cannot wrap the
+  // size check.
+  const size_t remaining = *offset < buf.size() ? buf.size() - *offset : 0;
+  if (count < 0 ||
+      static_cast<uint64_t>(count) > remaining / sizeof(float)) {
     throw std::out_of_range("unpack_floats: truncated payload");
   }
+  const size_t bytes = static_cast<size_t>(count) * sizeof(float);
   std::vector<float> out(static_cast<size_t>(count));
-  std::memcpy(out.data(), buf.data() + *offset, bytes);
+  if (bytes > 0) std::memcpy(out.data(), buf.data() + *offset, bytes);
   *offset += bytes;
   return out;
 }

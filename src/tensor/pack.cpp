@@ -24,6 +24,10 @@ constexpr int64_t kBlockK = 640;
 
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+/// Rows of a producer scratch panel: the deepest k-slice it ever holds. A
+/// shallow GEMM (k = 144 for a 16-channel 3x3 conv) never fills kBlockK.
+int64_t slab_depth(int64_t k) { return std::clamp<int64_t>(k, 1, kBlockK); }
+
 }  // namespace
 
 int64_t packed_a_floats(int64_t m, int64_t k) {
@@ -287,12 +291,13 @@ void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
   pool.parallel_for(npan, body, max_width);
 }
 
-int64_t producer_slab_floats(ThreadPool& pool, int64_t n, int max_width) {
+int64_t producer_slab_floats(ThreadPool& pool, int64_t n, int64_t k,
+                             int max_width) {
   if (n <= 0) return 0;
   const int64_t npan = ceil_div(n, kNR);
   const int64_t nchunks = ceil_div(npan, pool.chunk_size(npan, max_width));
-  const int64_t per_chunk =
-      (simd::micro_kernel_wide() != nullptr ? 2 : 1) * kBlockK * kNR;
+  const int64_t per_chunk = (simd::micro_kernel_wide() != nullptr ? 2 : 1) *
+                            slab_depth(k) * kNR;
   return nchunks * per_chunk;
 }
 
@@ -309,10 +314,11 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
   const int64_t npan = ceil_div(n, kNR);
   const int64_t m_round = mpan * kMR;
   const int64_t kblocks = std::max<int64_t>(1, ceil_div(k, kBlockK));
-  // One scratch slab per parallel_for chunk — [kBlockK x kNR], doubled when
-  // the wide tile can consume panel pairs — allocated up front on the
-  // calling thread (the arena is single-threaded) and indexed by the chunk
-  // origin, which parallel_for guarantees is a multiple of chunk_size. A
+  // One scratch slab per parallel_for chunk — [min(k, kBlockK) x kNR], the
+  // deepest k-slice a panel ever holds, doubled when the wide tile can
+  // consume panel pairs — allocated up front on the calling thread (the
+  // arena is single-threaded) and indexed by the chunk origin, which
+  // parallel_for guarantees is a multiple of chunk_size. A
   // task processes its panels serially, so one slab per chunk suffices, and
   // the whole allocation rewinds when the call returns.
   // producer_slab_floats() mirrors this accounting for tests. The context's
@@ -321,8 +327,9 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
   ArenaScope scope(ctx.arena());
   const int width = ctx.intra_op_width();
   const int64_t chunk = pool.chunk_size(npan, width);
-  const int64_t slab = (wide != nullptr ? 2 : 1) * kBlockK * kNR;
-  float* scratch = ctx.arena().alloc(producer_slab_floats(pool, n, width));
+  const int64_t depth = slab_depth(k);
+  const int64_t slab = (wide != nullptr ? 2 : 1) * depth * kNR;
+  float* scratch = ctx.arena().alloc(producer_slab_floats(pool, n, k, width));
   const auto body = [&](int64_t jp0, int64_t jp1) {
     // Slab aliasing here would mean silent output corruption, so the
     // chunk-origin contract (threadpool.h) is enforced in debug builds.
@@ -339,7 +346,7 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
         const int64_t kk = kb * kBlockK;
         const int64_t kc = std::max<int64_t>(0, std::min(kBlockK, k - kk));
         produce(kk, kc, j0, nr, panel);
-        if (pair) produce(kk, kc, j0 + kNR, kNR, panel + kBlockK * kNR);
+        if (pair) produce(kk, kc, j0 + kNR, kNR, panel + depth * kNR);
         const bool last = kb + 1 == kblocks;
         const float beta_eff = kb == 0 ? beta : 1.0f;
         for (int64_t ip = 0; ip < mpan; ++ip) {
@@ -357,7 +364,7 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
           }
           if (pair) {
             wide(kc, apack + m_round * kk + i0 * kc, panel, kNR,
-                 panel + kBlockK * kNR, kNR, c + i0 * ldc + j0, ldc, mr, alpha,
+                 panel + depth * kNR, kNR, c + i0 * ldc + j0, ldc, mr, alpha,
                  beta_eff, tep);
           } else {
             (mr == 1 ? micro1 : micro)(kc, apack + m_round * kk + i0 * kc,

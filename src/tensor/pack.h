@@ -107,7 +107,7 @@ using PanelProducer = std::function<void(int64_t kk, int64_t kc, int64_t j0,
 /// *produced* panel by panel instead of read from memory: `produce` is
 /// invoked once per (column panel, k-block) and must fill the scratch panel
 /// with exactly the bytes a packed B would hold there. Sharded over column
-/// panels on ctx's pool with one [kBlockK x kNR] scratch slab per
+/// panels on ctx's pool with one [min(k, kBlockK) x kNR] scratch slab per
 /// parallel_for chunk, allocated up front from ctx's arena (and rewound on
 /// return). Because the microkernel sees the same panel values in the same
 /// k order, results are bit-identical to materializing the B matrix and
@@ -120,12 +120,14 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                            int64_t ldc, const GemmEpilogue& ep);
 
 /// Arena floats run_packed_b_producer allocates for its per-chunk B slabs
-/// for an n-column GEMM on `pool` — one slab per parallel_for chunk, double
-/// width when the AVX-512 pair tile is active. `max_width` must match the
-/// ctx's intra-op width (0 = uncapped) so the chunk count matches the
-/// driver's split. Exposed so tests can assert producer arena usage against
-/// the real accounting instead of pinning a pool size.
-int64_t producer_slab_floats(ThreadPool& pool, int64_t n, int max_width = 0);
+/// for an n-column, depth-k GEMM on `pool` — one [min(k, kBlockK) x kNR]
+/// slab per parallel_for chunk, double width when the AVX-512 pair tile is
+/// active. `max_width` must match the ctx's intra-op width (0 = uncapped)
+/// so the chunk count matches the driver's split. Exposed so tests can
+/// assert producer arena usage against the real accounting instead of
+/// pinning a pool size.
+int64_t producer_slab_floats(ThreadPool& pool, int64_t n, int64_t k,
+                             int max_width = 0);
 
 // ------------------------------------------------------------------ int8 --
 //

@@ -380,7 +380,7 @@ TEST(DepthwiseFusion, SequentialPlanFusesSeparableBlock) {
     sep.prepare_inference(fresh);
     const int64_t mid_floats = 64 * 40 * 40;
     const int64_t slabs =
-        packdetail::producer_slab_floats(fresh.pool(), 40 * 40);
+        packdetail::producer_slab_floats(fresh.pool(), 40 * 40, 64);
     {
       ArenaScope grow(fresh.arena());
       fresh.arena().alloc(slabs + mid_floats / 2);

@@ -636,6 +636,77 @@ TEST(DeployedFaults, CorruptedTransferSurfacesIntegrityFault) {
   EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
 }
 
+// ------------------------------------------ faults mid-batch (run-ahead) --
+//
+// The REE thread runs ahead while the caller is inside PushStage_k, so a
+// fault there lands while stage k+1 is being computed or is already packed.
+// Invoke crossings per batch: SetInput is the 1st, PushStage_k the (k+2)th.
+
+TEST(DeployedFaults, MidBatchTransientIsRetriedBitIdentically) {
+  core::TwoBranchModel tb = tiny_two_branch();
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch");
+  Rng rng(41);
+  const Tensor batch = random_batch(4, rng);
+  const Tensor want = deployed.infer_batch(batch);
+  const int last = deployed.num_stages() - 1;
+  for (const int k : {0, last / 2, last}) {
+    const int64_t retries = deployed.retries();
+    ctx.faults().script_at(Kind::kTransient, "invoke", 2 + k);
+    EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f))
+        << "transient at PushStage_" << k;
+    EXPECT_EQ(deployed.retries(), retries + 1);
+    EXPECT_EQ(ctx.faults().scripted_pending(), 0);
+  }
+}
+
+TEST(DeployedFaults, MidBatchPermanentAndIntegrityFaultsKeepTheirType) {
+  core::TwoBranchModel tb = tiny_two_branch();
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch-fatal");
+  tee::SecureWorld fresh_world;
+  tee::TeeContext fresh_ctx(fresh_world);
+  DeployedTBNet fresh(tb, fresh_ctx);
+  Rng rng(42);
+  const Tensor batch = random_batch(4, rng);
+  const Tensor want = fresh.infer_batch(batch);
+  const int k = deployed.num_stages() / 2;
+
+  ctx.faults().script_at(Kind::kPermanent, "invoke", 2 + k);
+  EXPECT_THROW(deployed.infer_batch(batch), tee::PermanentFault);
+  deployed.reopen();
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+
+  ctx.faults().script_at(Kind::kCorruption, "transfer", 2 + k);
+  EXPECT_THROW(deployed.infer_batch(batch), tee::IntegrityFault);
+  deployed.reopen();
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+  EXPECT_EQ(deployed.reopens(), 2);
+  EXPECT_EQ(ctx.faults().scripted_pending(), 0);
+}
+
+TEST(DeployedFaults, FailedBatchReturnsOnlyOnceTheReeThreadIsIdle) {
+  // SetInput faults while the REE thread is still inside stage 0 of a
+  // 16-image batch. Each batch below is a temporary that dies as soon as
+  // infer_batch throws, so returning before the REE thread lets go of it
+  // would be a use-after-free (and a race) for the sanitizer legs.
+  core::TwoBranchModel tb = tiny_two_branch();
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx, "tbnet-idle-on-failure");
+  Rng rng(43);
+  const Tensor batch = random_batch(16, rng);
+  const Tensor want = deployed.infer_batch(batch);
+  for (int round = 0; round < 8; ++round) {
+    ctx.faults().script_at(Kind::kPermanent, "invoke", 1);
+    EXPECT_THROW(deployed.infer_batch(random_batch(16, rng)),
+                 tee::PermanentFault);
+  }
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+}
+
 // ------------------------------------------------------ session recovery --
 
 TEST(DeployedFaults, ReopenRecoversAfterPermanentLoss) {

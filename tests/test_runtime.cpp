@@ -4,13 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <typeinfo>
+
 #include "core/knowledge_transfer.h"
 #include "core/pruner.h"
 #include "core/rollback.h"
 #include "models/model_zoo.h"
+#include "nn/conv2d.h"
+#include "nn/fuse.h"
+#include "nn/serialize.h"
 #include "runtime/deployed.h"
 #include "runtime/measurements.h"
 #include "tee/cost_model.h"
+#include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace tbnet::runtime {
 namespace {
@@ -85,6 +99,25 @@ TEST(Measurements, PrunedSecureBranchShrinksFootprint) {
   EXPECT_LT(after, before);
 }
 
+/// Prunes every interface to 3/4 width, then rolls back, so the deployed
+/// channel maps are not the identity.
+void prune_with_rollback(core::TwoBranchModel& tb,
+                         const models::ModelConfig& cfg) {
+  const auto points = models::prune_points(cfg);
+  core::TwoBranchModel snapshot = tb.clone();
+  std::vector<std::vector<int64_t>> last_keep;
+  for (const auto& point : points) {
+    const core::ResolvedPoint rp = core::resolve_point(tb, point);
+    std::vector<int64_t> keep;
+    for (int64_t c = 0; c < rp.bn_secure->channels(); ++c) {
+      if (c % 4 != 1) keep.push_back(c);
+    }
+    core::apply_channel_keep(tb, point, keep);
+    last_keep.push_back(keep);
+  }
+  core::rollback_finalize(tb, std::move(snapshot), points, last_keep);
+}
+
 TEST(DeployedTBNet, MatchesInProcessInference) {
   const auto cfg = tiny_vgg_cfg();
   nn::Sequential victim = models::build_victim(cfg);
@@ -112,22 +145,7 @@ TEST(DeployedTBNet, WorksAfterPruneAndRollback) {
   const auto cfg = tiny_vgg_cfg();
   nn::Sequential victim = models::build_victim(cfg);
   core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
-  const auto points = models::prune_points(cfg);
-
-  // Prune every interface to 3/4 width, snapshot, prune again, rollback —
-  // giving non-identity channel maps without any training.
-  core::TwoBranchModel snapshot = tb.clone();
-  std::vector<std::vector<int64_t>> last_keep;
-  for (const auto& point : points) {
-    const core::ResolvedPoint rp = core::resolve_point(tb, point);
-    std::vector<int64_t> keep;
-    for (int64_t c = 0; c < rp.bn_secure->channels(); ++c) {
-      if (c % 4 != 1) keep.push_back(c);
-    }
-    core::apply_channel_keep(tb, point, keep);
-    last_keep.push_back(keep);
-  }
-  core::rollback_finalize(tb, std::move(snapshot), points, last_keep);
+  prune_with_rollback(tb, cfg);
 
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
@@ -164,6 +182,264 @@ TEST(DeployedTBNet, ChannelAccountingAndOneWayHold) {
   folded.fold_batchnorm();
   EXPECT_GE(world.memory().live_bytes(), folded.secure_param_bytes());
   EXPECT_GT(world.memory().peak_bytes(), world.memory().live_bytes());
+}
+
+// ------------------------------------------------ REE run-ahead engine --
+
+/// The deployment dataflow rebuilt from the public API and run serially:
+/// stage i's REE block, then its TEE block, then gather + add. Both
+/// branches freeze the way deployment does (clone, fold BN unless the
+/// reference kernels are pinned, prepare) on a normal- and a secure-world
+/// context.
+class SerialOracle {
+ public:
+  explicit SerialOracle(const core::TwoBranchModel& tb) {
+    for (int i = 0; i < tb.num_stages(); ++i) {
+      const core::FusionStage& s = tb.stage(i);
+      secure_.push_back(freeze(*s.secure, tee_));
+      exposed_.push_back(s.fused ? freeze(*s.exposed, ree_) : nullptr);
+      maps_.push_back(s.channel_map);
+    }
+  }
+
+  Tensor forward(const Tensor& batch) {
+    Tensor r = batch;
+    Tensor t = batch;
+    for (size_t i = 0; i < secure_.size(); ++i) {
+      if (exposed_[i]) r = exposed_[i]->forward(ree_, r, false);
+      Tensor out = secure_[i]->forward(tee_, t, false);
+      if (exposed_[i]) add(tee_, out, core::gather_channels(r, maps_[i]), out);
+      t = std::move(out);
+    }
+    return t;
+  }
+
+ private:
+  static std::unique_ptr<nn::Layer> freeze(const nn::Layer& block,
+                                           ExecutionContext& ctx) {
+    std::unique_ptr<nn::Layer> copy = block.clone();
+    auto* seq = dynamic_cast<nn::Sequential*>(copy.get());
+    if (seq != nullptr && simd::fast_kernels_enabled()) {
+      nn::fold_batchnorm_inference(*seq);
+    }
+    copy->prepare_inference(ctx);
+    return copy;
+  }
+
+  // The contexts hold the blocks' packed panels, so they outlive them.
+  ExecutionContext ree_{tee::World::kNormal};
+  ExecutionContext tee_{tee::World::kSecure};
+  std::vector<std::unique_ptr<nn::Layer>> secure_, exposed_;
+  std::vector<std::vector<int64_t>> maps_;
+};
+
+TEST(DeployedTBNet, RunAheadMatchesSerialOracleBitwise) {
+  for (const models::Family family :
+       {models::Family::kVgg, models::Family::kResNet}) {
+    models::ModelConfig cfg = tiny_vgg_cfg();
+    cfg.family = family;
+    cfg.depth = family == models::Family::kVgg ? 11 : 20;
+    nn::Sequential victim = models::build_victim(cfg);
+    core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+    prune_with_rollback(tb, cfg);
+
+    tee::SecureWorld world;
+    tee::TeeContext ctx(world);
+    DeployedTBNet deployed(tb, ctx);
+    SerialOracle oracle(tb);
+    Rng rng(10);
+    for (const int64_t n : {1, 16, 1}) {
+      const Tensor batch = Tensor::randn(Shape{n, 3, 32, 32}, rng);
+      EXPECT_TRUE(allclose(deployed.infer_batch(batch), oracle.forward(batch),
+                           0.0f, 0.0f))
+          << "depth " << cfg.depth << ", batch " << n;
+    }
+  }
+}
+
+TEST(DeployedTBNet, ReeSideFailureRethrowsTheSerialTypeAndRecovers) {
+  const auto cfg = tiny_vgg_cfg();
+  nn::Sequential victim = models::build_victim(cfg);
+  core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx);
+  SerialOracle oracle(tb);
+  Rng rng(11);
+  // Four channels: M_R's first conv rejects the batch, while the TA's
+  // SetInput (which runs first) accepts any well-formed tensor.
+  const Tensor bad = Tensor::randn(Shape{2, 4, 32, 32}, rng);
+  const Tensor good = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const std::type_info* serial_type = nullptr;
+  try {
+    oracle.forward(bad);
+  } catch (const std::exception& e) {
+    serial_type = &typeid(e);
+  }
+  ASSERT_NE(serial_type, nullptr);
+  for (int round = 0; round < 3; ++round) {
+    try {
+      deployed.infer_batch(bad);
+      ADD_FAILURE() << "the REE branch accepted a 4-channel batch";
+    } catch (const std::exception& e) {
+      EXPECT_TRUE(typeid(e) == *serial_type)
+          << typeid(e).name() << " vs " << serial_type->name();
+    }
+    EXPECT_TRUE(allclose(deployed.infer_batch(good), oracle.forward(good),
+                         0.0f, 0.0f));
+  }
+}
+
+/// Threads in this process; -1 without /proc.
+int64_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoll(line.substr(8));
+  }
+  return -1;
+}
+
+/// process_threads() once it reads `want` (a joined thread may linger in
+/// the count for a moment after pthread_join), or its last reading after
+/// 5 s.
+int64_t threads_settling_at(int64_t want) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int64_t got = process_threads();
+  while (got != want && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    got = process_threads();
+  }
+  return got;
+}
+
+TEST(DeployedTBNet, EachEngineOwnsOneJoinedReeThread) {
+  const auto cfg = tiny_vgg_cfg();
+  nn::Sequential victim = models::build_victim(cfg);
+  core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  Rng rng(12);
+  const Tensor batch = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const Tensor bad = Tensor::randn(Shape{2, 4, 32, 32}, rng);
+  int64_t base = -1;
+  {
+    DeployedTBNet warm(tb, ctx, "tbnet-warm");
+    warm.infer_batch(batch);  // the kernel pool is up from here on
+    base = process_threads() - 1;  // everything but warm's REE thread
+  }
+  if (base < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  EXPECT_EQ(threads_settling_at(base), base);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::unique_ptr<DeployedTBNet>> engines;
+    for (int e = 0; e < 3; ++e) {
+      engines.push_back(std::make_unique<DeployedTBNet>(
+          tb, ctx, "tbnet-life-" + std::to_string(e)));
+    }
+    EXPECT_EQ(threads_settling_at(base + 3), base + 3);
+    engines[0]->infer_batch(batch);  // destroyed idle after a batch
+    EXPECT_THROW(engines[1]->infer_batch(bad), std::invalid_argument);
+    // engines[2] never runs a batch.
+  }
+  EXPECT_EQ(threads_settling_at(base), base);
+}
+
+// ------------------------------------------------- TA input hardening -----
+
+std::vector<uint8_t> tensor_header(std::initializer_list<int64_t> dims) {
+  std::vector<uint8_t> buf;
+  tee::pack_i64(buf, static_cast<int64_t>(dims.size()));
+  for (const int64_t d : dims) tee::pack_i64(buf, d);
+  return buf;
+}
+
+TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
+  const auto cfg = tiny_vgg_cfg();
+  nn::Sequential victim = models::build_victim(cfg);
+  core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx, "tbnet-hostile");
+  Rng rng(13);
+  const Tensor batch = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const Tensor want = deployed.infer_batch(batch);
+
+  // The REE is the attacker: a second session on the installed TA sends
+  // whatever bytes it likes.
+  tee::TeeSession s = ctx.open_session("tbnet-hostile");
+  constexpr int64_t k2to32 = int64_t{1} << 32;
+  // A negative dim.
+  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({1, -3, 32, 32})),
+               std::out_of_range);
+  // Dims whose product wraps int64 to 0, which would pass as an empty map.
+  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({k2to32, k2to32})),
+               std::out_of_range);
+  // An element count whose byte size wraps size_t to 0.
+  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({int64_t{1} << 62})),
+               std::out_of_range);
+  // A truncated payload: half the promised floats.
+  std::vector<uint8_t> truncated = tensor_header({1, 3, 32, 32});
+  const std::vector<float> half(3 * 32 * 32 / 2, 1.0f);
+  tee::pack_floats(truncated, half.data(), static_cast<int64_t>(half.size()));
+  EXPECT_THROW(s.invoke(kCmdSetInput, truncated), std::out_of_range);
+
+  // PushStage after a valid SetInput: a hostile REE tensor, then a
+  // payload cut inside the stage index.
+  std::vector<uint8_t> input = tensor_header({1, 3, 32, 32});
+  const std::vector<float> image(3 * 32 * 32, 0.5f);
+  tee::pack_floats(input, image.data(), static_cast<int64_t>(image.size()));
+  ASSERT_EQ(s.invoke(kCmdSetInput, input), tee::kTeeSuccess);
+  std::vector<uint8_t> push;
+  tee::pack_i64(push, 0);
+  const std::vector<uint8_t> neg = tensor_header({1, -16, 32, 32});
+  push.insert(push.end(), neg.begin(), neg.end());
+  EXPECT_THROW(s.invoke(kCmdPushStage, push), std::out_of_range);
+  EXPECT_THROW(s.invoke(kCmdPushStage, {1, 2, 3}), std::out_of_range);
+
+  // Every rejection left the TA intact: the engine still serves, bitwise.
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+}
+
+TEST(TbnetTA, TruncatedImageIsRejectedTyped) {
+  // A one-stage image: a fused stage with a two-entry channel map and a
+  // 1x1 conv block.
+  Rng rng(14);
+  nn::Sequential block;
+  block.emplace<nn::Conv2d>(
+      3, 2,
+      nn::Conv2d::Options{.kernel = 1, .stride = 1, .pad = 0, .bias = false},
+      rng);
+  std::ostringstream os(std::ios::binary);
+  nn::save_model(os, block);
+  const std::string blob = os.str();
+  std::vector<uint8_t> image;
+  for (const int64_t v : {int64_t{1}, int64_t{2}, int64_t{0}, int64_t{1},
+                          int64_t{1}, static_cast<int64_t>(blob.size())}) {
+    tee::pack_i64(image, v);  // stages, map_len, map[0..1], fused, blob_len
+  }
+  image.insert(image.end(), blob.begin(), blob.end());
+  tee::SecureWorld world;
+  EXPECT_NO_THROW(world.install("tbnet-image", make_tbnet_ta(image)));
+
+  for (size_t len = 0; len < image.size(); ++len) {
+    const std::vector<uint8_t> cut(image.begin(),
+                                   image.begin() + static_cast<long>(len));
+    EXPECT_THROW(world.install("tbnet-cut", make_tbnet_ta(cut)),
+                 std::out_of_range)
+        << "prefix of " << len << " bytes";
+  }
+  // Lengths that lie about the bytes behind them.
+  const auto with = [&image](size_t at, int64_t v) {
+    std::vector<uint8_t> img = image;
+    std::memcpy(img.data() + at, &v, sizeof(v));
+    return img;
+  };
+  constexpr size_t kMapLenAt = 8, kBlobLenAt = 40;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, -1)), std::out_of_range);
+  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, kMax / 8)), std::out_of_range);
+  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, -1)), std::out_of_range);
+  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, kMax)), std::out_of_range);
 }
 
 TEST(DeployedTBNet, ModelTooBigForSecureMemoryFailsLoudly) {
