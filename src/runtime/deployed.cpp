@@ -26,9 +26,23 @@ using tee::pack_i64;
 using tee::unpack_floats;
 using tee::unpack_i64;
 
+constexpr int64_t kFloat = static_cast<int64_t>(sizeof(float));
+constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
+
+/// Bytes pack_tensor writes for `t`: rank, dims, then the floats.
+int64_t tensor_bytes(const Tensor& t) {
+  return kI64 * (1 + t.shape().ndim()) + kFloat * t.numel();
+}
+
+/// Per-image share of a `bytes`-byte record of an `n`-image batch, rounded
+/// up so that n shares cover the record.
+int64_t per_image(int64_t bytes, int64_t n) {
+  n = std::max<int64_t>(n, 1);
+  return (bytes + n - 1) / n;
+}
+
 void pack_tensor(std::vector<uint8_t>& buf, const Tensor& t) {
-  buf.reserve(buf.size() + sizeof(int64_t) * (1 + t.shape().ndim()) +
-              sizeof(float) * static_cast<size_t>(t.numel()));
+  buf.reserve(buf.size() + static_cast<size_t>(tensor_bytes(t)));
   pack_i64(buf, t.shape().ndim());
   for (int64_t d : t.shape().dims()) pack_i64(buf, d);
   pack_floats(buf, t.data(), t.numel());
@@ -68,9 +82,6 @@ Tensor to_batch1(const Tensor& image_chw) {
   return image_chw.reshaped(Shape{1, image_chw.dim(0), image_chw.dim(1),
                                   image_chw.dim(2)});
 }
-
-constexpr int64_t kFloat = static_cast<int64_t>(sizeof(float));
-constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
 
 // ------------------------------------------------------------------------
 // TbnetTA: the secure-branch trusted application.
@@ -124,77 +135,19 @@ class TbnetTA : public tee::TrustedApp {
   uint32_t invoke(uint32_t command, const std::vector<uint8_t>& in,
                   std::vector<uint8_t>& out, tee::TaContext& ctx) override {
     switch (command) {
-      case kCmdReset:
-        acc_ = Tensor();
-        acc_alloc_.release();
-        next_stage_ = -1;
-        return kTeeSuccess;
-
-      case kCmdSetInput: {
-        size_t off = 0;
-        acc_ = unpack_tensor(in, &off);
-        acc_alloc_ =
-            ctx.memory->allocate(acc_.numel() * kFloat, "tbnet-ta/input");
-        next_stage_ = 0;
-        return kTeeSuccess;
-      }
-
-      case kCmdPushStage: {
-        size_t off = 0;
-        const int64_t stage = unpack_i64(in, &off);
-        if (stage != next_stage_ ||
-            stage >= static_cast<int64_t>(blocks_.size()) ||
-            !fused_flags_[static_cast<size_t>(stage)]) {
-          return kTeeErrorBadState;
-        }
-        const Tensor r_out = unpack_tensor(in, &off);
-        // Working-set accounting: incoming REE contribution + stage output
-        // live alongside the stored fused input during the stage.
-        auto incoming_alloc = ctx.memory->allocate(r_out.numel() * kFloat,
-                                                   "tbnet-ta/incoming");
-        Tensor out_t = blocks_[static_cast<size_t>(stage)]->forward(
-            exec_ctx_, acc_, false);
-        auto out_alloc =
-            ctx.memory->allocate(out_t.numel() * kFloat, "tbnet-ta/out");
-        // Fusion: select the REE channels aligned with our retained ones
-        // (paper §3.5), then element-wise add (sharded on the TA context).
-        Tensor aligned =
-            core::gather_channels(r_out, maps_[static_cast<size_t>(stage)]);
-        if (aligned.shape() != out_t.shape()) return kTeeErrorBadParameters;
-        add(exec_ctx_, out_t, aligned, out_t);
-        // The new fused map replaces the previous one.
-        acc_ = std::move(out_t);
-        acc_alloc_ = std::move(out_alloc);
-        next_stage_ = static_cast<int>(stage) + 1;
-        return kTeeSuccess;
-      }
-
-      case kCmdGetLogits: {
-        if (!run_tail(ctx)) return kTeeErrorBadState;
-        pack_tensor(out, acc_);
-        return kTeeSuccess;
-      }
-
-      case kCmdPredict: {
-        if (!run_tail(ctx)) return kTeeErrorBadState;
-        pack_i64(out, acc_.argmax());
-        return kTeeSuccess;
-      }
-
-      case kCmdPredictBatch: {
-        if (!run_tail(ctx)) return kTeeErrorBadState;
-        const std::vector<int64_t> labels = argmax_rows(acc_);
-        pack_i64(out, static_cast<int64_t>(labels.size()));
-        for (int64_t label : labels) pack_i64(out, label);
-        return kTeeSuccess;
-      }
+      case kCmdRun:
+        return run(in, out, ctx);
 
       case kCmdSetWidth: {
         // Intra-op width cap for the secure context's shards. A pure
         // scheduling hint: legal any time (even mid-pipeline), never
-        // changes results, so no next_stage_ bookkeeping.
+        // changes results, so no next_stage_ bookkeeping. The width is
+        // REE-written, so it is range-checked before it narrows to int.
         size_t off = 0;
         const int64_t width = unpack_i64(in, &off);
+        if (width < 0 || width > std::numeric_limits<int>::max()) {
+          return kTeeErrorBadParameters;
+        }
         exec_ctx_.set_intra_op_width(static_cast<int>(width));
         return kTeeSuccess;
       }
@@ -205,6 +158,84 @@ class TbnetTA : public tee::TrustedApp {
   }
 
  private:
+  /// Executes one kCmdRun record stream (format: runtime/deployed.h). The
+  /// stream is REE-written, hence hostile: an input record may only open
+  /// it, stage records must continue the pipeline in order, and a release
+  /// record must close it after the last fused stage. A record cut short
+  /// throws std::out_of_range. Records before a rejected one have run.
+  uint32_t run(const std::vector<uint8_t>& in, std::vector<uint8_t>& out,
+               tee::TaContext& ctx) {
+    size_t off = 0;
+    while (off < in.size()) {
+      const bool first = off == 0;
+      const int64_t tag = unpack_i64(in, &off);
+      switch (tag) {
+        case kRecordInput:
+          if (!first) return kTeeErrorBadState;
+          acc_ = unpack_tensor(in, &off);
+          acc_alloc_ =
+              ctx.memory->allocate(acc_.numel() * kFloat, "tbnet-ta/input");
+          next_stage_ = 0;
+          break;
+
+        case kRecordStage: {
+          const uint32_t status = push_stage(in, &off, ctx);
+          if (status != kTeeSuccess) return status;
+          break;
+        }
+
+        case kRecordLogits:
+        case kRecordLabels:
+          if (off != in.size()) return kTeeErrorBadParameters;
+          if (!run_tail(ctx)) return kTeeErrorBadState;
+          if (tag == kRecordLogits) {
+            pack_tensor(out, acc_);
+          } else {
+            const std::vector<int64_t> labels = argmax_rows(acc_);
+            pack_i64(out, static_cast<int64_t>(labels.size()));
+            for (int64_t label : labels) pack_i64(out, label);
+          }
+          return kTeeSuccess;
+
+        default:
+          return kTeeErrorBadParameters;
+      }
+    }
+    return kTeeSuccess;
+  }
+
+  /// One stage record's body at `*off`: the stage index, then R_i's output,
+  /// which is fused into the stored map after this stage's M_T block.
+  uint32_t push_stage(const std::vector<uint8_t>& in, size_t* off,
+                      tee::TaContext& ctx) {
+    const int64_t stage = unpack_i64(in, off);
+    if (stage != next_stage_ ||
+        stage >= static_cast<int64_t>(blocks_.size()) ||
+        !fused_flags_[static_cast<size_t>(stage)]) {
+      return kTeeErrorBadState;
+    }
+    const Tensor r_out = unpack_tensor(in, off);
+    // Working-set accounting: incoming REE contribution + stage output
+    // live alongside the stored fused input during the stage.
+    auto incoming_alloc =
+        ctx.memory->allocate(r_out.numel() * kFloat, "tbnet-ta/incoming");
+    Tensor out_t = blocks_[static_cast<size_t>(stage)]->forward(
+        exec_ctx_, acc_, false);
+    auto out_alloc =
+        ctx.memory->allocate(out_t.numel() * kFloat, "tbnet-ta/out");
+    // Fusion: select the REE channels aligned with our retained ones
+    // (paper §3.5), then element-wise add (sharded on the TA context).
+    Tensor aligned =
+        core::gather_channels(r_out, maps_[static_cast<size_t>(stage)]);
+    if (aligned.shape() != out_t.shape()) return kTeeErrorBadParameters;
+    add(exec_ctx_, out_t, aligned, out_t);
+    // The new fused map replaces the previous one.
+    acc_ = std::move(out_t);
+    acc_alloc_ = std::move(out_alloc);
+    next_stage_ = static_cast<int>(stage) + 1;
+    return kTeeSuccess;
+  }
+
   /// Advances through the trailing non-fused stages (the classifier head,
   /// which runs entirely inside the TEE with no REE contribution). Returns
   /// false unless every stage has then been executed.
@@ -624,7 +655,8 @@ void DeployedTBNet::invoke_with_retry(uint32_t command,
   }
 }
 
-void DeployedTBNet::run_stages(const Tensor& batch_nchw) {
+std::vector<uint8_t> DeployedTBNet::run(const Tensor& batch_nchw,
+                                        int64_t release) {
   if (batch_nchw.shape().ndim() != 4) {
     throw std::invalid_argument("infer_batch: expected NCHW, got " +
                                 batch_nchw.shape().str());
@@ -635,26 +667,66 @@ void DeployedTBNet::run_stages(const Tensor& batch_nchw) {
         " exceeds max_batch " + std::to_string(opt_.max_batch));
   }
   {
-    // stop_ree() left the slot and the error empty after the last batch.
+    // stop_ree() left the buffer, the stage count and the error empty
+    // after the last batch.
     MutexLock lock(ree_mu_);
+    const int64_t bytes = kI64 + tensor_bytes(batch_nchw);
+    ree_input_bytes_ =
+        std::max(ree_input_bytes_, per_image(bytes, batch_nchw.dim(0)));
+    reserve_record(bytes);
+    pack_i64(ree_records_, kRecordInput);
+    pack_tensor(ree_records_, batch_nchw);
     ree_batch_ = &batch_nchw;
     ree_cancel_ = false;
   }
   ree_cv_.notify_all();
-  // R_0 now overlaps the SetInput invoke, and R_{i+1} each PushStage_i.
+  // Each invoke carries every record packed since the last one, while the
+  // REE runs the following stages ahead of it.
+  std::vector<uint8_t> result;
   try {
-    std::vector<uint8_t> payload;
-    pack_tensor(payload, batch_nchw);
-    invoke_with_retry(kCmdSetInput, payload, nullptr, "SetInput");
-    for (size_t i = 0; i < exposed_.size(); ++i) {
-      payload = take_ree_payload();
-      invoke_with_retry(kCmdPushStage, payload, nullptr, "PushStage");
-    }
+    const int stages = num_stages();
+    int sent = 0;
+    do {
+      {
+        MutexLock lock(ree_mu_);
+        ree_cv_.wait(lock, [this, stages] {
+          ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
+          return ree_staged_ > 0 || ree_error_ != nullptr || stages == 0;
+        });
+        if (ree_error_) std::rethrow_exception(ree_error_);
+        sent += ree_staged_;
+        ree_staged_ = 0;
+        in_flight_.clear();
+        ree_records_.swap(in_flight_);
+      }
+      ree_cv_.notify_all();  // nothing waits now: the REE may run ahead
+      const bool last = sent == stages;
+      if (last) pack_i64(in_flight_, release);
+      invoke_with_retry(kCmdRun, in_flight_, last ? &result : nullptr, "Run");
+    } while (sent < stages);
   } catch (...) {
     stop_ree();
     throw;
   }
   stop_ree();
+  return result;
+}
+
+bool DeployedTBNet::may_run_ahead(int64_t n) const {
+  return ree_staged_ == 0 ||
+         static_cast<int64_t>(ree_records_.size()) + n * ree_stage_bytes_ <=
+             ree_stage_bytes_ * opt_.max_batch;
+}
+
+void DeployedTBNet::reserve_record(int64_t bytes) {
+  // A stream holds the input record and one stage record (nothing was
+  // waiting), or stage records within the byte bound; then the release
+  // record. Both fit max_batch images' worth of input and stage bytes.
+  const size_t need = ree_records_.size() + static_cast<size_t>(bytes + kI64);
+  if (ree_records_.capacity() >= need) return;
+  const auto bound = static_cast<size_t>(
+      opt_.max_batch * (ree_input_bytes_ + ree_stage_bytes_) + kI64);
+  ree_records_.reserve(std::max(need, bound));
 }
 
 void DeployedTBNet::ree_loop() {
@@ -666,51 +738,47 @@ void DeployedTBNet::ree_loop() {
     });
     if (ree_stop_) return;
     const Tensor* batch = ree_batch_;
+    const int64_t n = batch->dim(0);
     Tensor x;
     for (size_t i = 0; i < exposed_.size(); ++i) {
-      // Double buffering: stage i starts once payload i-1 has been taken.
-      ree_cv_.wait(lock, [this] {
+      // Bounded run-ahead: stage i starts once the byte bound allows it.
+      ree_cv_.wait(lock, [this, n] {
         ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
-        return ree_cancel_ || !ree_payload_.has_value();
+        return ree_cancel_ || may_run_ahead(n);
       });
       if (ree_cancel_) break;
       lock.unlock();
-      std::vector<uint8_t> payload;
       std::exception_ptr error;
       try {
         x = exposed_[i]->forward(exec_ctx_, i == 0 ? *batch : x, false);
-        pack_i64(payload, static_cast<int64_t>(i));
-        pack_tensor(payload, x);
       } catch (...) {
         error = std::current_exception();
       }
       lock.lock();
+      if (!error) {
+        // Packed under the lock: the caller swaps only whole records out.
+        try {
+          const int64_t bytes = 2 * kI64 + tensor_bytes(x);
+          ree_stage_bytes_ = std::max(ree_stage_bytes_, per_image(bytes, n));
+          reserve_record(bytes);
+          pack_i64(ree_records_, kRecordStage);
+          pack_i64(ree_records_, static_cast<int64_t>(i));
+          pack_tensor(ree_records_, x);
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
       if (error) {
         ree_error_ = error;
         break;
       }
-      ree_payload_ = std::move(payload);
+      ++ree_staged_;
       ree_cv_.notify_all();
     }
     // Idle: exec_ctx_ and the batch are the caller's again.
     ree_batch_ = nullptr;
     ree_cv_.notify_all();
   }
-}
-
-std::vector<uint8_t> DeployedTBNet::take_ree_payload() {
-  MutexLock lock(ree_mu_);
-  ree_cv_.wait(lock, [this] {
-    ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
-    return ree_payload_.has_value() || ree_error_ != nullptr;
-  });
-  if (ree_payload_.has_value()) {
-    std::vector<uint8_t> payload = std::move(*ree_payload_);
-    ree_payload_.reset();
-    ree_cv_.notify_all();  // the slot is free: the REE may start the next stage
-    return payload;
-  }
-  std::rethrow_exception(ree_error_);
 }
 
 void DeployedTBNet::stop_ree() {
@@ -721,14 +789,13 @@ void DeployedTBNet::stop_ree() {
     ree_mu_.assert_held();  // wait re-acquires ree_mu_ before evaluating
     return ree_batch_ == nullptr;
   });
-  ree_payload_.reset();
+  ree_records_.clear();
+  ree_staged_ = 0;
   ree_error_ = nullptr;
 }
 
 Tensor DeployedTBNet::infer_batch(const Tensor& batch_nchw) {
-  run_stages(batch_nchw);
-  std::vector<uint8_t> result;
-  invoke_with_retry(kCmdGetLogits, {}, &result, "GetLogits");
+  const std::vector<uint8_t> result = run(batch_nchw, kRecordLogits);
   size_t off = 0;
   return unpack_tensor(result, &off);
 }
@@ -738,17 +805,11 @@ Tensor DeployedTBNet::infer(const Tensor& image_chw) {
 }
 
 int64_t DeployedTBNet::predict(const Tensor& image_chw) {
-  run_stages(to_batch1(image_chw));
-  std::vector<uint8_t> result;
-  invoke_with_retry(kCmdPredict, {}, &result, "Predict");
-  size_t off = 0;
-  return unpack_i64(result, &off);
+  return predict_batch(to_batch1(image_chw)).front();
 }
 
 std::vector<int64_t> DeployedTBNet::predict_batch(const Tensor& batch_nchw) {
-  run_stages(batch_nchw);
-  std::vector<uint8_t> result;
-  invoke_with_retry(kCmdPredictBatch, {}, &result, "PredictBatch");
+  const std::vector<uint8_t> result = run(batch_nchw, kRecordLabels);
   size_t off = 0;
   const int64_t count = unpack_i64(result, &off);
   if (count != batch_nchw.dim(0)) {

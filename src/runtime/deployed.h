@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,37 +30,65 @@
 
 namespace tbnet::runtime {
 
-/// TBNet TA command IDs.
+/// TA command IDs. DeployedTBNet's TA takes kCmdRun and kCmdSetWidth; the
+/// other four are the FullTeeDeployment and PartitionDeployment commands.
 inline constexpr uint32_t kCmdSetInput = 1;
 inline constexpr uint32_t kCmdPushStage = 2;
 inline constexpr uint32_t kCmdGetLogits = 3;
 inline constexpr uint32_t kCmdPredict = 4;
-inline constexpr uint32_t kCmdReset = 5;
-inline constexpr uint32_t kCmdPredictBatch = 6;
 inline constexpr uint32_t kCmdSetWidth = 7;
+inline constexpr uint32_t kCmdRun = 8;
+
+/// Record tags of a kCmdRun stream. Each record is an int64 tag and a body:
+///   kRecordInput   a tensor (rank, dims, floats): the NCHW batch. It may
+///                  only open a stream, and it restarts the TA's pipeline.
+///   kRecordStage   the stage index, then a tensor: R_i's output. Stages
+///                  arrive in order, across as many streams as it takes.
+///   kRecordLogits  no body. Closes the stream after the last fused stage;
+///                  the TA runs its head and returns the [N, classes] logits.
+///   kRecordLabels  like kRecordLogits, but only one label per image leaves.
+inline constexpr int64_t kRecordInput = 1;
+inline constexpr int64_t kRecordStage = 2;
+inline constexpr int64_t kRecordLogits = 3;
+inline constexpr int64_t kRecordLabels = 4;
 
 /// Splits a finalized TwoBranchModel into an REE half and an installed TA.
 ///
-/// The engine is batch-oriented: infer_batch pushes a whole NCHW batch per
-/// stage through ONE TA invocation, so the per-inference world-switch and
-/// channel-invocation count drops from O(stages) per image to O(stages) per
-/// batch. Batched results are bit-identical to per-image calls (every kernel
-/// under it processes batch elements independently in index order). Not
-/// thread-safe: one caller at a time — InferenceServer invokes each of its
-/// engines from a single dispatch worker only, so inter-op parallel serving
-/// means one DeployedTBNet instance (own secure world / session /
-/// ExecutionContext) per worker.
+/// The engine is batch-oriented: infer_batch pushes a whole NCHW batch
+/// through every stage, and the batch costs at most num_stages() TA
+/// invocations however many images it holds. Batched results are
+/// bit-identical to per-image calls (every kernel under it processes batch
+/// elements independently in index order). Not thread-safe: one caller at a
+/// time — InferenceServer invokes each of its engines from a single
+/// dispatch worker only, so inter-op parallel serving means one
+/// DeployedTBNet instance (own secure world / session / ExecutionContext)
+/// per worker.
 ///
 /// Inside a batch the engine pipelines the two worlds the way the paper's
 /// cost model (tee::simulate_two_branch) assumes: each engine owns ONE
 /// internal REE run-ahead thread, started by the constructor and joined by
 /// the destructor. It runs M_R's stages on the REE ExecutionContext and
-/// packs each stage's payload, at most two payloads ahead of the TA, while
-/// the calling thread drives SetInput → PushStage_0..n-1 → GetLogits in
-/// order. Every TA invocation (and so the session, the retry policy and its
-/// jitter PRNG) stays on the calling thread, as an OP-TEE SMC blocks only
-/// its caller; the TA sees the same commands with the same bytes in the
-/// same order as a serial loop, so results are unchanged.
+/// appends each output as a stage record to an engine-owned byte buffer
+/// that the caller seeded with the input record (format: kRecordInput).
+/// Whenever the calling thread is free to invoke, it swaps out every record
+/// packed so far, waiting for at least one stage, and sends them as one
+/// kCmdRun. The group that reaches the last fused stage also carries the
+/// release record, and the logits (or labels) come back on that invoke.
+/// Readiness alone picks the grouping: a batch costs 1 to num_stages()
+/// invokes, so at most num_stages() + 1 world switches.
+///
+/// The run-ahead is bounded in bytes. With no stage record waiting the REE
+/// may always start the next stage; otherwise only if the waiting bytes plus
+/// one more stage (n × the largest per-image stage record seen) fit within
+/// that per-image size × Options::max_batch. A full batch therefore runs at
+/// most one stage ahead, like a double buffer, while a small batch groups
+/// freely. The two buffers (one being filled, one in flight) are reserved
+/// once, for max_batch images' worth of input and stage records.
+///
+/// Every TA invocation (and so the session, the retry policy and its jitter
+/// PRNG) stays on the calling thread, as an OP-TEE SMC blocks only its
+/// caller. The TA runs the same blocks on the same tensors in the same order
+/// as a serial loop, so results are unchanged.
 ///
 /// Deployment is also where the compute graph freezes: both branches' blocks
 /// are cloned, inference-mode BatchNorm is folded into the adjacent conv
@@ -124,12 +151,11 @@ class DeployedTBNet {
   /// Runs one inference (CHW image), returning the logits the TEE releases.
   Tensor infer(const Tensor& image_chw);
 
-  /// Runs a whole NCHW batch (N <= Options::max_batch) through every stage
-  /// with one TA invocation per stage; returns the [N, classes] logits.
-  /// A failure on either side (an REE layer rejecting the input, retry
-  /// exhaustion, tee::PermanentFault, tee::IntegrityFault) cancels the
-  /// run-ahead, waits for the REE thread to go idle, and rethrows the
-  /// original exception type.
+  /// Runs a whole NCHW batch (N <= Options::max_batch) through every stage;
+  /// returns the [N, classes] logits. A failure on either side (an REE layer
+  /// rejecting the input, retry exhaustion, tee::PermanentFault,
+  /// tee::IntegrityFault) cancels the run-ahead, waits for the REE thread to
+  /// go idle, and rethrows the original exception type.
   Tensor infer_batch(const Tensor& batch_nchw);
 
   /// Runs one inference and returns only the predicted label (the strictly
@@ -193,18 +219,24 @@ class DeployedTBNet {
   tee::TeeSession& session() { return *session_; }
 
  private:
-  /// Pushes `batch` through the REE stages + TA, leaving the TA ready for a
-  /// final GetLogits/Predict command: hands the batch to the REE thread,
-  /// then invokes SetInput and each PushStage as its payload becomes ready.
-  /// Returns (or throws) only once the REE thread is idle again.
-  void run_stages(const Tensor& batch_nchw) TS_EXCLUDES(ree_mu_);
+  /// Runs `batch` through both worlds and returns the bytes of the TA's
+  /// `release` record (kRecordLogits or kRecordLabels): seeds the record
+  /// buffer with the input record, hands the batch to the REE thread, then
+  /// sends every group of ready records as one kCmdRun. Returns (or
+  /// throws) only once the REE thread is idle again.
+  std::vector<uint8_t> run(const Tensor& batch_nchw, int64_t release)
+      TS_EXCLUDES(ree_mu_);
 
-  /// REE run-ahead thread body: waits for a batch, then computes and packs
-  /// one stage payload at a time into ree_payload_.
+  /// REE run-ahead thread body: waits for a batch, then computes each stage
+  /// as the byte bound allows and appends its record to ree_records_.
   void ree_loop() TS_EXCLUDES(ree_mu_);
-  /// Caller side: the next stage payload, waiting for the REE thread if it
-  /// is not packed yet. Rethrows the REE thread's exception if it failed.
-  std::vector<uint8_t> take_ree_payload() TS_EXCLUDES(ree_mu_);
+  /// Whether the REE thread may start another stage of an `n`-image batch
+  /// (the byte bound; see the class comment).
+  bool may_run_ahead(int64_t n) const TS_REQUIRES(ree_mu_);
+  /// Makes room in ree_records_ for a `bytes`-byte record. A buffer short
+  /// of room is reserved at the byte bound in one step, so neither buffer
+  /// grows by doubling.
+  void reserve_record(int64_t bytes) TS_REQUIRES(ree_mu_);
   /// Caller side: cancels any further run-ahead and waits until the REE
   /// thread is idle (no batch), so exec_ctx_ has a single user again.
   void stop_ree() TS_EXCLUDES(ree_mu_);
@@ -247,20 +279,26 @@ class DeployedTBNet {
   int64_t reopens_ TS_GUARDED_BY(mu_) = 0;
   uint64_t jitter_state_ TS_GUARDED_BY(mu_) = 0;
 
-  /// REE run-ahead hand-off. The calling thread posts a batch and takes
-  /// payloads; the REE thread computes into the one-payload slot. With the
-  /// payload the caller is invoking, at most two are alive (double
-  /// buffering), and the REE never starts stage i+1 before stage i's
-  /// payload was taken.
+  /// REE run-ahead hand-off. The calling thread seeds ree_records_ with the
+  /// input record and posts a batch; the REE thread appends stage records;
+  /// the caller swaps the buffer with in_flight_ for each invoke.
   Mutex ree_mu_;
   CondVar ree_cv_;
   /// The batch being run ahead; null while the REE thread is idle. Points
-  /// at the caller's tensor, which run_stages keeps alive until idle.
+  /// at the caller's tensor, which run() keeps alive until idle.
   const Tensor* ree_batch_ TS_GUARDED_BY(ree_mu_) = nullptr;
-  std::optional<std::vector<uint8_t>> ree_payload_ TS_GUARDED_BY(ree_mu_);
+  /// Records packed for the next kCmdRun, of which ree_staged_ are stages.
+  std::vector<uint8_t> ree_records_ TS_GUARDED_BY(ree_mu_);
+  int ree_staged_ TS_GUARDED_BY(ree_mu_) = 0;
+  /// Largest per-image bytes seen of an input record and of a stage record
+  /// (record bytes / n, rounded up); they set the byte bound.
+  int64_t ree_input_bytes_ TS_GUARDED_BY(ree_mu_) = 0;
+  int64_t ree_stage_bytes_ TS_GUARDED_BY(ree_mu_) = 0;
   std::exception_ptr ree_error_ TS_GUARDED_BY(ree_mu_);
   bool ree_cancel_ TS_GUARDED_BY(ree_mu_) = false;
   bool ree_stop_ TS_GUARDED_BY(ree_mu_) = false;
+  /// The group being invoked: the caller's side of the two-buffer swap.
+  std::vector<uint8_t> in_flight_;
   /// Started last in the constructor, after every member ree_loop reads.
   std::thread ree_thread_;
 };

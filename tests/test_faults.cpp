@@ -191,7 +191,8 @@ TEST(DeployedFaults, RetryExhaustionThrowsAndEngineRecovers) {
   }
   EXPECT_EQ(ctx.faults().scripted_pending(), 0);
   // Every fault fired before the TA executed, so the engine is not wedged:
-  // the next inference starts from SetInput and matches bit-for-bit.
+  // the next inference starts from its input record and matches
+  // bit-for-bit.
   EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
 }
 
@@ -638,26 +639,58 @@ TEST(DeployedFaults, CorruptedTransferSurfacesIntegrityFault) {
 
 // ------------------------------------------ faults mid-batch (run-ahead) --
 //
-// The REE thread runs ahead while the caller is inside PushStage_k, so a
-// fault there lands while stage k+1 is being computed or is already packed.
-// Invoke crossings per batch: SetInput is the 1st, PushStage_k the (k+2)th.
+// The REE thread runs ahead while the caller is inside an invoke, so a
+// fault there lands while later stages are being computed or are already
+// packed. Readiness picks how many invokes a batch takes, so these tests
+// read the count from the world_switches() delta and repeat the batch until
+// the scripted fault has been consumed. A batch of max_batch images runs one
+// stage per invoke, so "a later invoke" exists in the same batch.
+
+/// Invokes since `switches_before`: each switches in once, and the last one
+/// of the batch switches back out with the logits.
+int64_t invokes_since(const DeployedTBNet& engine, int64_t switches_before) {
+  return engine.world_switches() - switches_before - 1;
+}
+
+/// Runs `batch` until it throws a `Fault`, at most 8 times; every run that
+/// does not must match `want` bitwise. Returns whether one was thrown.
+template <typename Fault>
+bool fails_with(DeployedTBNet& engine, const Tensor& batch,
+                const Tensor& want) {
+  for (int round = 0; round < 8; ++round) {
+    try {
+      EXPECT_TRUE(allclose(engine.infer_batch(batch), want, 0.0f, 0.0f));
+    } catch (const Fault&) {
+      return true;
+    }
+  }
+  return false;
+}
 
 TEST(DeployedFaults, MidBatchTransientIsRetriedBitIdentically) {
   core::TwoBranchModel tb = tiny_two_branch();
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
-  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch");
+  DeployedTBNet::Options opt;
+  opt.max_batch = 4;
+  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch", opt);
   Rng rng(41);
   const Tensor batch = random_batch(4, rng);
+  const int64_t before = deployed.world_switches();
   const Tensor want = deployed.infer_batch(batch);
-  const int last = deployed.num_stages() - 1;
-  for (const int k : {0, last / 2, last}) {
+  const int64_t invokes = invokes_since(deployed, before);
+  ASSERT_GE(invokes, 2);
+  // The first invoke, a middle one, and the last (the one that releases).
+  for (const int64_t nth : {int64_t{1}, 1 + invokes / 2, invokes}) {
     const int64_t retries = deployed.retries();
-    ctx.faults().script_at(Kind::kTransient, "invoke", 2 + k);
-    EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f))
-        << "transient at PushStage_" << k;
-    EXPECT_EQ(deployed.retries(), retries + 1);
+    ctx.faults().script_at(Kind::kTransient, "invoke", nth);
+    for (int round = 0; round < 8 && ctx.faults().scripted_pending() > 0;
+         ++round) {
+      EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f))
+          << "transient at invoke " << nth;
+    }
     EXPECT_EQ(ctx.faults().scripted_pending(), 0);
+    EXPECT_EQ(deployed.retries(), retries + 1) << "transient at invoke " << nth;
   }
 }
 
@@ -665,33 +698,42 @@ TEST(DeployedFaults, MidBatchPermanentAndIntegrityFaultsKeepTheirType) {
   core::TwoBranchModel tb = tiny_two_branch();
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
-  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch-fatal");
+  DeployedTBNet::Options opt;
+  opt.max_batch = 4;
+  DeployedTBNet deployed(tb, ctx, "tbnet-midbatch-fatal", opt);
   tee::SecureWorld fresh_world;
   tee::TeeContext fresh_ctx(fresh_world);
   DeployedTBNet fresh(tb, fresh_ctx);
   Rng rng(42);
   const Tensor batch = random_batch(4, rng);
   const Tensor want = fresh.infer_batch(batch);
-  const int k = deployed.num_stages() / 2;
+  const int64_t before = deployed.world_switches();
+  ASSERT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+  const int64_t invokes = invokes_since(deployed, before);
+  ASSERT_GE(invokes, 2);
 
-  ctx.faults().script_at(Kind::kPermanent, "invoke", 2 + k);
-  EXPECT_THROW(deployed.infer_batch(batch), tee::PermanentFault);
-  deployed.reopen();
-  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+  for (const int64_t nth : {int64_t{1}, 1 + invokes / 2}) {
+    ctx.faults().script_at(Kind::kPermanent, "invoke", nth);
+    EXPECT_TRUE(fails_with<tee::PermanentFault>(deployed, batch, want))
+        << "permanent at invoke " << nth;
+    deployed.reopen();
+    EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
 
-  ctx.faults().script_at(Kind::kCorruption, "transfer", 2 + k);
-  EXPECT_THROW(deployed.infer_batch(batch), tee::IntegrityFault);
-  deployed.reopen();
-  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
-  EXPECT_EQ(deployed.reopens(), 2);
+    ctx.faults().script_at(Kind::kCorruption, "transfer", nth);
+    EXPECT_TRUE(fails_with<tee::IntegrityFault>(deployed, batch, want))
+        << "corruption at invoke " << nth;
+    deployed.reopen();
+    EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+  }
+  EXPECT_EQ(deployed.reopens(), 4);
   EXPECT_EQ(ctx.faults().scripted_pending(), 0);
 }
 
 TEST(DeployedFaults, FailedBatchReturnsOnlyOnceTheReeThreadIsIdle) {
-  // SetInput faults while the REE thread is still inside stage 0 of a
-  // 16-image batch. Each batch below is a temporary that dies as soon as
-  // infer_batch throws, so returning before the REE thread lets go of it
-  // would be a use-after-free (and a race) for the sanitizer legs.
+  // The first invoke faults while the REE thread runs the next stages of a
+  // 16-image batch ahead of it. Each batch below is a temporary that dies
+  // as soon as infer_batch throws, so returning before the REE thread lets
+  // go of it would be a use-after-free (and a race) for the sanitizer legs.
   core::TwoBranchModel tb = tiny_two_branch();
   tee::SecureWorld world;
   tee::TeeContext ctx(world);

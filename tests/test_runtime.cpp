@@ -257,6 +257,43 @@ TEST(DeployedTBNet, RunAheadMatchesSerialOracleBitwise) {
   }
 }
 
+TEST(DeployedTBNet, SlowInvokesCarryEveryReadyStageBitwise) {
+  models::ModelConfig cfg = tiny_vgg_cfg();
+  cfg.family = models::Family::kResNet;
+  cfg.depth = 20;
+  nn::Sequential victim = models::build_victim(cfg);
+  core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+  prune_with_rollback(tb, cfg);
+
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet::Options opt;
+  opt.max_batch = 4;
+  DeployedTBNet deployed(tb, ctx, "tbnet-grouping", opt);
+  // Each invoke stalls 20 ms, far longer than any REE stage takes here.
+  tee::DeviceProfile slow = tee::DeviceProfile::rpi3();
+  slow.invoke_overhead_s = 20e-3;
+  deployed.session().simulate_timing(slow);
+  SerialOracle oracle(tb);
+  Rng rng(15);
+  for (const int64_t n : {int64_t{1}, deployed.max_batch()}) {
+    const Tensor batch = Tensor::randn(Shape{n, 3, 32, 32}, rng);
+    const int64_t before = deployed.world_switches();
+    EXPECT_TRUE(allclose(deployed.infer_batch(batch), oracle.forward(batch),
+                         0.0f, 0.0f))
+        << "batch " << n;
+    // Every invoke switches in; the last also switches back with the logits.
+    const int64_t invokes = deployed.world_switches() - before - 1;
+    if (n == 1) {
+      // The REE ran the later stages during the first invoke's stall.
+      EXPECT_LT(invokes, deployed.num_stages());
+    } else {
+      // The byte bound holds a full batch to one stage ahead.
+      EXPECT_EQ(invokes, deployed.num_stages());
+    }
+  }
+}
+
 TEST(DeployedTBNet, ReeSideFailureRethrowsTheSerialTypeAndRecovers) {
   const auto cfg = tiny_vgg_cfg();
   nn::Sequential victim = models::build_victim(cfg);
@@ -266,8 +303,8 @@ TEST(DeployedTBNet, ReeSideFailureRethrowsTheSerialTypeAndRecovers) {
   DeployedTBNet deployed(tb, ctx);
   SerialOracle oracle(tb);
   Rng rng(11);
-  // Four channels: M_R's first conv rejects the batch, while the TA's
-  // SetInput (which runs first) accepts any well-formed tensor.
+  // Four channels: M_R's first conv rejects the batch before any record
+  // reaches the TA, which would accept any well-formed input tensor.
   const Tensor bad = Tensor::randn(Shape{2, 4, 32, 32}, rng);
   const Tensor good = Tensor::randn(Shape{2, 3, 32, 32}, rng);
   const std::type_info* serial_type = nullptr;
@@ -353,6 +390,30 @@ std::vector<uint8_t> tensor_header(std::initializer_list<int64_t> dims) {
   return buf;
 }
 
+/// A kCmdRun record stream, appended record by record.
+struct Records {
+  std::vector<uint8_t> bytes;
+
+  Records& i64(int64_t v) {
+    tee::pack_i64(bytes, v);
+    return *this;
+  }
+  Records& raw(const std::vector<uint8_t>& b) {
+    bytes.insert(bytes.end(), b.begin(), b.end());
+    return *this;
+  }
+  Records& tensor(const Tensor& t) {
+    i64(t.shape().ndim());
+    for (const int64_t d : t.shape().dims()) i64(d);
+    tee::pack_floats(bytes, t.data(), t.numel());
+    return *this;
+  }
+  Records& input(const Tensor& t) { return i64(kRecordInput).tensor(t); }
+  Records& stage(int64_t i, const Tensor& r) {
+    return i64(kRecordStage).i64(i).tensor(r);
+  }
+};
+
 TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
   const auto cfg = tiny_vgg_cfg();
   nn::Sequential victim = models::build_victim(cfg);
@@ -364,39 +425,141 @@ TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
   const Tensor batch = Tensor::randn(Shape{2, 3, 32, 32}, rng);
   const Tensor want = deployed.infer_batch(batch);
 
+  // Well-formed records: an image and every fused stage's R_i output.
+  const Tensor image = Tensor::randn(Shape{1, 3, 32, 32}, rng);
+  std::vector<Tensor> r_out;
+  Tensor x = image;
+  for (int i = 0; i < tb.num_stages() && tb.stage(i).fused; ++i) {
+    x = tb.stage(i).exposed->forward(x, false);
+    r_out.push_back(x);
+  }
+  ASSERT_EQ(static_cast<int>(r_out.size()), deployed.num_stages());
+  const auto all_stages = [&] {
+    Records r;
+    r.input(image);
+    for (size_t i = 0; i < r_out.size(); ++i) {
+      r.stage(static_cast<int64_t>(i), r_out[i]);
+    }
+    return r;
+  };
+
   // The REE is the attacker: a second session on the installed TA sends
   // whatever bytes it likes.
   tee::TeeSession s = ctx.open_session("tbnet-hostile");
+  const auto run = [&s](const Records& r, std::vector<uint8_t>* out = nullptr) {
+    return s.invoke(kCmdRun, r.bytes, out);
+  };
+  // The crafted records are valid: the full stream releases the logits.
+  std::vector<uint8_t> logits;
+  ASSERT_EQ(run(all_stages().i64(kRecordLogits), &logits), tee::kTeeSuccess);
+  EXPECT_FALSE(logits.empty());
+
+  // Input records whose tensors lie.
+  const auto input_header = [](std::initializer_list<int64_t> dims) {
+    return Records().i64(kRecordInput).raw(tensor_header(dims));
+  };
   constexpr int64_t k2to32 = int64_t{1} << 32;
   // A negative dim.
-  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({1, -3, 32, 32})),
-               std::out_of_range);
+  EXPECT_THROW(run(input_header({1, -3, 32, 32})), std::out_of_range);
   // Dims whose product wraps int64 to 0, which would pass as an empty map.
-  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({k2to32, k2to32})),
-               std::out_of_range);
+  EXPECT_THROW(run(input_header({k2to32, k2to32})), std::out_of_range);
   // An element count whose byte size wraps size_t to 0.
-  EXPECT_THROW(s.invoke(kCmdSetInput, tensor_header({int64_t{1} << 62})),
-               std::out_of_range);
-  // A truncated payload: half the promised floats.
-  std::vector<uint8_t> truncated = tensor_header({1, 3, 32, 32});
+  EXPECT_THROW(run(input_header({int64_t{1} << 62})), std::out_of_range);
+  // A truncated input: half the promised floats.
   const std::vector<float> half(3 * 32 * 32 / 2, 1.0f);
-  tee::pack_floats(truncated, half.data(), static_cast<int64_t>(half.size()));
-  EXPECT_THROW(s.invoke(kCmdSetInput, truncated), std::out_of_range);
+  Records truncated = input_header({1, 3, 32, 32});
+  tee::pack_floats(truncated.bytes, half.data(),
+                   static_cast<int64_t>(half.size()));
+  EXPECT_THROW(run(truncated), std::out_of_range);
 
-  // PushStage after a valid SetInput: a hostile REE tensor, then a
-  // payload cut inside the stage index.
-  std::vector<uint8_t> input = tensor_header({1, 3, 32, 32});
-  const std::vector<float> image(3 * 32 * 32, 0.5f);
-  tee::pack_floats(input, image.data(), static_cast<int64_t>(image.size()));
-  ASSERT_EQ(s.invoke(kCmdSetInput, input), tee::kTeeSuccess);
-  std::vector<uint8_t> push;
-  tee::pack_i64(push, 0);
-  const std::vector<uint8_t> neg = tensor_header({1, -16, 32, 32});
-  push.insert(push.end(), neg.begin(), neg.end());
-  EXPECT_THROW(s.invoke(kCmdPushStage, push), std::out_of_range);
-  EXPECT_THROW(s.invoke(kCmdPushStage, {1, 2, 3}), std::out_of_range);
+  // A stage record whose tensor lies, after a valid input record.
+  EXPECT_THROW(run(Records().input(image).i64(kRecordStage).i64(0).raw(
+                   tensor_header({1, -16, 32, 32}))),
+               std::out_of_range);
+  // A stream cut inside a record header: every prefix of stage 0's tag,
+  // index, rank and four dims.
+  Records whole;
+  whole.stage(0, r_out[0]);
+  const size_t header = (3 + 4) * sizeof(int64_t);
+  for (size_t len = 1; len < header; ++len) {
+    Records cut;
+    cut.input(image).raw(std::vector<uint8_t>(
+        whole.bytes.begin(), whole.bytes.begin() + static_cast<long>(len)));
+    EXPECT_THROW(run(cut), std::out_of_range) << "cut after " << len << " B";
+  }
+
+  // Unknown tags.
+  for (const int64_t tag : {int64_t{0}, int64_t{-1}, int64_t{99}}) {
+    EXPECT_EQ(run(Records().i64(tag)), tee::kTeeErrorBadParameters) << tag;
+    EXPECT_EQ(run(Records().input(image).i64(tag)),
+              tee::kTeeErrorBadParameters)
+        << tag;
+  }
+  // A repeated stage record, then an out-of-order one.
+  EXPECT_EQ(run(Records().input(image).stage(0, r_out[0]).stage(0, r_out[0])),
+            tee::kTeeErrorBadState);
+  EXPECT_EQ(run(Records().input(image).stage(1, r_out[1])),
+            tee::kTeeErrorBadState);
+  // A stage record with no batch in progress: the last stream released.
+  ASSERT_EQ(run(all_stages().i64(kRecordLogits), &logits), tee::kTeeSuccess);
+  EXPECT_EQ(run(Records().stage(0, r_out[0])), tee::kTeeErrorBadState);
+  // A release record before the last fused stage.
+  for (const int64_t release : {kRecordLogits, kRecordLabels}) {
+    EXPECT_EQ(run(Records().input(image).i64(release)),
+              tee::kTeeErrorBadState);
+    EXPECT_EQ(run(Records().input(image).stage(0, r_out[0]).i64(release)),
+              tee::kTeeErrorBadState);
+  }
+  // Bytes after a release record, even a well-formed record.
+  EXPECT_EQ(run(all_stages().i64(kRecordLogits).i64(0)),
+            tee::kTeeErrorBadParameters);
+  EXPECT_EQ(run(all_stages().i64(kRecordLabels).input(image)),
+            tee::kTeeErrorBadParameters);
+  // An input record after a stage record, or after another input record.
+  EXPECT_EQ(run(Records().input(image).stage(0, r_out[0]).input(image)),
+            tee::kTeeErrorBadState);
+  EXPECT_EQ(run(Records().input(image).input(image)), tee::kTeeErrorBadState);
+  // This TA serves kCmdRun and kCmdSetWidth only: the baselines' commands
+  // and the unused ids 5 and 6 are rejected.
+  for (const uint32_t cmd : {kCmdSetInput, kCmdPushStage, kCmdGetLogits,
+                             kCmdPredict, uint32_t{5}, uint32_t{6}}) {
+    EXPECT_EQ(s.invoke(cmd, Records().input(image).bytes),
+              tee::kTeeErrorBadParameters)
+        << "command " << cmd;
+  }
 
   // Every rejection left the TA intact: the engine still serves, bitwise.
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+}
+
+TEST(TbnetTA, SetWidthRejectsWidthsOutsideInt) {
+  const auto cfg = tiny_vgg_cfg();
+  nn::Sequential victim = models::build_victim(cfg);
+  core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  DeployedTBNet deployed(tb, ctx, "tbnet-width");
+  Rng rng(16);
+  const Tensor batch = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const Tensor want = deployed.infer_batch(batch);
+
+  tee::TeeSession s = ctx.open_session("tbnet-width");
+  const auto set_width = [&s](int64_t width) {
+    std::vector<uint8_t> payload;
+    tee::pack_i64(payload, width);
+    return s.invoke(kCmdSetWidth, payload);
+  };
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  for (const int64_t width : {int64_t{-1}, kIntMax + 1, int64_t{1} << 32,
+                              std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(set_width(width), tee::kTeeErrorBadParameters) << width;
+  }
+  EXPECT_THROW(s.invoke(kCmdSetWidth, {1, 2, 3}), std::out_of_range);
+  // The range's ends are accepted; widths never change results.
+  EXPECT_EQ(set_width(kIntMax), tee::kTeeSuccess);
+  EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
+  EXPECT_EQ(set_width(0), tee::kTeeSuccess);
   EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
 }
 
