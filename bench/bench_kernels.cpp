@@ -5,9 +5,9 @@
 // via TBNET_DETERMINISTIC=1) and the packed SIMD kernel ("after"), a
 // 1/2/4-thread scaling sweep on large shapes, nested-parallel_for scaling
 // (work-stealing vs the inline-serial path), fused-lowering vs materialized
-// conv timings (with arena footprints), depthwise row-kernel timings (SIMD
-// vs scalar reference, and fused dw→pw vs back-to-back layers), and
-// fused-epilogue conv timings. The
+// conv timings (with the fused call's panel-build time and arena
+// footprints), depthwise row-kernel timings (SIMD vs scalar reference, and
+// fused dw→pw vs back-to-back layers), and fused-epilogue conv timings. The
 // shape list is the im2col GEMMs a CIFAR-scale ResNet victim actually
 // produces, so the speedup column tracks the serving-relevant sizes rather
 // than only square LINPACK-style GEMMs.
@@ -268,6 +268,7 @@ struct LowerShape {
 };
 
 const LowerShape kLowerShapes[] = {
+    {"lower_conv3x3_8c_32x32", 8, 8, 32, 3, 1, 1, true},  // w=0.125 stage 1
     {"lower_conv3x3_16c_32x32", 16, 16, 32, 3, 1, 1, true},
     {"lower_conv3x3_64c_8x8", 64, 64, 8, 3, 1, 1, false},
     {"lower_stem_3to16_32x32", 3, 16, 32, 3, 1, 1, false},
@@ -276,6 +277,7 @@ const LowerShape kLowerShapes[] = {
 
 struct LowerPoint {
   const char* name;
+  double pack_ms = 0.0;
   double fused_ms = 0.0;
   double materialized_ms = 0.0;
   double int8_ms = 0.0;
@@ -287,7 +289,9 @@ struct LowerPoint {
 /// Fused im2col→panel lowering (the Conv2d forward path) vs the PR-2
 /// materializing path (full im2col into an arena column buffer, consumed in
 /// place). Both run with a pre-packed weight, so the delta is pure lowering;
-/// the arena columns record the per-call scratch each path needs.
+/// the arena columns record the per-call scratch each path needs. pack_ms
+/// times the fused call's panel builds alone: every column panel's full
+/// depth, built once into one slab (the direct 1x1 path builds none).
 LowerPoint bench_lowering(const LowerShape& ls, int reps) {
   Rng rng(55);
   nn::Conv2d conv(ls.in_c, ls.out_c,
@@ -314,6 +318,16 @@ LowerPoint bench_lowering(const LowerShape& ls, int reps) {
     }
     return best;
   };
+  if (ls.kernel != 1 || ls.stride != 1 || ls.pad != 0) {
+    std::vector<float> slab(static_cast<size_t>(rows * simd::kNR));
+    p.pack_ms = best_ms([&] {
+      for (int64_t j0 = 0; j0 < cols; j0 += simd::kNR) {
+        const int nr =
+            static_cast<int>(std::min<int64_t>(simd::kNR, cols - j0));
+        im2col_pack_panel(g, x.data(), 0, rows, j0, nr, slab.data());
+      }
+    });
+  }
   {
     // Weight panels live in their own context (a deployed engine's arena);
     // the scratch context then shows the pure per-call footprint.
@@ -675,12 +689,12 @@ int main(int argc, char** argv) {
     if (quick && !ls.quick) continue;
     const LowerPoint p = bench_lowering(ls, reps);
     std::printf(
-        "%s    {\"name\": \"%s\", \"fused_ms\": %.4f, "
+        "%s    {\"name\": \"%s\", \"pack_ms\": %.4f, \"fused_ms\": %.4f, "
         "\"materialized_ms\": %.4f, \"int8_ms\": %.4f, \"speedup\": %.2f, "
         "\"fused_arena_kb\": %lld, \"materialized_arena_kb\": %lld, "
         "\"int8_arena_kb\": %lld}",
-        first ? "" : ",\n", p.name, p.fused_ms, p.materialized_ms, p.int8_ms,
-        p.materialized_ms / p.fused_ms,
+        first ? "" : ",\n", p.name, p.pack_ms, p.fused_ms, p.materialized_ms,
+        p.int8_ms, p.materialized_ms / p.fused_ms,
         static_cast<long long>(p.fused_arena_kb),
         static_cast<long long>(p.materialized_arena_kb),
         static_cast<long long>(p.int8_arena_kb));

@@ -40,6 +40,10 @@ Conv2dGeom Conv2d::geom_for(const Shape& in) const {
   g.kernel_h = g.kernel_w = opt_.kernel;
   g.stride_h = g.stride_w = opt_.stride;
   g.pad_h = g.pad_w = opt_.pad;
+  if (g.in_h + 2 * g.pad_h < g.kernel_h || g.in_w + 2 * g.pad_w < g.kernel_w) {
+    throw std::invalid_argument("Conv2d: window larger than padded input " +
+                                in.str());
+  }
   return g;
 }
 
@@ -119,7 +123,7 @@ Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
             ctx, out_c_, cols, rows, 1.0f, apack,
             [&g, img](int64_t kk, int64_t kc, int64_t j0, int nr,
                       float* panel) {
-              im2col_pack_panel(g, img, kk, kc, j0, nr, simd::kNR, panel);
+              im2col_pack_panel(g, img, kk, kc, j0, nr, panel);
             },
             0.0f, dst, cols, ep);
       }

@@ -27,12 +27,14 @@ Shape DepthwiseConv2d::out_shape(const Shape& in) const {
   if (in.ndim() != 4 || in.dim(1) != channels_) {
     throw std::invalid_argument("DepthwiseConv2d: bad input " + in.str());
   }
-  const int64_t oh = out_hw(in.dim(2), opt_.pad, opt_.kernel, opt_.stride);
-  const int64_t ow = out_hw(in.dim(3), opt_.pad, opt_.kernel, opt_.stride);
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("DepthwiseConv2d: kernel larger than input");
+  if (in.dim(2) + 2 * opt_.pad < opt_.kernel ||
+      in.dim(3) + 2 * opt_.pad < opt_.kernel) {
+    throw std::invalid_argument(
+        "DepthwiseConv2d: window larger than padded input " + in.str());
   }
-  return Shape{in.dim(0), channels_, oh, ow};
+  return Shape{in.dim(0), channels_,
+               out_hw(in.dim(2), opt_.pad, opt_.kernel, opt_.stride),
+               out_hw(in.dim(3), opt_.pad, opt_.kernel, opt_.stride)};
 }
 
 int64_t DepthwiseConv2d::macs(const Shape& in) const {

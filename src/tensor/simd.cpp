@@ -156,6 +156,26 @@ void dw_row_scalar(const float* const* rows, int64_t kh, const float* taps,
   }
 }
 
+// --------------------------------------------------- masked panel rows --
+
+/// Plane offset of segment s's input row at tap row kh, or -1 where that
+/// row is padding. Recomputed only when the walk changes kh.
+inline int64_t seg_row_offset(const MaskedPanelPlan& pl, int s, int64_t kh) {
+  const int64_t iy = pl.iy0[s] + kh;
+  return iy >= 0 && iy < pl.in_h ? iy * pl.in_w : -1;
+}
+
+/// Segment s's lanes at tap `t` (row offset `off`): empty when the input row
+/// is padding. Sets *src to the first in-bounds element they load from, or
+/// to the plane itself when there is none, so no pointer leaves the image
+/// and the row kernels need no branch per segment.
+inline unsigned seg_lanes(const MaskedPanelPlan& pl, const PanelTap& t, int s,
+                          int64_t off, const float** src) {
+  const unsigned m = off < 0 ? 0u : pl.mask[t.kw][s];
+  *src = m != 0 ? t.plane + off + pl.col[t.kw][s] : t.plane;
+  return m;
+}
+
 // ------------------------------------------------------------------ AVX2 --
 
 #if TBNET_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
@@ -566,7 +586,109 @@ __attribute__((target("avx2,fma"))) void dw_row_avx2(
     out[t] = apply_act(std::fmaf(acc, scale, shift), act);
   }
 }
+
+/// 8-lane expand-load: the popcount(m) floats at src land in the lanes of
+/// the contiguous lane mask m (which may be empty), every other lane is
+/// +0.0f. The maskload reads exactly those floats into lanes [0, count);
+/// the permute then shifts them up to the mask's first lane. Lanes below it
+/// wrap around to lanes [8 - first, 8), which are zero because
+/// first + count <= 8.
+__attribute__((target("avx2,fma,popcnt"))) inline __m256 expand_load8(
+    const float* src, unsigned m) {
+  static constexpr int32_t kFirstN[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                          0,  0,  0,  0,  0,  0,  0,  0};
+  const int first = __builtin_ctz(m | 0x100u);  // 8 (a no-op shift) if empty
+  const int count = __builtin_popcount(m);
+  const __m256 x = _mm256_maskload_ps(
+      src, _mm256_loadu_si256(
+               reinterpret_cast<const __m256i*>(kFirstN + 8 - count)));
+  const __m256i idx = _mm256_sub_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(first));
+  return _mm256_permutevar8x32_ps(x, idx);
+}
+
+/// AVX2 masked-row walk (see simd.h): each segment loads its lanes with
+/// two expand_load8s; segments cover disjoint lanes and are zero elsewhere,
+/// so OR merges them. kOne instantiates the one-segment walk (a panel inside
+/// one output row, the common case), which compiles to a branch-free loop.
+/// The cursor lives in locals: the vector stores may alias anything, so a
+/// cursor kept in `tap` would round-trip through memory on every row.
+template <bool kOne>
+__attribute__((target("avx2,fma,popcnt"))) void masked_rows_avx2_walk(
+    const MaskedPanelPlan& pl, PanelTap& tap, int64_t rows, float* out) {
+  const int nseg = kOne ? 1 : pl.nseg;
+  const int64_t kernel_h = pl.kernel_h, kernel_w = pl.kernel_w;
+  const int64_t plane_size = pl.in_h * pl.in_w;
+  PanelTap t = tap;
+  int64_t off[kNR];
+  for (int s = 0; s < nseg; ++s) off[s] = seg_row_offset(pl, s, t.kh);
+  for (int64_t p = 0; p < rows; ++p) {
+    __m256 lo = _mm256_setzero_ps(), hi = _mm256_setzero_ps();
+    for (int s = 0; s < nseg; ++s) {
+      const float* src;
+      const unsigned m = seg_lanes(pl, t, s, off[s], &src);
+      const unsigned m0 = m & 0xFFu, m1 = m >> 8u;
+      // Multi-segment panels skip a segment's empty half (an 8-wide
+      // segment fills only one).
+      if (kOne || m0 != 0) lo = _mm256_or_ps(lo, expand_load8(src, m0));
+      if (kOne || m1 != 0) {
+        hi = _mm256_or_ps(hi, expand_load8(src + __builtin_popcount(m0), m1));
+      }
+    }
+    _mm256_storeu_ps(out + p * kNR, lo);
+    _mm256_storeu_ps(out + p * kNR + 8, hi);
+    if (t.advance(kernel_h, kernel_w, plane_size)) {
+      for (int s = 0; s < nseg; ++s) off[s] = seg_row_offset(pl, s, t.kh);
+    }
+  }
+  tap = t;
+}
+
+__attribute__((target("avx2,fma,popcnt"))) void masked_rows_avx2(
+    const MaskedPanelPlan& pl, PanelTap& tap, int64_t rows, float* out) {
+  if (pl.nseg == 1) {
+    masked_rows_avx2_walk<true>(pl, tap, rows, out);
+  } else {
+    masked_rows_avx2_walk<false>(pl, tap, rows, out);
+  }
+}
 #define TBNET_SIMD_HAVE_AVX512 1
+
+/// AVX-512 masked-row walk (see simd.h): one expand-load per segment,
+/// starting at its first in-bounds element, merged into one zmm. Walked
+/// like masked_rows_avx2_walk.
+template <bool kOne>
+__attribute__((target("avx512f"))) void masked_rows_avx512_walk(
+    const MaskedPanelPlan& pl, PanelTap& tap, int64_t rows, float* out) {
+  const int nseg = kOne ? 1 : pl.nseg;
+  const int64_t kernel_h = pl.kernel_h, kernel_w = pl.kernel_w;
+  const int64_t plane_size = pl.in_h * pl.in_w;
+  PanelTap t = tap;
+  int64_t off[kNR];
+  for (int s = 0; s < nseg; ++s) off[s] = seg_row_offset(pl, s, t.kh);
+  for (int64_t p = 0; p < rows; ++p) {
+    __m512 v = _mm512_setzero_ps();
+    for (int s = 0; s < nseg; ++s) {
+      const float* src;
+      const unsigned m = seg_lanes(pl, t, s, off[s], &src);
+      v = _mm512_mask_expandloadu_ps(v, static_cast<__mmask16>(m), src);
+    }
+    _mm512_storeu_ps(out + p * kNR, v);
+    if (t.advance(kernel_h, kernel_w, plane_size)) {
+      for (int s = 0; s < nseg; ++s) off[s] = seg_row_offset(pl, s, t.kh);
+    }
+  }
+  tap = t;
+}
+
+__attribute__((target("avx512f"))) void masked_rows_avx512(
+    const MaskedPanelPlan& pl, PanelTap& tap, int64_t rows, float* out) {
+  if (pl.nseg == 1) {
+    masked_rows_avx512_walk<true>(pl, tap, rows, out);
+  } else {
+    masked_rows_avx512_walk<false>(pl, tap, rows, out);
+  }
+}
 
 /// 6x32 f32 tile for AVX-512F: 12 zmm accumulators (6 rows x 2 sixteen-wide
 /// halves) + 2 B vectors + 1 A broadcast — 15 of 32 zmm registers, no
@@ -1256,6 +1378,7 @@ struct Kernels {
   QuantizeU7GroupFn quant_group = &quant_group_scalar;
   const char* int8_name = "scalar";
   DwRowKernelFn dw_row = &dw_row_scalar;
+  MaskedRowsFn masked_rows = nullptr;
   float (*dot)(const float*, const float*, int64_t) = &dot_scalar;
 };
 
@@ -1268,6 +1391,7 @@ Kernels select_kernels() {
     k.micro = &micro_avx2;
     k.micro1 = &micro_avx2_mr1;
     k.dw_row = &dw_row_avx2;
+    k.masked_rows = &masked_rows_avx2;
     k.dot = &dot_avx2;
 #if defined(TBNET_SIMD_HAVE_AVX512)
     // The 6x16 kernels stay the AVX2 forms (bit-compatible by contract);
@@ -1277,6 +1401,7 @@ Kernels select_kernels() {
       k.isa = Isa::kAvx512;
       k.name = "avx512f-fma";
       k.wide = &micro_avx512_wide;
+      k.masked_rows = &masked_rows_avx512;
     }
 #endif
     // Int8 ladder, probed independently of the f32 tiers: every tier is
@@ -1346,6 +1471,7 @@ QuantizeU7GroupFn quantize_u7_group() {
   return fast_kernels_enabled() ? kernels().quant_group : &quant_group_scalar;
 }
 DwRowKernelFn dw_row_kernel() { return kernels().dw_row; }
+MaskedRowsFn masked_rows_kernel() { return kernels().masked_rows; }
 
 void require_known_act(Act act) {
   if (!act_known(act)) {

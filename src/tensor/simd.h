@@ -265,4 +265,60 @@ using DwRowKernelFn = void (*)(const float* const* rows, int64_t kh,
 /// dispatch as micro_kernel).
 DwRowKernelFn dw_row_kernel();
 
+// -------------------------------------------------------- conv lowering ----
+//
+// Masked-row panel build for stride-1 conv lowering (im2col_pack_panel). A
+// [kc x kNR] B panel covers output columns [j0, j0 + nr); they split into at
+// most kNR output-row segments. im2col.cpp plans a panel once:
+//   * per segment, the input row its taps start from (oy*stride_h - pad_h);
+//   * per kw and segment, the panel lanes whose input column lies inside
+//     the row, and the input column of the first of them.
+// The row kernel then walks the panel's taps (c, kh, kw) in column-matrix
+// order. Each tap is one register: every segment whose input row is in
+// range loads its lanes with one masked load that starts at its first
+// in-bounds element (an expand-load on AVX-512, two 8-lane maskloads plus a
+// lane shift on AVX2), the segments merge into the same register, and the
+// register is stored whole. Masked-off lanes read nothing and no pointer
+// outside the image is formed. The bytes are exactly the clamped copy's:
+// every lane is either a copied input element or +0.0f.
+
+/// A panel plan (built by im2col.cpp, read by the row kernel). Lanes past
+/// nr belong to no segment, so they are always zero.
+struct MaskedPanelPlan {
+  /// Widest kernel a plan holds; wider kernels take the clamped copy.
+  static constexpr int kMaxKernelW = kNR;
+  int64_t in_h = 0, in_w = 0, kernel_h = 0, kernel_w = 0;
+  int nseg = 0;
+  int64_t iy0[kNR];                    ///< per segment: input row at kh = 0
+  uint16_t mask[kMaxKernelW][kNR];     ///< per kw, segment: in-bounds lanes
+  int64_t col[kMaxKernelW][kNR];       ///< input column of the first of them
+};
+
+/// Tap cursor of a panel walk: the channel plane and (kh, kw) of the next
+/// column-matrix row. Row builders advance it past the rows they emit.
+struct PanelTap {
+  const float* plane = nullptr;
+  int64_t kh = 0, kw = 0;
+
+  /// Steps to the next column-matrix row; true when kh changed.
+  bool advance(int64_t kernel_h, int64_t kernel_w, int64_t plane_size) {
+    if (++kw < kernel_w) return false;
+    kw = 0;
+    if (++kh == kernel_h) {
+      kh = 0;
+      plane += plane_size;
+    }
+    return true;
+  }
+};
+
+/// Emits `rows` panel rows from `tap` on, row p at out + p * kNR, and
+/// advances `tap`.
+using MaskedRowsFn = void (*)(const MaskedPanelPlan& plan, PanelTap& tap,
+                              int64_t rows, float* out);
+
+/// The masked-row kernel for this host, or nullptr on the scalar and NEON
+/// tiers (they keep the clamped copy). Decided once, like micro_kernel.
+MaskedRowsFn masked_rows_kernel();
+
 }  // namespace tbnet::simd

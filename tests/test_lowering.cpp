@@ -1,15 +1,21 @@
 // Tests for the zero-materialization conv lowering path and the
 // multi-threaded packed GEMM driver: fused im2col→panel producer vs the
-// materialized column matrix (bit parity across edge geometries), the direct
-// 1x1 in-place path, arena high-water accounting (no column buffer on the
-// packed path), pool-size determinism, the packed gemm_tn variant, and the
-// DepthwiseConv2d bias (model format v2, loader back-compat).
+// materialized column matrix (bit parity across edge geometries), a sweep of
+// every panel-builder branch (f32 and quantized) and of the row-wise
+// im2col/col2im against naive per-element oracles, conv geometry
+// validation, the direct 1x1 in-place path, arena high-water accounting (no
+// column buffer on the packed path), pool-size determinism, the packed
+// gemm_tn variant, and the DepthwiseConv2d bias (model format v2, loader
+// back-compat).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -118,7 +124,7 @@ TEST(FusedLowering, PanelProducerMatchesMaterializedIm2col) {
         const int nr = static_cast<int>(std::min<int64_t>(stride, cols - j0));
         const int64_t kc = std::min<int64_t>(rows - kk, 3);
         panel.assign(static_cast<size_t>(kc * stride), -7.0f);
-        im2col_pack_panel(g, img.data(), kk, kc, j0, nr, stride, panel.data());
+        im2col_pack_panel(g, img.data(), kk, kc, j0, nr, panel.data());
         for (int64_t p = 0; p < kc; ++p) {
           for (int64_t j = 0; j < stride; ++j) {
             const float want =
@@ -132,6 +138,253 @@ TEST(FusedLowering, PanelProducerMatchesMaterializedIm2col) {
       }
     }
   }
+}
+
+// ------------------------------------------------ lowering sweep ----------
+//
+// Every branch of the panel builders, compared bitwise against a naive
+// per-element oracle: output widths that put a panel inside one output row
+// or across up to 16 of them; pads 0-2 (including rows and columns that are
+// all padding); kernels 1, 3, 5 and one wider than a masked-row plan holds;
+// stride-1 columns (the masked path) under row strides 1 and 2, and strided
+// columns (the clamped copy); depths past 256 so slices cross channels;
+// ragged final panels. Inputs and panels are allocated exactly, so the ASan
+// build sees any load or store past either end.
+
+struct SweepGeom {
+  Conv2dGeom g;
+  std::string name;
+};
+
+std::vector<SweepGeom> lowering_sweep() {
+  std::vector<SweepGeom> out;
+  auto add = [&out](int64_t ow, int64_t oh, int64_t kernel, int64_t pad,
+                    int64_t stride_h, int64_t stride_w) {
+    Conv2dGeom g;
+    g.kernel_h = g.kernel_w = kernel;
+    g.pad_h = g.pad_w = pad;
+    g.stride_h = stride_h;
+    g.stride_w = stride_w;
+    g.in_w = (ow - 1) * stride_w + kernel - 2 * pad;
+    g.in_h = (oh - 1) * stride_h + kernel - 2 * pad;
+    if (g.in_w < 1 || g.in_h < 1) return;
+    g.in_c = 256 / (kernel * kernel) + 1;  // depth > 256
+    out.push_back({g, "ow" + std::to_string(ow) + "_oh" + std::to_string(oh) +
+                          "_k" + std::to_string(kernel) + "_p" +
+                          std::to_string(pad) + "_s" +
+                          std::to_string(stride_h) + "x" +
+                          std::to_string(stride_w)});
+  };
+  const int64_t strides[][2] = {{1, 1}, {2, 2}, {2, 1}, {1, 2}};
+  for (int64_t ow : {1, 7, 8, 12, 16, 17, 33}) {
+    const int64_t oh = 3 + 34 / ow;  // > 2 panels; ragged unless 16 | ow
+    for (int64_t pad = 0; pad <= 2; ++pad) {
+      for (int64_t kernel : {1, 3, 5}) {
+        for (const auto& st : strides) add(ow, oh, kernel, pad, st[0], st[1]);
+      }
+    }
+  }
+  // Wider than simd::MaskedPanelPlan::kMaxKernelW: the clamped copy serves
+  // stride-1 columns too.
+  add(5, 4, simd::MaskedPanelPlan::kMaxKernelW + 1, 8, 1, 1);
+  return out;
+}
+
+std::vector<float> random_image(const Conv2dGeom& g, Rng& rng) {
+  std::vector<float> img(static_cast<size_t>(g.in_c * g.in_h * g.in_w));
+  for (float& v : img) v = static_cast<float>(rng.normal());
+  return img;
+}
+
+/// Naive per-element im2col: the definition every lowering must reproduce.
+std::vector<float> im2col_oracle(const Conv2dGeom& g,
+                                 const std::vector<float>& img) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  std::vector<float> cols(static_cast<size_t>(g.col_rows() * oh * ow));
+  for (int64_t row = 0; row < g.col_rows(); ++row) {
+    const int64_t kw = row % g.kernel_w;
+    const int64_t kh = (row / g.kernel_w) % g.kernel_h;
+    const int64_t c = row / (g.kernel_w * g.kernel_h);
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        const int64_t iy = oy * g.stride_h - g.pad_h + kh;
+        const int64_t ix = ox * g.stride_w - g.pad_w + kw;
+        const bool in = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+        cols[static_cast<size_t>((row * oh + oy) * ow + ox)] =
+            in ? img[static_cast<size_t>((c * g.in_h + iy) * g.in_w + ix)]
+               : 0.0f;
+      }
+    }
+  }
+  return cols;
+}
+
+/// Naive per-element col2im, accumulating in (row, oy, ox) order.
+std::vector<float> col2im_oracle(const Conv2dGeom& g,
+                                 const std::vector<float>& cols) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  std::vector<float> img(static_cast<size_t>(g.in_c * g.in_h * g.in_w));
+  for (int64_t row = 0; row < g.col_rows(); ++row) {
+    const int64_t kw = row % g.kernel_w;
+    const int64_t kh = (row / g.kernel_w) % g.kernel_h;
+    const int64_t c = row / (g.kernel_w * g.kernel_h);
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        const int64_t iy = oy * g.stride_h - g.pad_h + kh;
+        const int64_t ix = ox * g.stride_w - g.pad_w + kw;
+        if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+        img[static_cast<size_t>((c * g.in_h + iy) * g.in_w + ix)] +=
+            cols[static_cast<size_t>((row * oh + oy) * ow + ox)];
+      }
+    }
+  }
+  return img;
+}
+
+/// Index of the first differing element (bitwise), or -1.
+template <typename T>
+int64_t first_mismatch(const std::vector<T>& got, const std::vector<T>& want) {
+  if (got.size() != want.size()) return 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) != 0) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+/// The (kk, kc) slices a sweep geometry checks: the driver's full depth, a
+/// slice starting mid-tap (kk not a multiple of kh*kw) that crosses
+/// channels, and the last few rows.
+std::vector<std::pair<int64_t, int64_t>> panel_slices(const Conv2dGeom& g) {
+  const int64_t rows = g.col_rows();
+  const int64_t khw = g.kernel_h * g.kernel_w;
+  const int64_t mid = std::min(khw + 1, rows / 2 + 1);
+  return {{0, rows},
+          {mid, std::min(rows - mid, 2 * khw + 3)},
+          {rows - 5, 5}};
+}
+
+TEST(LoweringSweep, Im2colAndCol2imMatchNaiveOracle) {
+  Rng rng(31);
+  ThreadPool pool(3);
+  ExecutionContext ctx;
+  ctx.set_pool(&pool);
+  for (const SweepGeom& sg : lowering_sweep()) {
+    const Conv2dGeom& g = sg.g;
+    const std::vector<float> img = random_image(g, rng);
+    const std::vector<float> want = im2col_oracle(g, img);
+    std::vector<float> cols(want.size(), -7.0f);
+    im2col(g, img.data(), cols.data());
+    ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (serial)";
+    std::fill(cols.begin(), cols.end(), -7.0f);
+    im2col(ctx, g, img.data(), cols.data());
+    ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (ctx)";
+
+    std::vector<float> dcol(want.size());
+    for (float& v : dcol) v = static_cast<float>(rng.normal());
+    std::vector<float> grad(img.size(), 0.0f);
+    col2im(g, dcol.data(), grad.data());
+    ASSERT_EQ(first_mismatch(grad, col2im_oracle(g, dcol)), -1) << sg.name;
+  }
+}
+
+TEST(LoweringSweep, PanelProducerMatchesNaiveOracleBitwise) {
+  Rng rng(32);
+  for (const SweepGeom& sg : lowering_sweep()) {
+    const Conv2dGeom& g = sg.g;
+    const std::vector<float> img = random_image(g, rng);
+    const std::vector<float> cols = im2col_oracle(g, img);
+    const int64_t ncols = g.col_cols();
+    for (const auto& [kk, kc] : panel_slices(g)) {
+      for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
+        const int nr =
+            static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
+        std::vector<float> want(static_cast<size_t>(kc * simd::kNR), 0.0f);
+        for (int64_t p = 0; p < kc; ++p) {
+          for (int j = 0; j < nr; ++j) {
+            want[static_cast<size_t>(p * simd::kNR + j)] =
+                cols[static_cast<size_t>((kk + p) * ncols + j0 + j)];
+          }
+        }
+        std::vector<float> panel(want.size(), -7.0f);
+        im2col_pack_panel(g, img.data(), kk, kc, j0, nr, panel.data());
+        const int64_t at = first_mismatch(panel, want);
+        ASSERT_EQ(at, -1) << sg.name << " kk=" << kk << " kc=" << kc
+                          << " j0=" << j0 << " row=" << at / simd::kNR
+                          << " lane=" << at % simd::kNR;
+      }
+    }
+  }
+}
+
+TEST(LoweringSweep, QuantizedPanelProducerMatchesNaiveOracleBitwise) {
+  Rng rng(33);
+  const float inv_scale = 20.0f;
+  const int32_t zero_point = 64;
+  for (const SweepGeom& sg : lowering_sweep()) {
+    const Conv2dGeom& g = sg.g;
+    const std::vector<float> img = random_image(g, rng);
+    const std::vector<float> cols = im2col_oracle(g, img);
+    const int64_t ncols = g.col_cols();
+    for (const auto& [kk, kc] : panel_slices(g)) {
+      const int64_t groups = (kc + simd::kKG - 1) / simd::kKG;
+      for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
+        const int nr =
+            static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
+        std::vector<uint8_t> want(
+            static_cast<size_t>(groups * simd::kNR * simd::kKG), 0);
+        for (int64_t p = 0; p < kc; ++p) {
+          for (int j = 0; j < nr; ++j) {
+            want[static_cast<size_t>((p / simd::kKG) * simd::kNR * simd::kKG +
+                                     j * simd::kKG + p % simd::kKG)] =
+                simd::quantize_u7(
+                    cols[static_cast<size_t>((kk + p) * ncols + j0 + j)],
+                    inv_scale, zero_point);
+          }
+        }
+        std::vector<uint8_t> panel(want.size(), 0xAB);
+        im2col_pack_panel_u8(g, img.data(), kk, kc, j0, nr, inv_scale,
+                             zero_point, panel.data());
+        ASSERT_EQ(first_mismatch(panel, want), -1)
+            << sg.name << " kk=" << kk << " kc=" << kc << " j0=" << j0;
+      }
+    }
+  }
+}
+
+TEST(ConvGeometry, WindowLargerThanPaddedInputThrows) {
+  // Such a window has no output position. Without the check the shape
+  // arithmetic yields negative dims (which the panel builder cannot walk)
+  // or, with stride 2, a 1x1 map that reads only padding.
+  struct Bad {
+    int64_t hw, kernel, stride, pad;
+  };
+  const Bad bad[] = {{2, 5, 1, 0}, {3, 7, 1, 1}, {0, 3, 2, 1}, {1, 5, 2, 1}};
+  Rng rng(34);
+  ExecutionContext ctx;
+  for (const Bad& b : bad) {
+    const Tensor x(Shape{1, 4, b.hw, b.hw});
+    nn::Conv2d conv(4, 4,
+                    {.kernel = b.kernel, .stride = b.stride, .pad = b.pad,
+                     .bias = false},
+                    rng);
+    EXPECT_THROW(conv.out_shape(x.shape()), std::invalid_argument) << b.hw;
+    EXPECT_THROW(conv.forward(ctx, x, false), std::invalid_argument) << b.hw;
+    EXPECT_THROW(conv.forward(ctx, x, true), std::invalid_argument) << b.hw;
+    nn::DepthwiseConv2d dw(
+        4, {.kernel = b.kernel, .stride = b.stride, .pad = b.pad}, rng);
+    EXPECT_THROW(dw.out_shape(x.shape()), std::invalid_argument) << b.hw;
+    EXPECT_THROW(dw.forward(ctx, x, false), std::invalid_argument) << b.hw;
+    EXPECT_THROW(dw.forward(ctx, x, true), std::invalid_argument) << b.hw;
+  }
+  // A window exactly as large as the padded input is a 1x1 output.
+  const Tensor x(Shape{1, 4, 3, 3});
+  nn::Conv2d conv(4, 4, {.kernel = 5, .stride = 2, .pad = 1, .bias = false},
+                  rng);
+  EXPECT_EQ(conv.forward(ctx, x, true).shape(), (Shape{1, 4, 1, 1}));
+  nn::DepthwiseConv2d dw(4, {.kernel = 5, .stride = 2, .pad = 1}, rng);
+  EXPECT_EQ(dw.forward(ctx, x, true).shape(), (Shape{1, 4, 1, 1}));
 }
 
 TEST(FusedLowering, ConvForwardMatchesMaterializedBitwise) {

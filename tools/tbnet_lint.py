@@ -5,7 +5,8 @@ actually relies on but no compiler flag can express.
 Rules (each reported as `rule-name: file:line: message`):
 
   hot-path-heap      No heap allocation inside the kernel hot-path files
-                     (src/tensor/simd.cpp, src/tensor/pack.cpp): new /
+                     (src/tensor/simd.cpp, src/tensor/pack.cpp,
+                     src/tensor/im2col.cpp): new /
                      malloc / calloc / realloc and container growth
                      (push_back / emplace_back / resize / reserve) are
                      banned — kernels draw from the arena so the serving
@@ -64,7 +65,10 @@ import os
 import re
 import sys
 
-KERNEL_HOT_FILES = ["src/tensor/simd.cpp", "src/tensor/pack.cpp"]
+# The panel producer in im2col.cpp runs on pool workers once per column
+# panel and k-block, so it is held to the kernels' no-allocation rule.
+KERNEL_HOT_FILES = ["src/tensor/simd.cpp", "src/tensor/pack.cpp",
+                    "src/tensor/im2col.cpp"]
 
 # enum name -> header (relative to root) defining it. The parser finds
 # `enum class <name>` and collects enumerators up to the closing brace.

@@ -81,6 +81,12 @@ class HotPathHeapTest(LintFixture):
             """)
         self.assertEqual(self.rules_fired(), ["hot-path-heap"])
 
+    def test_panel_producer_file_is_hot(self):
+        self.put("src/tensor/im2col.cpp", """\
+            void plan(std::vector<int>& segs) { segs.resize(16); }
+            """)
+        self.assertEqual(self.rules_fired(), ["hot-path-heap"])
+
 
 class EnumSwitchTest(LintFixture):
     ENUM_HEADER = """\
