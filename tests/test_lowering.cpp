@@ -9,6 +9,8 @@
 // back-compat).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -148,8 +150,11 @@ TEST(FusedLowering, PanelProducerMatchesMaterializedIm2col) {
 // all padding); kernels 1, 3, 5 and one wider than a masked-row plan holds;
 // stride-1 columns (the masked path) under row strides 1 and 2, and strided
 // columns (the clamped copy); depths past 256 so slices cross channels;
-// ragged final panels. Inputs and panels are allocated exactly, so the ASan
-// build sees any load or store past either end.
+// ragged final panels. Outputs are allocated exactly, so the ASan build sees
+// any store past either end. Each image is read twice, once flush against a
+// PROT_NONE guard page at each end, so any active lane that reads past
+// either end of it faults under every compiler and sanitizer: ASan does not
+// instrument the masked loads the row kernels read images through.
 
 struct SweepGeom {
   Conv2dGeom g;
@@ -195,6 +200,46 @@ std::vector<float> random_image(const Conv2dGeom& g, Rng& rng) {
   for (float& v : img) v = static_cast<float>(rng.normal());
   return img;
 }
+
+/// A read-only copy of a non-empty float buffer between two PROT_NONE
+/// guard pages, flush against the low one (kLow) or the high one (kHigh).
+class GuardedImage {
+ public:
+  enum Flush { kLow, kHigh };
+
+  GuardedImage(const std::vector<float>& src, Flush flush) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = src.size() * sizeof(float);
+    const size_t body = (bytes + page - 1) / page * page;
+    map_bytes_ = body + 2 * page;
+    void* map = mmap(nullptr, map_bytes_, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(map);
+    char* lo = base_ + page;
+    char* at = flush == kLow ? lo : lo + body - bytes;
+    if (mprotect(lo, body, PROT_READ | PROT_WRITE) != 0) {
+      munmap(base_, map_bytes_);
+      throw std::runtime_error("mprotect failed");
+    }
+    std::memcpy(at, src.data(), bytes);
+    mprotect(lo, body, PROT_READ);
+    data_ = reinterpret_cast<const float*>(at);
+  }
+  ~GuardedImage() { munmap(base_, map_bytes_); }
+  GuardedImage(const GuardedImage&) = delete;
+  GuardedImage& operator=(const GuardedImage&) = delete;
+
+  const float* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t map_bytes_ = 0;
+  const float* data_ = nullptr;
+};
+
+constexpr GuardedImage::Flush kFlushes[] = {GuardedImage::kLow,
+                                            GuardedImage::kHigh};
 
 /// Naive per-element im2col: the definition every lowering must reproduce.
 std::vector<float> im2col_oracle(const Conv2dGeom& g,
@@ -274,12 +319,15 @@ TEST(LoweringSweep, Im2colAndCol2imMatchNaiveOracle) {
     const Conv2dGeom& g = sg.g;
     const std::vector<float> img = random_image(g, rng);
     const std::vector<float> want = im2col_oracle(g, img);
-    std::vector<float> cols(want.size(), -7.0f);
-    im2col(g, img.data(), cols.data());
-    ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (serial)";
-    std::fill(cols.begin(), cols.end(), -7.0f);
-    im2col(ctx, g, img.data(), cols.data());
-    ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (ctx)";
+    for (const GuardedImage::Flush flush : kFlushes) {
+      const GuardedImage guarded(img, flush);
+      std::vector<float> cols(want.size(), -7.0f);
+      im2col(g, guarded.data(), cols.data());
+      ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (serial)";
+      std::fill(cols.begin(), cols.end(), -7.0f);
+      im2col(ctx, g, guarded.data(), cols.data());
+      ASSERT_EQ(first_mismatch(cols, want), -1) << sg.name << " (ctx)";
+    }
 
     std::vector<float> dcol(want.size());
     for (float& v : dcol) v = static_cast<float>(rng.normal());
@@ -296,23 +344,26 @@ TEST(LoweringSweep, PanelProducerMatchesNaiveOracleBitwise) {
     const std::vector<float> img = random_image(g, rng);
     const std::vector<float> cols = im2col_oracle(g, img);
     const int64_t ncols = g.col_cols();
-    for (const auto& [kk, kc] : panel_slices(g)) {
-      for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
-        const int nr =
-            static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
-        std::vector<float> want(static_cast<size_t>(kc * simd::kNR), 0.0f);
-        for (int64_t p = 0; p < kc; ++p) {
-          for (int j = 0; j < nr; ++j) {
-            want[static_cast<size_t>(p * simd::kNR + j)] =
-                cols[static_cast<size_t>((kk + p) * ncols + j0 + j)];
+    for (const GuardedImage::Flush flush : kFlushes) {
+      const GuardedImage guarded(img, flush);
+      for (const auto& [kk, kc] : panel_slices(g)) {
+        for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
+          const int nr =
+              static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
+          std::vector<float> want(static_cast<size_t>(kc * simd::kNR), 0.0f);
+          for (int64_t p = 0; p < kc; ++p) {
+            for (int j = 0; j < nr; ++j) {
+              want[static_cast<size_t>(p * simd::kNR + j)] =
+                  cols[static_cast<size_t>((kk + p) * ncols + j0 + j)];
+            }
           }
+          std::vector<float> panel(want.size(), -7.0f);
+          im2col_pack_panel(g, guarded.data(), kk, kc, j0, nr, panel.data());
+          const int64_t at = first_mismatch(panel, want);
+          ASSERT_EQ(at, -1) << sg.name << " kk=" << kk << " kc=" << kc
+                            << " j0=" << j0 << " row=" << at / simd::kNR
+                            << " lane=" << at % simd::kNR;
         }
-        std::vector<float> panel(want.size(), -7.0f);
-        im2col_pack_panel(g, img.data(), kk, kc, j0, nr, panel.data());
-        const int64_t at = first_mismatch(panel, want);
-        ASSERT_EQ(at, -1) << sg.name << " kk=" << kk << " kc=" << kc
-                          << " j0=" << j0 << " row=" << at / simd::kNR
-                          << " lane=" << at % simd::kNR;
       }
     }
   }
@@ -327,27 +378,31 @@ TEST(LoweringSweep, QuantizedPanelProducerMatchesNaiveOracleBitwise) {
     const std::vector<float> img = random_image(g, rng);
     const std::vector<float> cols = im2col_oracle(g, img);
     const int64_t ncols = g.col_cols();
-    for (const auto& [kk, kc] : panel_slices(g)) {
-      const int64_t groups = (kc + simd::kKG - 1) / simd::kKG;
-      for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
-        const int nr =
-            static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
-        std::vector<uint8_t> want(
-            static_cast<size_t>(groups * simd::kNR * simd::kKG), 0);
-        for (int64_t p = 0; p < kc; ++p) {
-          for (int j = 0; j < nr; ++j) {
-            want[static_cast<size_t>((p / simd::kKG) * simd::kNR * simd::kKG +
-                                     j * simd::kKG + p % simd::kKG)] =
-                simd::quantize_u7(
-                    cols[static_cast<size_t>((kk + p) * ncols + j0 + j)],
-                    inv_scale, zero_point);
+    for (const GuardedImage::Flush flush : kFlushes) {
+      const GuardedImage guarded(img, flush);
+      for (const auto& [kk, kc] : panel_slices(g)) {
+        const int64_t groups = (kc + simd::kKG - 1) / simd::kKG;
+        for (int64_t j0 = 0; j0 < ncols; j0 += simd::kNR) {
+          const int nr =
+              static_cast<int>(std::min<int64_t>(simd::kNR, ncols - j0));
+          std::vector<uint8_t> want(
+              static_cast<size_t>(groups * simd::kNR * simd::kKG), 0);
+          for (int64_t p = 0; p < kc; ++p) {
+            for (int j = 0; j < nr; ++j) {
+              want[static_cast<size_t>(
+                  (p / simd::kKG) * simd::kNR * simd::kKG + j * simd::kKG +
+                  p % simd::kKG)] =
+                  simd::quantize_u7(
+                      cols[static_cast<size_t>((kk + p) * ncols + j0 + j)],
+                      inv_scale, zero_point);
+            }
           }
+          std::vector<uint8_t> panel(want.size(), 0xAB);
+          im2col_pack_panel_u8(g, guarded.data(), kk, kc, j0, nr, inv_scale,
+                               zero_point, panel.data());
+          ASSERT_EQ(first_mismatch(panel, want), -1)
+              << sg.name << " kk=" << kk << " kc=" << kc << " j0=" << j0;
         }
-        std::vector<uint8_t> panel(want.size(), 0xAB);
-        im2col_pack_panel_u8(g, img.data(), kk, kc, j0, nr, inv_scale,
-                             zero_point, panel.data());
-        ASSERT_EQ(first_mismatch(panel, want), -1)
-            << sg.name << " kk=" << kk << " kc=" << kc << " j0=" << j0;
       }
     }
   }
