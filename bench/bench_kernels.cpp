@@ -1,8 +1,9 @@
 // bench_kernels — machine-readable microbenchmarks for the dense-compute
 // hot path. Emits one JSON document (BENCH_kernels.json in CI) with
 // single-thread GFLOP/s per GEMM shape for the scalar reference kernel
-// ("before": the PR-1 register-blocked kernel, still selectable at runtime
-// via TBNET_DETERMINISTIC=1) and the packed SIMD kernel ("after"), a
+// ("before": the PR-1 register-blocked kernel, gemm_nn_reference) and the
+// packed kernel on the dispatched tier ("after"; TBNET_DETERMINISTIC=1
+// pins the portable scalar tier, and "isa" says which ran), a
 // 1/2/4-thread scaling sweep on large shapes, nested-parallel_for scaling
 // (work-stealing vs the inline-serial path), fused-lowering vs materialized
 // conv timings (with the fused call's panel-build time and arena

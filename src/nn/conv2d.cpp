@@ -76,11 +76,7 @@ Tensor Conv2d::forward_fused(ExecutionContext& ctx, const Tensor& input,
 
 Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
                             bool train, const GemmEpilogue& ep) {
-  if (!train && !quant_.empty()) {
-    // Quantized serving path — taken ahead of the fast-kernels gate because
-    // the int8 engine has its own deterministic scalar reference tier.
-    return forward_int8(ctx, input, ep);
-  }
+  if (!train && !quant_.empty()) return forward_int8(ctx, input, ep);
   const Conv2dGeom g = geom_for(input.shape());
   const int64_t n = input.dim(0);
   const int64_t rows = g.col_rows(), cols = g.col_cols();
@@ -88,63 +84,40 @@ Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
   const int64_t in_stride = in_c_ * g.in_h * g.in_w;
   const int64_t out_stride = out_c_ * cols;
   // A 1x1 stride-1 unpadded conv's column matrix IS the CHW image (row c of
-  // the column matrix = channel plane c), so both paths consume the input
-  // tensor in place with zero lowering work.
+  // the column matrix = channel plane c), so it is consumed in place with
+  // zero lowering work.
   const bool direct_1x1 =
       opt_.kernel == 1 && opt_.stride == 1 && opt_.pad == 0;
   ArenaScope scope(ctx.arena());
-  if (simd::fast_kernels_enabled()) {
-    // Packed path: the weight packs once per call (or never, when
-    // prepare_inference cached it), and the column matrix never
-    // materializes — the driver pulls [kc x nr] B panels straight from the
-    // image (im2col_pack_panel), so the conv's big scratch is gone and its
-    // arena footprint is the A pack plus per-chunk panel slabs.
-    // Bias/BN/activation ride the GEMM epilogue — one pass over the output.
-    // The per-image loop keeps batched output bit-identical to per-image
-    // calls.
-    const float* apack = nullptr;
-    if (!train && !packed_.empty()) {
-      apack = packed_.data();
-    } else {
-      float* ap = ctx.arena().alloc(packdetail::packed_a_floats(out_c_, rows));
-      packdetail::pack_a_rowmajor(ctx.pool(), out_c_, rows, weight_.data(),
-                                  rows, ap, ctx.intra_op_width());
-      apack = ap;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      const float* img = input.data() + i * in_stride;
-      float* dst = out.data() + i * out_stride;
-      if (direct_1x1) {
-        packdetail::run_packed_b_rowmajor(ctx.pool(), out_c_, cols, rows, 1.0f,
-                                          apack, img, cols, 0.0f, dst, cols,
-                                          ep, ctx.intra_op_width());
-      } else {
-        packdetail::run_packed_b_producer(
-            ctx, out_c_, cols, rows, 1.0f, apack,
-            [&g, img](int64_t kk, int64_t kc, int64_t j0, int nr,
-                      float* panel) {
-              im2col_pack_panel(g, img, kk, kc, j0, nr, panel);
-            },
-            0.0f, dst, cols, ep);
-      }
-    }
+  // The weight packs once per call (or never, when prepare_inference cached
+  // it), and the column matrix never materializes — the driver pulls
+  // [kc x nr] B panels straight from the image (im2col_pack_panel), so the
+  // conv's arena footprint is the A pack plus per-chunk panel slabs.
+  // Bias/BN/activation ride the GEMM epilogue — one pass over the output.
+  // The per-image loop keeps batched output bit-identical to per-image calls.
+  const float* apack = nullptr;
+  if (!train && !packed_.empty()) {
+    apack = packed_.data();
   } else {
-    // Reference fallback (TBNET_DETERMINISTIC=1): materialize the column
-    // matrix into the arena and run the scalar kernels — the shape every
-    // fused-lowering result is tested against. The 1x1 direct case feeds
-    // the image straight through (same bytes the column matrix would hold).
-    float* colbuf = direct_1x1 ? nullptr : ctx.arena().alloc(rows * cols);
-    for (int64_t i = 0; i < n; ++i) {
-      const float* img = input.data() + i * in_stride;
-      const float* bmat = img;
-      if (!direct_1x1) {
-        im2col(ctx, g, img, colbuf);
-        bmat = colbuf;
-      }
-      gemm_nn(ctx, out_c_, cols, rows, 1.0f, weight_.data(), bmat, 0.0f,
-              out.data() + i * out_stride);
-      apply_epilogue_reference(out_c_, cols, out.data() + i * out_stride, cols,
-                               ep);
+    float* ap = ctx.arena().alloc(packdetail::packed_a_floats(out_c_, rows));
+    packdetail::pack_a_rowmajor(ctx.pool(), out_c_, rows, weight_.data(), rows,
+                                ap, ctx.intra_op_width());
+    apack = ap;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const float* img = input.data() + i * in_stride;
+    float* dst = out.data() + i * out_stride;
+    if (direct_1x1) {
+      packdetail::run_packed_b_rowmajor(ctx.pool(), out_c_, cols, rows, 1.0f,
+                                        apack, img, cols, 0.0f, dst, cols, ep,
+                                        ctx.intra_op_width());
+    } else {
+      packdetail::run_packed_b_producer(
+          ctx, out_c_, cols, rows, 1.0f, apack,
+          [&g, img](int64_t kk, int64_t kc, int64_t j0, int nr, float* panel) {
+            im2col_pack_panel(g, img, kk, kc, j0, nr, panel);
+          },
+          0.0f, dst, cols, ep);
     }
   }
   if (train) cached_input_ = input;
@@ -356,16 +329,14 @@ void Conv2d::set_quantized(QuantizedWeights qw) {
 
 void Conv2d::prepare_inference(ExecutionContext& ctx) {
   if (!quant_.empty()) {
-    // The int8 serving path runs in every mode (its scalar reference tier IS
-    // the deterministic pin), so the panels pack unconditionally; the f32
-    // pack would be dead weight.
+    // A quantized conv serves through the int8 path, so the f32 pack would
+    // be dead weight.
     const int64_t k = in_c_ * opt_.kernel * opt_.kernel;
     qpacked_.resize(
         static_cast<size_t>(packdetail::packed_a_i8_bytes(out_c_, k)));
     packdetail::pack_a_i8(out_c_, k, quant_.q.data(), k, qpacked_.data());
     return;
   }
-  if (!simd::fast_kernels_enabled()) return;
   packed_.pack_a(out_c_, in_c_ * opt_.kernel * opt_.kernel, weight_.data(),
                  &ctx.arena());
 }

@@ -94,9 +94,8 @@ class Conv2d : public Layer {
   }
 
   /// Packs the weight into microkernel panels (cached; see Layer). A
-  /// quantized layer packs int8 A panels instead of f32 ones — and does so
-  /// even under TBNET_DETERMINISTIC=1, since the int8 path's scalar
-  /// reference kernel consumes the same panel layout.
+  /// quantized layer packs int8 A panels instead of f32 ones; every int8
+  /// tier, the scalar one included, consumes the same panel layout.
   void prepare_inference(ExecutionContext& ctx) override;
 
  private:

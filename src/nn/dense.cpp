@@ -58,7 +58,7 @@ Tensor Dense::forward_impl(ExecutionContext& ctx, const Tensor& input,
   GemmEpilogue ep;
   if (has_bias_) ep.col_shift = bias_.data();
   ep.act = act;
-  if (!train && !packed_.empty() && simd::fast_kernels_enabled()) {
+  if (!train && !packed_.empty()) {
     packed_.run_with_a(ctx, n, 1.0f, input.data(), 0.0f, out.data(), ep);
   } else {
     gemm_nt(ctx, n, out_f_, in_f_, 1.0f, input.data(), weight_.data(), 0.0f,
@@ -146,10 +146,9 @@ void Dense::prepare_inference(ExecutionContext& ctx) {
                           qpacked_.data());
     return;
   }
-  if (!simd::fast_kernels_enabled()) return;
   // Heads narrower than one vector tile (e.g. 10-class logits) are better
-  // served by the streaming reference kernel gemm_nt falls back to for
-  // n < kNR; packing would force them through the mostly-padding tile path.
+  // served by the per-element dot path gemm_nt takes for n < kNR; packing
+  // would force them through the mostly-padding tile path.
   if (out_f_ < simd::kNR) return;
   packed_.pack_b_transposed(out_f_, in_f_, weight_.data(), &ctx.arena());
 }

@@ -62,10 +62,9 @@ Tensor DepthwiseConv2d::forward_impl(ExecutionContext& ctx,
   // enum explicitly, so a future value must fail loudly here rather than be
   // silently clamped as ReLU deep in a hot loop.
   simd::require_known_act(act);
-  Tensor out =
-      simd::fast_kernels_enabled() && opt_.kernel <= kMaxSimdKernel
-          ? forward_simd(ctx, input, scale, shift, act)
-          : forward_reference(ctx, input, scale, shift, act);
+  Tensor out = opt_.kernel <= kMaxSimdKernel
+                   ? forward_simd(ctx, input, scale, shift, act)
+                   : forward_reference(ctx, input, scale, shift, act);
   if (train) cached_input_ = input;
   return out;
 }
@@ -114,8 +113,8 @@ Tensor DepthwiseConv2d::forward_reference(ExecutionContext& ctx,
   const int64_t oh = os.dim(2), ow = os.dim(3);
   Tensor out(os);
   // One task per (image, channel) plane; writes are disjoint, so the shard
-  // layout cannot change results. Bit-stable across releases: this is the
-  // arithmetic TBNET_DETERMINISTIC=1 pins.
+  // layout cannot change results. Bit-stable across releases, and the
+  // scalar row kernel TBNET_DETERMINISTIC=1 selects matches it bitwise.
   ctx.parallel_for(n * channels_, [&](int64_t p0, int64_t p1) {
     for (int64_t pc = p0; pc < p1; ++pc) {
       const int64_t c = pc % channels_;

@@ -37,17 +37,17 @@ class DepthwiseConv2d : public Layer {
   /// so fusing the following BN/ReLU removes two full passes over the map.
   /// `scale`/`shift` must already compose this layer's own bias if any
   /// (shift[c] = bias[c] * scale[c] + bn_shift[c]); Sequential's fusion plan
-  /// builds them that way. nullptr means identity. Runs the SIMD row kernel
-  /// (simd::dw_row_kernel) unless TBNET_DETERMINISTIC=1 pinned the scalar
-  /// reference. Rejects Act values the kernels don't know
+  /// builds them that way. nullptr means identity. Runs the dispatched row
+  /// kernel (simd::dw_row_kernel; the scalar one under
+  /// TBNET_DETERMINISTIC=1). Rejects Act values the kernels don't know
   /// (simd::require_known_act) instead of mis-applying them.
   Tensor forward_fused(ExecutionContext& ctx, const Tensor& input,
                        const float* scale, const float* shift, simd::Act act);
 
-  /// The scalar per-pixel reference kernel — the exact arithmetic
-  /// TBNET_DETERMINISTIC=1 selects, exported so the parity suite and
-  /// bench_kernels can compare the SIMD row kernel against it in the same
-  /// process regardless of mode. Eval-only: never caches the input.
+  /// The scalar per-pixel reference kernel, which the scalar row kernel
+  /// TBNET_DETERMINISTIC=1 selects matches bit for bit. Exported so the
+  /// parity suite and bench_kernels can compare the dispatched row kernel
+  /// against it in the same process. Eval-only: never caches the input.
   Tensor forward_reference(ExecutionContext& ctx, const Tensor& input,
                            const float* scale = nullptr,
                            const float* shift = nullptr,

@@ -49,7 +49,7 @@ int fold_batchnorm_inference(Sequential& seq);
 ///
 /// Requirements (the Sequential fusion planner enforces them): pw is 1x1
 /// stride-1 pad-0 with in_channels == dw.channels(); dw.options().kernel <=
-/// DepthwiseConv2d::kMaxSimdKernel; simd::fast_kernels_enabled(). dw_scale /
+/// DepthwiseConv2d::kMaxSimdKernel. dw_scale /
 /// dw_shift are per-channel (nullptr = identity) and must already compose
 /// dw's own bias; pw_ep rows are pointwise output channels and must compose
 /// pw's bias. Uses pw.packed_weight() when prepare_inference cached it, else

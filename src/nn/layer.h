@@ -89,8 +89,8 @@ class Layer {
   /// `ctx`'s arena for long-lived packed storage. Call only on a model that
   /// will no longer be trained, pruned, or have weights edited — a layer
   /// whose weights change after prepare_inference must be re-prepared
-  /// (clone() resets to unprepared). No-op by default and under
-  /// TBNET_DETERMINISTIC=1.
+  /// (clone() resets to unprepared). No-op by default. Runs the same in both
+  /// kernel modes: TBNET_DETERMINISTIC=1 only selects the scalar tier.
   virtual void prepare_inference(ExecutionContext& ctx) { (void)ctx; }
 };
 

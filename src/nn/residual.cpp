@@ -46,7 +46,6 @@ int64_t ResidualBlock::param_bytes() const {
 }
 
 void ResidualBlock::prepare_inference(ExecutionContext& ctx) {
-  if (!simd::fast_kernels_enabled()) return;
   conv1_->prepare_inference(ctx);
   conv2_->prepare_inference(ctx);
   if (down_conv_) down_conv_->prepare_inference(ctx);
@@ -91,7 +90,7 @@ Tensor ResidualBlock::forward_fused_eval(ExecutionContext& ctx,
 
 Tensor ResidualBlock::forward(ExecutionContext& ctx, const Tensor& input,
                               bool train) {
-  if (!train && prepared_ && simd::fast_kernels_enabled()) {
+  if (!train && prepared_) {
     return forward_fused_eval(ctx, input);
   }
   if (train) cached_input_ = input;

@@ -44,125 +44,123 @@ void Sequential::remove_layer(int i) {
 
 void Sequential::prepare_inference(ExecutionContext& ctx) {
   plan_.clear();
-  if (simd::fast_kernels_enabled()) {
-    const int n = size();
-    int i = 0;
-    while (i < n) {
-      FusedStep step;
-      step.layer = i;
-      int j = i + 1;
-      if (auto* conv = dynamic_cast<Conv2d*>(layers_[static_cast<size_t>(i)].get())) {
-        if (j < n) {
-          if (auto* bn = dynamic_cast<BatchNorm2d*>(
-                  layers_[static_cast<size_t>(j)].get());
-              bn != nullptr && bn->channels() == conv->out_channels()) {
-            step.bn = j;
-            ++j;
-          }
-        }
-        if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-          step.act = simd::Act::kReLU;
+  const int n = size();
+  int i = 0;
+  while (i < n) {
+    FusedStep step;
+    step.layer = i;
+    int j = i + 1;
+    if (auto* conv = dynamic_cast<Conv2d*>(layers_[static_cast<size_t>(i)].get())) {
+      if (j < n) {
+        if (auto* bn = dynamic_cast<BatchNorm2d*>(
+                layers_[static_cast<size_t>(j)].get());
+            bn != nullptr && bn->channels() == conv->out_channels()) {
+          step.bn = j;
           ++j;
         }
-      } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(
-                     layers_[static_cast<size_t>(i)].get())) {
-        if (j < n) {
-          if (auto* bn = dynamic_cast<BatchNorm2d*>(
-                  layers_[static_cast<size_t>(j)].get());
-              bn != nullptr && bn->channels() == dw->channels()) {
-            step.bn = j;
-            ++j;
-          }
-        }
-        if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-          step.act = simd::Act::kReLU;
+      }
+      if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
+        step.act = simd::Act::kReLU;
+        ++j;
+      }
+    } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(
+                   layers_[static_cast<size_t>(i)].get())) {
+      if (j < n) {
+        if (auto* bn = dynamic_cast<BatchNorm2d*>(
+                layers_[static_cast<size_t>(j)].get());
+            bn != nullptr && bn->channels() == dw->channels()) {
+          step.bn = j;
           ++j;
         }
-        // MobileNet tail: a following 1x1 stride-1 pad-0 Conv2d over the
-        // same channels joins the step (with its own BN/ReLU), so the
-        // depthwise output feeds the pointwise GEMM's panel producer instead
-        // of materializing. Wider-than-kMaxSimdKernel filters run the scalar
-        // reference kernel and are left unfused.
-        if (j < n && dw->options().kernel <= DepthwiseConv2d::kMaxSimdKernel) {
-          if (auto* pwc = dynamic_cast<Conv2d*>(
-                  layers_[static_cast<size_t>(j)].get());
-              pwc != nullptr && pwc->options().kernel == 1 &&
-              pwc->options().stride == 1 && pwc->options().pad == 0 &&
-              pwc->in_channels() == dw->channels()) {
-            step.pw = j;
-            ++j;
-            if (j < n) {
-              if (auto* bn = dynamic_cast<BatchNorm2d*>(
-                      layers_[static_cast<size_t>(j)].get());
-                  bn != nullptr && bn->channels() == pwc->out_channels()) {
-                step.pw_bn = j;
-                ++j;
-              }
-            }
-            if (j < n &&
-                dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-              step.pw_act = simd::Act::kReLU;
+      }
+      if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
+        step.act = simd::Act::kReLU;
+        ++j;
+      }
+      // MobileNet tail: a following 1x1 stride-1 pad-0 Conv2d over the
+      // same channels joins the step (with its own BN/ReLU), so the
+      // depthwise output feeds the pointwise GEMM's panel producer instead
+      // of materializing. Wider-than-kMaxSimdKernel filters run the scalar
+      // reference kernel and are left unfused.
+      if (j < n && dw->options().kernel <= DepthwiseConv2d::kMaxSimdKernel) {
+        if (auto* pwc = dynamic_cast<Conv2d*>(
+                layers_[static_cast<size_t>(j)].get());
+            pwc != nullptr && pwc->options().kernel == 1 &&
+            pwc->options().stride == 1 && pwc->options().pad == 0 &&
+            pwc->in_channels() == dw->channels()) {
+          step.pw = j;
+          ++j;
+          if (j < n) {
+            if (auto* bn = dynamic_cast<BatchNorm2d*>(
+                    layers_[static_cast<size_t>(j)].get());
+                bn != nullptr && bn->channels() == pwc->out_channels()) {
+              step.pw_bn = j;
               ++j;
             }
           }
-        }
-      } else if (dynamic_cast<Dense*>(layers_[static_cast<size_t>(i)].get())) {
-        if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-          step.act = simd::Act::kReLU;
-          ++j;
-        }
-      }
-      step.consumed = j - i;
-      plan_.push_back(step);
-      i = j;
-    }
-    // Hoist the BN scale/shift composition out of the per-call path: the
-    // model is frozen once prepared, so the composed vectors (including the
-    // head layer's own bias) are computed once here and reused by every
-    // fused eval.
-    for (FusedStep& step : plan_) {
-      if (step.bn >= 0) {
-        auto* bn = static_cast<BatchNorm2d*>(
-            layers_[static_cast<size_t>(step.bn)].get());
-        const int64_t c = bn->channels();
-        step.scale.resize(static_cast<size_t>(c));
-        step.shift.resize(static_cast<size_t>(c));
-        bn->inference_scale_shift(step.scale.data(), step.shift.data());
-        Layer* head = layers_[static_cast<size_t>(step.layer)].get();
-        const float* bias = nullptr;
-        if (auto* conv = dynamic_cast<Conv2d*>(head)) {
-          if (conv->has_bias()) bias = conv->bias().data();
-        } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(head)) {
-          if (dw->has_bias()) bias = dw->bias().data();
-        }
-        if (bias != nullptr) {
-          // y = (head(x) + b) * s + t  =>  shift = b * s + t
-          for (int64_t o = 0; o < c; ++o) {
-            step.shift[static_cast<size_t>(o)] += bias[o] * step.scale[static_cast<size_t>(o)];
+          if (j < n &&
+              dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
+            step.pw_act = simd::Act::kReLU;
+            ++j;
           }
         }
       }
-      if (step.pw_bn >= 0) {
-        // Same composition for the pointwise half of a dw→pw step.
-        auto* bn = static_cast<BatchNorm2d*>(
-            layers_[static_cast<size_t>(step.pw_bn)].get());
-        const int64_t c = bn->channels();
-        step.pw_scale.resize(static_cast<size_t>(c));
-        step.pw_shift.resize(static_cast<size_t>(c));
-        bn->inference_scale_shift(step.pw_scale.data(), step.pw_shift.data());
-        auto* pwc = static_cast<Conv2d*>(
-            layers_[static_cast<size_t>(step.pw)].get());
-        if (pwc->has_bias()) {
-          const float* bias = pwc->bias().data();
-          for (int64_t o = 0; o < c; ++o) {
-            step.pw_shift[static_cast<size_t>(o)] +=
-                bias[o] * step.pw_scale[static_cast<size_t>(o)];
-          }
-        }
+    } else if (dynamic_cast<Dense*>(layers_[static_cast<size_t>(i)].get())) {
+      if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
+        step.act = simd::Act::kReLU;
+        ++j;
       }
     }
-    prepared_ = true;
+    step.consumed = j - i;
+    plan_.push_back(step);
+    i = j;
   }
+  // Hoist the BN scale/shift composition out of the per-call path: the
+  // model is frozen once prepared, so the composed vectors (including the
+  // head layer's own bias) are computed once here and reused by every
+  // fused eval.
+  for (FusedStep& step : plan_) {
+    if (step.bn >= 0) {
+      auto* bn = static_cast<BatchNorm2d*>(
+          layers_[static_cast<size_t>(step.bn)].get());
+      const int64_t c = bn->channels();
+      step.scale.resize(static_cast<size_t>(c));
+      step.shift.resize(static_cast<size_t>(c));
+      bn->inference_scale_shift(step.scale.data(), step.shift.data());
+      Layer* head = layers_[static_cast<size_t>(step.layer)].get();
+      const float* bias = nullptr;
+      if (auto* conv = dynamic_cast<Conv2d*>(head)) {
+        if (conv->has_bias()) bias = conv->bias().data();
+      } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(head)) {
+        if (dw->has_bias()) bias = dw->bias().data();
+      }
+      if (bias != nullptr) {
+        // y = (head(x) + b) * s + t  =>  shift = b * s + t
+        for (int64_t o = 0; o < c; ++o) {
+          step.shift[static_cast<size_t>(o)] += bias[o] * step.scale[static_cast<size_t>(o)];
+        }
+      }
+    }
+    if (step.pw_bn >= 0) {
+      // Same composition for the pointwise half of a dw→pw step.
+      auto* bn = static_cast<BatchNorm2d*>(
+          layers_[static_cast<size_t>(step.pw_bn)].get());
+      const int64_t c = bn->channels();
+      step.pw_scale.resize(static_cast<size_t>(c));
+      step.pw_shift.resize(static_cast<size_t>(c));
+      bn->inference_scale_shift(step.pw_scale.data(), step.pw_shift.data());
+      auto* pwc = static_cast<Conv2d*>(
+          layers_[static_cast<size_t>(step.pw)].get());
+      if (pwc->has_bias()) {
+        const float* bias = pwc->bias().data();
+        for (int64_t o = 0; o < c; ++o) {
+          step.pw_shift[static_cast<size_t>(o)] +=
+              bias[o] * step.pw_scale[static_cast<size_t>(o)];
+        }
+      }
+    }
+  }
+  prepared_ = true;
   for (auto& l : layers_) l->prepare_inference(ctx);
 }
 
@@ -227,7 +225,7 @@ Tensor Sequential::forward_prepared(ExecutionContext& ctx,
 
 Tensor Sequential::forward(ExecutionContext& ctx, const Tensor& input,
                            bool train) {
-  if (!train && prepared_ && simd::fast_kernels_enabled()) {
+  if (!train && prepared_) {
     return forward_prepared(ctx, input);
   }
   Tensor x = input;

@@ -13,7 +13,6 @@
 #include "nn/quant.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
-#include "tensor/simd.h"
 
 namespace tbnet::runtime {
 namespace {
@@ -385,14 +384,11 @@ int64_t backoff_ceil_us(const DeployedTBNet::Options::RetryPolicy& rp,
 
 /// Clones one branch block for deployment, folding inference-mode BatchNorm
 /// into the adjacent convs — including depthwise convs since the model format
-/// grew a depthwise bias (nn/fuse.h); under TBNET_DETERMINISTIC=1 the clone
-/// is unmodified so the deployment stays bit-reproducible.
+/// grew a depthwise bias (nn/fuse.h).
 std::unique_ptr<nn::Layer> deployment_clone(const nn::Layer& block) {
   std::unique_ptr<nn::Layer> copy = block.clone();
-  if (simd::fast_kernels_enabled()) {
-    if (auto* seq = dynamic_cast<nn::Sequential*>(copy.get())) {
-      nn::fold_batchnorm_inference(*seq);
-    }
+  if (auto* seq = dynamic_cast<nn::Sequential*>(copy.get())) {
+    nn::fold_batchnorm_inference(*seq);
   }
   return copy;
 }
@@ -499,9 +495,7 @@ DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
   open_session_with_retry();
   // Pre-pack the REE weight panels (f32 or int8) into this engine's
   // long-lived arena, so the serving hot path runs folded, fused, and
-  // pack-free. Unconditional: in deterministic mode the plan/pack steps
-  // no-op unless a block is quantized, in which case the scalar int8
-  // reference consumes the same pre-packed panels.
+  // pack-free.
   for (auto& block : exposed_) block->prepare_inference(exec_ctx_);
   // Last: nothing after this may throw, or the joinable thread would
   // terminate the process as the half-built engine unwinds.

@@ -97,9 +97,9 @@ inline constexpr int64_t kRecordLabels = 4;
 /// single producer-fed GEMM whose intermediate map never materializes, and
 /// weights are pre-packed into microkernel panels
 /// (Layer::prepare_inference). The engine therefore matches the in-process
-/// TwoBranchModel::forward to ~1e-6 relative error, not bitwise; set
-/// TBNET_DETERMINISTIC=1 to deploy unfolded on the scalar reference kernels
-/// for bit-reproducibility runs.
+/// TwoBranchModel::forward to ~1e-6 relative error, not bitwise, in both
+/// kernel modes: TBNET_DETERMINISTIC=1 selects the scalar tier, whose bits
+/// do not depend on the host's vector ISA, but it folds and fuses the same.
 class DeployedTBNet {
  public:
   struct Options {

@@ -234,11 +234,6 @@ void gemm_nt_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
 void gemm_nn(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, const float* b, float beta, float* c,
              const GemmEpilogue& ep) {
-  if (!simd::fast_kernels_enabled()) {
-    gemm_nn_ref_on(ctx.pool(), m, n, k, alpha, a, b, beta, c);
-    apply_epilogue_reference(m, n, c, n, ep);
-    return;
-  }
   gemm_packed(ctx, m, n, k, alpha, a, b, /*b_is_transposed=*/false, beta, c,
               ep);
 }
@@ -257,11 +252,6 @@ void gemm_nn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
 void gemm_nt(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, const float* b, float beta, float* c,
              const GemmEpilogue& ep) {
-  if (!simd::fast_kernels_enabled()) {
-    gemm_nt_ref_on(ctx.pool(), m, n, k, alpha, a, b, beta, c);
-    apply_epilogue_reference(m, n, c, n, ep);
-    return;
-  }
   gemm_packed(ctx, m, n, k, alpha, a, b, /*b_is_transposed=*/true, beta, c,
               ep);
 }
@@ -286,7 +276,7 @@ void gemm_tn_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
 void gemm_tn(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, const float* b, float beta,
              float* c) {
-  if (!simd::fast_kernels_enabled() || n < simd::kNR) {
+  if (n < simd::kNR) {
     gemm_tn_on(ctx.pool(), m, n, k, alpha, a, b, beta, c);
     return;
   }
@@ -323,10 +313,6 @@ void gemv_reference(int64_t m, int64_t n, float alpha, const float* a,
 
 void gemv(const ExecutionContext& ctx, int64_t m, int64_t n, float alpha,
           const float* a, const float* x, float beta, float* y) {
-  if (!simd::fast_kernels_enabled()) {
-    gemv_reference(m, n, alpha, a, x, beta, y);
-    return;
-  }
   ctx.parallel_for(m, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const float acc = simd::dot(a + i * n, x, n);

@@ -4,21 +4,22 @@
 // These are the workhorses behind convolution (via im2col) and dense layers,
 // including their backward passes, which need the transposed variants.
 //
-// Two implementations live behind each entry point:
-//   * packed SIMD (default): operands are packed into microkernel panels
-//     (pack.h) and driven through the 6x16 FMA microkernel (simd.h), with an
-//     optional fused per-row/per-column epilogue (bias, BN scale/shift,
-//     ReLU/ReLU6) so conv -> BN -> activation is one pass over C;
-//   * scalar reference: the register-blocked PR-1 kernels, kept verbatim and
-//     selected by TBNET_DETERMINISTIC=1 (or exposed directly as
-//     gemm_*_reference for parity tests and benchmarks).
+// Every entry point packs its operands into microkernel panels (pack.h) and
+// drives the dispatched 6x16 microkernel (simd.h), with an optional fused
+// per-row/per-column epilogue (bias, BN scale/shift, ReLU/ReLU6) so
+// conv -> BN -> activation is one pass over C. Outputs narrower than one
+// tile (n < kNR) take a per-element dot (gemm_nt) or the scalar reference
+// kernel (gemm_nn, gemm_tn) instead. The register-blocked PR-1 kernels stay
+// exported as gemm_*_reference: the parity oracle for tests and benchmarks.
 //
-// Determinism: within either implementation, the per-element accumulation
-// order depends only on k — never on row/column partitioning, pool size, or
-// batch shape — so batched results stay bit-identical to per-image calls.
-// Across the two implementations (and across fused vs. unfused epilogues)
-// results agree to tight relative tolerance (~1e-6 for CIFAR-scale shapes;
-// tests enforce 1e-4), not bitwise.
+// Determinism: the per-element accumulation order depends only on k — never
+// on row/column partitioning, pool size, or batch shape — so batched results
+// stay bit-identical to per-image calls. The scalar tier (what
+// TBNET_DETERMINISTIC=1 selects) runs the reference's per-element chain, so
+// with alpha = 1, beta = 0 and k within one driver k-slice (640) it matches
+// gemm_*_reference bitwise. The FMA tiers, and fused vs. unfused epilogues,
+// agree with the reference to tight relative tolerance (~1e-6 for
+// CIFAR-scale shapes; tests enforce 1e-4), not bitwise.
 
 #include <cstdint>
 
@@ -56,24 +57,22 @@ void gemm_nt(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
 /// microkernel path — A^T packs into the same panels the un-transposed
 /// matrix would, B is consumed in place, and k (the batch*spatial axis for
 /// weight gradients) is sliced by the driver's k-blocking — except for
-/// n < kNR heads and under TBNET_DETERMINISTIC=1, which keep the scalar
-/// reference kernel.
+/// n < kNR heads, which keep the scalar reference kernel.
 void gemm_tn(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, const float* b, float beta,
              float* c);
 void gemm_tn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
              const float* b, float beta, float* c);
 
-/// y[m] = alpha * A[m,n] * x[n] + beta * y[m]. SIMD dot-product rows
-/// (parallelized on the context pool); scalar under TBNET_DETERMINISTIC=1.
+/// y[m] = alpha * A[m,n] * x[n] + beta * y[m]. Dispatched dot-product rows
+/// (simd::dot, parallelized on the context pool).
 void gemv(const ExecutionContext& ctx, int64_t m, int64_t n, float alpha,
           const float* a, const float* x, float beta, float* y);
 void gemv(int64_t m, int64_t n, float alpha, const float* a, const float* x,
           float beta, float* y);
 
-/// The PR-1 scalar blocked kernels, bit-stable across releases. These are
-/// what TBNET_DETERMINISTIC=1 routes to; exported so parity tests and
-/// benchmarks can compare the fast path against them in-process.
+/// The PR-1 scalar blocked kernels, bit-stable across releases: the oracle
+/// parity tests and benchmarks compare the packed path against in-process.
 void gemm_nn_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
                        int64_t k, float alpha, const float* a, const float* b,
                        float beta, float* c);
@@ -87,7 +86,7 @@ void gemv_reference(int64_t m, int64_t n, float alpha, const float* a,
                     const float* x, float beta, float* y);
 
 /// Separate-pass epilogue over C[m,n] (row stride ldc) — the unfused
-/// reference for GemmEpilogue, also used by the deterministic fallback.
+/// reference for GemmEpilogue, also used by the n < kNR paths.
 void apply_epilogue_reference(int64_t m, int64_t n, float* c, int64_t ldc,
                               const GemmEpilogue& ep);
 

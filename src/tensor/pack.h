@@ -165,8 +165,8 @@ using PanelProducerU8 = std::function<void(int64_t kk, int64_t kc, int64_t j0,
 /// QuantEpilogue (never-null scale/shift of length m, pre-composed by the
 /// caller) is applied to every tile. Sharded over column panels with one
 /// full-depth u8 slab per parallel_for chunk from ctx's arena (rewound on
-/// return). Bits are identical across ISAs, pool sizes, and
-/// TBNET_DETERMINISTIC (see simd.h).
+/// return). Bits are identical across ISAs and pool sizes, so the scalar
+/// tier TBNET_DETERMINISTIC=1 selects changes none (see simd.h).
 void run_packed_i8_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                             int64_t k, const int8_t* apack,
                             const PanelProducerU8& produce, float* c,

@@ -22,38 +22,67 @@ namespace {
 
 // ---------------------------------------------------------------- scalar --
 
-/// Portable fallback. Plain multiply-add (no forced FMA: on hosts without
-/// hardware FMA std::fmaf is a libm call per element). All tiles go through
-/// the same code, so the path is internally batch-invariant even though its
-/// bits differ from the FMA ISAs'.
+/// Four float lanes for the portable tier. GCC and Clang lower the type to
+/// SSE or NEON registers, or to plain scalar code on targets with neither;
+/// lane arithmetic is scalar arithmetic, so the bits do not depend on which.
+typedef float F4 __attribute__((vector_size(16)));
+
+inline F4 load_f4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Portable fallback, and the tier TBNET_DETERMINISTIC=1 pins. Plain
+/// multiply-add (no forced FMA: on hosts without hardware FMA std::fmaf is a
+/// libm call per element), so each element's chain is the scalar reference
+/// GEMMs' (gemm.h). The tile runs as strips of R rows by kNR columns, each a
+/// full pass over kc: the 12 vector accumulators of R = 3 stay in the 16
+/// SSE/NEON registers (B rows are re-read from L1), where one 6x16 block
+/// spills on every k step. Strips wholly past mr are skipped, so the mr1
+/// form is R = 1. The split changes no element's chain, and all tiles go
+/// through the same code, so the path is batch-invariant.
+template <int R>
 void micro_scalar(int64_t kc, const float* a_panel, const float* b_panel,
                   int64_t bstride, float* c, int64_t ldc, int mr, int nr,
                   float alpha, float beta, const TileEpilogue* ep) {
-  float acc[kMR][kNR] = {};
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* ap = a_panel + p * kMR;
-    const float* bp = b_panel + p * bstride;
-    for (int i = 0; i < kMR; ++i) {
-      const float a = ap[i];
-      for (int j = 0; j < kNR; ++j) acc[i][j] += a * bp[j];
-    }
-  }
-  for (int i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    const float rs = ep != nullptr && ep->row_scale != nullptr
-                         ? ep->row_scale[i] : 1.0f;
-    const float rh = ep != nullptr && ep->row_shift != nullptr
-                         ? ep->row_shift[i] : 0.0f;
-    for (int j = 0; j < nr; ++j) {
-      float v = alpha * acc[i][j];
-      if (beta != 0.0f) v += beta * crow[j];
-      if (ep != nullptr) {
-        v = v * rs + rh;
-        if (ep->col_scale != nullptr) v *= ep->col_scale[j];
-        if (ep->col_shift != nullptr) v += ep->col_shift[j];
-        v = apply_act(v, ep->act);
+  constexpr int kV = kNR / 4;
+  for (int i0 = 0; i0 < mr; i0 += R) {
+    F4 acc[R][kV] = {};
+    for (int64_t p = 0; p < kc; ++p) {
+      const float* ap = a_panel + p * kMR + i0;
+      const float* bp = b_panel + p * bstride;
+      F4 b[kV];
+      for (int v = 0; v < kV; ++v) b[v] = load_f4(bp + 4 * v);
+      for (int i = 0; i < R; ++i) {
+        const F4 a = {ap[i], ap[i], ap[i], ap[i]};
+        for (int v = 0; v < kV; ++v) acc[i][v] += a * b[v];
       }
-      crow[j] = v;
+    }
+    const int rows = std::min(R, mr - i0);
+    for (int i = 0; i < rows; ++i) {
+      float v[kNR];
+      std::memcpy(v, acc[i], sizeof v);
+      float* crow = c + (i0 + i) * ldc;
+      for (int j = 0; j < kNR; ++j) v[j] *= alpha;
+      if (beta != 0.0f) {
+        for (int j = 0; j < nr; ++j) v[j] += beta * crow[j];
+      }
+      if (ep != nullptr) {
+        const float rs =
+            ep->row_scale != nullptr ? ep->row_scale[i0 + i] : 1.0f;
+        const float rh =
+            ep->row_shift != nullptr ? ep->row_shift[i0 + i] : 0.0f;
+        for (int j = 0; j < kNR; ++j) v[j] = v[j] * rs + rh;
+        if (ep->col_scale != nullptr) {
+          for (int j = 0; j < nr; ++j) v[j] *= ep->col_scale[j];
+        }
+        if (ep->col_shift != nullptr) {
+          for (int j = 0; j < nr; ++j) v[j] += ep->col_shift[j];
+        }
+        for (int j = 0; j < kNR; ++j) v[j] = apply_act(v[j], ep->act);
+      }
+      std::memcpy(crow, v, static_cast<size_t>(nr) * sizeof(float));
     }
   }
 }
@@ -822,7 +851,7 @@ __attribute__((target("avx512f"))) void micro_avx512_wide(
 
 /// Scalar int8 reference: exact i32 accumulation over k-groups, then the
 /// shared (float)acc -> fmaf -> act finalize. This is the kernel
-/// TBNET_DETERMINISTIC=1 pins and the bit-parity oracle for the SIMD tiers.
+/// TBNET_DETERMINISTIC=1 selects and the bit-parity oracle for the SIMD tiers.
 void micro_i8_scalar(int64_t kg, const int8_t* a_panel, const uint8_t* b_panel,
                      float* c, int64_t ldc, int mr, int nr,
                      const QuantEpilogue& ep) {
@@ -1373,8 +1402,8 @@ void dw_row_neon(const float* const* rows, int64_t kh, const float* taps,
 struct Kernels {
   Isa isa = Isa::kScalar;
   const char* name = "scalar";
-  MicroKernelFn micro = &micro_scalar;
-  MicroKernelFn micro1 = &micro_scalar;
+  MicroKernelFn micro = &micro_scalar<3>;
+  MicroKernelFn micro1 = &micro_scalar<1>;
   MicroKernelWideFn wide = nullptr;
   MicroKernelI8Fn micro_i8 = &micro_i8_scalar;
   QuantizeU7GroupFn quant_group = &quant_group_scalar;
@@ -1386,6 +1415,7 @@ struct Kernels {
 
 Kernels select_kernels() {
   Kernels k;
+  if (!fast_kernels_enabled()) return k;  // TBNET_DETERMINISTIC=1
 #if defined(TBNET_SIMD_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     k.isa = Isa::kAvx2;
@@ -1457,21 +1487,13 @@ const Kernels& kernels() {
 
 Isa active_isa() { return kernels().isa; }
 const char* isa_name() { return kernels().name; }
-const char* int8_isa_name() {
-  return fast_kernels_enabled() ? kernels().int8_name : "scalar";
-}
+const char* int8_isa_name() { return kernels().int8_name; }
 MicroKernelFn micro_kernel() { return kernels().micro; }
 MicroKernelFn micro_kernel_mr1() { return kernels().micro1; }
-MicroKernelWideFn micro_kernel_wide() {
-  return fast_kernels_enabled() ? kernels().wide : nullptr;
-}
-MicroKernelI8Fn micro_kernel_i8() {
-  return fast_kernels_enabled() ? kernels().micro_i8 : &micro_i8_scalar;
-}
+MicroKernelWideFn micro_kernel_wide() { return kernels().wide; }
+MicroKernelI8Fn micro_kernel_i8() { return kernels().micro_i8; }
 MicroKernelI8Fn micro_kernel_i8_reference() { return &micro_i8_scalar; }
-QuantizeU7GroupFn quantize_u7_group() {
-  return fast_kernels_enabled() ? kernels().quant_group : &quant_group_scalar;
-}
+QuantizeU7GroupFn quantize_u7_group() { return kernels().quant_group; }
 DwRowKernelFn dw_row_kernel() { return kernels().dw_row; }
 MaskedRowsFn masked_rows_kernel() { return kernels().masked_rows; }
 

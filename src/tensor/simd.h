@@ -6,8 +6,9 @@
 //     still builds with baseline -O2 flags; selected at runtime only when
 //     __builtin_cpu_supports confirms the host has both extensions.
 //   * NEON      — aarch64 builds (NEON is architecturally guaranteed there).
-//   * scalar    — portable fallback, also the shape every other kernel's
-//     numerics are documented against.
+//   * scalar    — portable fallback: plain multiply-add, so each element's
+//     chain is the scalar reference GEMMs' (gemm.h). Also the shape every
+//     other kernel's numerics are documented against.
 //
 // The tile is MR=6 rows x NR=16 columns: on AVX2 that is 12 ymm accumulators
 // plus two B vectors and one A broadcast, which exactly fits the 16-register
@@ -22,9 +23,11 @@
 // not depend on the batch size that surrounded it (the serving tests assert
 // batched == per-image bit-for-bit).
 //
-// TBNET_DETERMINISTIC=1 disables this layer entirely: gemm falls back to the
-// PR-1 scalar blocked kernels and the nn layers skip epilogue fusion, giving
-// bit-reproducibility with older runs.
+// TBNET_DETERMINISTIC=1 decides one thing: the dispatch selects the scalar
+// tier for every kernel table (f32, int8, depthwise, no wide tile, no
+// masked-row panels). Everything above the dispatch (packing, BN folding,
+// fusion) runs unchanged, so the pin is the path a host without AVX2+FMA or
+// NEON runs, with bits that do not depend on the host's vector ISA.
 
 #include <cmath>
 #include <cstdint>
@@ -50,9 +53,9 @@ const char* isa_name();
 /// because the f32 and int8 ladders probe different CPU features.
 const char* int8_isa_name();
 
-/// False when TBNET_DETERMINISTIC=1: callers must use the scalar reference
-/// kernels and keep bias/BN/activation as separate passes. Latched on first
-/// use.
+/// False when TBNET_DETERMINISTIC=1, which makes the dispatch select the
+/// scalar tier. Latched on first use. Only the dispatch consults it; code
+/// above it runs one path in both modes (tools/tbnet_lint.py, kernel-pin).
 bool fast_kernels_enabled();
 
 /// Fused activation applied as the last step of a GEMM epilogue.
@@ -136,7 +139,8 @@ MicroKernelFn micro_kernel_mr1();
 /// identical to two 16-wide calls — drivers switch tile width freely without
 /// changing results. Both panels must be full width (nr == kNR each; `ep`
 /// column arrays, when set, must cover 32 columns from the tile origin).
-/// Returns nullptr unless the host has AVX-512F and fast kernels are on.
+/// Returns nullptr unless the host has AVX-512F and the scalar tier is not
+/// pinned.
 using MicroKernelWideFn = void (*)(int64_t kc, const float* a_panel,
                                    const float* b0, int64_t bstride0,
                                    const float* b1, int64_t bstride1, float* c,
@@ -200,8 +204,8 @@ inline uint8_t quantize_u7(float x, float inv_scale, int32_t zero_point) {
 /// [0, kNR), t in [0, kKG). Each row pointer must cover kNR readable floats.
 /// Every tier (scalar / AVX2 / AVX-512) rounds exactly like quantize_u7 for
 /// inputs whose scaled value stays inside i32 (guaranteed by calibrated
-/// scales), so panel bytes do not depend on the tier; the accessor still
-/// pins the scalar form under TBNET_DETERMINISTIC=1. Producers use this for
+/// scales), so panel bytes do not depend on the tier; the scalar form is
+/// what TBNET_DETERMINISTIC=1 selects. Producers use this for
 /// full groups and fall back to per-element quantize_u7 at k / column tails.
 using QuantizeU7GroupFn = void (*)(const float* r0, const float* r1,
                                    const float* r2, const float* r3,
@@ -212,8 +216,8 @@ QuantizeU7GroupFn quantize_u7_group();
 /// The dispatched int8 microkernel for this host (VNNI > maddubs > scalar).
 MicroKernelI8Fn micro_kernel_i8();
 
-/// The scalar int8 reference kernel — what TBNET_DETERMINISTIC=1 pins, and
-/// the parity oracle the SIMD tiers are tested against (bits must match).
+/// The scalar int8 reference kernel — what TBNET_DETERMINISTIC=1 selects,
+/// and the parity oracle the SIMD tiers are tested against (bits must match).
 MicroKernelI8Fn micro_kernel_i8_reference();
 
 /// SIMD dot product (FMA chains; lane order fixed per ISA). Backs gemv.
@@ -247,8 +251,8 @@ float dot(const float* a, const float* b, int64_t n);
 // Passing scale = 1 / shift = 0 for an affine-free layer is exact (x * 1 + 0
 // round-trips bitwise through fmaf).
 //
-// TBNET_DETERMINISTIC=1 bypasses this layer: DepthwiseConv2d routes to its
-// scalar per-pixel reference kernel (bit-stable across releases).
+// Under TBNET_DETERMINISTIC=1 the dispatch selects the scalar row kernel,
+// whose chains are DepthwiseConv2d::forward_reference's bit for bit.
 
 /// Depthwise row microkernel: writes out[0, n) covering output columns
 /// [ox0, ox0 + n) of one row. `rows` holds kh input-row base pointers
@@ -318,7 +322,8 @@ using MaskedRowsFn = void (*)(const MaskedPanelPlan& plan, PanelTap& tap,
                               int64_t rows, float* out);
 
 /// The masked-row kernel for this host, or nullptr on the scalar and NEON
-/// tiers (they keep the clamped copy). Decided once, like micro_kernel.
+/// tiers, pinned or not (they keep the clamped copy). Decided once, like
+/// micro_kernel.
 MaskedRowsFn masked_rows_kernel();
 
 }  // namespace tbnet::simd

@@ -131,20 +131,24 @@ TEST(DepthwiseSimd, FusedAffineAndActsMatchReference) {
 }
 
 TEST(DepthwiseSimd, DeterministicModePinsReferenceBits) {
-  if (simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "pinning is observable only under TBNET_DETERMINISTIC=1";
-  }
-  // With fast kernels disabled, forward must be the reference arithmetic
-  // exactly — bit for bit, not to tolerance.
+  // TBNET_DETERMINISTIC=1 pins the scalar row kernel: the reference's tap
+  // order with plain multiply-add, and an exact scale 1 / shift 0 affine, so
+  // forward is the reference arithmetic bit for bit. The FMA tiers round
+  // each tap once and are held to tolerance.
   ExecutionContext ctx;
   Rng rng(8);
   for (const DwCase& c : kDwCases) {
     nn::DepthwiseConv2d dw = make_dw(c);
     const Tensor x = Tensor::randn(Shape{2, c.channels, c.ih, c.iw}, rng);
-    expect_bitwise(dw.forward(ctx, x, false),
-                   dw.forward_reference(
-                       ctx, x, nullptr,
-                       c.bias ? dw.bias().data() : nullptr, simd::Act::kNone));
+    const Tensor got = dw.forward(ctx, x, false);
+    const Tensor want = dw.forward_reference(
+        ctx, x, nullptr, c.bias ? dw.bias().data() : nullptr,
+        simd::Act::kNone);
+    if (simd::fast_kernels_enabled()) {
+      expect_close(got, want);
+    } else {
+      expect_bitwise(got, want);
+    }
   }
 }
 
@@ -232,9 +236,6 @@ const DwPwCase kDwPwCases[] = {
 };
 
 TEST(DepthwiseFusion, FusedDwPwMatchesUnfusedBitwise) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "no fusion under TBNET_DETERMINISTIC=1";
-  }
   ExecutionContext ctx;
   Rng rng(12);
   for (const DwPwCase& c : kDwPwCases) {
@@ -278,9 +279,6 @@ TEST(DepthwiseFusion, FusedDwPwMatchesUnfusedBitwise) {
 }
 
 TEST(DepthwiseFusion, FusedDwPwBitsIndependentOfPoolSize) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "no fusion under TBNET_DETERMINISTIC=1";
-  }
   Rng rng(13);
   nn::DepthwiseConv2d dw(12, {.kernel = 3, .stride = 1, .pad = 1}, rng);
   nn::Conv2d pw(12, 10, {.kernel = 1, .stride = 1, .pad = 0, .bias = false},
@@ -355,42 +353,40 @@ TEST(DepthwiseFusion, SequentialPlanFusesSeparableBlock) {
   const Tensor got = prepared.forward(ctx, x, false);
   expect_close(got, want, 1e-4f, 1e-5f);
 
-  if (simd::fast_kernels_enabled()) {
-    // The fused step never materializes the depthwise map. The probe needs
-    // an intermediate larger than both the arena's minimum block and the
-    // producer's per-chunk panel slabs (whose count scales with the pool,
-    // so it is charged via the driver's own accounting rather than by
-    // pinning a 1-thread pool), or block-granularity rounding would mask a
-    // materialization: a 64-channel block (the `channels > 32` fusion gate
-    // arm) over a 40x40 map gives a 102400-float intermediate. The arena is
-    // pre-sized with the slab accounting plus half the intermediate; a
-    // fused forward fits in that and must not push capacity past the slack,
-    // while materializing the map could not fit and would force a new
-    // block beyond it.
-    nn::Sequential sep;
-    sep.emplace<nn::DepthwiseConv2d>(
-        64, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1},
-        rng);
-    sep.emplace<nn::ReLU>();
-    sep.emplace<nn::Conv2d>(
-        64, 32, nn::Conv2d::Options{.kernel = 1, .stride = 1, .pad = 0,
-                                    .bias = false},
-        rng);
-    ExecutionContext fresh;
-    sep.prepare_inference(fresh);
-    const int64_t mid_floats = 64 * 40 * 40;
-    const int64_t slabs =
-        packdetail::producer_slab_floats(fresh.pool(), 40 * 40, 64);
-    {
-      ArenaScope grow(fresh.arena());
-      fresh.arena().alloc(slabs + mid_floats / 2);
-    }
-    const auto before = fresh.arena().capacity_floats();
-    const Tensor xa = Tensor::randn(Shape{1, 64, 40, 40}, rng);
-    sep.forward(fresh, xa, false);
-    EXPECT_LT(fresh.arena().capacity_floats() - before, mid_floats / 2)
-        << "fused step must not allocate the depthwise intermediate";
+  // The fused step never materializes the depthwise map. The probe needs
+  // an intermediate larger than both the arena's minimum block and the
+  // producer's per-chunk panel slabs (whose count scales with the pool,
+  // so it is charged via the driver's own accounting rather than by
+  // pinning a 1-thread pool), or block-granularity rounding would mask a
+  // materialization: a 64-channel block (the `channels > 32` fusion gate
+  // arm) over a 40x40 map gives a 102400-float intermediate. The arena is
+  // pre-sized with the slab accounting plus half the intermediate; a
+  // fused forward fits in that and must not push capacity past the slack,
+  // while materializing the map could not fit and would force a new
+  // block beyond it.
+  nn::Sequential sep;
+  sep.emplace<nn::DepthwiseConv2d>(
+      64, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1},
+      rng);
+  sep.emplace<nn::ReLU>();
+  sep.emplace<nn::Conv2d>(
+      64, 32, nn::Conv2d::Options{.kernel = 1, .stride = 1, .pad = 0,
+                                  .bias = false},
+      rng);
+  ExecutionContext fresh;
+  sep.prepare_inference(fresh);
+  const int64_t mid_floats = 64 * 40 * 40;
+  const int64_t slabs =
+      packdetail::producer_slab_floats(fresh.pool(), 40 * 40, 64);
+  {
+    ArenaScope grow(fresh.arena());
+    fresh.arena().alloc(slabs + mid_floats / 2);
   }
+  const auto before = fresh.arena().capacity_floats();
+  const Tensor xa = Tensor::randn(Shape{1, 64, 40, 40}, rng);
+  sep.forward(fresh, xa, false);
+  EXPECT_LT(fresh.arena().capacity_floats() - before, mid_floats / 2)
+      << "fused step must not allocate the depthwise intermediate";
 }
 
 TEST(DepthwiseFusion, SizeGatePredicateMatchesMeasuredShapes) {
@@ -448,9 +444,6 @@ TEST(DepthwiseFusion, GatedAndFusedPathsAreBitIdentical) {
   // The gate is a pure latency knob: on the very shape it triggers for, the
   // producer fusion and the back-to-back pair must produce identical bits
   // (this is what makes the dispatch-time switch invisible to parity).
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "no fusion plan under TBNET_DETERMINISTIC=1";
-  }
   Rng rng(18);
   nn::DepthwiseConv2d dw(
       32, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1},
@@ -477,9 +470,6 @@ TEST(DepthwiseFusion, GatedAndFusedPathsAreBitIdentical) {
 }
 
 TEST(DepthwiseFusion, PreparedSeparableBlockIsFrozen) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "no fusion plan under TBNET_DETERMINISTIC=1";
-  }
   Rng rng(16);
   nn::Sequential seq;
   seq.emplace<nn::DepthwiseConv2d>(

@@ -443,10 +443,6 @@ TEST(ConvGeometry, WindowLargerThanPaddedInputThrows) {
 }
 
 TEST(FusedLowering, ConvForwardMatchesMaterializedBitwise) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "TBNET_DETERMINISTIC=1 runs the materializing reference "
-                    "path itself";
-  }
   ExecutionContext ctx;
   Rng rng(22);
   for (const ConvCase& c : kConvCases) {
@@ -491,9 +487,6 @@ TEST(FusedLowering, ConvForwardMatchesScalarReference) {
 // ------------------------------------------------ arena accounting ---------
 
 TEST(FusedLowering, ConvForwardDoesNotMaterializeColumnMatrix) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "the deterministic reference path materializes by design";
-  }
   Rng rng(24);
   nn::Conv2d conv(16, 16, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
                   rng);
@@ -509,9 +502,6 @@ TEST(FusedLowering, ConvForwardDoesNotMaterializeColumnMatrix) {
 }
 
 TEST(FusedLowering, Direct1x1UsesInputInPlace) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "reference-mode arena use differs";
-  }
   Rng rng(25);
   nn::Conv2d conv(64, 64, {.kernel = 1, .stride = 1, .pad = 0, .bias = false},
                   rng);
@@ -604,10 +594,6 @@ TEST(PackedGemmTn, MatchesReference) {
 }
 
 TEST(PackedGemmTn, BitwiseMatchesGemmNnOnTransposedA) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "reference gemm_tn walks k outermost; only the packed "
-                    "paths share panels";
-  }
   // pack_a_from_at produces byte-identical panels to pack_a_rowmajor on the
   // un-transposed matrix, so the two entry points agree bit for bit.
   ExecutionContext ctx;
@@ -803,9 +789,6 @@ TEST(DepthwiseBias, RejectsUnknownFutureVersion) {
 // ------------------------------------------------ hoisted BN composition ---
 
 TEST(Fusion, PreparedPlanCachesComposedBn) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "no fusion plan under TBNET_DETERMINISTIC=1";
-  }
   Rng rng(35);
   nn::Sequential seq;
   seq.emplace<nn::Conv2d>(

@@ -471,11 +471,6 @@ TEST(QuantizedEngine, ZooTopOneAgreementAndLogitError) {
 /// accuracy models sit above the asymptotic ~26% (ResNet) / ~34% (MobileNet,
 /// bounded below by its f32 depthwise share) ratios this asserts on.
 TEST(QuantizedEngine, TaImageShrinksOnWeightDominatedZooModels) {
-  if (!simd::fast_kernels_enabled()) {
-    GTEST_SKIP() << "deterministic mode skips BN folding, so the stream "
-                    "carries unquantizable BN params the shipping (folded) "
-                    "image does not; the shrink criterion targets the latter";
-  }
   struct Case {
     models::Family family;
     int depth;

@@ -200,7 +200,7 @@ TEST(DeployedTBNetBatch, BatchedMatchesPerImageBitForBit) {
   }
   // And both match the in-process fused forward on the whole batch — to
   // tight relative tolerance: the engine deploys with BN folded and fused
-  // GEMM epilogues (bitwise only under TBNET_DETERMINISTIC=1).
+  // GEMM epilogues, in both kernel modes.
   const Tensor want = tb.forward(batch, false);
   EXPECT_TRUE(allclose(batched, want, 1e-4f, 1e-5f));
 }

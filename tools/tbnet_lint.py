@@ -44,6 +44,11 @@ Rules (each reported as `rule-name: file:line: message`):
   seeded-rng         No std::rand / srand / std::random_device outside
                      tests/: all randomness in shipped code must be seeded
                      (Rng, splitmix64) so runs are reproducible.
+  kernel-pin         Within src/, only src/tensor/simd.h and simd.cpp name
+                     fast_kernels_enabled. TBNET_DETERMINISTIC=1 decides
+                     one thing — the dispatch selects the scalar tier — so
+                     no layer asks which mode is on or keeps a second
+                     inference path for it.
 
 Comments and string literals are stripped before token scans, so a banned
 token inside an error message or a comment never fires.
@@ -394,6 +399,32 @@ def check_seeded_rng(root):
     return findings
 
 
+# ------------------------------------------------------------- kernel-pin --
+
+KERNEL_PIN_FILES = {"src/tensor/simd.h", "src/tensor/simd.cpp"}
+KERNEL_PIN_TOKEN = re.compile(r"\bfast_kernels_enabled\b")
+
+
+def check_kernel_pin(root):
+    findings = []
+    for ext in CODE_EXTS:
+        pattern = os.path.join(root, "src", "**", f"*{ext}")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            relpath = rel(root, path).replace(os.sep, "/")
+            if relpath in KERNEL_PIN_FILES:
+                continue
+            text = strip_code(read(path))
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if KERNEL_PIN_TOKEN.search(line):
+                    findings.append(Finding(
+                        "kernel-pin", relpath, lineno,
+                        "fast_kernels_enabled outside src/tensor/simd.* — "
+                        "TBNET_DETERMINISTIC only selects the scalar kernel "
+                        "tier; run the one path the dispatched kernels "
+                        "serve"))
+    return findings
+
+
 CHECKS = [
     check_hot_path_heap,
     check_enum_switch,
@@ -401,6 +432,7 @@ CHECKS = [
     check_docs_coverage,
     check_bench_keys,
     check_seeded_rng,
+    check_kernel_pin,
 ]
 
 

@@ -283,6 +283,31 @@ class SeededRngTest(LintFixture):
         self.assertEqual(self.rules_fired(), [])
 
 
+class KernelPinTest(LintFixture):
+    def test_layer_asking_for_the_mode_fires(self):
+        self.put("src/nn/conv2d.cpp", """\
+            void prepare() {
+              if (!simd::fast_kernels_enabled()) return;
+            }
+            """)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual([f.rule for f in fired], ["kernel-pin"])
+        self.assertEqual(fired[0].path, "src/nn/conv2d.cpp")
+
+    def test_simd_files_may_name_it(self):
+        self.put("src/tensor/simd.h", "bool fast_kernels_enabled();\n")
+        self.put("src/tensor/simd.cpp",
+                 "bool fast_kernels_enabled() { return true; }\n")
+        self.assertEqual(self.rules_fired(), [])
+
+    def test_comment_and_callers_outside_src_are_ignored(self):
+        self.put("src/nn/dense.cpp",
+                 "// no fast_kernels_enabled() branch here\nint x = 0;\n")
+        self.put("bench/bench_kernels.cpp",
+                 "bool f = simd::fast_kernels_enabled();\n")
+        self.assertEqual(self.rules_fired(), [])
+
+
 class RealRepoTest(unittest.TestCase):
     """The committed tree must lint clean — same invocation CI blocks on."""
 
