@@ -407,21 +407,18 @@ KERNEL_PIN_TOKEN = re.compile(r"\bfast_kernels_enabled\b")
 
 def check_kernel_pin(root):
     findings = []
-    for ext in CODE_EXTS:
-        pattern = os.path.join(root, "src", "**", f"*{ext}")
-        for path in sorted(glob.glob(pattern, recursive=True)):
-            relpath = rel(root, path).replace(os.sep, "/")
-            if relpath in KERNEL_PIN_FILES:
-                continue
-            text = strip_code(read(path))
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if KERNEL_PIN_TOKEN.search(line):
-                    findings.append(Finding(
-                        "kernel-pin", relpath, lineno,
-                        "fast_kernels_enabled outside src/tensor/simd.* — "
-                        "TBNET_DETERMINISTIC only selects the scalar kernel "
-                        "tier; run the one path the dispatched kernels "
-                        "serve"))
+    for path in code_files(root):
+        relpath = rel(root, path).replace(os.sep, "/")
+        if not relpath.startswith("src/") or relpath in KERNEL_PIN_FILES:
+            continue
+        text = strip_code(read(path))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if KERNEL_PIN_TOKEN.search(line):
+                findings.append(Finding(
+                    "kernel-pin", relpath, lineno,
+                    "fast_kernels_enabled outside src/tensor/simd.* — "
+                    "TBNET_DETERMINISTIC only selects the scalar kernel "
+                    "tier; run the one path the dispatched kernels serve"))
     return findings
 
 
