@@ -16,12 +16,6 @@ using simd::kKG;
 using simd::kMR;
 using simd::kNR;
 
-// k-slice depth. The A panel slice (kMR * kBlockK floats = 15 KiB) stays
-// L1-resident while a tile accumulates; 640 covers every CIFAR-scale im2col
-// depth (<= 576) in one slice, so C tiles accumulate entirely in registers
-// for the serving shapes.
-constexpr int64_t kBlockK = 640;
-
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 /// Rows of a producer scratch panel: the deepest k-slice it ever holds. A

@@ -44,6 +44,12 @@ struct GemmEpilogue {
 
 namespace packdetail {
 
+/// k-slice depth. The A panel slice (kMR * kBlockK floats = 15 KiB) stays
+/// L1-resident while a tile accumulates; 640 covers every CIFAR-scale im2col
+/// depth (<= 576) in one slice, so C tiles accumulate entirely in registers
+/// for the serving shapes. Each slice adds its own chain into C.
+constexpr int64_t kBlockK = 640;
+
 /// Floats needed to pack an A operand [m, k] / a B operand [k, n].
 int64_t packed_a_floats(int64_t m, int64_t k);
 int64_t packed_b_floats(int64_t k, int64_t n);
