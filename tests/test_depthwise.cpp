@@ -131,10 +131,10 @@ TEST(DepthwiseSimd, FusedAffineAndActsMatchReference) {
 }
 
 TEST(DepthwiseSimd, DeterministicModePinsReferenceBits) {
-  // TBNET_DETERMINISTIC=1 pins the scalar row kernel: the reference's tap
-  // order with plain multiply-add, and an exact scale 1 / shift 0 affine, so
-  // forward is the reference arithmetic bit for bit. The FMA tiers round
-  // each tap once and are held to tolerance.
+  // The scalar row kernel (the tier TBNET_DETERMINISTIC=1 pins) keeps the
+  // reference's tap order with plain multiply-add, and an exact scale 1 /
+  // shift 0 affine, so forward is the reference arithmetic bit for bit. The
+  // FMA tiers round each tap once and are held to tolerance.
   ExecutionContext ctx;
   Rng rng(8);
   for (const DwCase& c : kDwCases) {
@@ -144,10 +144,10 @@ TEST(DepthwiseSimd, DeterministicModePinsReferenceBits) {
     const Tensor want = dw.forward_reference(
         ctx, x, nullptr, c.bias ? dw.bias().data() : nullptr,
         simd::Act::kNone);
-    if (simd::fast_kernels_enabled()) {
-      expect_close(got, want);
-    } else {
+    if (simd::active_isa() == simd::Isa::kScalar) {
       expect_bitwise(got, want);
+    } else {
+      expect_close(got, want);
     }
   }
 }

@@ -42,25 +42,25 @@ void expect_close(const Tensor& got, const Tensor& want, float rtol = 1e-4f,
 }
 
 /// Packed-vs-reference parity. The scalar tier computes each element as the
-/// reference's k-order chain, so under TBNET_DETERMINISTIC=1 the bits must
-/// match wherever the driver runs one chain per element: alpha = 1, beta = 0
-/// and k within one k-slice (the driver adds one chain per 640-deep slice).
-/// The SIMD tiers' FMA chains round differently and are held to tolerance.
+/// reference's k-order chain, so wherever it runs (TBNET_DETERMINISTIC=1 pins
+/// it on every host) the bits must match where the driver runs one chain per
+/// element: alpha = 1, beta = 0 and k within one packdetail::kBlockK slice
+/// (the driver adds one chain per slice). The SIMD tiers' FMA chains round
+/// differently and are held to atol + rtol * |want|.
 void expect_reference_parity(const Tensor& got, const Tensor& want,
-                             bool one_chain, const std::string& what) {
+                             bool one_chain, const std::string& what,
+                             float rtol, float atol) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
-  const bool bitwise = !simd::fast_kernels_enabled() && one_chain;
+  const bool bitwise = simd::active_isa() == simd::Isa::kScalar && one_chain;
   for (int64_t i = 0; i < got.numel(); ++i) {
     if (bitwise) {
       ASSERT_EQ(got[i], want[i]) << what << " at " << i;
     } else {
-      const float tol = 1e-4f + 1e-4f * std::fabs(want[i]);
+      const float tol = atol + rtol * std::fabs(want[i]);
       ASSERT_NEAR(got[i], want[i], tol) << what << " at " << i;
     }
   }
 }
-
-constexpr int64_t kDriverSliceK = 640;
 
 // --------------------------------------------------------- dispatch --------
 
@@ -113,8 +113,8 @@ TEST(PackedGemm, EdgeShapesMatchReference) {
            << " alpha=" << c.alpha << " beta=" << c.beta;
       expect_reference_parity(
           got, want,
-          c.alpha == 1.0f && c.beta == 0.0f && s.k <= kDriverSliceK,
-          what.str());
+          c.alpha == 1.0f && c.beta == 0.0f && s.k <= packdetail::kBlockK,
+          what.str(), /*rtol=*/1e-4f, /*atol=*/1e-4f);
     }
   }
 }
@@ -136,7 +136,8 @@ TEST(PackedGemm, GemmNtMatchesReference) {
                       want.data());
     std::ostringstream what;
     what << "m=" << s.m << " n=" << s.n << " k=" << s.k;
-    expect_reference_parity(got, want, s.k <= kDriverSliceK, what.str());
+    expect_reference_parity(got, want, s.k <= packdetail::kBlockK,
+                            what.str(), /*rtol=*/1e-4f, /*atol=*/1e-5f);
   }
 }
 
