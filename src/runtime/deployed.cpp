@@ -83,7 +83,9 @@ Tensor to_batch1(const Tensor& image_chw) {
 }
 
 // ------------------------------------------------------------------------
-// TbnetTA: the secure-branch trusted application.
+// TbnetTA: the one trusted application. DeployedTBNet installs M_T's
+// stages; the Full-TEE and Partition baselines install victim layers as
+// secure-only stages.
 // ------------------------------------------------------------------------
 class TbnetTA : public tee::TrustedApp {
  public:
@@ -118,10 +120,10 @@ class TbnetTA : public tee::TrustedApp {
       blocks_.push_back(nn::load_model(is));
       maps_.push_back(std::move(map));
     }
-    // The image ships pre-folded (build_tbnet_ta_image); what remains is to
-    // pre-pack weight panels and build each block's fusion plan. Packs are
-    // allocated from the TA's own context arena before any forward runs, so
-    // they survive every per-call rewind.
+    // DeployedTBNet's image ships pre-folded (build_tbnet_ta_image); what
+    // remains is to pre-pack weight panels and build each block's fusion
+    // plan. Packs are allocated from the TA's own context arena before any
+    // forward runs, so they survive every per-call rewind.
     for (auto& block : blocks_) block->prepare_inference(exec_ctx_);
   }
 
@@ -160,8 +162,10 @@ class TbnetTA : public tee::TrustedApp {
   /// Executes one kCmdRun record stream (format: runtime/deployed.h). The
   /// stream is REE-written, hence hostile: an input record may only open
   /// it, stage records must continue the pipeline in order, and a release
-  /// record must close it after the last fused stage. A record cut short
-  /// throws std::out_of_range. Records before a rejected one have run.
+  /// record must close it after the last fused stage. The release ends the
+  /// batch, so a later stream must open with an input record again. A
+  /// record cut short throws std::out_of_range. Records before a rejected
+  /// one have run.
   uint32_t run(const std::vector<uint8_t>& in, std::vector<uint8_t>& out,
                tee::TaContext& ctx) {
     size_t off = 0;
@@ -194,6 +198,10 @@ class TbnetTA : public tee::TrustedApp {
             pack_i64(out, static_cast<int64_t>(labels.size()));
             for (int64_t label : labels) pack_i64(out, label);
           }
+          // The batch leaves once: nothing of it stays for a later stream.
+          next_stage_ = -1;
+          acc_ = Tensor();
+          acc_alloc_ = {};
           return kTeeSuccess;
 
         default:
@@ -208,7 +216,7 @@ class TbnetTA : public tee::TrustedApp {
   uint32_t push_stage(const std::vector<uint8_t>& in, size_t* off,
                       tee::TaContext& ctx) {
     const int64_t stage = unpack_i64(in, off);
-    if (stage != next_stage_ ||
+    if (next_stage_ < 0 || stage != next_stage_ ||
         stage >= static_cast<int64_t>(blocks_.size()) ||
         !fused_flags_[static_cast<size_t>(stage)]) {
       return kTeeErrorBadState;
@@ -235,9 +243,10 @@ class TbnetTA : public tee::TrustedApp {
     return kTeeSuccess;
   }
 
-  /// Advances through the trailing non-fused stages (the classifier head,
-  /// which runs entirely inside the TEE with no REE contribution). Returns
-  /// false unless every stage has then been executed.
+  /// Advances through the trailing secure-only stages, which run with no
+  /// REE contribution: TBNet's classifier head, or every stage of a
+  /// baseline's image. Returns false unless every stage has then been
+  /// executed.
   bool run_tail(tee::TaContext& ctx) {
     while (next_stage_ >= 0 &&
            next_stage_ < static_cast<int>(blocks_.size()) &&
@@ -257,103 +266,10 @@ class TbnetTA : public tee::TrustedApp {
   std::vector<bool> fused_flags_;
   ExecutionContext exec_ctx_;  ///< secure-world context; arena persists
   Tensor acc_;
+  /// The next stage to run; -1 while no batch is in progress (before the
+  /// first input record and after every release).
   int next_stage_ = -1;
   tee::SecureMemoryPool::Allocation model_alloc_, acc_alloc_;
-};
-
-// ------------------------------------------------------------------------
-// FullTeeTA: the whole victim model inside the TEE (baseline).
-// ------------------------------------------------------------------------
-class FullTeeTA : public tee::TrustedApp {
- public:
-  explicit FullTeeTA(const std::vector<uint8_t>& image) {
-    std::string blob(reinterpret_cast<const char*>(image.data()),
-                     image.size());
-    std::istringstream is(blob, std::ios::binary);
-    model_ = nn::load_model(is);
-  }
-
-  void on_install(tee::TaContext& ctx) override {
-    model_alloc_ =
-        ctx.memory->allocate(model_->param_bytes(), "full-tee/model");
-  }
-
-  uint32_t invoke(uint32_t command, const std::vector<uint8_t>& in,
-                  std::vector<uint8_t>& out, tee::TaContext& ctx) override {
-    switch (command) {
-      case kCmdSetInput: {
-        size_t off = 0;
-        input_ = unpack_tensor(in, &off);
-        input_alloc_ =
-            ctx.memory->allocate(input_.numel() * kFloat, "full-tee/input");
-        return kTeeSuccess;
-      }
-      case kCmdGetLogits:
-      case kCmdPredict: {
-        if (input_.empty()) return kTeeErrorBadState;
-        // Walk the stages with in/out activation accounting.
-        Tensor x = input_;
-        auto live = ctx.memory->allocate(x.numel() * kFloat, "full-tee/act");
-        auto* seq = dynamic_cast<nn::Sequential*>(model_.get());
-        if (seq != nullptr) {
-          for (int i = 0; i < seq->size(); ++i) {
-            Tensor y = seq->layer(i).forward(x, false);
-            auto next = ctx.memory->allocate(y.numel() * kFloat,
-                                             "full-tee/act");
-            x = std::move(y);
-            live = std::move(next);
-          }
-        } else {
-          x = model_->forward(x, false);
-        }
-        if (command == kCmdGetLogits) {
-          pack_tensor(out, x);
-        } else {
-          pack_i64(out, x.argmax());
-        }
-        return kTeeSuccess;
-      }
-      default:
-        return kTeeErrorBadParameters;
-    }
-  }
-
- private:
-  std::unique_ptr<nn::Layer> model_;
-  Tensor input_;
-  tee::SecureMemoryPool::Allocation model_alloc_, input_alloc_;
-};
-
-// ------------------------------------------------------------------------
-// PartitionTailTA: the DarkneTZ-style TEE tail.
-// ------------------------------------------------------------------------
-class PartitionTailTA : public tee::TrustedApp {
- public:
-  explicit PartitionTailTA(const std::vector<uint8_t>& image) {
-    std::string blob(reinterpret_cast<const char*>(image.data()),
-                     image.size());
-    std::istringstream is(blob, std::ios::binary);
-    tail_ = nn::load_model(is);
-  }
-
-  void on_install(tee::TaContext& ctx) override {
-    model_alloc_ =
-        ctx.memory->allocate(tail_->param_bytes(), "partition/model");
-  }
-
-  uint32_t invoke(uint32_t command, const std::vector<uint8_t>& in,
-                  std::vector<uint8_t>& out, tee::TaContext&) override {
-    if (command != kCmdPushStage) return kTeeErrorBadParameters;
-    size_t off = 0;
-    Tensor feature = unpack_tensor(in, &off);
-    Tensor logits = tail_->forward(feature, false);
-    pack_tensor(out, logits);
-    return kTeeSuccess;
-  }
-
- private:
-  std::unique_ptr<nn::Layer> tail_;
-  tee::SecureMemoryPool::Allocation model_alloc_;
 };
 
 std::vector<uint8_t> serialize_blob(const nn::Layer& layer) {
@@ -393,27 +309,61 @@ std::unique_ptr<nn::Layer> deployment_clone(const nn::Layer& block) {
   return copy;
 }
 
-/// Builds the TBNet TA image: stage count, then per stage the channel map
-/// and the serialized secure block. `secure[i]` is stage i's already-frozen
-/// deployment clone (BN folded, and int8-quantized when the engine ran a
-/// calibration batch — a quantized block ships ~4x fewer weight bytes, so
-/// the measured TA image shrinks accordingly).
+/// Builds a TbnetTA image: stage count, then per stage the channel map, the
+/// fused flag and the serialized block. `blocks[i]` is stage i's frozen
+/// block. For DeployedTBNet they are M_T's deployment clones (BN folded,
+/// and int8-quantized when the engine ran a calibration batch — a quantized
+/// block ships ~4x fewer weight bytes, so the measured TA image shrinks
+/// accordingly) and `model` supplies each stage's map and flag. Without a
+/// model every stage is secure-only: an empty map and fused flag 0.
 std::vector<uint8_t> build_tbnet_ta_image(
-    const core::TwoBranchModel& model,
-    const std::vector<std::unique_ptr<nn::Layer>>& secure) {
+    const std::vector<std::unique_ptr<nn::Layer>>& blocks,
+    const core::TwoBranchModel* model = nullptr) {
   std::vector<uint8_t> image;
-  pack_i64(image, model.num_stages());
-  for (int i = 0; i < model.num_stages(); ++i) {
-    const core::FusionStage& s = model.stage(i);
-    pack_i64(image, static_cast<int64_t>(s.channel_map.size()));
-    for (int64_t v : s.channel_map) pack_i64(image, v);
-    pack_i64(image, s.fused ? 1 : 0);
-    const std::vector<uint8_t> blob =
-        serialize_blob(*secure[static_cast<size_t>(i)]);
+  pack_i64(image, static_cast<int64_t>(blocks.size()));
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (model != nullptr) {
+      const core::FusionStage& s = model->stage(static_cast<int>(i));
+      pack_i64(image, static_cast<int64_t>(s.channel_map.size()));
+      for (int64_t v : s.channel_map) pack_i64(image, v);
+      pack_i64(image, s.fused ? 1 : 0);
+    } else {
+      pack_i64(image, 0);  // map length
+      pack_i64(image, 0);  // fused flag
+    }
+    const std::vector<uint8_t> blob = serialize_blob(*blocks[i]);
     pack_i64(image, static_cast<int64_t>(blob.size()));
     image.insert(image.end(), blob.begin(), blob.end());
   }
   return image;
+}
+
+/// The baselines' TA: installs victim layers [first, size) under `uuid` as
+/// a secure-only image, one stage per layer, and opens a session on it.
+/// The layers ship as plain clones, BN unfolded, so the TA's logits stay
+/// bitwise equal to victim.forward.
+std::unique_ptr<tee::TeeSession> install_secure_layers(
+    const nn::Sequential& victim, int first, tee::TeeContext& ctx,
+    const std::string& uuid) {
+  std::vector<std::unique_ptr<nn::Layer>> layers;
+  for (int i = first; i < victim.size(); ++i) {
+    layers.push_back(victim.layer(i).clone());
+  }
+  ctx.world().install(uuid, make_tbnet_ta(build_tbnet_ta_image(layers)));
+  return std::make_unique<tee::TeeSession>(ctx.open_session(uuid));
+}
+
+/// Runs `x` through a secure-only image in one kCmdRun: the input record,
+/// then the release record. The TA runs every stage and returns the logits.
+Tensor run_secure_layers(tee::TeeSession& session, const Tensor& x) {
+  std::vector<uint8_t> records;
+  pack_i64(records, kRecordInput);
+  pack_tensor(records, x);
+  pack_i64(records, kRecordLogits);
+  std::vector<uint8_t> result;
+  ta_check(session.invoke(kCmdRun, records, &result), "Run");
+  size_t off = 0;
+  return unpack_tensor(result, &off);
 }
 
 }  // namespace
@@ -488,7 +438,7 @@ DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
   }
   // The image bytes are retained so reopen() can re-deploy the TA after a
   // permanent secure-world loss without re-freezing the model.
-  ta_image_ = build_tbnet_ta_image(model, secure);
+  ta_image_ = build_tbnet_ta_image(secure, &model);
   ta_image_bytes_ = static_cast<int64_t>(ta_image_.size());
   tee_ctx_->world().install(uuid_, make_tbnet_ta(ta_image_));
   jitter_state_ = opt_.retry.jitter_seed;
@@ -515,23 +465,22 @@ int64_t DeployedTBNet::world_switches() const {
   return session_->world_switches();
 }
 
-void DeployedTBNet::open_session_with_retry() {
-  // The result cap scales with the batch so [N, classes] logits may leave;
-  // the per-image budget is the single-image default. Opening crosses the
-  // "open" fault site, so it retries under the same policy as invocations.
-  const int open_attempts = std::max(opt_.retry.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
+template <typename Attempt>
+void DeployedTBNet::with_retry(const char* what, Attempt attempt) {
+  const int attempts = std::max(opt_.retry.max_attempts, 1);
+  for (int tried = 1;; ++tried) {
     try {
-      session_ = std::make_unique<tee::TeeSession>(tee_ctx_->open_session(
-          uuid_, opt_.max_batch * tee::kDefaultMaxResultBytes));
+      attempt();
       return;
     } catch (const tee::TransientFault& e) {
-      if (attempt >= open_attempts) {
-        throw std::runtime_error("DeployedTBNet: open_session failed after " +
-                                 std::to_string(open_attempts) +
+      // Safe to replay: every injection site fires before the TA executes
+      // (tee/fault.h), so the attempt had no secure-world effect.
+      if (tried >= attempts) {
+        throw std::runtime_error(std::string(what) + " failed after " +
+                                 std::to_string(attempts) +
                                  " attempts: " + e.what());
       }
-      const int64_t ceil_us = backoff_ceil_us(opt_.retry, attempt);
+      const int64_t ceil_us = backoff_ceil_us(opt_.retry, tried);
       int64_t sleep_us = 0;
       {
         // Count the retry and draw the jitter under the lock; the backoff
@@ -548,7 +497,18 @@ void DeployedTBNet::open_session_with_retry() {
         std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
       }
     }
+    // tee::PermanentFault and every other exception propagate immediately:
+    // retrying cannot help, serving maps them to Status::kEngineError.
   }
+}
+
+void DeployedTBNet::open_session_with_retry() {
+  // The result cap scales with the batch so [N, classes] logits may leave;
+  // the per-image budget is the single-image default.
+  with_retry("DeployedTBNet: open_session", [this] {
+    session_ = std::make_unique<tee::TeeSession>(tee_ctx_->open_session(
+        uuid_, opt_.max_batch * tee::kDefaultMaxResultBytes));
+  });
 }
 
 void DeployedTBNet::reopen(const Tensor& canary_nchw) {
@@ -614,39 +574,7 @@ void DeployedTBNet::invoke_with_retry(uint32_t command,
                                       const std::vector<uint8_t>& in,
                                       std::vector<uint8_t>* out,
                                       const char* what) {
-  const int attempts = std::max(opt_.retry.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      ta_check(session_->invoke(command, in, out), what);
-      return;
-    } catch (const tee::TransientFault& e) {
-      // Safe to replay: every injection site fires before the TA executes
-      // (tee/fault.h), so the command had no secure-world effect.
-      if (attempt >= attempts) {
-        throw std::runtime_error(std::string(what) + " failed after " +
-                                 std::to_string(attempts) +
-                                 " attempts: " + e.what());
-      }
-      const int64_t ceil_us = backoff_ceil_us(opt_.retry, attempt);
-      int64_t sleep_us = 0;
-      {
-        // Count the retry and draw the jitter under the lock; the backoff
-        // sleep itself must not hold it (a monitor polling retries() would
-        // block for the whole backoff otherwise).
-        MutexLock lock(mu_);
-        ++retries_;
-        if (ceil_us > 0) {
-          sleep_us = static_cast<int64_t>(
-              next_jitter() % static_cast<uint64_t>(ceil_us + 1));
-        }
-      }
-      if (sleep_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-      }
-    }
-    // tee::PermanentFault and every other exception propagate immediately:
-    // retrying cannot help, serving maps them to Status::kEngineError.
-  }
+  with_retry(what, [&] { ta_check(session_->invoke(command, in, out), what); });
 }
 
 std::vector<uint8_t> DeployedTBNet::run(const Tensor& batch_nchw,
@@ -817,20 +745,11 @@ std::vector<int64_t> DeployedTBNet::predict_batch(const Tensor& batch_nchw) {
 // ------------------------------------------------------ FullTeeDeployment --
 
 FullTeeDeployment::FullTeeDeployment(const nn::Sequential& victim,
-                                     tee::TeeContext& ctx, std::string uuid) {
-  ctx.world().install(uuid,
-                      std::make_unique<FullTeeTA>(serialize_blob(victim)));
-  session_ = std::make_unique<tee::TeeSession>(ctx.open_session(uuid));
-}
+                                     tee::TeeContext& ctx, std::string uuid)
+    : session_(install_secure_layers(victim, 0, ctx, uuid)) {}
 
 Tensor FullTeeDeployment::infer(const Tensor& image_chw) {
-  std::vector<uint8_t> payload;
-  pack_tensor(payload, to_batch1(image_chw));
-  ta_check(session_->invoke(kCmdSetInput, payload), "SetInput");
-  std::vector<uint8_t> result;
-  ta_check(session_->invoke(kCmdGetLogits, {}, &result), "GetLogits");
-  size_t off = 0;
-  return unpack_tensor(result, &off);
+  return run_secure_layers(*session_, to_batch1(image_chw));
 }
 
 int64_t FullTeeDeployment::predict(const Tensor& image_chw) {
@@ -848,13 +767,7 @@ PartitionDeployment::PartitionDeployment(const nn::Sequential& victim,
     throw std::invalid_argument(
         "PartitionDeployment: first_tee_stage out of range");
   }
-  nn::Sequential tail;
-  for (int i = first_tee_stage; i < victim.size(); ++i) {
-    tail.add(victim.layer(i).clone());
-  }
-  ctx.world().install(uuid,
-                      std::make_unique<PartitionTailTA>(serialize_blob(tail)));
-  session_ = std::make_unique<tee::TeeSession>(ctx.open_session(uuid));
+  session_ = install_secure_layers(victim, first_tee_stage, ctx, uuid);
   for (int i = 0; i < first_tee_stage; ++i) {
     head_.push_back(victim.layer(i).clone());
   }
@@ -867,13 +780,7 @@ Tensor PartitionDeployment::observable_tee_input(const Tensor& image_chw) {
 }
 
 Tensor PartitionDeployment::infer(const Tensor& image_chw) {
-  Tensor feature = observable_tee_input(image_chw);
-  std::vector<uint8_t> payload;
-  pack_tensor(payload, feature);
-  std::vector<uint8_t> result;
-  ta_check(session_->invoke(kCmdPushStage, payload, &result), "PushTail");
-  size_t off = 0;
-  return unpack_tensor(result, &off);
+  return run_secure_layers(*session_, observable_tee_input(image_chw));
 }
 
 int64_t PartitionDeployment::predict(const Tensor& image_chw) {

@@ -7,12 +7,16 @@
 // OP-TEE-style session API. Every intermediate feature map crosses the
 // one-way channel; the TEE releases only the final prediction.
 //
-// Two prior-art baselines share the infrastructure:
+// Two prior-art baselines run on the same trusted application, installed
+// with secure-only stages (one per victim layer, no REE contribution):
 //   * FullTeeDeployment — the entire victim inside the TEE (full protection,
 //     worst latency/memory; the paper's comparison baseline).
-//   * PartitionDeployment — DarkneTZ-style layer split with plaintext
-//     feature maps crossing both ways; the substitute-layer attack in
-//     attack/ breaks it, motivating TBNet's one-way design.
+//   * PartitionDeployment — DarkneTZ-style layer split: the REE runs the
+//     head and hands its plaintext feature map to the TEE; the
+//     substitute-layer attack in attack/ breaks it, motivating TBNet's
+//     one-way design.
+// Each inference of either baseline is one kCmdRun: an input record, then a
+// release record.
 
 #include <chrono>
 #include <cstdint>
@@ -30,22 +34,23 @@
 
 namespace tbnet::runtime {
 
-/// TA command IDs. DeployedTBNet's TA takes kCmdRun and kCmdSetWidth; the
-/// other four are the FullTeeDeployment and PartitionDeployment commands.
-inline constexpr uint32_t kCmdSetInput = 1;
+/// TA command IDs. The TA serves kCmdRun and kCmdSetWidth only. Ids 1 to 6
+/// are retired; kCmdPushStage keeps its name because perfbench's invoke
+/// replay still sends it to an echo TA.
 inline constexpr uint32_t kCmdPushStage = 2;
-inline constexpr uint32_t kCmdGetLogits = 3;
-inline constexpr uint32_t kCmdPredict = 4;
 inline constexpr uint32_t kCmdSetWidth = 7;
 inline constexpr uint32_t kCmdRun = 8;
 
 /// Record tags of a kCmdRun stream. Each record is an int64 tag and a body:
 ///   kRecordInput   a tensor (rank, dims, floats): the NCHW batch. It may
-///                  only open a stream, and it restarts the TA's pipeline.
-///   kRecordStage   the stage index, then a tensor: R_i's output. Stages
-///                  arrive in order, across as many streams as it takes.
+///                  only open a stream, and it starts a batch.
+///   kRecordStage   the stage index, then a tensor: R_i's output, for a
+///                  fused stage of the batch in progress. Stages arrive in
+///                  order, across as many streams as it takes.
 ///   kRecordLogits  no body. Closes the stream after the last fused stage;
-///                  the TA runs its head and returns the [N, classes] logits.
+///                  the TA runs its secure-only stages and returns the
+///                  [N, classes] logits. This ends the batch: the TA keeps
+///                  nothing of it, and a second release finds no batch.
 ///   kRecordLabels  like kRecordLogits, but only one label per image leaves.
 inline constexpr int64_t kRecordInput = 1;
 inline constexpr int64_t kRecordStage = 2;
@@ -241,16 +246,21 @@ class DeployedTBNet {
   /// thread is idle (no batch), so exec_ctx_ has a single user again.
   void stop_ree() TS_EXCLUDES(ree_mu_);
 
-  /// session_->invoke with the Options::RetryPolicy applied: transient
-  /// faults back off (exponential, full jitter) and replay; exhaustion and
-  /// permanent faults throw. Also checks the TA status like ta_check.
+  /// Runs `attempt` under Options::RetryPolicy: a tee::TransientFault
+  /// backs off (exponential, full jitter) and replays it; after the last
+  /// attempt it throws std::runtime_error naming `what`. Permanent faults
+  /// and every other exception propagate at once. A template, so a retried
+  /// invoke allocates nothing for its callable.
+  template <typename Attempt>
+  void with_retry(const char* what, Attempt attempt);
+  /// session_->invoke under with_retry; a TA status other than success
+  /// throws std::runtime_error.
   void invoke_with_retry(uint32_t command, const std::vector<uint8_t>& in,
                          std::vector<uint8_t>* out, const char* what);
   /// Next backoff-jitter draw (splitmix64 over jitter_state_).
   uint64_t next_jitter() TS_REQUIRES(mu_);
 
-  /// Opens (or re-opens) session_ against tee_ctx_, retrying transient
-  /// "open" faults under Options::RetryPolicy.
+  /// Opens (or re-opens) session_ against tee_ctx_ under with_retry.
   void open_session_with_retry();
 
   /// M_R's fused-stage blocks. They and exec_ctx_ belong to the REE thread
@@ -303,14 +313,15 @@ class DeployedTBNet {
   std::thread ree_thread_;
 };
 
-/// The TBNet trusted application built from a TA image (the bytes
-/// DeployedTBNet installs). The image is parsed as hostile input: a
+/// The trusted application built from a TA image (the bytes DeployedTBNet
+/// and the baselines install). The image is parsed as hostile input: a
 /// truncated or malformed one throws (std::out_of_range, or
 /// nn::IntegrityError for a damaged block) instead of reading past its end.
 std::unique_ptr<tee::TrustedApp> make_tbnet_ta(
     const std::vector<uint8_t>& image);
 
-/// Baseline: whole victim model inside the TEE.
+/// Baseline: whole victim model inside the TEE, one secure-only stage per
+/// victim layer.
 class FullTeeDeployment {
  public:
   FullTeeDeployment(const nn::Sequential& victim, tee::TeeContext& ctx,
@@ -324,7 +335,7 @@ class FullTeeDeployment {
 };
 
 /// Prior-art baseline: stages [0, first_tee_stage) in the REE, the rest in
-/// the TEE (DarkneTZ-style). Requires a bidirectional-policy context.
+/// the TEE (DarkneTZ-style).
 class PartitionDeployment {
  public:
   PartitionDeployment(const nn::Sequential& victim, int first_tee_stage,

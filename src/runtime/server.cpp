@@ -35,55 +35,33 @@ const char* status_name(Status s) {
   return "unknown";
 }
 
-InferenceServer::InferenceServer(std::vector<BatchFn> engines,
-                                 std::vector<RecoverFn> recovery, Config cfg)
-    : engines_(std::move(engines)),
-      recovery_(std::move(recovery)),
-      cfg_(cfg),
-      start_(Clock::now()) {
-  if (engines_.empty()) {
+InferenceServer::FixedPool InferenceServer::fixed_pool(
+    std::vector<BatchFn> engines, std::vector<RecoverFn> recovery, Config cfg) {
+  if (engines.empty()) {
     throw std::invalid_argument("InferenceServer: no engine functions");
   }
-  for (const BatchFn& e : engines_) {
-    if (!e) {
-      throw std::invalid_argument("InferenceServer: null engine function");
-    }
-  }
-  if (!recovery_.empty() && recovery_.size() != engines_.size()) {
+  if (!recovery.empty() && recovery.size() != engines.size()) {
     throw std::invalid_argument(
         "InferenceServer: recovery functions must be empty or one per engine");
   }
-  if (cfg_.max_batch <= 0) {
-    throw std::invalid_argument("InferenceServer: max_batch must be positive");
-  }
-  if (cfg_.queue_capacity < 0) {
-    throw std::invalid_argument(
-        "InferenceServer: queue_capacity must be >= 0 (0 = unbounded)");
-  }
-  if (cfg_.input_chw.ndim() != 0 && cfg_.input_chw.ndim() != 3) {
-    throw std::invalid_argument("InferenceServer: input_chw must be CHW, got " +
-                                cfg_.input_chw.str());
-  }
-  expected_chw_ = cfg_.input_chw;
-  stats_.per_worker.resize(engines_.size());
-  stats_.workers_high_water = static_cast<int64_t>(engines_.size());
-  control_.resize(engines_.size());
-  last_tick_ = start_;
-  workers_.reserve(engines_.size());
-  for (int w = 0; w < static_cast<int>(engines_.size()); ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-  supervisor_ = std::thread([this] { supervisor_loop(); });
+  cfg.min_workers = cfg.max_workers = static_cast<int>(engines.size());
+  recovery.resize(engines.size());
+  // Invoked once per slot, at construction: each engine moves to its slot.
+  EngineFactory factory = [engines = std::move(engines),
+                           recovery = std::move(recovery)](int w) mutable {
+    const auto slot = static_cast<size_t>(w);
+    return std::make_pair(std::move(engines[slot]), std::move(recovery[slot]));
+  };
+  return {std::move(factory), std::move(cfg)};
 }
 
-InferenceServer::InferenceServer(BatchFn engine, Config cfg)
+InferenceServer::InferenceServer(std::vector<BatchFn> engines,
+                                 std::vector<RecoverFn> recovery, Config cfg)
     : InferenceServer(
-          [&engine] {
-            std::vector<BatchFn> one;
-            one.push_back(std::move(engine));
-            return one;
-          }(),
-          std::vector<RecoverFn>{}, cfg) {}
+          fixed_pool(std::move(engines), std::move(recovery), std::move(cfg))) {}
+
+InferenceServer::InferenceServer(FixedPool pool)
+    : InferenceServer(std::move(pool.factory), std::move(pool.cfg)) {}
 
 InferenceServer::InferenceServer(EngineFactory factory, Config cfg)
     : factory_(std::move(factory)), cfg_(cfg), start_(Clock::now()) {
@@ -122,8 +100,8 @@ InferenceServer::InferenceServer(EngineFactory factory, Config cfg)
     if (w < cfg_.min_workers) {
       auto built = factory_(w);
       if (!built.first) {
-        throw std::invalid_argument(
-            "InferenceServer: factory returned a null engine");
+        throw std::invalid_argument("InferenceServer: null engine for worker " +
+                                    std::to_string(w));
       }
       engines_[static_cast<size_t>(w)] = std::move(built.first);
       recovery_[static_cast<size_t>(w)] = std::move(built.second);
@@ -224,9 +202,7 @@ bool InferenceServer::trip_breaker_locked(int w) {
   wc.strikes = 0;
   ++stats_.quarantines;
   ++stats_.per_worker[static_cast<size_t>(w)].quarantines;
-  const bool recoverable = static_cast<size_t>(w) < recovery_.size() &&
-                           recovery_[static_cast<size_t>(w)] != nullptr;
-  if (recoverable) {
+  if (recovery_[static_cast<size_t>(w)]) {
     wc.health = WorkerHealth::kQuarantined;
     wc.recovery_attempts = 0;
     wc.next_recovery = Clock::now() + cfg_.recovery_backoff;
@@ -801,12 +777,14 @@ int InferenceServer::autoscale_tick(Clock::time_point now) {
 }
 
 void InferenceServer::supervisor_loop() {
+  // A pool with room to scale evaluates the scaling policy every
+  // autoscale_interval; a fixed pool (min_workers == max_workers) never does.
+  const bool elastic = cfg_.max_workers > cfg_.min_workers;
   MutexLock lock(mu_);
   for (;;) {
     if (stop_) return;
     const auto now = Clock::now();
-    // Elastic servers evaluate the scaling policy every autoscale_interval.
-    if (factory_ && now >= last_tick_ + cfg_.autoscale_interval) {
+    if (elastic && now >= last_tick_ + cfg_.autoscale_interval) {
       const int spawn = autoscale_tick(now);
       if (spawn >= 0) {
         // Build the new slot's engine on this thread, outside the lock —
@@ -857,9 +835,7 @@ void InferenceServer::supervisor_loop() {
     // Elastic servers never park indefinitely — the next tick bounds every
     // wait so the scaling policy keeps sampling even without trips.
     Clock::time_point wake = earliest;
-    if (factory_) {
-      wake = std::min(wake, last_tick_ + cfg_.autoscale_interval);
-    }
+    if (elastic) wake = std::min(wake, last_tick_ + cfg_.autoscale_interval);
     if (wake == Clock::time_point::max()) {
       supervisor_cv_.wait(lock);  // woken by trips and shutdown
       continue;

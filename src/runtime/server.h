@@ -173,8 +173,9 @@ class InferenceServer {
     /// <= 0 disables the watchdog.
     std::chrono::microseconds watchdog_timeout{0};
     // ---- elasticity (PR 10) -------------------------------------------
-    // Only read by the EngineFactory constructor; the fixed-pool
-    // constructors ignore all five (their worker count is engines.size()).
+    // The fixed-pool constructors pin min_workers = max_workers =
+    // engines.size(). The autoscaler runs only when max_workers >
+    // min_workers, so a fixed pool never reads the other four.
     /// Workers the elastic server keeps active at all times; the factory is
     /// invoked for them at construction. Must be >= 1 and <= max_workers.
     int min_workers = 1;
@@ -205,17 +206,21 @@ class InferenceServer {
   /// backs off and retries.
   using RecoverFn = std::function<void()>;
 
-  /// One dispatch worker per engine; engines must all serve the same model
-  /// (the server round-robins batches across them by availability, so any
-  /// request may land on any engine). `recovery` is empty (no worker can
-  /// recover: a tripped breaker is terminal) or one entry per engine (a
-  /// null entry makes that worker unrecoverable).
+  /// Fixed pool: one dispatch worker per engine; engines must all serve the
+  /// same model (the server round-robins batches across them by
+  /// availability, so any request may land on any engine). `recovery` is
+  /// empty (no worker can recover: a tripped breaker is terminal) or one
+  /// entry per engine (a null entry makes that worker unrecoverable). This
+  /// is the elastic server below with min_workers = max_workers =
+  /// engines.size() and a factory that hands out engines[w], recovery[w].
   InferenceServer(std::vector<BatchFn> engines, std::vector<RecoverFn> recovery,
                   Config cfg);
   InferenceServer(std::vector<BatchFn> engines, Config cfg)
       : InferenceServer(std::move(engines), std::vector<RecoverFn>{},
                         std::move(cfg)) {}
-  InferenceServer(BatchFn engine, Config cfg);
+  InferenceServer(BatchFn engine, Config cfg)
+      : InferenceServer(std::vector<BatchFn>{std::move(engine)},
+                        std::move(cfg)) {}
   explicit InferenceServer(BatchFn engine)
       : InferenceServer(std::move(engine), Config{}) {}
 
@@ -230,11 +235,12 @@ class InferenceServer {
 
   /// Elastic server: cfg.min_workers..cfg.max_workers dispatch workers,
   /// scaled by the supervisor off queue depth and worker utilization (see
-  /// the Config knobs). Slots above min_workers start Parked with no engine
-  /// built; scale-up activates them (building the engine on first use) and
-  /// scale-down parks the highest active slot again. Parked workers hold no
-  /// batch mid-park — a worker finishes its claimed batch before it stops
-  /// claiming — so drain()/shutdown() accounting is unchanged.
+  /// the Config knobs) when max_workers > min_workers. Slots above
+  /// min_workers start Parked with no engine built; scale-up activates them
+  /// (building the engine on first use) and scale-down parks the highest
+  /// active slot again. Parked workers hold no batch mid-park — a worker
+  /// finishes its claimed batch before it stops claiming — so
+  /// drain()/shutdown() accounting is unchanged.
   InferenceServer(EngineFactory factory, Config cfg);
 
   /// Drains the queue and joins the workers.
@@ -270,9 +276,9 @@ class InferenceServer {
   ServingStats stats() const;
 
   const Config& config() const { return cfg_; }
-  /// Worker SLOTS (fixed pool: the engine count; elastic: max_workers —
+  /// Worker SLOTS: max_workers, which a fixed pool pins to its engine count.
   /// ServingStats::per_worker has this many entries; parked slots show
-  /// health kParked with zero batches).
+  /// health kParked with zero batches.
   int workers() const { return static_cast<int>(engines_.size()); }
 
  private:
@@ -298,6 +304,17 @@ class InferenceServer {
     /// busy_s at the previous autoscaler tick (utilization delta base).
     double tick_busy_s = 0.0;
   };
+
+  /// A fixed pool's factory and its Config, pinned to min_workers =
+  /// max_workers = engines.size(). Built together in fixed_pool, so no
+  /// argument reads `engines` after another has moved it.
+  struct FixedPool {
+    EngineFactory factory;
+    Config cfg;
+  };
+  static FixedPool fixed_pool(std::vector<BatchFn> engines,
+                              std::vector<RecoverFn> recovery, Config cfg);
+  explicit InferenceServer(FixedPool pool);
 
   void worker_loop(int worker);
   void supervisor_loop();
@@ -335,9 +352,10 @@ class InferenceServer {
   static void resolve_failure(Pending& p, Status status, std::string error);
 
   std::vector<BatchFn> engines_;  ///< engines_[w] runs on workers_[w] only
-  std::vector<RecoverFn> recovery_;  ///< empty, or one (maybe null) per engine
-  /// Builds engines for scaled-up slots; null on a fixed pool. Only the
-  /// supervisor thread invokes it after construction, always outside mu_.
+  std::vector<RecoverFn> recovery_;  ///< one per slot; null = unrecoverable
+  /// Builds each slot's engine: the first min_workers at construction, the
+  /// rest when the autoscaler first scales them up. Only the supervisor
+  /// thread invokes it after construction, always outside mu_.
   EngineFactory factory_;
   Config cfg_;
   std::chrono::steady_clock::time_point start_;

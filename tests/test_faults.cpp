@@ -221,6 +221,22 @@ TEST(DeployedFaults, SessionOpenIsRetried) {
   EXPECT_EQ(deployed.retries(), 2);
   Rng rng(8);
   EXPECT_EQ(deployed.infer_batch(random_batch(1, rng)).dim(1), 10);
+
+  // As many transients as attempts: the constructor gives up, typed.
+  ctx.faults().script(Kind::kTransient, 4);  // == default max_attempts
+  try {
+    DeployedTBNet failed(tb, ctx, "tbnet-open-exhausted");
+    FAIL() << "expected retry exhaustion";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("failed after"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ctx.faults().scripted_pending(), 0);
+  // A permanent fault is never retried.
+  ctx.faults().script(Kind::kPermanent);
+  EXPECT_THROW(DeployedTBNet(tb, ctx, "tbnet-open-permanent"),
+               tee::PermanentFault);
+  EXPECT_EQ(ctx.faults().scripted_pending(), 0);
 }
 
 TEST(ServerFaults, RetryExhaustionResolvesEngineError) {

@@ -501,6 +501,15 @@ TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
   // A stage record with no batch in progress: the last stream released.
   ASSERT_EQ(run(all_stages().i64(kRecordLogits), &logits), tee::kTeeSuccess);
   EXPECT_EQ(run(Records().stage(0, r_out[0])), tee::kTeeErrorBadState);
+  // A release with no batch in progress. The engine's batch released one
+  // label per image; its logits did not stay behind for another session.
+  deployed.predict_batch(batch);
+  for (const int64_t release : {kRecordLogits, kRecordLabels}) {
+    std::vector<uint8_t> replayed;
+    EXPECT_EQ(run(Records().i64(release), &replayed), tee::kTeeErrorBadState)
+        << release;
+    EXPECT_TRUE(replayed.empty()) << release;
+  }
   // A release record before the last fused stage.
   for (const int64_t release : {kRecordLogits, kRecordLabels}) {
     EXPECT_EQ(run(Records().input(image).i64(release)),
@@ -517,10 +526,9 @@ TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
   EXPECT_EQ(run(Records().input(image).stage(0, r_out[0]).input(image)),
             tee::kTeeErrorBadState);
   EXPECT_EQ(run(Records().input(image).input(image)), tee::kTeeErrorBadState);
-  // This TA serves kCmdRun and kCmdSetWidth only: the baselines' commands
-  // and the unused ids 5 and 6 are rejected.
-  for (const uint32_t cmd : {kCmdSetInput, kCmdPushStage, kCmdGetLogits,
-                             kCmdPredict, uint32_t{5}, uint32_t{6}}) {
+  // This TA serves kCmdRun and kCmdSetWidth only: the retired ids 1 to 6
+  // are rejected.
+  for (const uint32_t cmd : {1u, 2u, 3u, 4u, 5u, 6u}) {
     EXPECT_EQ(s.invoke(cmd, Records().input(image).bytes),
               tee::kTeeErrorBadParameters)
         << "command " << cmd;
@@ -581,6 +589,16 @@ TEST(TbnetTA, TruncatedImageIsRejectedTyped) {
   image.insert(image.end(), blob.begin(), blob.end());
   tee::SecureWorld world;
   EXPECT_NO_THROW(world.install("tbnet-image", make_tbnet_ta(image)));
+  // A fresh TA has no batch in progress, so a stream may not open with a
+  // stage record, whatever its index.
+  tee::TeeContext ctx(world);
+  tee::TeeSession s = ctx.open_session("tbnet-image");
+  const Tensor r_out = Tensor::randn(Shape{1, 2, 4, 4}, rng);
+  for (const int64_t stage : {int64_t{-1}, int64_t{0}}) {
+    EXPECT_EQ(s.invoke(kCmdRun, Records().stage(stage, r_out).bytes),
+              tee::kTeeErrorBadState)
+        << "stage " << stage;
+  }
 
   for (size_t len = 0; len < image.size(); ++len) {
     const std::vector<uint8_t> cut(image.begin(),
@@ -625,6 +643,22 @@ TEST(FullTeeDeployment, MatchesVictimForward) {
   EXPECT_EQ(deployed.predict(img), want.argmax());
   // The whole victim is resident in secure memory.
   EXPECT_GE(world.memory().live_bytes(), victim.param_bytes());
+
+  // The image's stages are secure-only: a second session's stage record is
+  // refused, and a release right after the input runs the whole victim.
+  tee::TeeSession s = ctx.open_session("full-victim");
+  const Tensor x = img.reshaped(Shape{1, 3, 32, 32});
+  EXPECT_EQ(s.invoke(kCmdRun, Records().input(x).stage(0, x).bytes),
+            tee::kTeeErrorBadState);
+  std::vector<uint8_t> labels;
+  ASSERT_EQ(s.invoke(kCmdRun, Records().input(x).i64(kRecordLabels).bytes,
+                     &labels),
+            tee::kTeeSuccess);
+  size_t off = 0;
+  EXPECT_EQ(tee::unpack_i64(labels, &off), 1);
+  EXPECT_EQ(tee::unpack_i64(labels, &off), want.argmax());
+  EXPECT_EQ(off, labels.size());
+  EXPECT_EQ(ctx.channel().leaked_bytes(), 0);
 }
 
 TEST(PartitionDeployment, SplitsComputationCorrectly) {
@@ -643,6 +677,8 @@ TEST(PartitionDeployment, SplitsComputationCorrectly) {
   Tensor x = img.reshaped(Shape{1, 3, 32, 32});
   for (int i = 0; i < 3; ++i) x = victim.layer(i).forward(x, false);
   EXPECT_TRUE(allclose(deployed.observable_tee_input(img), x, 0.0f, 0.0f));
+  // Only the logits left the TEE.
+  EXPECT_EQ(ctx.channel().leaked_bytes(), 0);
 }
 
 TEST(PartitionDeployment, RejectsDegeneratePartitions) {

@@ -467,6 +467,61 @@ TEST(InferenceServer, MalformedShapeIsRejectedAlone) {
   EXPECT_EQ(stats.engine_errors, 0);
 }
 
+TEST(InferenceServer, ConstructionRejectsBadArguments) {
+  using BatchFn = InferenceServer::BatchFn;
+  using RecoverFn = InferenceServer::RecoverFn;
+  const BatchFn engine = [](const Tensor& nchw) {
+    return Tensor(Shape{nchw.dim(0), 2});
+  };
+  const auto pool = [&engine](int n) {
+    return std::vector<BatchFn>(static_cast<size_t>(n), engine);
+  };
+  const InferenceServer::EngineFactory factory = [&engine](int) {
+    return std::make_pair(engine, RecoverFn());
+  };
+  const InferenceServer::Config good;
+
+  // The fixed pool's own arguments.
+  EXPECT_THROW(InferenceServer(std::vector<BatchFn>{}, good),
+               std::invalid_argument);
+  EXPECT_THROW(InferenceServer(BatchFn(), good), std::invalid_argument);
+  EXPECT_THROW(InferenceServer(std::vector<BatchFn>{engine, BatchFn()}, good),
+               std::invalid_argument);
+  EXPECT_THROW(
+      InferenceServer(pool(2), std::vector<RecoverFn>(1, [] {}), good),
+      std::invalid_argument);
+  // The elastic server's own arguments.
+  EXPECT_THROW(InferenceServer(InferenceServer::EngineFactory(), good),
+               std::invalid_argument);
+  InferenceServer::Config no_workers;
+  no_workers.min_workers = 0;
+  EXPECT_THROW(InferenceServer(factory, no_workers), std::invalid_argument);
+  InferenceServer::Config inverted;
+  inverted.min_workers = 2;
+  inverted.max_workers = 1;
+  EXPECT_THROW(InferenceServer(factory, inverted), std::invalid_argument);
+  const InferenceServer::EngineFactory null_engine = [](int) {
+    return std::make_pair(BatchFn(), RecoverFn());
+  };
+  EXPECT_THROW(InferenceServer(null_engine, good), std::invalid_argument);
+
+  // Config both forms validate.
+  InferenceServer::Config no_batch;
+  no_batch.max_batch = 0;
+  InferenceServer::Config negative_queue;
+  negative_queue.queue_capacity = -1;
+  InferenceServer::Config not_chw;
+  not_chw.input_chw = Shape{32, 32};
+  for (const InferenceServer::Config& bad :
+       {no_batch, negative_queue, not_chw}) {
+    EXPECT_THROW(InferenceServer(pool(2), bad), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(factory, bad), std::invalid_argument);
+  }
+  // The same arguments, well formed, construct.
+  EXPECT_NO_THROW(InferenceServer(pool(2), good));
+  EXPECT_NO_THROW(InferenceServer(factory, good));
+}
+
 TEST(InferenceServer, ShutdownDrainsOutstandingWork) {
   Rng rng(15);
   nn::Sequential model;

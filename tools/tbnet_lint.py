@@ -49,6 +49,12 @@ Rules (each reported as `rule-name: file:line: message`):
                      one thing — the dispatch selects the scalar tier — so
                      no layer asks which mode is on or keeps a second
                      inference path for it.
+  one-ta             Within src/, exactly one class derives from
+                     tee::TrustedApp: TbnetTA in src/runtime/deployed.cpp.
+                     Every deployment (TBNet and its Full-TEE and Partition
+                     baselines) installs a TbnetTA image, so the REE-facing
+                     parser that must treat every byte as hostile exists
+                     once. Tests and perfbench keep their echo TAs.
 
 Comments and string literals are stripped before token scans, so a banned
 token inside an error message or a comment never fires.
@@ -422,6 +428,31 @@ def check_kernel_pin(root):
     return findings
 
 
+# ----------------------------------------------------------------- one-ta --
+
+ONE_TA = ("src/runtime/deployed.cpp", "TbnetTA")
+TA_SUBCLASS = re.compile(
+    r"\b(?:class|struct)\s+(\w+)[^{;]*?:[^{;]*\bTrustedApp\b")
+
+
+def check_one_ta(root):
+    findings = []
+    for path in code_files(root):
+        relpath = rel(root, path).replace(os.sep, "/")
+        if not relpath.startswith("src/"):
+            continue
+        text = strip_code(read(path))
+        for m in TA_SUBCLASS.finditer(text):
+            if (relpath, m.group(1)) == ONE_TA:
+                continue
+            findings.append(Finding(
+                "one-ta", relpath, text.count("\n", 0, m.start()) + 1,
+                f"{m.group(1)} derives from tee::TrustedApp — src/ has one "
+                f"trusted application, TbnetTA in {ONE_TA[0]}; install a "
+                f"TbnetTA image instead"))
+    return findings
+
+
 CHECKS = [
     check_hot_path_heap,
     check_enum_switch,
@@ -430,6 +461,7 @@ CHECKS = [
     check_bench_keys,
     check_seeded_rng,
     check_kernel_pin,
+    check_one_ta,
 ]
 
 

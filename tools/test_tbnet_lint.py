@@ -308,6 +308,40 @@ class KernelPinTest(LintFixture):
         self.assertEqual(self.rules_fired(), [])
 
 
+class OneTaTest(LintFixture):
+    def test_second_trusted_app_in_src_fires(self):
+        self.put("src/runtime/deployed.cpp", """\
+            class TbnetTA : public tee::TrustedApp {};
+            class FullTeeTA final
+                : public tee::TrustedApp {};
+            """)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual([f.rule for f in fired], ["one-ta"])
+        self.assertEqual((fired[0].path, fired[0].line),
+                         ("src/runtime/deployed.cpp", 2))
+
+    def test_tbnet_ta_elsewhere_fires(self):
+        self.put("src/tee/echo.cpp",
+                 "struct TbnetTA : TrustedApp {};\n")
+        self.assertEqual(self.rules_fired(), ["one-ta"])
+
+    def test_base_class_and_echo_tas_outside_src_are_ignored(self):
+        self.put("src/tee/optee_api.h", """\
+            class TrustedApp {
+             public:
+              virtual ~TrustedApp() = default;
+            };
+            std::unique_ptr<TrustedApp> ta_;  // class X : TrustedApp
+            """)
+        self.put("src/runtime/deployed.cpp",
+                 "class TbnetTA : public tee::TrustedApp {};\n")
+        self.put("tests/test_tee.cpp",
+                 "class EchoTA : public TrustedApp {};\n")
+        self.put("perfbench/src/serving.cpp",
+                 "class EchoTA : public tee::TrustedApp {};\n")
+        self.assertEqual(self.rules_fired(), [])
+
+
 class RealRepoTest(unittest.TestCase):
     """The committed tree must lint clean — same invocation CI blocks on."""
 
