@@ -129,7 +129,6 @@ SoakPoint run_soak(runtime::DeployedTBNet& engine, tee::TeeContext& ctx,
                    const SoakConfig& sc) {
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 16;
-  scfg.max_queue_delay = std::chrono::microseconds(2000);
   if (sc.bounded) {
     scfg.queue_capacity = 64;
     scfg.admission = runtime::AdmissionPolicy::kShedOldest;
@@ -252,7 +251,6 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
 
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 16;
-  scfg.max_queue_delay = std::chrono::microseconds(2000);
   scfg.queue_capacity = 64;
   scfg.admission = runtime::AdmissionPolicy::kShedOldest;
   scfg.default_deadline = std::chrono::milliseconds(100);
@@ -436,7 +434,6 @@ ElasticPoint run_elastic(const core::TwoBranchModel& tb,
                          double seconds) {
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 16;
-  scfg.max_queue_delay = std::chrono::microseconds(2000);
   scfg.queue_capacity = 64;
   scfg.admission = runtime::AdmissionPolicy::kShedOldest;
   scfg.default_deadline = std::chrono::milliseconds(100);
@@ -589,7 +586,6 @@ int main(int argc, char** argv) {
   // batches through the same engine.
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 16;
-  scfg.max_queue_delay = std::chrono::microseconds(2000);
   runtime::ServingStats server_stats;
   {
     runtime::InferenceServer server(

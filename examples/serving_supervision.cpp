@@ -101,7 +101,6 @@ int main() {
 
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 8;
-  scfg.max_queue_delay = std::chrono::microseconds(500);
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::milliseconds(5);
   scfg.recovery_max_backoff = std::chrono::milliseconds(80);

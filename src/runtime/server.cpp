@@ -311,9 +311,9 @@ std::future<InferenceResult> InferenceServer::submit(
     resolve_failure(p, Status::kRejected, std::move(reject));
     return fut;
   }
-  // notify_all: only claimable workers wait on queue_cv_ (non-Healthy ones
-  // sit on park_cv_), but a single notification could still be consumed by
-  // a worker in its bounded coalescing wait while an idle worker sleeps on.
+  // Only claimable workers wait on queue_cv_ (non-Healthy ones sit on
+  // park_cv_): the first to take mu_ claims the request, and the others
+  // find the lanes empty and wait again.
   queue_cv_.notify_all();
   return fut;
 }
@@ -408,9 +408,9 @@ void InferenceServer::worker_loop(int worker) {
       // Healthy: wait for work. Breaker trips are self-inflicted (only this
       // worker's own run_batch quarantines it), but the AUTOSCALER can park
       // a Healthy worker from the supervisor thread whenever the lock is
-      // free — it notifies queue_cv_ when it does, and both waits below
-      // release on the health flip so the worker returns to park_cv_
-      // instead of lingering among the claimable waiters.
+      // free — it notifies queue_cv_ when it does, and the wait releases on
+      // the health flip, so the worker returns to park_cv_ without claiming.
+      // That makes scale-down prompt without ever abandoning a claimed batch.
       queue_cv_.wait(lock, [this, worker] {
         mu_.assert_held();  // wait re-acquires mu_ before evaluating
         return stop_ ||
@@ -423,49 +423,13 @@ void InferenceServer::worker_loop(int worker) {
         if (stop_) return;
         continue;
       }
-      // Coalesce: wait for the lanes to fill up to max_batch, then take up
-      // to max_batch. The wait is bounded by the OLDEST queued request's
-      // flush deadline and by the most urgent front's expiry (no point
-      // idling for company past the moment it dies). EDF ordering makes
-      // each lane's front the most URGENT request, not the oldest ARRIVAL —
-      // an early no-deadline request sorts behind later deadlined ones — so
-      // honoring max_queue_delay takes a scan over every queued request;
-      // the scan only runs when fewer than max_batch are queued, so it is
-      // O(max_batch). With several workers arriving here, whichever wakes
-      // first claims the batch; the others observe empty lanes and loop.
-      if (queued_total_locked() < cfg_.max_batch) {
-        auto flush = Clock::time_point::max();
-        for (const std::deque<Pending>& lane : lanes_) {
-          if (lane.empty()) continue;
-          if (lane.front().deadline < flush) flush = lane.front().deadline;
-          for (const Pending& p : lane) {
-            const auto f = p.enqueued + cfg_.max_queue_delay;
-            if (f < flush) flush = f;
-          }
-        }
-        queue_cv_.wait_until(lock, flush, [this, worker] {
-          mu_.assert_held();  // wait re-acquires mu_ before evaluating
-          return stop_ ||
-                 control_[static_cast<size_t>(worker)].health !=
-                     WorkerHealth::kHealthy ||
-                 queued_total_locked() >= cfg_.max_batch;
-        });
-      }
-      // The coalescing wait released the lock: a sibling may have drained
-      // the lanes, and the autoscaler may have parked THIS worker. A parked
-      // worker stops claiming immediately (its pending wake-up work goes to
-      // the remaining pool) — that is what makes scale-down prompt without
-      // ever abandoning a claimed batch.
-      if (lanes_empty_locked() || control_[static_cast<size_t>(worker)]
-                                          .health != WorkerHealth::kHealthy) {
-        if (stop_) return;
-        continue;
-      }
-      // Claim highest lane first, enforcing deadlines at batch-formation
-      // time: an expired request resolves kExpired without consuming a
-      // batch slot or ever touching an engine. Lanes are EDF-ordered, so
-      // each lane's front is its most urgent request and expiry checks stay
-      // O(1) amortized per request.
+      // Work-conserving: claim what is queued, up to max_batch, in this
+      // same critical section; a free worker never idles beside queued
+      // work waiting for company. Claim highest lane first, enforcing
+      // deadlines at batch-formation time: an expired request resolves
+      // kExpired without consuming a batch slot or ever touching an engine.
+      // Lanes are EDF-ordered, so each lane's front is its most urgent
+      // request and expiry checks stay O(1) amortized per request.
       const auto now = Clock::now();
       for (int ln = kPriorityLanes - 1; ln >= 0; --ln) {
         std::deque<Pending>& lane = lanes_[static_cast<size_t>(ln)];
@@ -482,10 +446,7 @@ void InferenceServer::worker_loop(int worker) {
       }
       stats_.expired += static_cast<int64_t>(expired.size());
       // Requests may remain (more than max_batch queued): hand them to the
-      // sibling workers instead of serializing behind this batch.
-      // notify_all, not notify_one — a single notification could land on a
-      // sibling sitting in its coalescing wait (predicate false, wakeup
-      // consumed) while an idle sibling keeps sleeping.
+      // idle siblings instead of serializing behind this batch.
       if (!lanes_empty_locked()) queue_cv_.notify_all();
     }
     // Popping freed queue space: wake submitters blocked on admission.
@@ -766,8 +727,8 @@ int InferenceServer::autoscale_tick(Clock::time_point now) {
       wc.health = WorkerHealth::kParked;
       ++stats_.scale_downs;
       next_scale_allowed_ = now + cfg_.autoscale_cooldown;
-      // Flush the parked worker out of any queue_cv_ wait (its predicates
-      // release on the health flip) so it migrates to park_cv_ instead of
+      // Flush the parked worker out of its queue_cv_ wait (the predicate
+      // releases on the health flip) so it migrates to park_cv_ instead of
       // consuming queue notifications it can no longer act on.
       queue_cv_.notify_all();
       break;

@@ -6,11 +6,12 @@
 // single images concurrently, and the per-batch costs of the deployed TEE
 // engine (world switches, TA invocations, channel traffic bookkeeping) make
 // it much cheaper to push one batch of N than N batches of one. The server
-// accepts concurrent submit() calls, coalesces queued requests into batches
-// (up to `max_batch`, flushing a partial batch once the oldest queued
-// request has waited `max_queue_delay`), runs them through caller-provided
-// batch functions on a pool of dispatch workers, and fans the per-image
-// results back out through futures.
+// accepts concurrent submit() calls, runs queued requests through
+// caller-provided batch functions on a pool of dispatch workers, and fans
+// the per-image results back out through futures. Dispatch is
+// work-conserving: a free worker takes what is queued, up to `max_batch`, at
+// once, so no request waits while a worker idles, and multi-request batches
+// form from what queues while every worker is busy.
 //
 // Overload safety: the queue is bounded (`queue_capacity`) with a pick of
 // admission policies — block the submitter (backpressure), reject the new
@@ -135,9 +136,10 @@ class InferenceServer {
     /// the engines accept (e.g. DeployedTBNet::Options::max_batch) — the
     /// engine's rejection would fail every request in a full batch.
     int64_t max_batch = 16;
-    /// How long the oldest queued request may wait for company before a
-    /// partial batch is flushed.
-    std::chrono::microseconds max_queue_delay{2000};
+    /// Retired and ignored: a free worker never waits for company before it
+    /// claims (see the file comment). Kept only because perfbench's soak
+    /// config still assigns it; it goes when perfbench next changes.
+    std::chrono::microseconds max_queue_delay{0};
     /// Bound on queued (accepted, unclaimed) requests; 0 = unbounded, which
     /// keeps the pre-PR-7 behavior but lets latency diverge under overload
     /// (see bench_serving's soak section for the receipts).

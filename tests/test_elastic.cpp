@@ -87,7 +87,6 @@ TEST(Autoscaler, ScalesUpUnderSustainedQueueDepth) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(500);
   cfg.min_workers = 1;
   cfg.max_workers = 3;
   cfg.autoscale_interval = microseconds(2000);
@@ -125,7 +124,6 @@ TEST(Autoscaler, CooldownPreventsFlapping) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(500);
   cfg.min_workers = 1;
   cfg.max_workers = 4;
   cfg.autoscale_interval = microseconds(1000);
@@ -147,7 +145,6 @@ TEST(Autoscaler, RespectsMinAndMaxBounds) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(500);
   cfg.min_workers = 2;
   cfg.max_workers = 3;
   cfg.autoscale_interval = microseconds(1000);
@@ -181,7 +178,6 @@ TEST(Autoscaler, ScaleDownKeepsDrainExact) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 2;
-  cfg.max_queue_delay = microseconds(500);
   cfg.min_workers = 1;
   cfg.max_workers = 3;
   cfg.autoscale_interval = microseconds(1000);
@@ -221,7 +217,6 @@ TEST(Autoscaler, ParkedMajorityNeverSwallowsWakeups) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 4;
-  cfg.max_queue_delay = microseconds(200);
   cfg.min_workers = 1;
   cfg.max_workers = 8;
   // No tick fires during the test: the seven parked workers stay parked and
@@ -282,7 +277,6 @@ struct GatedServer {
 TEST(PriorityLanes, HighLaneServedFirst) {
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(200);
   GatedServer gs(cfg);
   auto blocker = gs.occupy();
 
@@ -309,7 +303,6 @@ TEST(PriorityLanes, HighLaneServedFirst) {
 TEST(PriorityLanes, EarliestDeadlineFirstWithinLane) {
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(200);
   GatedServer gs(cfg);
   auto blocker = gs.occupy();
 
@@ -332,7 +325,6 @@ TEST(PriorityLanes, EarliestDeadlineFirstWithinLane) {
 TEST(PriorityLanes, ShedOldestDropsLowestLaneFirst) {
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(200);
   cfg.queue_capacity = 2;
   cfg.admission = AdmissionPolicy::kShedOldest;
   GatedServer gs(cfg);
@@ -363,37 +355,28 @@ TEST(PriorityLanes, ShedOldestDropsLowestLaneFirst) {
   EXPECT_EQ(stats.requests, 3);
 }
 
-TEST(PriorityLanes, MaxQueueDelayBoundsNoDeadlineRequestBehindDeadlined) {
-  // EDF ordering places an early no-deadline arrival BEHIND a later
-  // deadlined one, so the lane front is not the oldest request. The
-  // coalescing flush bound must still honor the OLDEST arrival's
-  // max_queue_delay (it scans every queued request) — a front-only bound
-  // would restart the aged request's clock and hold the batch another full
-  // max_queue_delay.
+TEST(PriorityLanes, ReleasedWorkerClaimsPartialBatchInEdfOrder) {
+  // The moment the gate frees the worker it claims everything queued, a
+  // partial batch, instead of idling for company. EDF ordering places the
+  // early no-deadline arrival BEHIND the later deadlined one within it.
   InferenceServer::Config cfg;
-  cfg.max_batch = 3;  // strictly more than what queues up: no fullness flush
-  cfg.max_queue_delay = milliseconds(200);
+  cfg.max_batch = 3;  // strictly more than what queues up: a partial batch
   GatedServer gs(cfg);
   auto blocker = gs.occupy();
 
-  // The no-deadline request ages well past max_queue_delay while the worker
-  // is occupied; the far-deadline request then sorts ahead of it.
-  auto aged = gs.server->submit(tagged_image(1), microseconds(0));
-  std::this_thread::sleep_for(milliseconds(400));
-  auto fresh = gs.server->submit(tagged_image(2), milliseconds(10000));
+  auto no_deadline = gs.server->submit(tagged_image(1), microseconds(0));
+  auto deadlined = gs.server->submit(tagged_image(2), milliseconds(10000));
   const auto released = std::chrono::steady_clock::now();
   gs.gate.set_value();
 
   EXPECT_EQ(blocker.get().status, Status::kOk);
-  EXPECT_EQ(aged.get().status, Status::kOk);
-  EXPECT_EQ(fresh.get().status, Status::kOk);
+  EXPECT_EQ(no_deadline.get().status, Status::kOk);
+  EXPECT_EQ(deadlined.get().status, Status::kOk);
   const double after_release = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - released)
                                    .count();
-  // The aged request's flush deadline passed long ago, so the partial batch
-  // flushes immediately; a front-only bound would idle ~200ms more.
   EXPECT_LT(after_release, 0.1)
-      << "partial batch idled past the oldest request's max_queue_delay";
+      << "the released worker idled before claiming a partial batch";
   // One batch, EDF order within it: the deadlined request first.
   EXPECT_EQ(gs.service_order(), (std::vector<float>{0, 2, 1}));
 }
@@ -432,7 +415,6 @@ TEST(PriorityLanes, RequeuedRiderKeepsEdfOrder) {
 
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
-  cfg.max_queue_delay = microseconds(200);
   cfg.breaker_threshold = 1;  // the first failed batch trips
   cfg.recovery_backoff = microseconds(500);
   InferenceServer server(std::move(engines), std::move(recovery), cfg);
@@ -462,7 +444,6 @@ TEST(PriorityLanes, ElasticServerPreservesPriorityAcrossScaleUp) {
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 4;
-  cfg.max_queue_delay = microseconds(500);
   cfg.min_workers = 1;
   cfg.max_workers = 2;
   cfg.autoscale_interval = microseconds(1000);

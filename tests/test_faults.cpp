@@ -249,7 +249,6 @@ TEST(ServerFaults, RetryExhaustionResolvesEngineError) {
 
   InferenceServer::Config scfg;
   scfg.max_batch = 4;
-  scfg.max_queue_delay = std::chrono::microseconds(1000);
   InferenceServer server(
       [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
       scfg);
@@ -282,7 +281,6 @@ TEST(ServerFaults, OnePercentTransientRateServesEverythingOk) {
 
   InferenceServer::Config scfg;
   scfg.max_batch = 8;
-  scfg.max_queue_delay = std::chrono::microseconds(500);
   InferenceServer server(
       [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
       scfg);
@@ -314,7 +312,6 @@ TEST(Admission, RejectPolicyAccountsExactly) {
   GatedEngine gate;
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 2;
   scfg.admission = AdmissionPolicy::kReject;
   InferenceServer server(gate.fn(), scfg);
@@ -351,7 +348,6 @@ TEST(Admission, ShedOldestDropsTheFrontAndKeepsTheFreshest) {
   GatedEngine gate;
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 2;
   scfg.admission = AdmissionPolicy::kShedOldest;
   InferenceServer server(gate.fn(), scfg);
@@ -384,7 +380,6 @@ TEST(Admission, BlockPolicyAppliesBackpressure) {
   GatedEngine gate;
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 1;
   scfg.admission = AdmissionPolicy::kBlock;
   InferenceServer server(gate.fn(), scfg);
@@ -418,7 +413,6 @@ TEST(Admission, DeadlineExpiresInQueueWithoutRunning) {
   GatedEngine gate;
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   InferenceServer server(gate.fn(), scfg);
   Rng rng(23);
 
@@ -446,7 +440,6 @@ TEST(Admission, ShutdownUnderLoadResolvesEveryFuture) {
   GatedEngine gate;
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 1;
   scfg.admission = AdmissionPolicy::kBlock;
   InferenceServer server(gate.fn(), scfg);
@@ -488,7 +481,6 @@ TEST(Admission, ConcurrentOverloadNeverLosesAFuture) {
   // accounting identity must hold exactly.
   InferenceServer::Config scfg;
   scfg.max_batch = 4;
-  scfg.max_queue_delay = std::chrono::microseconds(200);
   scfg.queue_capacity = 4;
   scfg.admission = AdmissionPolicy::kShedOldest;
   InferenceServer server(
@@ -867,7 +859,6 @@ TEST(Supervision, QuarantineRequeuesRidersAndDrainStaysExact) {
   engines.push_back(gate.fn());
   InferenceServer::Config scfg;
   scfg.max_batch = 1;  // one rider per batch keeps the interleaving simple
-  scfg.max_queue_delay = std::chrono::microseconds(200);
   InferenceServer server(std::move(engines), scfg);
 
   Rng rng(31);
@@ -1058,7 +1049,6 @@ TEST(Supervision, ChaosIdentityUnderConcurrentLoadAndRecovery) {
   recovery.push_back(nullptr);  // worker 1 is unrecoverable (and never trips)
   InferenceServer::Config scfg;
   scfg.max_batch = 4;
-  scfg.max_queue_delay = std::chrono::microseconds(200);
   scfg.queue_capacity = 16;
   scfg.admission = AdmissionPolicy::kShedOldest;
   scfg.breaker_threshold = 1;

@@ -334,11 +334,23 @@ TEST(InferenceServer, CoalescesConcurrentSubmitters) {
   tee::TeeContext ctx(world);
   DeployedTBNet deployed(tb, ctx);
 
+  // The engine holds its first call until every submitter has joined, so
+  // everything behind it is queued when it returns and rides batches of up
+  // to max_batch: fewer batches than requests by construction.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool submitters_joined = false;
+  std::atomic<int> calls{0};
   InferenceServer::Config scfg;
   scfg.max_batch = 8;
-  scfg.max_queue_delay = std::chrono::microseconds(50000);  // plenty of time
   InferenceServer server(
-      [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
+      [&](const Tensor& nchw) {
+        if (calls.fetch_add(1) == 0) {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return submitters_joined; });
+        }
+        return deployed.infer_batch(nchw);
+      },
       scfg);
 
   Rng rng(12);
@@ -363,6 +375,11 @@ TEST(InferenceServer, CoalescesConcurrentSubmitters) {
       });
     }
     for (auto& th : submitters) th.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    submitters_joined = true;
+    cv.notify_all();
   }
 
   for (int64_t i = 0; i < total; ++i) {
@@ -392,6 +409,68 @@ TEST(InferenceServer, CoalescesConcurrentSubmitters) {
   EXPECT_EQ(stats.batch_latency.count(), stats.batches);
   EXPECT_GE(stats.request_latency.percentile(99.0),
             stats.request_latency.percentile(50.0));
+}
+
+TEST(InferenceServer, FreeWorkerClaimsQueuedWorkAtOnce) {
+  // Dispatch is work-conserving: a free worker claims what is queued at
+  // once instead of idling for company. The retired max_queue_delay is set
+  // to an hour to show it holds nothing. Every wait is bounded, so a server
+  // that idles beside queued work fails here instead of hanging.
+  const auto budget = std::chrono::seconds(10);
+  InferenceServer::Config scfg;
+  scfg.max_batch = 8;
+  scfg.max_queue_delay = std::chrono::hours(1);
+  Rng rng(79);
+
+  // Case 1: a lone request on an idle one-worker server rides alone.
+  {
+    InferenceServer server(
+        [](const Tensor& nchw) { return Tensor(Shape{nchw.dim(0), 2}); },
+        scfg);
+    auto fut = server.submit(Tensor::randn(Shape{1, 2, 2}, rng));
+    ASSERT_EQ(fut.wait_for(budget), std::future_status::ready)
+        << "a lone request waited beside an idle worker";
+    const InferenceResult r = fut.get();
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(r.batch_size, 1);
+  }
+
+  // Case 2: one worker of two is pinned inside a gated batch; a request
+  // submitted during the pin goes to the free sibling before the gate opens.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool pinned = false, release = false;
+  std::atomic<int> calls{0};
+  const InferenceServer::BatchFn gated = [&](const Tensor& nchw) {
+    if (calls.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      pinned = true;
+      cv.notify_all();
+      cv.wait_for(lock, budget, [&] { return release; });
+    }
+    return Tensor(Shape{nchw.dim(0), 2});
+  };
+  InferenceServer server(std::vector<InferenceServer::BatchFn>{gated, gated},
+                         scfg);
+  auto blocker = server.submit(Tensor::randn(Shape{1, 2, 2}, rng));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, budget, [&] { return pinned; }))
+        << "the first request never reached a worker";
+  }
+  auto during_pin = server.submit(Tensor::randn(Shape{1, 2, 2}, rng));
+  const std::future_status served = during_pin.wait_for(budget);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  ASSERT_EQ(served, std::future_status::ready)
+      << "a request waited for the pinned worker while its sibling idled";
+  const InferenceResult r = during_pin.get();
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.batch_size, 1);
+  EXPECT_EQ(blocker.get().status, Status::kOk);
 }
 
 TEST(InferenceServer, DrainWaitsForAllRequests) {
@@ -442,7 +521,6 @@ TEST(InferenceServer, MalformedShapeIsRejectedAlone) {
   // throw inside run_batch failed the whole coalesced batch).
   InferenceServer::Config scfg;
   scfg.max_batch = 8;
-  scfg.max_queue_delay = std::chrono::microseconds(20000);
   InferenceServer server(
       [](const Tensor& nchw) { return Tensor(Shape{nchw.dim(0), 2}); }, scfg);
   Rng rng(41);
@@ -531,7 +609,6 @@ TEST(InferenceServer, ShutdownDrainsOutstandingWork) {
   {
     InferenceServer::Config scfg;
     scfg.max_batch = 4;
-    scfg.max_queue_delay = std::chrono::microseconds(20000);
     InferenceServer server(
         [&model](const Tensor& nchw) { return model.forward(nchw, false); },
         scfg);
@@ -607,7 +684,6 @@ TEST(InferenceServer, CoalescedImagesCountsOnlyRiders) {
   std::atomic<int> calls{0};
   InferenceServer::Config scfg;
   scfg.max_batch = 8;
-  scfg.max_queue_delay = std::chrono::microseconds(500);
   InferenceServer server(
       [&](const Tensor& nchw) {
         if (calls.fetch_add(1) == 0) {
@@ -675,7 +751,6 @@ TEST(InferenceServerWorkers, TwoWorkersDispatchBatchesConcurrently) {
   };
   InferenceServer::Config scfg;
   scfg.max_batch = 1;  // one request = one batch: the 2nd must overlap
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   InferenceServer server(std::vector<InferenceServer::BatchFn>{engine, engine},
                          scfg);
   ASSERT_EQ(server.workers(), 2);
@@ -711,7 +786,6 @@ TEST(InferenceServerWorkers, QueueDepthHighWaterIsRecorded) {
   std::atomic<int> calls{0};
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
-  scfg.max_queue_delay = std::chrono::microseconds(100);
   InferenceServer server(
       [&](const Tensor& nchw) {
         if (calls.fetch_add(1) == 0) {
@@ -763,7 +837,6 @@ TEST(InferenceServerWorkers, ParallelEnginesServeTheSameModelCorrectly) {
 
   InferenceServer::Config scfg;
   scfg.max_batch = 4;
-  scfg.max_queue_delay = std::chrono::microseconds(2000);
   InferenceServer server(
       std::vector<InferenceServer::BatchFn>{
           [&engine_a](const Tensor& nchw) { return engine_a.infer_batch(nchw); },

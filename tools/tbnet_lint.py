@@ -55,6 +55,12 @@ Rules (each reported as `rule-name: file:line: message`):
                      baselines) installs a TbnetTA image, so the REE-facing
                      parser that must treat every byte as hostile exists
                      once. Tests and perfbench keep their echo TAs.
+  retired-name       Within src/, bench/, tools/ and examples/, a retired
+                     name appears only in the file that keeps it:
+                     max_queue_delay in src/runtime/server.h, kCmdPushStage
+                     in src/runtime/deployed.h. Both stay only because
+                     perfbench/ names them; the rule and its entries go
+                     when perfbench next changes.
 
 Comments and string literals are stripped before token scans, so a banned
 token inside an error message or a comment never fires.
@@ -453,6 +459,30 @@ def check_one_ta(root):
     return findings
 
 
+# ----------------------------------------------------------- retired-name --
+
+# Retired name -> the one file that may still name it.
+RETIRED_NAMES = {
+    "max_queue_delay": "src/runtime/server.h",
+    "kCmdPushStage": "src/runtime/deployed.h",
+}
+
+
+def check_retired_name(root):
+    findings = []
+    for path in code_files(root):
+        relpath = rel(root, path).replace(os.sep, "/")
+        text = strip_code(read(path))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for name, home in RETIRED_NAMES.items():
+                if relpath != home and re.search(rf"\b{name}\b", line):
+                    findings.append(Finding(
+                        "retired-name", relpath, lineno,
+                        f"{name} is retired — only {home} keeps it, and "
+                        f"only while perfbench/ names it"))
+    return findings
+
+
 CHECKS = [
     check_hot_path_heap,
     check_enum_switch,
@@ -462,6 +492,7 @@ CHECKS = [
     check_seeded_rng,
     check_kernel_pin,
     check_one_ta,
+    check_retired_name,
 ]
 
 

@@ -342,6 +342,34 @@ class OneTaTest(LintFixture):
         self.assertEqual(self.rules_fired(), [])
 
 
+class RetiredNameTest(LintFixture):
+    def test_retired_names_outside_their_homes_fire(self):
+        self.put("bench/bench_serving.cpp",
+                 "scfg.max_queue_delay = std::chrono::microseconds(2000);\n")
+        self.put("src/runtime/deployed.cpp", """\
+            void replay() {
+              session.invoke(kCmdPushStage, payload, &out);
+            }
+            """)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual(sorted((f.rule, f.path, f.line) for f in fired),
+                         [("retired-name", "bench/bench_serving.cpp", 1),
+                          ("retired-name", "src/runtime/deployed.cpp", 2)])
+
+    def test_homes_comments_and_unscanned_dirs_are_ignored(self):
+        self.put("src/runtime/server.h",
+                 "std::chrono::microseconds max_queue_delay{0};\n")
+        self.put("src/runtime/deployed.h",
+                 "inline constexpr uint32_t kCmdPushStage = 2;\n")
+        self.put("src/runtime/server.cpp",
+                 "// max_queue_delay is retired; no kCmdPushStage here\n")
+        self.put("tests/test_serving.cpp",
+                 "scfg.max_queue_delay = std::chrono::hours(1);\n")
+        self.put("perfbench/src/serving.cpp",
+                 "session.invoke(runtime::kCmdPushStage, payload, &out);\n")
+        self.assertEqual(self.rules_fired(), [])
+
+
 class RealRepoTest(unittest.TestCase):
     """The committed tree must lint clean — same invocation CI blocks on."""
 
