@@ -8,7 +8,8 @@
 // (work-stealing vs the inline-serial path), fused-lowering vs materialized
 // conv timings (with the fused call's panel-build time and arena
 // footprints), depthwise row-kernel timings (SIMD vs scalar reference, and
-// fused dw→pw vs back-to-back layers), and fused-epilogue conv timings. The
+// fused dw→pw vs back-to-back layers), fused-epilogue conv timings, and
+// training-mode layer timings (ReLU, BatchNorm2d, conv backward). The
 // shape list is the im2col GEMMs a CIFAR-scale ResNet victim actually
 // produces, so the speedup column tracks the serving-relevant sizes rather
 // than only square LINPACK-style GEMMs.
@@ -533,6 +534,77 @@ ConvPoint bench_fused_conv(const char* name, int64_t c, int64_t hw, int reps) {
   return p;
 }
 
+struct TrainPoint {
+  std::string name;
+  double flops = 0.0;  ///< nominal arithmetic per call
+  double ms = 0.0;
+};
+
+/// One training-mode layer call at protect_pipeline's shapes: forward(train)
+/// or, after one forward(train), backward. Backward re-runs on the same
+/// cached activations (weight gradients keep accumulating, which costs the
+/// same every call).
+TrainPoint bench_train(const std::string& name, nn::Layer& layer,
+                       const Shape& in, bool backward, double flops,
+                       int reps) {
+  Rng rng(91);
+  const Tensor x = Tensor::randn(in, rng);
+  ExecutionContext ctx;
+  const Tensor dy = Tensor::randn(layer.forward(ctx, x, true).shape(), rng);
+  auto call = [&] {
+    if (backward) {
+      layer.backward(ctx, dy);
+    } else {
+      layer.forward(ctx, x, true);
+    }
+  };
+  call();  // warmup (arena growth)
+  TrainPoint p{name, flops, 1e30};
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < 8; ++i) call();
+    p.ms = std::min(p.ms, seconds_since(t0) / 8.0 * 1e3);
+  }
+  return p;
+}
+
+/// The training section: ReLU and BN forward(train)/backward and conv3x3
+/// backward at batch 8, 8 channels, 32x32 (ResNet20 w=0.125's first stage),
+/// plus conv3x3 backward at 16 channels, where dW takes the tiled path.
+std::vector<TrainPoint> bench_training(int reps) {
+  const int64_t b = 8, hw = 32;
+  std::vector<TrainPoint> out;
+  {
+    const Shape s{b, 8, hw, hw};
+    const double n = static_cast<double>(s.numel());
+    nn::ReLU relu;
+    out.push_back(bench_train("relu_train_fwd_8c_32x32", relu, s, false, n,
+                              reps));
+    out.push_back(bench_train("relu_train_bwd_8c_32x32", relu, s, true, n,
+                              reps));
+    // Two reductions and the normalize pass, about 8 flops per element each
+    // way.
+    nn::BatchNorm2d bn(8);
+    out.push_back(bench_train("bn_train_fwd_8c_32x32", bn, s, false, 8 * n,
+                              reps));
+    out.push_back(bench_train("bn_train_bwd_8c_32x32", bn, s, true, 8 * n,
+                              reps));
+  }
+  for (const int64_t c : {8, 16}) {
+    Rng rng(92);
+    nn::Conv2d conv(
+        c, c, nn::Conv2d::Options{.kernel = 3, .stride = 1, .pad = 1,
+                                  .bias = false},
+        rng);
+    // dW and dX are one [c x 9c x hw^2] GEMM each per image.
+    const double flops = 2.0 * 2.0 * static_cast<double>(b * c * 9 * c * hw * hw);
+    out.push_back(bench_train("conv3x3_train_bwd_" + std::to_string(c) +
+                                  "c_32x32",
+                              conv, Shape{b, c, hw, hw}, true, flops, reps));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -753,6 +825,17 @@ int main(int argc, char** argv) {
         convs[i].name, convs[i].unfused_ms, convs[i].fused_ms,
         convs[i].unfused_ms / convs[i].fused_ms,
         i + 1 < convs.size() ? "," : "");
+  }
+  std::printf("  ],\n");
+
+  // Training-mode layer calls (the protection pipeline's inner loop), emitted
+  // in --quick too so CI gates them.
+  std::printf("  \"training\": [\n");
+  const std::vector<TrainPoint> train = bench_training(reps);
+  for (size_t i = 0; i < train.size(); ++i) {
+    std::printf("    {\"name\": \"%s\", \"flops\": %.0f, \"ms\": %.4f}%s\n",
+                train[i].name.c_str(), train[i].flops, train[i].ms,
+                i + 1 < train.size() ? "," : "");
   }
   std::printf("  ]\n");
   std::printf("}\n");

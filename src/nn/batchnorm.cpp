@@ -38,6 +38,39 @@ int64_t BatchNorm2d::param_bytes() const {
   return 4 * channels_ * static_cast<int64_t>(sizeof(float));
 }
 
+namespace {
+
+/// A double sum over a channel's planes in a fixed order: element p of each
+/// plane adds into lane p % kLanes, and the lanes fold in a fixed tree. The
+/// lanes are independent chains, so the compiler vectorizes them, and the
+/// bits depend only on the data: a channel runs on one pool thread, and
+/// the order names no vector width.
+class LaneSum {
+ public:
+  static constexpr int64_t kLanes = 8;
+
+  /// Adds term(p) for p in [0, len).
+  template <typename Term>
+  void add(int64_t len, Term term) {
+    int64_t p = 0;
+    for (; p + kLanes <= len; p += kLanes) {
+      for (int64_t l = 0; l < kLanes; ++l) lane_[l] += term(p + l);
+    }
+    for (int64_t l = 0; p < len; ++p, ++l) lane_[l] += term(p);
+  }
+
+  double total() const {
+    static_assert(kLanes == 8, "the fold below names eight lanes");
+    return ((lane_[0] + lane_[4]) + (lane_[2] + lane_[6])) +
+           ((lane_[1] + lane_[5]) + (lane_[3] + lane_[7]));
+  }
+
+ private:
+  double lane_[kLanes] = {};
+};
+
+}  // namespace
+
 Tensor BatchNorm2d::forward(ExecutionContext& ctx, const Tensor& input,
                             bool train) {
   out_shape(input.shape());  // validates
@@ -48,43 +81,54 @@ Tensor BatchNorm2d::forward(ExecutionContext& ctx, const Tensor& input,
   Tensor out(input.shape());
 
   if (train) {
-    cached_xhat_ = Tensor(input.shape());
-    cached_inv_std_.assign(static_cast<size_t>(c), 0.0f);
-    for (int64_t ch = 0; ch < c; ++ch) {
-      double mean = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* src = input.data() + (i * c + ch) * spatial;
-        for (int64_t p = 0; p < spatial; ++p) mean += src[p];
-      }
-      mean /= static_cast<double>(per_channel);
-      double var = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* src = input.data() + (i * c + ch) * spatial;
-        for (int64_t p = 0; p < spatial; ++p) {
-          const double d = src[p] - mean;
-          var += d * d;
-        }
-      }
-      var /= static_cast<double>(per_channel);
-
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[static_cast<size_t>(ch)] = inv_std;
-      const float g = gamma_[ch], b = beta_[ch];
-      for (int64_t i = 0; i < n; ++i) {
-        const float* src = input.data() + (i * c + ch) * spatial;
-        float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
-        float* dst = out.data() + (i * c + ch) * spatial;
-        for (int64_t p = 0; p < spatial; ++p) {
-          xh[p] = (src[p] - static_cast<float>(mean)) * inv_std;
-          dst[p] = g * xh[p] + b;
-        }
-      }
-      // Exponential running stats (biased variance, matching the norm).
-      running_mean_[ch] = (1.0f - momentum_) * running_mean_[ch] +
-                          momentum_ * static_cast<float>(mean);
-      running_var_[ch] = (1.0f - momentum_) * running_var_[ch] +
-                         momentum_ * static_cast<float>(var);
+    // Every element of the cache is rewritten below, so a same-shape cache
+    // keeps its storage.
+    if (cached_xhat_.shape() != input.shape()) {
+      cached_xhat_ = Tensor(input.shape());
     }
+    cached_inv_std_.assign(static_cast<size_t>(c), 0.0f);
+    // Channels are independent: shard them on the context pool. Each
+    // channel's reductions run whole on one thread in LaneSum's fixed
+    // order, so the bits do not depend on the pool size.
+    ctx.parallel_for(c, [&](int64_t c0, int64_t c1) {
+      for (int64_t ch = c0; ch < c1; ++ch) {
+        LaneSum sum;
+        for (int64_t i = 0; i < n; ++i) {
+          const float* src = input.data() + (i * c + ch) * spatial;
+          sum.add(spatial, [src](int64_t p) { return double{src[p]}; });
+        }
+        const double mean = sum.total() / static_cast<double>(per_channel);
+        LaneSum sq;
+        for (int64_t i = 0; i < n; ++i) {
+          const float* src = input.data() + (i * c + ch) * spatial;
+          sq.add(spatial, [src, mean](int64_t p) {
+            const double d = src[p] - mean;
+            return d * d;
+          });
+        }
+        const double var = sq.total() / static_cast<double>(per_channel);
+
+        const float inv_std =
+            1.0f / std::sqrt(static_cast<float>(var) + eps_);
+        cached_inv_std_[static_cast<size_t>(ch)] = inv_std;
+        const float g = gamma_[ch], b = beta_[ch];
+        const float mean_f = static_cast<float>(mean);
+        for (int64_t i = 0; i < n; ++i) {
+          const float* src = input.data() + (i * c + ch) * spatial;
+          float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
+          float* dst = out.data() + (i * c + ch) * spatial;
+          for (int64_t p = 0; p < spatial; ++p) {
+            xh[p] = (src[p] - mean_f) * inv_std;
+            dst[p] = g * xh[p] + b;
+          }
+        }
+        // Exponential running stats (biased variance, matching the norm).
+        running_mean_[ch] = (1.0f - momentum_) * running_mean_[ch] +
+                            momentum_ * mean_f;
+        running_var_[ch] = (1.0f - momentum_) * running_var_[ch] +
+                           momentum_ * static_cast<float>(var);
+      }
+    });
   } else {
     // Eval mode is the deployed hot path: channels are independent, shard
     // them on the context pool (disjoint writes; per-element math unchanged).
@@ -105,7 +149,8 @@ Tensor BatchNorm2d::forward(ExecutionContext& ctx, const Tensor& input,
   return out;
 }
 
-Tensor BatchNorm2d::backward(ExecutionContext&, const Tensor& grad_output) {
+Tensor BatchNorm2d::backward(ExecutionContext& ctx,
+                             const Tensor& grad_output) {
   if (cached_xhat_.empty()) {
     throw std::logic_error("BatchNorm2d::backward before forward(train)");
   }
@@ -118,34 +163,38 @@ Tensor BatchNorm2d::backward(ExecutionContext&, const Tensor& grad_output) {
   const int64_t per_channel = n * spatial;
   Tensor grad_input(grad_output.shape());
 
-  for (int64_t ch = 0; ch < c; ++ch) {
-    // Accumulate dgamma = sum(dy * xhat), dbeta = sum(dy), plus the two batch
-    // means needed for dx.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* dy = grad_output.data() + (i * c + ch) * spatial;
-      const float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
-      for (int64_t p = 0; p < spatial; ++p) {
-        sum_dy += dy[p];
-        sum_dy_xhat += dy[p] * xh[p];
+  // Sharded by channel like forward, with the same fixed LaneSum order.
+  ctx.parallel_for(c, [&](int64_t c0, int64_t c1) {
+    for (int64_t ch = c0; ch < c1; ++ch) {
+      // Accumulate dgamma = sum(dy * xhat), dbeta = sum(dy), plus the two
+      // batch means needed for dx.
+      LaneSum sum_dy, sum_dy_xhat;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* dy = grad_output.data() + (i * c + ch) * spatial;
+        const float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
+        sum_dy.add(spatial, [dy](int64_t p) { return double{dy[p]}; });
+        sum_dy_xhat.add(spatial, [dy, xh](int64_t p) {
+          return static_cast<double>(dy[p] * xh[p]);
+        });
       }
-    }
-    gamma_grad_[ch] += static_cast<float>(sum_dy_xhat);
-    beta_grad_[ch] += static_cast<float>(sum_dy);
+      gamma_grad_[ch] += static_cast<float>(sum_dy_xhat.total());
+      beta_grad_[ch] += static_cast<float>(sum_dy.total());
 
-    const float inv_std = cached_inv_std_[static_cast<size_t>(ch)];
-    const float g = gamma_[ch];
-    const float mean_dy = static_cast<float>(sum_dy / per_channel);
-    const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / per_channel);
-    for (int64_t i = 0; i < n; ++i) {
-      const float* dy = grad_output.data() + (i * c + ch) * spatial;
-      const float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
-      float* dx = grad_input.data() + (i * c + ch) * spatial;
-      for (int64_t p = 0; p < spatial; ++p) {
-        dx[p] = g * inv_std * (dy[p] - mean_dy - xh[p] * mean_dy_xhat);
+      const float inv_std = cached_inv_std_[static_cast<size_t>(ch)];
+      const float g = gamma_[ch];
+      const float mean_dy = static_cast<float>(sum_dy.total() / per_channel);
+      const float mean_dy_xhat =
+          static_cast<float>(sum_dy_xhat.total() / per_channel);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* dy = grad_output.data() + (i * c + ch) * spatial;
+        const float* xh = cached_xhat_.data() + (i * c + ch) * spatial;
+        float* dx = grad_input.data() + (i * c + ch) * spatial;
+        for (int64_t p = 0; p < spatial; ++p) {
+          dx[p] = g * inv_std * (dy[p] - mean_dy - xh[p] * mean_dy_xhat);
+        }
       }
     }
-  }
+  });
   return grad_input;
 }
 

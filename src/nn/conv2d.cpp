@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -218,20 +219,31 @@ Tensor Conv2d::backward(ExecutionContext& ctx, const Tensor& grad_output) {
 
   Tensor grad_input(x.shape());
   ArenaScope scope(ctx.arena());
+  // One column buffer per image serves both GEMMs: dW reads the image's
+  // columns, then dX's column gradient overwrites them.
   float* colbuf = ctx.arena().alloc(rows * cols);
-  float* dcol = ctx.arena().alloc(rows * cols);
+  // dW^T [rows, out_c], summed over the batch before it meets weight_grad_.
+  float* dwt = ctx.arena().alloc(rows * out_c_);
+  std::fill(dwt, dwt + rows * out_c_, 0.0f);
   const int64_t in_stride = in_c_ * g.in_h * g.in_w;
   const int64_t out_stride = out_c_ * cols;
 
   for (int64_t i = 0; i < n; ++i) {
     const float* dy = grad_output.data() + i * out_stride;
-    // dW += dy * cols^T       [out_c, rows]
+    // dW^T += cols * dy^T     [rows, out_c]
+    // The column matrix is the A operand, which is packed row by row (or,
+    // below kNR output channels, read in place by per-element dots); only
+    // dy, out_c x cols, goes into transposed B panels. dW = dy * cols^T
+    // would transpose the whole column matrix instead.
     im2col(ctx, g, x.data() + i * in_stride, colbuf);
-    gemm_nt(ctx, out_c_, rows, cols, 1.0f, dy, colbuf, 1.0f,
-            weight_grad_.data());
+    gemm_nt(ctx, rows, out_c_, cols, 1.0f, colbuf, dy, 1.0f, dwt);
     // dcols = W^T * dy        [rows, cols]
-    gemm_tn(ctx, rows, cols, out_c_, 1.0f, weight_.data(), dy, 0.0f, dcol);
-    col2im(g, dcol, grad_input.data() + i * in_stride);
+    gemm_tn(ctx, rows, cols, out_c_, 1.0f, weight_.data(), dy, 0.0f, colbuf);
+    col2im(g, colbuf, grad_input.data() + i * in_stride);
+  }
+  for (int64_t o = 0; o < out_c_; ++o) {
+    float* wg = weight_grad_.data() + o * rows;
+    for (int64_t r = 0; r < rows; ++r) wg[r] += dwt[r * out_c_ + o];
   }
   if (opt_.bias) {
     for (int64_t i = 0; i < n; ++i) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
+#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/residual.h"
@@ -106,20 +108,19 @@ Tensor walk_residual(ResidualBlock& rb, ExecutionContext& ctx, const Tensor& x,
                      int* count) {
   Tensor mid = walk_conv(rb.conv1(), ctx, x, count);
   mid = rb.bn1().forward(ctx, mid, /*train=*/false);
-  for (int64_t i = 0; i < mid.numel(); ++i) {
-    if (mid[i] < 0.0f) mid[i] = 0.0f;
-  }
+  relu_forward(mid.numel(), mid.data(), nullptr, nullptr);
   Tensor main = walk_conv(rb.conv2(), ctx, mid, count);
   main = rb.bn2().forward(ctx, main, /*train=*/false);
-  Tensor skip = x;
+  Tensor down;
   if (rb.has_downsample()) {
-    skip = walk_conv(rb.down_conv(), ctx, x, count);
-    skip = rb.down_bn().forward(ctx, skip, /*train=*/false);
+    down = walk_conv(rb.down_conv(), ctx, x, count);
+    down = rb.down_bn().forward(ctx, down, /*train=*/false);
   }
-  main.add_(skip);
-  for (int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
+  const Tensor& skip = rb.has_downsample() ? down : x;
+  if (skip.shape() != main.shape()) {
+    throw std::logic_error("quantize_for_inference: skip/main shape mismatch");
   }
+  relu_forward(main.numel(), main.data(), skip.data(), nullptr);
   return main;
 }
 

@@ -73,18 +73,16 @@ Tensor ResidualBlock::forward_fused_eval(ExecutionContext& ctx,
   Tensor main = conv2_->forward_fused(ctx, mid, fused_s2_.data(),
                                       fused_t2_.data(), simd::Act::kNone);
 
-  Tensor skip = input;
+  Tensor down;
   if (down_conv_) {
-    skip = down_conv_->forward_fused(ctx, input, fused_sd_.data(),
+    down = down_conv_->forward_fused(ctx, input, fused_sd_.data(),
                                      fused_td_.data(), simd::Act::kNone);
   }
+  const Tensor& skip = down_conv_ ? down : input;
   if (skip.shape() != main.shape()) {
     throw std::logic_error("ResidualBlock: skip/main shape mismatch");
   }
-  main.add_(skip);
-  for (int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
+  relu_forward(main.numel(), main.data(), skip.data(), nullptr);
   return main;
 }
 
@@ -96,36 +94,27 @@ Tensor ResidualBlock::forward(ExecutionContext& ctx, const Tensor& input,
   if (train) cached_input_ = input;
   Tensor mid = bn1_->forward(ctx, conv1_->forward(ctx, input, train), train);
   if (train) {
-    relu1_mask_.assign(static_cast<size_t>(mid.numel()), 0);
+    relu1_mask_.resize(static_cast<size_t>(mid.numel()));
     mid_shape_ = mid.shape();
   }
-  for (int64_t i = 0; i < mid.numel(); ++i) {
-    if (mid[i] > 0.0f) {
-      if (train) relu1_mask_[static_cast<size_t>(i)] = 1;
-    } else {
-      mid[i] = 0.0f;
-    }
-  }
+  relu_forward(mid.numel(), mid.data(), nullptr,
+               train ? relu1_mask_.data() : nullptr);
   Tensor main = bn2_->forward(ctx, conv2_->forward(ctx, mid, train), train);
-  Tensor skip = down_conv_
-                    ? down_bn_->forward(
-                          ctx, down_conv_->forward(ctx, input, train), train)
-                    : input;
+  Tensor down;
+  if (down_conv_) {
+    down = down_bn_->forward(ctx, down_conv_->forward(ctx, input, train),
+                             train);
+  }
+  const Tensor& skip = down_conv_ ? down : input;
   if (skip.shape() != main.shape()) {
     throw std::logic_error("ResidualBlock: skip/main shape mismatch");
   }
-  main.add_(skip);
   if (train) {
-    relu_out_mask_.assign(static_cast<size_t>(main.numel()), 0);
+    relu_out_mask_.resize(static_cast<size_t>(main.numel()));
     out_shape_cache_ = main.shape();
   }
-  for (int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] > 0.0f) {
-      if (train) relu_out_mask_[static_cast<size_t>(i)] = 1;
-    } else {
-      main[i] = 0.0f;
-    }
-  }
+  relu_forward(main.numel(), main.data(), skip.data(),
+               train ? relu_out_mask_.data() : nullptr);
   return main;
 }
 
@@ -139,17 +128,13 @@ Tensor ResidualBlock::backward(ExecutionContext& ctx,
   }
   // Through the output ReLU.
   Tensor g = grad_output;
-  for (int64_t i = 0; i < g.numel(); ++i) {
-    if (!relu_out_mask_[static_cast<size_t>(i)]) g[i] = 0.0f;
-  }
+  relu_backward(g.numel(), g.data(), relu_out_mask_.data());
   // Skip path.
   Tensor grad_input_skip =
       down_conv_ ? down_conv_->backward(ctx, down_bn_->backward(ctx, g)) : g;
   // Main path: bn2 <- conv2 <- relu1 <- bn1 <- conv1.
   Tensor gm = conv2_->backward(ctx, bn2_->backward(ctx, g));
-  for (int64_t i = 0; i < gm.numel(); ++i) {
-    if (!relu1_mask_[static_cast<size_t>(i)]) gm[i] = 0.0f;
-  }
+  relu_backward(gm.numel(), gm.data(), relu1_mask_.data());
   Tensor grad_input = conv1_->backward(ctx, bn1_->backward(ctx, gm));
   grad_input.add_(grad_input_skip);
   return grad_input;

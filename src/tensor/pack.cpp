@@ -8,6 +8,10 @@
 
 #include "tensor/threadpool.h"
 
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
+
 namespace tbnet {
 namespace packdetail {
 namespace {
@@ -32,13 +36,57 @@ int64_t packed_b_floats(int64_t k, int64_t n) {
   return ceil_div(n, kNR) * kNR * std::max<int64_t>(k, 1);
 }
 
+namespace {
+
+/// Interleaves six full rows r[0..5] (each kc floats) into the [kc][6] A
+/// panel layout, four taps per step with an SSE 4x4 transpose. This is the
+/// transpose the packed layout needs, done a register at a time; it matters
+/// where A is large, as for the column matrix of a conv's weight gradient.
+/// Returns how many taps it wrote (a multiple of 4).
+int64_t pack_a_rows6(const float* const* r, int64_t kc, float* panel) {
+  int64_t p = 0;
+#if defined(__SSE2__)
+  static_assert(kMR == 6);
+  for (; p + 4 <= kc; p += 4) {
+    __m128 x0 = _mm_loadu_ps(r[0] + p), x1 = _mm_loadu_ps(r[1] + p);
+    __m128 x2 = _mm_loadu_ps(r[2] + p), x3 = _mm_loadu_ps(r[3] + p);
+    const __m128 x4 = _mm_loadu_ps(r[4] + p), x5 = _mm_loadu_ps(r[5] + p);
+    _MM_TRANSPOSE4_PS(x0, x1, x2, x3);  // x_j = rows 0..3 at tap p + j
+    const __m128 lo = _mm_unpacklo_ps(x4, x5);  // rows 4, 5 at p, p + 1
+    const __m128 hi = _mm_unpackhi_ps(x4, x5);  // rows 4, 5 at p + 2, p + 3
+    float* col = panel + p * kMR;
+    _mm_storeu_ps(col, x0);
+    _mm_storel_pi(reinterpret_cast<__m64*>(col + 4), lo);
+    _mm_storeu_ps(col + 6, x1);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(col + 10), lo);
+    _mm_storeu_ps(col + 12, x2);
+    _mm_storel_pi(reinterpret_cast<__m64*>(col + 16), hi);
+    _mm_storeu_ps(col + 18, x3);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(col + 22), hi);
+  }
+#else
+  (void)r;
+  (void)kc;
+  (void)panel;
+#endif
+  return p;
+}
+
+}  // namespace
+
 /// Packs the A panel at row offset i0 across every k block.
 void pack_a_panel(int64_t m, int64_t k, const float* a, int64_t lda,
                   int64_t m_round, int64_t i0, float* dst) {
   for (int64_t kk = 0; kk < k; kk += kBlockK) {
     const int64_t kc = std::min(kBlockK, k - kk);
     float* panel = dst + m_round * kk + i0 * kc;
-    for (int64_t p = 0; p < kc; ++p) {
+    int64_t p = 0;
+    if (i0 + kMR <= m) {
+      const float* r[kMR];
+      for (int64_t j = 0; j < kMR; ++j) r[j] = a + (i0 + j) * lda + kk;
+      p = pack_a_rows6(r, kc, panel);
+    }
+    for (; p < kc; ++p) {
       float* col = panel + p * kMR;
       for (int64_t r = 0; r < kMR; ++r) {
         const int64_t row = i0 + r;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/pruner.h"
 #include "data/synthetic_cifar.h"
 #include "models/model_zoo.h"
@@ -11,6 +16,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/residual.h"
+#include "tensor/threadpool.h"
 
 namespace tbnet::models {
 namespace {
@@ -219,6 +225,105 @@ TEST(Trainer, BnL1ShrinksGammasVsControl) {
     return mass;
   };
   EXPECT_LT(run(0.05), run(0.0));
+}
+
+// ------------------------------------------------ training bits --------
+
+/// What one training step leaves behind, as raw bits: every gradient, the
+/// input gradient where there is one, and a state blob that carries the BN
+/// running statistics.
+struct StepBits {
+  std::vector<std::vector<uint32_t>> grads;
+  std::vector<uint32_t> dx;
+  std::string state;
+};
+
+std::vector<uint32_t> tensor_bits(const Tensor& t) {
+  std::vector<uint32_t> out(static_cast<size_t>(t.numel()));
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    out[static_cast<size_t>(i)] = std::bit_cast<uint32_t>(t[i]);
+  }
+  return out;
+}
+
+/// Runs `step` with ThreadPool::global() swapped for a `threads`-thread pool.
+template <typename Step>
+StepBits with_pool(int threads, Step step) {
+  ThreadPool pool(threads);
+  ThreadPool::set_global_for_testing(&pool);
+  StepBits bits = step();
+  ThreadPool::set_global_for_testing(nullptr);
+  return bits;
+}
+
+void expect_same_step(const StepBits& got, const StepBits& want, int threads) {
+  ASSERT_EQ(got.grads.size(), want.grads.size());
+  for (size_t i = 0; i < got.grads.size(); ++i) {
+    EXPECT_EQ(got.grads[i], want.grads[i])
+        << "threads=" << threads << " grad " << i;
+  }
+  EXPECT_EQ(got.dx, want.dx) << "threads=" << threads << " input grad";
+  EXPECT_EQ(got.state, want.state) << "threads=" << threads << " state";
+}
+
+TEST(TrainingBits, TwoBranchStepIndependentOfPoolSize) {
+  ModelConfig cfg = small_resnet();
+  cfg.width_mult = 0.125;
+  const nn::Sequential victim = build_victim(cfg);
+  const core::TwoBranchModel base = build_two_branch(victim, cfg);
+  Rng rng(11);
+  const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+  const Tensor g = Tensor::randn(Shape{4, cfg.classes}, rng);
+  auto step = [&] {
+    core::TwoBranchModel m = base.clone();
+    m.zero_grad();
+    ExecutionContext ctx;
+    m.forward(ctx, x, /*train=*/true);
+    m.backward(ctx, g);
+    StepBits bits;
+    for (const nn::ParamRef& p : m.params()) {
+      bits.grads.push_back(tensor_bits(*p.grad));
+    }
+    std::stringstream ss;
+    core::save_two_branch(ss, m);  // weights and BN running stats
+    bits.state = ss.str();
+    return bits;
+  };
+  const StepBits want = with_pool(1, step);
+  for (const int threads : {2, 4}) {
+    expect_same_step(with_pool(threads, step), want, threads);
+  }
+}
+
+TEST(TrainingBits, WideResidualStepIndependentOfPoolSize) {
+  // 24 output channels put every conv's dW on the tiled path (n >= kNR).
+  Rng rng(12);
+  const nn::ResidualBlock base(16, 24, 1, rng);
+  const Tensor x = Tensor::randn(Shape{3, 16, 12, 12}, rng);
+  const Tensor g = Tensor::randn(Shape{3, 24, 12, 12}, rng);
+  auto step = [&] {
+    std::unique_ptr<nn::Layer> block = base.clone();
+    ExecutionContext ctx;
+    block->forward(ctx, x, /*train=*/true);
+    StepBits bits;
+    bits.dx = tensor_bits(block->backward(ctx, g));
+    for (const nn::ParamRef& p : block->params()) {
+      bits.grads.push_back(tensor_bits(*p.grad));
+    }
+    auto& rb = static_cast<nn::ResidualBlock&>(*block);
+    for (nn::BatchNorm2d* bn : {&rb.bn1(), &rb.bn2(), &rb.down_bn()}) {
+      for (const Tensor* t : {&bn->running_mean(), &bn->running_var()}) {
+        const std::vector<uint32_t> b = tensor_bits(*t);
+        bits.state.append(reinterpret_cast<const char*>(b.data()),
+                          b.size() * sizeof(uint32_t));
+      }
+    }
+    return bits;
+  };
+  const StepBits want = with_pool(1, step);
+  for (const int threads : {2, 4}) {
+    expect_same_step(with_pool(threads, step), want, threads);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "nn/activations.h"
@@ -15,6 +17,7 @@
 #include "nn/init.h"
 #include "nn/optimizer.h"
 #include "nn/pool.h"
+#include "nn/quant.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
 #include "nn/serialize.h"
@@ -461,6 +464,361 @@ TEST(ResidualBlock, PlainBlockMirrorsMainBranch) {
   auto* c1 = plain.find_nth<Conv2d>(0);
   ASSERT_NE(c1, nullptr);
   EXPECT_TRUE(allclose(c1->weight(), block.conv1().weight(), 0.0f, 0.0f));
+}
+
+// ---------------------------------------------------- ReLU-family bits ----
+//
+// Every ReLU-family loop runs nn::relu_forward / relu_backward (or, for
+// LeakyReLU, the same select with a slope). These tests hold each rewritten
+// loop to a naive per-element oracle bit for bit, on inputs that include
+// signed zeros, infinities, NaN and denormals. The shipped semantics: an
+// element is kept only when x > 0, so NaN and -0.0 become +0.0 in ReLU
+// (as in the GEMM epilogue's Act::kReLU), and LeakyReLU scales them.
+
+uint32_t bits(float v) { return std::bit_cast<uint32_t>(v); }
+
+float relu_oracle(float v) {
+  if (v > 0.0f) return v;
+  return 0.0f;
+}
+
+/// Bitwise comparison: NaN matches NaN, -0.0 does not match +0.0.
+void expect_bits(const Tensor& got, const std::vector<float>& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size())) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[static_cast<size_t>(i)]))
+        << what << " at " << i << ": got " << got[i] << ", want "
+        << want[static_cast<size_t>(i)];
+  }
+}
+
+void expect_bits(const Tensor& got, const Tensor& want,
+                 const std::string& what) {
+  expect_bits(got, std::vector<float>(want.flat().begin(), want.flat().end()),
+              what);
+}
+
+/// `shape` filled with zero-mean normals, the first entries replaced by the
+/// special values (all of them, or only the finite ones).
+Tensor with_specials(const Shape& shape, Rng& rng, bool finite_only) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();
+  std::vector<float> specials = {0.0f,  -0.0f, den,   -den,  1e-40f,
+                                 -1e-40f, tiny, -tiny, 1.0f, -1.0f};
+  if (!finite_only) {
+    for (float v : {inf, -inf, nan, -nan}) specials.push_back(v);
+  }
+  Tensor t = Tensor::randn(shape, rng);
+  for (size_t i = 0; i < specials.size() && static_cast<int64_t>(i) < t.numel();
+       ++i) {
+    t[static_cast<int64_t>(i) * 7 % t.numel()] = specials[i];
+  }
+  return t;
+}
+
+/// v[i] -> relu_oracle(v[i] + skip[i]), and the mask v + skip > 0.
+std::vector<float> add_relu_oracle(const Tensor& v, const Tensor& skip,
+                                   std::vector<bool>* mask = nullptr) {
+  std::vector<float> out(static_cast<size_t>(v.numel()));
+  if (mask != nullptr) mask->assign(out.size(), false);
+  for (int64_t i = 0; i < v.numel(); ++i) {
+    const float u = skip.empty() ? v[i] : v[i] + skip[i];
+    out[static_cast<size_t>(i)] = relu_oracle(u);
+    if (mask != nullptr) (*mask)[static_cast<size_t>(i)] = u > 0.0f;
+  }
+  return out;
+}
+
+Tensor masked_oracle(const Tensor& g, const std::vector<bool>& mask) {
+  Tensor out = g;
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    if (!mask[static_cast<size_t>(i)]) out[i] = 0.0f;
+  }
+  return out;
+}
+
+TEST(ReLUBits, HelperMatchesOracleOnEveryPairOfSpecials) {
+  Rng rng(100);
+  const Tensor specials = with_specials(Shape{14}, rng, false);
+  // Every (v, skip) pair of specials, so the residual sum itself is +-0.0,
+  // +-inf, NaN (inf - inf among them) or a denormal.
+  Tensor v(Shape{14 * 14}), skip(Shape{14 * 14}), g(Shape{14 * 14});
+  for (int64_t i = 0; i < 14; ++i) {
+    for (int64_t j = 0; j < 14; ++j) {
+      v[i * 14 + j] = specials[i];
+      skip[i * 14 + j] = specials[j];
+      g[i * 14 + j] = specials[(i + j) % 14];
+    }
+  }
+  std::vector<bool> keep;
+  const std::vector<float> want = add_relu_oracle(v, skip, &keep);
+  Tensor got = v;
+  std::vector<uint8_t> mask(static_cast<size_t>(v.numel()));
+  relu_forward(got.numel(), got.data(), skip.data(), mask.data());
+  expect_bits(got, want, "relu_forward with skip");
+  for (size_t i = 0; i < mask.size(); ++i) {
+    ASSERT_EQ(mask[i] != 0, keep[i]) << "mask at " << i;
+  }
+  got = v;
+  relu_forward(got.numel(), got.data(), nullptr, nullptr);
+  expect_bits(got, add_relu_oracle(v, Tensor()), "relu_forward");
+  const Tensor dg = masked_oracle(g, keep);
+  got = g;
+  relu_backward(got.numel(), got.data(), mask.data());
+  expect_bits(got, dg, "relu_backward");
+}
+
+TEST(ReLUBits, ForwardAndBackwardMatchOracle) {
+  Rng rng(101);
+  const Tensor x = with_specials(Shape{3, 67}, rng, false);
+  const Tensor g = with_specials(Shape{3, 67}, rng, false);
+  std::vector<float> y(static_cast<size_t>(x.numel()));
+  std::vector<float> dx(y.size());
+  for (size_t i = 0; i < y.size(); ++i) {
+    const int64_t j = static_cast<int64_t>(i);
+    y[i] = relu_oracle(x[j]);
+    dx[i] = x[j] > 0.0f ? g[j] : 0.0f;
+  }
+  ReLU relu;
+  expect_bits(relu.forward(x, /*train=*/false), y, "ReLU eval");
+  expect_bits(relu.forward(x, /*train=*/true), y, "ReLU train");
+  expect_bits(relu.backward(g), dx, "ReLU backward");
+}
+
+TEST(ReLUBits, LeakyForwardAndBackwardMatchOracle) {
+  Rng rng(102);
+  const Tensor x = with_specials(Shape{3, 67}, rng, false);
+  const Tensor g = with_specials(Shape{3, 67}, rng, false);
+  for (const float alpha : {0.1f, 0.0f}) {
+    std::vector<float> y(static_cast<size_t>(x.numel()));
+    std::vector<float> dx(y.size());
+    for (size_t i = 0; i < y.size(); ++i) {
+      const int64_t j = static_cast<int64_t>(i);
+      y[i] = x[j] > 0.0f ? x[j] : x[j] * alpha;
+      dx[i] = x[j] > 0.0f ? g[j] : g[j] * alpha;
+    }
+    LeakyReLU leaky(alpha);
+    const std::string tag = "alpha " + std::to_string(alpha);
+    expect_bits(leaky.forward(x, /*train=*/true), y, "LeakyReLU " + tag);
+    expect_bits(leaky.backward(g), dx, "LeakyReLU backward " + tag);
+  }
+}
+
+TEST(ReLUBits, ResidualTrainForwardAndMasksMatchOracle) {
+  Rng rng(103);
+  ResidualBlock block(4, 4, 1, rng);
+  // A zero gamma with a -0.0 beta makes a channel's BN output exactly +-0.0,
+  // so both ReLUs see signed zeros; the identity skip adds the input's
+  // zeros and denormals straight into the residual sum.
+  block.bn1().gamma()[1] = 0.0f;
+  block.bn1().beta()[1] = -0.0f;
+  block.bn2().gamma()[0] = 0.0f;
+  block.bn2().beta()[0] = -0.0f;
+  std::unique_ptr<Layer> copy = block.clone();
+  auto& ref = static_cast<ResidualBlock&>(*copy);
+  const Tensor x = with_specials(Shape{3, 4, 6, 6}, rng, /*finite_only=*/true);
+  const Tensor g = with_specials(Shape{3, 4, 6, 6}, rng, /*finite_only=*/true);
+  ExecutionContext ctx;
+
+  const Tensor got = block.forward(ctx, x, /*train=*/true);
+  // The oracle replays the block's sublayer calls on an identical copy.
+  std::vector<bool> mask1, mask_out;
+  Tensor mid = ref.bn1().forward(ctx, ref.conv1().forward(ctx, x, true), true);
+  const std::vector<float> mid_relu = add_relu_oracle(mid, Tensor(), &mask1);
+  std::copy(mid_relu.begin(), mid_relu.end(), mid.data());
+  const Tensor main =
+      ref.bn2().forward(ctx, ref.conv2().forward(ctx, mid, true), true);
+  expect_bits(got, add_relu_oracle(main, x, &mask_out), "residual forward");
+
+  const Tensor got_dx = block.backward(ctx, g);
+  const Tensor g_out = masked_oracle(g, mask_out);
+  const Tensor gm = masked_oracle(
+      ref.conv2().backward(ctx, ref.bn2().backward(ctx, g_out)), mask1);
+  Tensor dx = ref.conv1().backward(ctx, ref.bn1().backward(ctx, gm));
+  dx.add_(g_out);
+  expect_bits(got_dx, dx, "residual backward");
+  const auto got_params = block.params();
+  const auto ref_params = ref.params();
+  ASSERT_EQ(got_params.size(), ref_params.size());
+  for (size_t i = 0; i < got_params.size(); ++i) {
+    expect_bits(*got_params[i].grad, *ref_params[i].grad,
+                "grad " + got_params[i].name);
+  }
+}
+
+TEST(ReLUBits, ResidualFusedEvalMatchesOracle) {
+  Rng rng(104);
+  for (const bool downsample : {false, true}) {
+    ResidualBlock block(4, downsample ? 8 : 4, downsample ? 2 : 1, rng);
+    for (BatchNorm2d* bn : {&block.bn1(), &block.bn2()}) {
+      for (int64_t c = 0; c < bn->channels(); ++c) {
+        bn->running_mean()[c] = static_cast<float>(rng.normal(0.0, 0.5));
+        bn->running_var()[c] = static_cast<float>(rng.uniform(0.5, 2.0));
+      }
+    }
+    // Channel 0 of the main path is exactly +-0.0 (or NaN next to a
+    // non-finite input), so the identity skip's specials reach the
+    // residual sum as they are.
+    block.bn2().gamma()[0] = 0.0f;
+    block.bn2().beta()[0] = -0.0f;
+    ExecutionContext ctx;
+    block.prepare_inference(ctx);
+    // With the identity skip, specials reach the residual sum unchanged.
+    const Tensor x = with_specials(Shape{2, 4, 6, 6}, rng, downsample);
+    const Tensor got = block.forward(ctx, x, /*train=*/false);
+
+    const int64_t mid_c = block.internal_channels();
+    const int64_t out_c = block.out_channels();
+    std::vector<float> s1(mid_c), t1(mid_c), s2(out_c), t2(out_c);
+    block.bn1().inference_scale_shift(s1.data(), t1.data());
+    block.bn2().inference_scale_shift(s2.data(), t2.data());
+    const Tensor mid = block.conv1().forward_fused(ctx, x, s1.data(),
+                                                   t1.data(), simd::Act::kReLU);
+    const Tensor main = block.conv2().forward_fused(
+        ctx, mid, s2.data(), t2.data(), simd::Act::kNone);
+    Tensor skip = x;
+    if (downsample) {
+      std::vector<float> sd(out_c), td(out_c);
+      block.down_bn().inference_scale_shift(sd.data(), td.data());
+      skip = block.down_conv().forward_fused(ctx, x, sd.data(), td.data(),
+                                             simd::Act::kNone);
+    }
+    expect_bits(got, add_relu_oracle(main, skip),
+                downsample ? "fused eval, downsample" : "fused eval");
+  }
+}
+
+TEST(ReLUBits, CalibrationResidualMatchesOracle) {
+  Rng rng(105);
+  ResidualBlock block(4, 4, 1, rng);
+  block.bn2().gamma()[0] = 0.0f;
+  block.bn2().beta()[0] = -0.0f;
+  std::unique_ptr<Layer> copy = block.clone();
+  auto& ref = static_cast<ResidualBlock&>(*copy);
+  const Tensor x = with_specials(Shape{2, 4, 6, 6}, rng, false);
+  ExecutionContext ctx;
+  const Tensor got = quantize_for_inference(block, ctx, x);
+
+  Tensor mid = ref.bn1().forward(ctx, ref.conv1().forward(ctx, x, false),
+                                 false);
+  const std::vector<float> mid_relu = add_relu_oracle(mid, Tensor());
+  std::copy(mid_relu.begin(), mid_relu.end(), mid.data());
+  const Tensor main =
+      ref.bn2().forward(ctx, ref.conv2().forward(ctx, mid, false), false);
+  expect_bits(got, add_relu_oracle(main, x), "calibration residual");
+}
+
+// ------------------------------------------- Conv2d backward oracle ----
+
+/// Direct-loop conv backward in double: dW and db are added onto the given
+/// starting values. `scale_*` receives, per element, the sum of the
+/// magnitudes of its terms, which bounds float rounding relative to it.
+struct ConvGrads {
+  std::vector<double> dx, dw, db, scale_dx, scale_dw, scale_db;
+};
+
+ConvGrads conv_backward_oracle(Conv2d& conv, const Tensor& x,
+                               const Tensor& dy) {
+  const int64_t n = x.dim(0), c_in = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t o_c = conv.out_channels(), k = conv.options().kernel;
+  const int64_t s = conv.options().stride, pad = conv.options().pad;
+  const int64_t oh = dy.dim(2), ow = dy.dim(3);
+  ConvGrads r;
+  r.dx.assign(static_cast<size_t>(x.numel()), 0.0);
+  r.scale_dx = r.dx;
+  r.dw.assign(static_cast<size_t>(conv.weight().numel()), 0.0);
+  r.scale_dw = r.dw;
+  r.db.assign(static_cast<size_t>(o_c), 0.0);
+  r.scale_db = r.db;
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t o = 0; o < o_c; ++o) {
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const double g = dy[((b * o_c + o) * oh + oy) * ow + ox];
+          r.db[static_cast<size_t>(o)] += g;
+          r.scale_db[static_cast<size_t>(o)] += std::fabs(g);
+          for (int64_t c = 0; c < c_in; ++c) {
+            for (int64_t ky = 0; ky < k; ++ky) {
+              for (int64_t kx = 0; kx < k; ++kx) {
+                const int64_t iy = oy * s - pad + ky, ix = ox * s - pad + kx;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                const size_t xi =
+                    static_cast<size_t>(((b * c_in + c) * h + iy) * w + ix);
+                const size_t wi =
+                    static_cast<size_t>(((o * c_in + c) * k + ky) * k + kx);
+                const double xv = x[static_cast<int64_t>(xi)];
+                const double wv = conv.weight()[static_cast<int64_t>(wi)];
+                r.dw[wi] += g * xv;
+                r.scale_dw[wi] += std::fabs(g * xv);
+                r.dx[xi] += g * wv;
+                r.scale_dx[xi] += std::fabs(g * wv);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return r;
+}
+
+/// |got - (base + want)| <= 1e-4 * (|base| + scale + 1e-3), element-wise.
+void expect_grad_close(const Tensor& got, const Tensor& base,
+                       const std::vector<double>& want,
+                       const std::vector<double>& scale,
+                       const std::string& what) {
+  ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size())) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    const size_t u = static_cast<size_t>(i);
+    const double b = base.empty() ? 0.0 : base[i];
+    const double tol = 1e-4 * (std::fabs(b) + scale[u] + 1e-3);
+    ASSERT_NEAR(got[i], b + want[u], tol) << what << " at " << i;
+  }
+}
+
+TEST(Conv2d, BackwardMatchesDirectOracleAtTileShapes) {
+  struct Case {
+    int64_t in_c, out_c, hw, kernel, stride, pad;
+  };
+  std::vector<Case> cases;
+  for (const int64_t out_c : {8, 16, 24}) {
+    cases.push_back({5, out_c, 9, 3, 1, 1});
+    cases.push_back({5, out_c, 9, 3, 2, 1});
+    cases.push_back({5, out_c, 9, 1, 1, 0});
+  }
+  // 27 x 27 output columns: the dW GEMM's depth crosses one k-slice.
+  cases.push_back({3, 24, 27, 3, 1, 1});
+  Rng rng(106);
+  for (const Case& cs : cases) {
+    const std::string what = std::to_string(cs.in_c) + "->" +
+                             std::to_string(cs.out_c) + " k" +
+                             std::to_string(cs.kernel) + " s" +
+                             std::to_string(cs.stride);
+    Conv2d conv(cs.in_c, cs.out_c,
+                {.kernel = cs.kernel, .stride = cs.stride, .pad = cs.pad,
+                 .bias = true},
+                rng);
+    const Tensor x = Tensor::randn(Shape{3, cs.in_c, cs.hw, cs.hw}, rng);
+    ExecutionContext ctx;
+    const Tensor y = conv.forward(ctx, x, /*train=*/true);
+    const Tensor dy = Tensor::randn(y.shape(), rng);
+    // Pre-filled gradients: backward must add onto them.
+    const Tensor dw0 = Tensor::randn(conv.weight().shape(), rng);
+    const Tensor db0 = Tensor::randn(Shape{cs.out_c}, rng);
+    auto params = conv.params();
+    *params[0].grad = dw0;
+    *params[1].grad = db0;
+    const Tensor dx = conv.backward(ctx, dy);
+    const ConvGrads want = conv_backward_oracle(conv, x, dy);
+    expect_grad_close(dx, Tensor(), want.dx, want.scale_dx, what + " dX");
+    expect_grad_close(*params[0].grad, dw0, want.dw, want.scale_dw,
+                      what + " dW");
+    expect_grad_close(*params[1].grad, db0, want.db, want.scale_db,
+                      what + " db");
+  }
 }
 
 // ----------------------------------------------------------- Sequential ----

@@ -11,6 +11,9 @@ root) and flags any metric that regressed by more than the threshold:
   * "fused_conv" shapes: fused_ms (lower is better)
   * "depthwise" shapes: simd_ms (lower is better)
   * "depthwise_fused" shapes: fused_ms (lower is better)
+  * "training" entries: ms (lower is better) — the protection pipeline's
+    inner loop: training-mode ReLU and BatchNorm2d forward/backward at
+    batch 8, 8 channels, 32x32, and conv3x3 backward at 8 and 16 channels
   * "soak" (bench_serving): goodput_vs_1x (higher is better) — the bounded
     queue's goodput at 10x offered load as a fraction of 1x goodput. The
     ratio is dimensionless (both sides measured on the same run/host), so it
@@ -276,6 +279,8 @@ def main():
                            args.threshold, args.min_flops, "depthwise")
     regressions += compare(baseline, current, "fused_ms", False,
                            args.threshold, args.min_flops, "depthwise_fused")
+    regressions += compare(baseline, current, "ms", False,
+                           args.threshold, args.min_flops, "training")
     regressions += compare_soak(baseline, current, args.threshold)
     regressions += compare_chaos(baseline, current, args.threshold)
     regressions += compare_elastic(baseline, current, args.threshold)
