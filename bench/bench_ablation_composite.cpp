@@ -1,11 +1,10 @@
 // Ablation A — why Alg. 1 sums the BN weights of both branches.
 //
-// Compares the paper's composite criterion |gamma_R + gamma_T| against
-// single-branch alternatives on the same pipeline:
+// Compares the paper's composite criterion |gamma_R + gamma_T| against a
+// per-branch alternative on the same pipeline:
 //   * composite (paper): channel importance = contribution of the *merged*
 //     feature map, matching the element-wise fusion add;
-//   * sum-of-abs |gamma_R| + |gamma_T|: close cousin, ignores cancellation;
-//   * secure-only: prune by gamma_T alone (ignores what the REE contributes).
+//   * sum-of-abs |gamma_R| + |gamma_T|: close cousin, ignores cancellation.
 // Reported: fused accuracy after pruning and the secure-branch size.
 
 #include <cstdio>

@@ -22,29 +22,26 @@ bool is_bn_gamma(const std::string& name) {
 /// both branches; BNs outside any pair fall back to an independent |gamma|
 /// so every scale parameter feels sparsity pressure (network-slimming).
 double apply_sparsity(TwoBranchModel& model,
-                      const std::vector<PrunePoint>& points, double lambda,
-                      TransferConfig::Penalty penalty) {
+                      const std::vector<PrunePoint>& points, double lambda) {
   if (lambda == 0.0) return 0.0;
   const float l = static_cast<float>(lambda);
   double value = 0.0;
   std::unordered_set<const Tensor*> paired;
 
-  if (penalty == TransferConfig::Penalty::kCompositeL1) {
-    for (const PrunePoint& pt : points) {
-      const ResolvedPoint rp = resolve_point(model, pt);
-      Tensor& gr = rp.bn_exposed->gamma();
-      Tensor& gt = rp.bn_secure->gamma();
-      Tensor& dgr = rp.bn_exposed->gamma_grad();
-      Tensor& dgt = rp.bn_secure->gamma_grad();
-      paired.insert(&gr);
-      paired.insert(&gt);
-      for (int64_t c = 0; c < gr.numel(); ++c) {
-        const float s = gr[c] + gt[c];
-        value += std::fabs(s);
-        const float sg = (s > 0.0f) ? l : (s < 0.0f ? -l : 0.0f);
-        dgr[c] += sg;
-        dgt[c] += sg;
-      }
+  for (const PrunePoint& pt : points) {
+    const ResolvedPoint rp = resolve_point(model, pt);
+    Tensor& gr = rp.bn_exposed->gamma();
+    Tensor& gt = rp.bn_secure->gamma();
+    Tensor& dgr = rp.bn_exposed->gamma_grad();
+    Tensor& dgt = rp.bn_secure->gamma_grad();
+    paired.insert(&gr);
+    paired.insert(&gt);
+    for (int64_t c = 0; c < gr.numel(); ++c) {
+      const float s = gr[c] + gt[c];
+      value += std::fabs(s);
+      const float sg = (s > 0.0f) ? l : (s < 0.0f ? -l : 0.0f);
+      dgr[c] += sg;
+      dgt[c] += sg;
     }
   }
   // Independent L1 on everything not covered above.
@@ -123,7 +120,7 @@ TransferResult knowledge_transfer(TwoBranchModel& model,
       Tensor grad;
       ce_sum += softmax_cross_entropy(logits, batch.labels, &grad);
       model.backward(grad, /*freeze_exposed=*/cfg.freeze_exposed);
-      pen_sum += apply_sparsity(model, points, cfg.lambda, cfg.penalty);
+      pen_sum += apply_sparsity(model, points, cfg.lambda);
       sgd.step(cfg.freeze_exposed ? model.params_secure() : model.params());
       ++batches;
     }

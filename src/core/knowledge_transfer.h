@@ -33,17 +33,6 @@ struct TransferConfig {
   /// Freeze M_R and train only M_T (post-rollback recovery fine-tune).
   bool freeze_exposed = false;
   int log_every = 0;
-
-  /// Form of the sparsity penalty g.
-  enum class Penalty {
-    /// |gamma_R + gamma_T| on paired (prunable) BNs — the literal Eq. 1;
-    /// unpaired BNs (e.g. ResNet downsample) get an independent |gamma|.
-    kCompositeL1,
-    /// |gamma_R| + |gamma_T| on every BN independently (network-slimming
-    /// style); used by the ablation bench.
-    kIndependentL1,
-  };
-  Penalty penalty = Penalty::kCompositeL1;
 };
 
 struct TransferEpoch {

@@ -305,8 +305,9 @@ PruneResult TwoBranchPruner::run(TwoBranchModel& model,
     }
     TransferConfig ft = cfg_.finetune;
     ft.seed = cfg_.finetune.seed + static_cast<uint64_t>(iter) * 977;
-    knowledge_transfer(model, points, train, test, ft);
-    const double acc = evaluate_fused(model, test);
+    // final_acc is evaluate_fused of the model the fine-tune returns.
+    const double acc =
+        knowledge_transfer(model, points, train, test, ft).final_acc;
 
     PruneIteration record;
     record.index = iter;

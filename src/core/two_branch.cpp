@@ -268,12 +268,8 @@ int64_t TwoBranchModel::exposed_param_bytes() const {
 }
 
 namespace {
-// Two-branch streams were historically unversioned, starting directly with
-// the i64 stage count (validated to [1, 4096] on load). Newer streams lead
-// with an impossible stage count as a sentinel followed by the
-// nn/serialize.h model-format version, so the nested layer records can
-// evolve (DepthwiseConv2d bias, format v2) without breaking files written
-// by older builds — those parse as format v1.
+// A two-branch stream leads with an impossible stage count as a sentinel,
+// then the nn/serialize.h model-format version, which must be current.
 constexpr int64_t kTwoBranchVersionSentinel = -2;
 }  // namespace
 
@@ -299,20 +295,15 @@ void save_two_branch(std::ostream& os, const TwoBranchModel& model) {
 }
 
 TwoBranchModel load_two_branch(std::istream& is) {
-  int64_t stages = 0;
-  is.read(reinterpret_cast<char*>(&stages), sizeof(stages));
-  uint32_t version = 1;  // unversioned streams predate model format v2
-  if (is && stages == kTwoBranchVersionSentinel) {
-    int64_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!is || v < 1 || v > nn::kModelFormatVersion) {
-      throw std::runtime_error("load_two_branch: unsupported version " +
-                               std::to_string(v));
-    }
-    version = static_cast<uint32_t>(v);
-    is.read(reinterpret_cast<char*>(&stages), sizeof(stages));
+  int64_t head[3] = {};  // sentinel, version, stage count
+  is.read(reinterpret_cast<char*>(head), sizeof(head));
+  if (!is || head[0] != kTwoBranchVersionSentinel ||
+      head[1] != nn::kModelFormatVersion) {
+    throw std::runtime_error(
+        "load_two_branch: unsupported stream (format v4 only)");
   }
-  if (!is || stages <= 0 || stages > 4096) {
+  const int64_t stages = head[2];
+  if (stages <= 0 || stages > 4096) {
     throw std::runtime_error("load_two_branch: corrupt stage count");
   }
   TwoBranchModel model;
@@ -322,15 +313,19 @@ TwoBranchModel load_two_branch(std::istream& is) {
     if (!is || map_len < 0 || map_len > (1 << 20)) {
       throw std::runtime_error("load_two_branch: corrupt channel map");
     }
-    std::vector<int64_t> map(static_cast<size_t>(map_len));
-    for (int64_t& v : map) {
+    // Grown as values arrive, so a forged length costs no more than the
+    // bytes that are really there.
+    std::vector<int64_t> map;
+    for (int64_t j = 0; j < map_len && is; ++j) {
+      int64_t v = 0;
       is.read(reinterpret_cast<char*>(&v), sizeof(v));
+      map.push_back(v);
     }
     int64_t fused = 1;
     is.read(reinterpret_cast<char*>(&fused), sizeof(fused));
     if (!is) throw std::runtime_error("load_two_branch: truncated stage");
-    auto exposed = nn::load_layer(is, version);
-    auto secure = nn::load_layer(is, version);
+    auto exposed = nn::load_layer(is);
+    auto secure = nn::load_layer(is);
     model.add_stage(std::move(exposed), std::move(secure));
     model.stage(static_cast<int>(i)).channel_map = std::move(map);
     model.stage(static_cast<int>(i)).fused = (fused != 0);

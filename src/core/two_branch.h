@@ -127,8 +127,9 @@ class TwoBranchModel {
 };
 
 /// Serializes a two-branch model (both branches + channel maps). Streams
-/// carry the nn/serialize.h model-format version (sentinel-prefixed);
-/// unversioned streams from older builds load as format v1.
+/// carry the nn/serialize.h model-format version (sentinel-prefixed); the
+/// loader reads format v4 only and throws std::runtime_error on anything
+/// else.
 void save_two_branch(std::ostream& os, const TwoBranchModel& model);
 TwoBranchModel load_two_branch(std::istream& is);
 

@@ -7,29 +7,6 @@
 #include "tensor/ops.h"
 
 namespace tbnet::models {
-namespace {
-
-bool is_bn_gamma(const std::string& name) {
-  constexpr const char* kSuffix = "gamma";
-  const size_t len = 5;
-  return name.size() >= len &&
-         name.compare(name.size() - len, len, kSuffix) == 0;
-}
-
-}  // namespace
-
-void add_bn_l1_subgradient(std::vector<nn::ParamRef>& params, double lambda) {
-  if (lambda == 0.0) return;
-  for (nn::ParamRef& p : params) {
-    if (!is_bn_gamma(p.name)) continue;
-    Tensor& g = *p.grad;
-    const Tensor& v = *p.value;
-    const float l = static_cast<float>(lambda);
-    for (int64_t i = 0; i < g.numel(); ++i) {
-      g[i] += (v[i] > 0.0f ? l : (v[i] < 0.0f ? -l : 0.0f));
-    }
-  }
-}
 
 TrainResult train_classifier(nn::Layer& model, const data::Dataset& train,
                              const data::Dataset& test,
@@ -57,9 +34,7 @@ TrainResult train_classifier(nn::Layer& model, const data::Dataset& train,
       Tensor grad;
       loss_sum += softmax_cross_entropy(logits, batch.labels, &grad);
       model.backward(grad);
-      auto params = model.params();
-      add_bn_l1_subgradient(params, cfg.bn_l1);
-      sgd.step(params);
+      sgd.step(model.params());
       ++batches;
     }
     const double loss = batches > 0 ? loss_sum / static_cast<double>(batches)

@@ -23,8 +23,6 @@ struct TrainConfig {
   double lr_gamma = 0.1;
   uint64_t seed = 7;
   bool augment = true;
-  /// Optional network-slimming L1 penalty on BN gammas (single-branch form).
-  double bn_l1 = 0.0;
   int log_every = 0;      ///< print a line every N epochs; 0 = silent
 };
 
@@ -43,9 +41,5 @@ TrainResult train_classifier(nn::Layer& model, const data::Dataset& train,
 /// Top-1 accuracy of `model` (eval mode) over the whole dataset.
 double evaluate(nn::Layer& model, const data::Dataset& dataset,
                 int64_t batch_size = 128);
-
-/// Adds lambda * sign(gamma) to the gradient of every BN gamma parameter in
-/// `params` (the single-branch slimming penalty).
-void add_bn_l1_subgradient(std::vector<nn::ParamRef>& params, double lambda);
 
 }  // namespace tbnet::models

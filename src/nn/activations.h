@@ -1,5 +1,5 @@
 #pragma once
-// Elementwise activation layers.
+// The ReLU activation layer and its elementwise loops.
 
 #include <cstdint>
 
@@ -33,63 +33,6 @@ class ReLU : public Layer {
  private:
   std::vector<uint8_t> mask_;
   Shape cached_shape_;
-};
-
-/// max(x, alpha*x); alpha in [0, 1).
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float alpha = 0.01f);
-
-  using Layer::forward;
-  using Layer::backward;
-  Tensor forward(ExecutionContext& ctx, const Tensor& input,
-                 bool train) override;
-  Tensor backward(ExecutionContext& ctx, const Tensor& grad_output) override;
-  std::string kind() const override { return "LeakyReLU"; }
-  std::unique_ptr<Layer> clone() const override;
-  Shape out_shape(const Shape& in) const override { return in; }
-  int64_t macs(const Shape& in) const override { return in.numel(); }
-
-  float alpha() const { return alpha_; }
-
- private:
-  float alpha_;
-  std::vector<uint8_t> mask_;
-  Shape cached_shape_;
-};
-
-/// Hyperbolic tangent.
-class Tanh : public Layer {
- public:
-  using Layer::forward;
-  using Layer::backward;
-  Tensor forward(ExecutionContext& ctx, const Tensor& input,
-                 bool train) override;
-  Tensor backward(ExecutionContext& ctx, const Tensor& grad_output) override;
-  std::string kind() const override { return "Tanh"; }
-  std::unique_ptr<Layer> clone() const override;
-  Shape out_shape(const Shape& in) const override { return in; }
-  int64_t macs(const Shape& in) const override { return 4 * in.numel(); }
-
- private:
-  Tensor cached_output_;
-};
-
-/// Logistic sigmoid.
-class Sigmoid : public Layer {
- public:
-  using Layer::forward;
-  using Layer::backward;
-  Tensor forward(ExecutionContext& ctx, const Tensor& input,
-                 bool train) override;
-  Tensor backward(ExecutionContext& ctx, const Tensor& grad_output) override;
-  std::string kind() const override { return "Sigmoid"; }
-  std::unique_ptr<Layer> clone() const override;
-  Shape out_shape(const Shape& in) const override { return in; }
-  int64_t macs(const Shape& in) const override { return 4 * in.numel(); }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace tbnet::nn

@@ -127,7 +127,7 @@ Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
 
 Tensor Conv2d::forward_int8(ExecutionContext& ctx, const Tensor& input,
                             const GemmEpilogue& ep) {
-  if (ep.col_scale != nullptr || ep.col_shift != nullptr) {
+  if (ep.col_shift != nullptr) {
     throw std::logic_error(
         "Conv2d: the int8 path composes per-row epilogues only");
   }

@@ -152,7 +152,7 @@ Tensor forward_depthwise_pointwise(ExecutionContext& ctx, const Tensor& x,
     // the same bytes Conv2d::forward_int8 would see from a materialized
     // depthwise output, so the gate between the fused and back-to-back
     // forms stays a pure latency knob on the quantized path too.
-    if (pw_ep.col_scale != nullptr || pw_ep.col_shift != nullptr) {
+    if (pw_ep.col_shift != nullptr) {
       throw std::logic_error(
           "forward_depthwise_pointwise: int8 epilogues are per-row only");
     }

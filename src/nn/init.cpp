@@ -13,15 +13,4 @@ void kaiming_normal(Tensor& w, int64_t fan_in, Rng& rng) {
   }
 }
 
-void xavier_uniform(Tensor& w, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  if (fan_in <= 0 || fan_out <= 0) {
-    throw std::invalid_argument("xavier_uniform: fan sizes must be positive");
-  }
-  const float a =
-      std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (int64_t i = 0; i < w.numel(); ++i) {
-    w[i] = static_cast<float>(rng.uniform(-a, a));
-  }
-}
-
 }  // namespace tbnet::nn

@@ -12,7 +12,4 @@ namespace tbnet::nn {
 /// ReLU networks (victim models and the fresh secure branch both use it).
 void kaiming_normal(Tensor& w, int64_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform init: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-void xavier_uniform(Tensor& w, int64_t fan_in, int64_t fan_out, Rng& rng);
-
 }  // namespace tbnet::nn

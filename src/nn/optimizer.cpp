@@ -22,45 +22,9 @@ void SGD::step(const std::vector<ParamRef>& params) {
   }
 }
 
-void Adam::step(const std::vector<ParamRef>& params) {
-  for (const ParamRef& p : params) {
-    Tensor& w = *p.value;
-    const Tensor& g = *p.grad;
-    Moments& mo = moments_[p.value];
-    if (mo.m.shape() != w.shape()) {
-      mo.m = Tensor(w.shape());
-      mo.v = Tensor(w.shape());
-      mo.t = 0;
-    }
-    ++mo.t;
-    const float b1 = static_cast<float>(beta1_);
-    const float b2 = static_cast<float>(beta2_);
-    const float wd = p.apply_weight_decay ? static_cast<float>(weight_decay_)
-                                          : 0.0f;
-    const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(mo.t));
-    const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(mo.t));
-    const float step_size =
-        static_cast<float>(lr_ * std::sqrt(bias2) / bias1);
-    for (int64_t i = 0; i < w.numel(); ++i) {
-      const float grad = g[i] + wd * w[i];
-      mo.m[i] = b1 * mo.m[i] + (1.0f - b1) * grad;
-      mo.v[i] = b2 * mo.v[i] + (1.0f - b2) * grad * grad;
-      w[i] -= step_size * mo.m[i] /
-              (std::sqrt(mo.v[i]) + static_cast<float>(eps_));
-    }
-  }
-}
-
 double StepLR::lr_at(int epoch) const {
   const int drops = (step_size_ > 0) ? epoch / step_size_ : 0;
   return base_lr_ * std::pow(gamma_, drops);
-}
-
-double CosineLR::lr_at(int epoch) const {
-  if (total_ <= 1) return min_lr_;
-  const double t = std::min(1.0, static_cast<double>(epoch) /
-                                     static_cast<double>(total_ - 1));
-  return min_lr_ + 0.5 * (base_lr_ - min_lr_) * (1.0 + std::cos(M_PI * t));
 }
 
 }  // namespace tbnet::nn

@@ -39,31 +39,6 @@ class SGD {
   std::unordered_map<const Tensor*, Tensor> velocity_;
 };
 
-/// Adam (Kingma & Ba) — the optimizer a realistic attacker reaches for when
-/// fine-tuning a stolen branch; also handy for distillation in the
-/// substitute-layer attack. Same shape-change-resets-state behavior as SGD.
-class Adam {
- public:
-  Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-       double eps = 1e-8, double weight_decay = 0.0)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
-        weight_decay_(weight_decay) {}
-
-  double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
-
-  void step(const std::vector<ParamRef>& params);
-  void reset_state() { moments_.clear(); }
-
- private:
-  struct Moments {
-    Tensor m, v;
-    int64_t t = 0;
-  };
-  double lr_, beta1_, beta2_, eps_, weight_decay_;
-  std::unordered_map<const Tensor*, Moments> moments_;
-};
-
 /// Step decay: lr(epoch) = base * gamma^(epoch / step_size).
 class StepLR {
  public:
@@ -76,21 +51,6 @@ class StepLR {
   double base_lr_;
   int step_size_;
   double gamma_;
-};
-
-/// Cosine annealing: lr(epoch) decays from base to `min_lr` over `total`
-/// epochs along a half cosine.
-class CosineLR {
- public:
-  CosineLR(double base_lr, int total_epochs, double min_lr = 0.0)
-      : base_lr_(base_lr), total_(total_epochs), min_lr_(min_lr) {}
-
-  double lr_at(int epoch) const;
-
- private:
-  double base_lr_;
-  int total_;
-  double min_lr_;
 };
 
 }  // namespace tbnet::nn

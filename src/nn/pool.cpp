@@ -87,89 +87,6 @@ std::unique_ptr<Layer> MaxPool2d::clone() const {
   return std::make_unique<MaxPool2d>(kernel_, stride_);
 }
 
-AvgPool2d::AvgPool2d(int64_t kernel, int64_t stride)
-    : kernel_(kernel), stride_(stride == 0 ? kernel : stride) {
-  if (kernel_ <= 0 || stride_ <= 0) {
-    throw std::invalid_argument("AvgPool2d: kernel/stride must be positive");
-  }
-}
-
-Shape AvgPool2d::out_shape(const Shape& in) const {
-  if (in.ndim() != 4) {
-    throw std::invalid_argument("AvgPool2d: expected NCHW, got " + in.str());
-  }
-  if (in.dim(2) < kernel_ || in.dim(3) < kernel_) {
-    throw std::invalid_argument("AvgPool2d: window larger than input");
-  }
-  const int64_t oh = (in.dim(2) - kernel_) / stride_ + 1;
-  const int64_t ow = (in.dim(3) - kernel_) / stride_ + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("AvgPool2d: window larger than input");
-  }
-  return Shape{in.dim(0), in.dim(1), oh, ow};
-}
-
-int64_t AvgPool2d::macs(const Shape& in) const {
-  return out_shape(in).numel() * kernel_ * kernel_;
-}
-
-Tensor AvgPool2d::forward(ExecutionContext&, const Tensor& input, bool train) {
-  const Shape os = out_shape(input.shape());
-  const int64_t n = input.dim(0), c = input.dim(1), ih = input.dim(2),
-                iw = input.dim(3);
-  const int64_t oh = os.dim(2), ow = os.dim(3);
-  Tensor out(os);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  int64_t oi = 0;
-  for (int64_t i = 0; i < n * c; ++i) {
-    const float* plane = input.data() + i * ih * iw;
-    for (int64_t oy = 0; oy < oh; ++oy) {
-      for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-        float acc = 0.0f;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          const float* row = plane + (oy * stride_ + ky) * iw + ox * stride_;
-          for (int64_t kx = 0; kx < kernel_; ++kx) acc += row[kx];
-        }
-        out[oi] = acc * inv;
-      }
-    }
-  }
-  if (train) cached_in_shape_ = input.shape();
-  return out;
-}
-
-Tensor AvgPool2d::backward(ExecutionContext&, const Tensor& grad_output) {
-  if (cached_in_shape_.ndim() != 4) {
-    throw std::logic_error("AvgPool2d::backward before forward(train)");
-  }
-  if (grad_output.shape() != out_shape(cached_in_shape_)) {
-    throw std::invalid_argument("AvgPool2d::backward: grad shape mismatch");
-  }
-  const int64_t n = cached_in_shape_.dim(0), c = cached_in_shape_.dim(1),
-                ih = cached_in_shape_.dim(2), iw = cached_in_shape_.dim(3);
-  const int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  Tensor grad_input(cached_in_shape_);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  int64_t oi = 0;
-  for (int64_t i = 0; i < n * c; ++i) {
-    float* plane = grad_input.data() + i * ih * iw;
-    for (int64_t oy = 0; oy < oh; ++oy) {
-      for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-        const float g = grad_output[oi] * inv;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          float* row = plane + (oy * stride_ + ky) * iw + ox * stride_;
-          for (int64_t kx = 0; kx < kernel_; ++kx) row[kx] += g;
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
-std::unique_ptr<Layer> AvgPool2d::clone() const {
-  return std::make_unique<AvgPool2d>(kernel_, stride_);
-}
-
 Shape GlobalAvgPool2d::out_shape(const Shape& in) const {
   if (in.ndim() != 4) {
     throw std::invalid_argument("GlobalAvgPool2d: expected NCHW, got " + in.str());

@@ -32,29 +32,6 @@ class MaxPool2d : public Layer {
   Shape cached_in_shape_;
 };
 
-/// Average pooling with square window.
-class AvgPool2d : public Layer {
- public:
-  explicit AvgPool2d(int64_t kernel = 2, int64_t stride = 0 /*=kernel*/);
-
-  using Layer::forward;
-  using Layer::backward;
-  Tensor forward(ExecutionContext& ctx, const Tensor& input,
-                 bool train) override;
-  Tensor backward(ExecutionContext& ctx, const Tensor& grad_output) override;
-  std::string kind() const override { return "AvgPool2d"; }
-  std::unique_ptr<Layer> clone() const override;
-  Shape out_shape(const Shape& in) const override;
-  int64_t macs(const Shape& in) const override;
-
-  int64_t kernel() const { return kernel_; }
-  int64_t stride() const { return stride_; }
-
- private:
-  int64_t kernel_, stride_;
-  Shape cached_in_shape_;
-};
-
 /// Global average pooling: [N,C,H,W] -> [N,C,1,1].
 class GlobalAvgPool2d : public Layer {
  public:

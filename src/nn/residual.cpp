@@ -8,13 +8,14 @@
 namespace tbnet::nn {
 
 ResidualBlock::ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride,
-                             Rng& rng)
+                             Rng& rng, int64_t internal_c)
     : in_c_(in_c), out_c_(out_c), stride_(stride) {
+  if (internal_c == 0) internal_c = out_c;
   Conv2d::Options c1{.kernel = 3, .stride = stride, .pad = 1, .bias = false};
   Conv2d::Options c2{.kernel = 3, .stride = 1, .pad = 1, .bias = false};
-  conv1_ = std::make_unique<Conv2d>(in_c, out_c, c1, rng);
-  bn1_ = std::make_unique<BatchNorm2d>(out_c);
-  conv2_ = std::make_unique<Conv2d>(out_c, out_c, c2, rng);
+  conv1_ = std::make_unique<Conv2d>(in_c, internal_c, c1, rng);
+  bn1_ = std::make_unique<BatchNorm2d>(internal_c);
+  conv2_ = std::make_unique<Conv2d>(internal_c, out_c, c2, rng);
   bn2_ = std::make_unique<BatchNorm2d>(out_c);
   if (stride != 1 || in_c != out_c) {
     Conv2d::Options cd{.kernel = 1, .stride = stride, .pad = 0, .bias = false};

@@ -19,7 +19,10 @@ namespace tbnet::nn {
 
 class ResidualBlock : public Layer {
  public:
-  ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride, Rng& rng);
+  /// `internal_c` is the width between conv1 and conv2 (out_c when 0);
+  /// the model loader builds pruned blocks at their stored width.
+  ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride, Rng& rng,
+                int64_t internal_c = 0);
 
   using Layer::forward;
   using Layer::backward;

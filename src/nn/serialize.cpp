@@ -12,7 +12,6 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/depthwise.h"
-#include "nn/dropout.h"
 #include "nn/flatten.h"
 #include "nn/pool.h"
 #include "nn/residual.h"
@@ -45,56 +44,88 @@ void write_tensor(std::ostream& os, const Tensor& t) {
            static_cast<std::streamsize>(t.numel() * sizeof(float)));
 }
 
-uint32_t read_u32(std::istream& is) {
-  uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("model stream truncated (u32)");
-  return v;
-}
+/// One layer section's bytes, consumed front to back. Every read checks
+/// what is left first, so a forged count or extent fails before anything of
+/// that size is allocated.
+struct Reader {
+  const char* p;
+  int64_t left;
 
-int64_t read_i64(std::istream& is) {
-  int64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("model stream truncated (i64)");
-  return v;
-}
-
-float read_f32(std::istream& is) {
-  float v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("model stream truncated (f32)");
-  return v;
-}
-
-std::string read_string(std::istream& is) {
-  const uint32_t n = read_u32(is);
-  if (n > (1u << 20)) throw std::runtime_error("model stream: string too long");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  if (!is) throw std::runtime_error("model stream truncated (string)");
-  return s;
-}
-
-Tensor read_tensor(std::istream& is) {
-  const uint32_t rank = read_u32(is);
-  if (rank > 8) throw std::runtime_error("model stream: tensor rank too high");
-  std::vector<int64_t> dims;
-  dims.reserve(rank);
-  for (uint32_t i = 0; i < rank; ++i) {
-    const int64_t d = read_i64(is);
-    if (d <= 0 || d > (1ll << 32)) {
-      throw std::runtime_error("model stream: bad tensor dim");
+  const char* take(int64_t n, const char* what) {
+    if (n < 0 || n > left) {
+      throw std::runtime_error(std::string("model stream truncated (") +
+                               what + ")");
     }
-    dims.push_back(d);
+    const char* at = p;
+    p += n;
+    left -= n;
+    return at;
   }
-  Tensor t{Shape(dims)};
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  if (!is) throw std::runtime_error("model stream truncated (tensor)");
-  return t;
+};
+
+template <typename T>
+T read_pod(Reader& r, const char* what) {
+  T v;
+  std::memcpy(&v, r.take(sizeof(T), what), sizeof(T));
+  return v;
 }
 
-/// Quantized-weight payload (format v3): [out, k] extents, per-channel
+uint32_t read_u32(Reader& r) { return read_pod<uint32_t>(r, "u32"); }
+int64_t read_i64(Reader& r) { return read_pod<int64_t>(r, "i64"); }
+float read_f32(Reader& r) { return read_pod<float>(r, "f32"); }
+
+std::string read_string(Reader& r) {
+  const uint32_t n = read_u32(r);
+  if (n > (1u << 20)) throw std::runtime_error("model stream: string too long");
+  return std::string(r.take(n, "string"), n);
+}
+
+/// Bytes that a layer of prod(extents) parameters, `bytes_each` bytes
+/// apiece, takes in the stream. Throws unless every extent is positive and
+/// the product (overflow-checked) fits in what is left of the section: the
+/// check runs before the layer is built, so a forged extent cannot make a
+/// constructor allocate and initialize more than the stream holds.
+int64_t param_bytes(const Reader& r, std::initializer_list<int64_t> extents,
+                    int64_t bytes_each) {
+  int64_t bytes = bytes_each;
+  for (int64_t e : extents) {
+    if (e <= 0 || e > r.left / bytes) {
+      throw std::runtime_error("model stream: layer larger than its section");
+    }
+    bytes *= e;
+  }
+  return bytes;
+}
+
+/// Reads a tensor that must have shape `want` (whose element count the
+/// caller bounded with param_bytes). The header is compared dim by dim
+/// before the data is touched.
+Tensor read_tensor(Reader& r, const Shape& want) {
+  const uint32_t rank = read_u32(r);
+  if (rank != static_cast<uint32_t>(want.ndim())) {
+    throw std::runtime_error("model stream: tensor rank mismatch");
+  }
+  for (int64_t d : want.dims()) {
+    if (read_i64(r) != d) {
+      throw std::runtime_error("model stream: tensor shape mismatch");
+    }
+  }
+  const int64_t n = want.numel();
+  const char* bytes = r.take(n * static_cast<int64_t>(sizeof(float)), "tensor");
+  std::vector<float> data(static_cast<size_t>(n));
+  std::memcpy(data.data(), bytes, data.size() * sizeof(float));
+  return Tensor(want, std::move(data));
+}
+
+/// Checks a convolution window: stride >= 1 and 0 <= pad < kernel, as every
+/// writer emits (the kernel extent itself goes through param_bytes).
+void check_window(int64_t kernel, int64_t stride, int64_t pad) {
+  if (stride < 1 || pad < 0 || pad >= kernel) {
+    throw std::runtime_error("model stream: bad convolution window");
+  }
+}
+
+/// Quantized-weight payload: [out, k] extents, per-channel
 /// scales, the activation quantizer, then the raw int8 bytes. qsum is
 /// derivable and is recomputed on load.
 void write_quant(std::ostream& os, const QuantizedWeights& qw) {
@@ -110,23 +141,21 @@ void write_quant(std::ostream& os, const QuantizedWeights& qw) {
            static_cast<std::streamsize>(qw.q.size()));
 }
 
-QuantizedWeights read_quant(std::istream& is, int64_t expect_out,
-                            int64_t expect_k) {
-  const int64_t out = read_i64(is);
-  const int64_t k = read_i64(is);
+QuantizedWeights read_quant(Reader& r, int64_t expect_out, int64_t expect_k) {
+  const int64_t out = read_i64(r);
+  const int64_t k = read_i64(r);
   if (out != expect_out || k != expect_k) {
     throw std::runtime_error("model stream: quantized weight shape mismatch");
   }
   QuantizedWeights qw;
   qw.scale.resize(static_cast<size_t>(out));
-  is.read(reinterpret_cast<char*>(qw.scale.data()),
-          static_cast<std::streamsize>(out * sizeof(float)));
-  qw.act.scale = read_f32(is);
-  qw.act.zero_point = static_cast<int32_t>(read_i64(is));
-  qw.q.resize(static_cast<size_t>(out * k));
-  is.read(reinterpret_cast<char*>(qw.q.data()),
-          static_cast<std::streamsize>(qw.q.size()));
-  if (!is) throw std::runtime_error("model stream truncated (quant)");
+  std::memcpy(qw.scale.data(),
+              r.take(out * static_cast<int64_t>(sizeof(float)), "quant"),
+              qw.scale.size() * sizeof(float));
+  qw.act.scale = read_f32(r);
+  qw.act.zero_point = static_cast<int32_t>(read_i64(r));
+  const auto* q = reinterpret_cast<const int8_t*>(r.take(out * k, "quant"));
+  qw.q.assign(q, q + out * k);
   qw.qsum.resize(static_cast<size_t>(out));
   for (int64_t o = 0; o < out; ++o) {
     int32_t sum = 0;
@@ -180,7 +209,7 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
     write_i64(os, conv->options().stride);
     write_i64(os, conv->options().pad);
     write_u32(os, conv->has_bias() ? 1 : 0);
-    write_u32(os, conv->quantized() ? 1 : 0);  // format v3
+    write_u32(os, conv->quantized() ? 1 : 0);
     if (conv->quantized()) {
       write_quant(os, conv->quant());
     } else {
@@ -192,7 +221,7 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
     write_i64(os, dw->options().kernel);
     write_i64(os, dw->options().stride);
     write_i64(os, dw->options().pad);
-    write_u32(os, dw->has_bias() ? 1 : 0);  // format v2
+    write_u32(os, dw->has_bias() ? 1 : 0);
     write_tensor(os, dw->weight());
     if (dw->has_bias()) {
       write_tensor(os, const_cast<DepthwiseConv2d*>(dw)->bias());
@@ -207,21 +236,9 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
     write_tensor(os, bn->running_var());
   } else if (dynamic_cast<const ReLU*>(&layer) != nullptr) {
     // no state
-  } else if (const auto* lrelu = dynamic_cast<const LeakyReLU*>(&layer)) {
-    write_f32(os, lrelu->alpha());
-  } else if (dynamic_cast<const Tanh*>(&layer) != nullptr) {
-    // no state
-  } else if (dynamic_cast<const Sigmoid*>(&layer) != nullptr) {
-    // no state
-  } else if (const auto* drop = dynamic_cast<const Dropout*>(&layer)) {
-    write_f32(os, static_cast<float>(drop->p()));
-    write_i64(os, static_cast<int64_t>(drop->seed()));
   } else if (const auto* pool = dynamic_cast<const MaxPool2d*>(&layer)) {
     write_i64(os, pool->kernel());
     write_i64(os, pool->stride());
-  } else if (const auto* apool = dynamic_cast<const AvgPool2d*>(&layer)) {
-    write_i64(os, apool->kernel());
-    write_i64(os, apool->stride());
   } else if (dynamic_cast<const GlobalAvgPool2d*>(&layer) != nullptr) {
     // no state
   } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
@@ -230,7 +247,7 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
     write_i64(os, dense->in_features());
     write_i64(os, dense->out_features());
     write_u32(os, dense->has_bias() ? 1 : 0);
-    write_u32(os, dense->quantized() ? 1 : 0);  // format v3
+    write_u32(os, dense->quantized() ? 1 : 0);
     if (dense->quantized()) {
       write_quant(os, dense->quant());
     } else {
@@ -260,134 +277,121 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
   }
 }
 
-/// Parses one unframed layer body. Nested layers recurse through the public
-/// load_layer, which strips (and verifies) their own frames on v4 streams.
-std::unique_ptr<Layer> load_layer_body(std::istream& is, uint32_t version) {
-  const std::string kind = read_string(is);
+std::unique_ptr<Layer> parse_section(Reader& r);
+
+/// Parses one unframed layer body. Nested layers are framed sections of
+/// this body and parse in place, each within its own length.
+std::unique_ptr<Layer> parse_body(Reader& r) {
+  const std::string kind = read_string(r);
   Rng rng(0);  // weights are overwritten right after construction
   if (kind == "Conv2d") {
-    const int64_t in_c = read_i64(is);
-    const int64_t out_c = read_i64(is);
+    const int64_t in_c = read_i64(r);
+    const int64_t out_c = read_i64(r);
     Conv2d::Options opt;
-    opt.kernel = read_i64(is);
-    opt.stride = read_i64(is);
-    opt.pad = read_i64(is);
-    opt.bias = read_u32(is) != 0;
+    opt.kernel = read_i64(r);
+    opt.stride = read_i64(r);
+    opt.pad = read_i64(r);
+    opt.bias = read_u32(r) != 0;
+    const bool quantized = read_u32(r) != 0;
+    param_bytes(r, {out_c, in_c, opt.kernel, opt.kernel},
+                quantized ? 1 : sizeof(float));
+    check_window(opt.kernel, opt.stride, opt.pad);
     auto conv = std::make_unique<Conv2d>(in_c, out_c, opt, rng);
-    const bool quantized = version >= 3 && read_u32(is) != 0;
+    const Shape wshape{out_c, in_c, opt.kernel, opt.kernel};
     if (quantized) {
-      const int64_t k = in_c * opt.kernel * opt.kernel;
-      QuantizedWeights qw = read_quant(is, out_c, k);
-      conv->weight() =
-          dequantized_weight(qw, Shape{out_c, in_c, opt.kernel, opt.kernel});
+      QuantizedWeights qw = read_quant(r, out_c, in_c * opt.kernel * opt.kernel);
+      conv->weight() = dequantized_weight(qw, wshape);
       conv->set_quantized(std::move(qw));
     } else {
-      conv->weight() = read_tensor(is);
-      if (conv->weight().shape() !=
-          Shape{out_c, in_c, opt.kernel, opt.kernel}) {
-        throw std::runtime_error("load_layer: Conv2d weight shape mismatch");
-      }
+      conv->weight() = read_tensor(r, wshape);
     }
-    if (opt.bias) conv->bias() = read_tensor(is);
+    if (opt.bias) conv->bias() = read_tensor(r, Shape{out_c});
     return conv;
   }
   if (kind == "DepthwiseConv2d") {
-    const int64_t channels = read_i64(is);
+    const int64_t channels = read_i64(r);
     DepthwiseConv2d::Options opt;
-    opt.kernel = read_i64(is);
-    opt.stride = read_i64(is);
-    opt.pad = read_i64(is);
-    // v1 depthwise layers had no bias parameter (and no flag in the stream).
-    opt.bias = version >= 2 && read_u32(is) != 0;
+    opt.kernel = read_i64(r);
+    opt.stride = read_i64(r);
+    opt.pad = read_i64(r);
+    opt.bias = read_u32(r) != 0;
+    param_bytes(r, {channels, opt.kernel, opt.kernel}, sizeof(float));
+    check_window(opt.kernel, opt.stride, opt.pad);
     auto dw = std::make_unique<DepthwiseConv2d>(channels, opt, rng);
-    dw->weight() = read_tensor(is);
-    if (dw->weight().shape() != Shape{channels, opt.kernel, opt.kernel}) {
-      throw std::runtime_error("load_layer: DepthwiseConv2d shape mismatch");
-    }
-    if (opt.bias) dw->bias() = read_tensor(is);
+    dw->weight() = read_tensor(r, Shape{channels, opt.kernel, opt.kernel});
+    if (opt.bias) dw->bias() = read_tensor(r, Shape{channels});
     return dw;
   }
   if (kind == "BatchNorm2d") {
-    const int64_t c = read_i64(is);
-    const float eps = read_f32(is);
-    const float momentum = read_f32(is);
+    const int64_t c = read_i64(r);
+    const float eps = read_f32(r);
+    const float momentum = read_f32(r);
+    param_bytes(r, {c, 4}, sizeof(float));  // gamma, beta, mean, var
     auto bn = std::make_unique<BatchNorm2d>(c, eps, momentum);
-    bn->gamma() = read_tensor(is);
-    bn->beta() = read_tensor(is);
-    bn->running_mean() = read_tensor(is);
-    bn->running_var() = read_tensor(is);
-    if (bn->gamma().numel() != c) {
-      throw std::runtime_error("load_layer: BatchNorm2d shape mismatch");
-    }
+    bn->gamma() = read_tensor(r, Shape{c});
+    bn->beta() = read_tensor(r, Shape{c});
+    bn->running_mean() = read_tensor(r, Shape{c});
+    bn->running_var() = read_tensor(r, Shape{c});
     return bn;
   }
   if (kind == "ReLU") return std::make_unique<ReLU>();
-  if (kind == "LeakyReLU") {
-    const float alpha = read_f32(is);
-    return std::make_unique<LeakyReLU>(alpha);
-  }
-  if (kind == "Tanh") return std::make_unique<Tanh>();
-  if (kind == "Sigmoid") return std::make_unique<Sigmoid>();
-  if (kind == "Dropout") {
-    const float p = read_f32(is);
-    const int64_t seed = read_i64(is);
-    return std::make_unique<Dropout>(p, static_cast<uint64_t>(seed));
-  }
   if (kind == "MaxPool2d") {
-    const int64_t k = read_i64(is);
-    const int64_t s = read_i64(is);
+    const int64_t k = read_i64(r);
+    const int64_t s = read_i64(r);
+    if (k < 1 || s < 1) throw std::runtime_error("model stream: bad pool window");
     return std::make_unique<MaxPool2d>(k, s);
-  }
-  if (kind == "AvgPool2d") {
-    const int64_t k = read_i64(is);
-    const int64_t s = read_i64(is);
-    return std::make_unique<AvgPool2d>(k, s);
   }
   if (kind == "GlobalAvgPool2d") return std::make_unique<GlobalAvgPool2d>();
   if (kind == "Flatten") return std::make_unique<Flatten>();
   if (kind == "Dense") {
-    const int64_t in_f = read_i64(is);
-    const int64_t out_f = read_i64(is);
-    const bool bias = read_u32(is) != 0;
+    const int64_t in_f = read_i64(r);
+    const int64_t out_f = read_i64(r);
+    const bool bias = read_u32(r) != 0;
+    const bool quantized = read_u32(r) != 0;
+    param_bytes(r, {out_f, in_f}, quantized ? 1 : sizeof(float));
     auto dense = std::make_unique<Dense>(in_f, out_f, rng, bias);
-    const bool quantized = version >= 3 && read_u32(is) != 0;
     if (quantized) {
-      QuantizedWeights qw = read_quant(is, out_f, in_f);
+      QuantizedWeights qw = read_quant(r, out_f, in_f);
       dense->weight() = dequantized_weight(qw, Shape{out_f, in_f});
       dense->set_quantized(std::move(qw));
     } else {
-      dense->weight() = read_tensor(is);
-      if (dense->weight().shape() != Shape{out_f, in_f}) {
-        throw std::runtime_error("load_layer: Dense weight shape mismatch");
-      }
+      dense->weight() = read_tensor(r, Shape{out_f, in_f});
     }
-    if (bias) dense->bias() = read_tensor(is);
+    if (bias) dense->bias() = read_tensor(r, Shape{out_f});
     return dense;
   }
   if (kind == "Sequential") {
-    const uint32_t n = read_u32(is);
+    const uint32_t n = read_u32(r);
     auto seq = std::make_unique<Sequential>();
-    for (uint32_t i = 0; i < n; ++i) seq->add(load_layer(is, version));
+    for (uint32_t i = 0; i < n; ++i) seq->add(parse_section(r));
     return seq;
   }
   if (kind == "ResidualBlock") {
-    const int64_t in_c = read_i64(is);
-    const int64_t out_c = read_i64(is);
-    const int64_t stride = read_i64(is);
-    const int64_t internal = read_i64(is);
-    auto block = std::make_unique<ResidualBlock>(in_c, out_c, stride, rng);
-    if (internal != out_c) {
-      // Re-create the pruned internal width, then overwrite the weights.
-      std::vector<int64_t> keep(static_cast<size_t>(internal));
-      for (int64_t i = 0; i < internal; ++i) keep[static_cast<size_t>(i)] = i;
-      block->prune_internal(keep);
+    const int64_t in_c = read_i64(r);
+    const int64_t out_c = read_i64(r);
+    const int64_t stride = read_i64(r);
+    const int64_t internal = read_i64(r);
+    if (stride < 1 || internal > out_c) {
+      throw std::runtime_error("load_layer: malformed ResidualBlock");
     }
-    auto copy_into = [&is, version](Conv2d& conv, BatchNorm2d& bn) {
-      auto loaded_conv = load_layer(is, version);
-      auto loaded_bn = load_layer(is, version);
+    // The block is built at its stored internal width. Its convolutions
+    // (int8 at the least, one byte per weight) must fit in what is left.
+    const bool down = stride != 1 || in_c != out_c;
+    if (param_bytes(r, {internal, in_c, 3, 3}, 1) +
+            param_bytes(r, {out_c, internal, 3, 3}, 1) +
+            (down ? param_bytes(r, {out_c, in_c}, 1) : 0) >
+        r.left) {
+      throw std::runtime_error("model stream: layer larger than its section");
+    }
+    auto block =
+        std::make_unique<ResidualBlock>(in_c, out_c, stride, rng, internal);
+    auto copy_into = [&r](Conv2d& conv, BatchNorm2d& bn) {
+      auto loaded_conv = parse_section(r);
+      auto loaded_bn = parse_section(r);
       auto* c = dynamic_cast<Conv2d*>(loaded_conv.get());
       auto* b = dynamic_cast<BatchNorm2d*>(loaded_bn.get());
-      if (!c || !b) {
+      if (!c || !b || c->weight().shape() != conv.weight().shape() ||
+          b->channels() != bn.channels()) {
         throw std::runtime_error("load_layer: malformed ResidualBlock");
       }
       conv.weight() = c->weight();
@@ -401,12 +405,33 @@ std::unique_ptr<Layer> load_layer_body(std::istream& is, uint32_t version) {
     };
     copy_into(block->conv1(), block->bn1());
     copy_into(block->conv2(), block->bn2());
-    if (block->has_downsample()) {
-      copy_into(block->down_conv(), block->down_bn());
-    }
+    if (down) copy_into(block->down_conv(), block->down_bn());
     return block;
   }
   throw std::runtime_error("load_layer: unknown layer kind '" + kind + "'");
+}
+
+/// Verifies one framed section, u32(crc) i64(len) body[len], and parses
+/// its body in place.
+std::unique_ptr<Layer> parse_section(Reader& r) {
+  const uint32_t crc = read_u32(r);
+  const int64_t len = read_i64(r);
+  Reader body{r.take(len, "layer section"), len};
+  if (crc32c(body.p, static_cast<size_t>(len)) != crc) {
+    throw IntegrityError(
+        "layer section checksum mismatch — corrupted model image");
+  }
+  return parse_body(body);
+}
+
+/// Bytes between the read position of `is` and its end.
+int64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here < 0) throw std::runtime_error("model stream: not seekable");
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  return static_cast<int64_t>(end - here);
 }
 
 }  // namespace
@@ -422,22 +447,23 @@ void save_layer(std::ostream& os, const Layer& layer) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::unique_ptr<Layer> load_layer(std::istream& is, uint32_t version) {
-  if (version < 4) return load_layer_body(is, version);
-  const uint32_t crc = read_u32(is);
-  const int64_t len = read_i64(is);
-  if (len < 0 || len > (1ll << 33)) {
-    throw std::runtime_error("model stream: bad layer section length");
-  }
-  std::string bytes(static_cast<size_t>(len), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(len));
+std::unique_ptr<Layer> load_layer(std::istream& is) {
+  char head[12];  // the frame: u32(crc) i64(len)
+  is.read(head, sizeof(head));
   if (!is) throw std::runtime_error("model stream truncated (layer section)");
-  if (crc32c(bytes.data(), bytes.size()) != crc) {
-    throw IntegrityError(
-        "layer section checksum mismatch — corrupted model image");
+  int64_t len = 0;
+  std::memcpy(&len, head + 4, sizeof(len));
+  // Read only once the stream is known to hold it: a forged length must
+  // not size a buffer.
+  if (len < 0 || len > bytes_left(is)) {
+    throw std::runtime_error("model stream truncated (layer section)");
   }
-  std::istringstream body(bytes, std::ios::binary);
-  return load_layer_body(body, version);
+  std::string bytes(head, sizeof(head));
+  bytes.resize(sizeof(head) + static_cast<size_t>(len));
+  is.read(bytes.data() + sizeof(head), static_cast<std::streamsize>(len));
+  if (!is) throw std::runtime_error("model stream truncated (layer section)");
+  Reader r{bytes.data(), static_cast<int64_t>(bytes.size())};
+  return parse_section(r);
 }
 
 void save_model(std::ostream& os, const Layer& model) {
@@ -445,7 +471,7 @@ void save_model(std::ostream& os, const Layer& model) {
   const uint32_t version = kModelFormatVersion;
   std::memcpy(header + 4, &version, sizeof(version));
   os.write(header, sizeof(header));
-  write_u32(os, crc32c(header, sizeof(header)));  // format v4
+  write_u32(os, crc32c(header, sizeof(header)));
   save_layer(os, model);
 }
 
@@ -455,19 +481,21 @@ std::unique_ptr<Layer> load_model(std::istream& is) {
   if (!is || std::memcmp(header, "TBNM", 4) != 0) {
     throw std::runtime_error("load_model: bad magic");
   }
-  const uint32_t version = read_u32(is);
-  if (version < 1 || version > kModelFormatVersion) {
+  uint32_t version = 0;
+  is.read(header + 4, sizeof(version));
+  std::memcpy(&version, header + 4, sizeof(version));
+  if (!is || version != kModelFormatVersion) {
     throw std::runtime_error("load_model: unsupported version " +
                              std::to_string(version));
   }
-  if (version >= 4) {
-    std::memcpy(header + 4, &version, sizeof(version));
-    if (read_u32(is) != crc32c(header, sizeof(header))) {
-      throw IntegrityError(
-          "model header checksum mismatch — corrupted model image");
-    }
+  uint32_t crc = 0;
+  is.read(reinterpret_cast<char*>(&crc), sizeof(crc));
+  if (!is) throw std::runtime_error("model stream truncated (u32)");
+  if (crc != crc32c(header, sizeof(header))) {
+    throw IntegrityError(
+        "model header checksum mismatch — corrupted model image");
   }
-  return load_layer(is, version);
+  return load_layer(is);
 }
 
 void save_model_file(const std::string& path, const Layer& model) {

@@ -6,12 +6,11 @@
 // deployment packager: the secure branch M_T is serialized with this code,
 // measured, and loaded inside the simulated TEE.
 //
-//   file    := magic "TBNM" u32(version) u32(header_crc) layer     (v4)
-//   layer   := u32(crc) i64(len) body[len]                         (v4)
+//   file    := magic "TBNM" u32(version) u32(header_crc) layer
+//   layer   := u32(crc) i64(len) body[len]
 //   body    := string(kind) kind-specific-config tensors
 //
 // All integers little-endian; tensors are rank + dims + raw float32.
-// v1–v3 files have no header_crc and no layer framing (layer := body).
 
 #include <iosfwd>
 #include <memory>
@@ -48,21 +47,21 @@ class IntegrityError : public std::runtime_error {
 ///       ResidualBlock children) carry their own frames inside the parent's
 ///       body, so the root frame doubles as a whole-image checksum. Loaders
 ///       verify every frame and throw IntegrityError on mismatch.
-/// Writers always emit the current version; load_model accepts any version
-/// back to 1 (a v1 DepthwiseConv2d loads bias-free, a pre-v3 layer loads
-/// unquantized, pre-v4 streams are trusted unchecked).
+/// Writers emit v4 and the loaders read v4 only: a TA image is hostile
+/// input, and v1–v3 carried no checksums. The loader reads the ten kinds
+/// this library writes (Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU,
+/// MaxPool2d, GlobalAvgPool2d, Flatten, Dense, Sequential, ResidualBlock).
+/// It checks every section length, tensor shape and layer parameter count
+/// against the bytes actually left before it allocates or builds anything.
 inline constexpr uint32_t kModelFormatVersion = 4;
 
 /// Serializes a layer tree (any Layer produced by this library) as one
 /// checksummed v4 section (crc + len + body).
 void save_layer(std::ostream& os, const Layer& layer);
 
-/// Reconstructs a layer tree; throws std::runtime_error on malformed input
-/// and IntegrityError on a checksum mismatch (v4 streams). `version` is the
-/// enclosing stream's format version (load_model passes it through;
-/// bare-layer callers get the current format).
-std::unique_ptr<Layer> load_layer(std::istream& is,
-                                  uint32_t version = kModelFormatVersion);
+/// Reconstructs a layer tree from one v4 section; throws std::runtime_error
+/// on malformed input and IntegrityError on a checksum mismatch.
+std::unique_ptr<Layer> load_layer(std::istream& is);
 
 /// Whole-model wrappers with magic/version framing.
 void save_model(std::ostream& os, const Layer& model);

@@ -1,6 +1,7 @@
 #include "runtime/deployed.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -286,16 +287,28 @@ void ta_check(uint32_t status, const char* what) {
   }
 }
 
+/// Bounded retry for transient TEE faults (tee::TransientFault from the
+/// context's FaultInjector, modeling a flaky world switch / channel hiccup).
+/// Every fault site fires BEFORE the TA executes, so replaying the identical
+/// command is side-effect free — see tee/fault.h. A tee::PermanentFault (and
+/// any other exception) is never retried. After the last of kRetryAttempts
+/// tries the engine throws, which serving surfaces as Status::kEngineError
+/// for the batch — never a hang.
+constexpr int kRetryAttempts = 4;
+/// Backoff before retry k is uniform in [0, kBaseBackoffUs * 2^(k-1)]
+/// ("full jitter"), capped at kMaxBackoffUs; deterministic per engine via
+/// kJitterSeed.
+constexpr int64_t kBaseBackoffUs = 50;
+constexpr int64_t kMaxBackoffUs = 2000;
+constexpr uint64_t kJitterSeed = 0x7e7;
+
 /// Backoff ceiling before retry `attempt` (1-based count of failures so
 /// far): base * 2^(attempt-1), capped at max. The actual sleep is uniform in
 /// [0, ceiling] ("full jitter") so concurrent engines don't retry in step.
-int64_t backoff_ceil_us(const DeployedTBNet::Options::RetryPolicy& rp,
-                        int attempt) {
-  int64_t ceil_us = std::max<int64_t>(rp.base_backoff.count(), 0);
-  for (int k = 1; k < attempt && ceil_us < rp.max_backoff.count(); ++k) {
-    ceil_us *= 2;
-  }
-  return std::min<int64_t>(ceil_us, std::max<int64_t>(rp.max_backoff.count(), 0));
+int64_t backoff_ceil_us(int attempt) {
+  int64_t ceil_us = kBaseBackoffUs;
+  for (int k = 1; k < attempt && ceil_us < kMaxBackoffUs; ++k) ceil_us *= 2;
+  return std::min(ceil_us, kMaxBackoffUs);
 }
 
 /// Clones one branch block for deployment, folding inference-mode BatchNorm
@@ -336,34 +349,6 @@ std::vector<uint8_t> build_tbnet_ta_image(
     image.insert(image.end(), blob.begin(), blob.end());
   }
   return image;
-}
-
-/// The baselines' TA: installs victim layers [first, size) under `uuid` as
-/// a secure-only image, one stage per layer, and opens a session on it.
-/// The layers ship as plain clones, BN unfolded, so the TA's logits stay
-/// bitwise equal to victim.forward.
-std::unique_ptr<tee::TeeSession> install_secure_layers(
-    const nn::Sequential& victim, int first, tee::TeeContext& ctx,
-    const std::string& uuid) {
-  std::vector<std::unique_ptr<nn::Layer>> layers;
-  for (int i = first; i < victim.size(); ++i) {
-    layers.push_back(victim.layer(i).clone());
-  }
-  ctx.world().install(uuid, make_tbnet_ta(build_tbnet_ta_image(layers)));
-  return std::make_unique<tee::TeeSession>(ctx.open_session(uuid));
-}
-
-/// Runs `x` through a secure-only image in one kCmdRun: the input record,
-/// then the release record. The TA runs every stage and returns the logits.
-Tensor run_secure_layers(tee::TeeSession& session, const Tensor& x) {
-  std::vector<uint8_t> records;
-  pack_i64(records, kRecordInput);
-  pack_tensor(records, x);
-  pack_i64(records, kRecordLogits);
-  std::vector<uint8_t> result;
-  ta_check(session.invoke(kCmdRun, records, &result), "Run");
-  size_t off = 0;
-  return unpack_tensor(result, &off);
 }
 
 }  // namespace
@@ -441,7 +426,7 @@ DeployedTBNet::DeployedTBNet(const core::TwoBranchModel& model,
   ta_image_ = build_tbnet_ta_image(secure, &model);
   ta_image_bytes_ = static_cast<int64_t>(ta_image_.size());
   tee_ctx_->world().install(uuid_, make_tbnet_ta(ta_image_));
-  jitter_state_ = opt_.retry.jitter_seed;
+  jitter_state_ = kJitterSeed;
   open_session_with_retry();
   // Pre-pack the REE weight panels (f32 or int8) into this engine's
   // long-lived arena, so the serving hot path runs folded, fused, and
@@ -467,7 +452,6 @@ int64_t DeployedTBNet::world_switches() const {
 
 template <typename Attempt>
 void DeployedTBNet::with_retry(const char* what, Attempt attempt) {
-  const int attempts = std::max(opt_.retry.max_attempts, 1);
   for (int tried = 1;; ++tried) {
     try {
       attempt();
@@ -475,12 +459,12 @@ void DeployedTBNet::with_retry(const char* what, Attempt attempt) {
     } catch (const tee::TransientFault& e) {
       // Safe to replay: every injection site fires before the TA executes
       // (tee/fault.h), so the attempt had no secure-world effect.
-      if (tried >= attempts) {
+      if (tried >= kRetryAttempts) {
         throw std::runtime_error(std::string(what) + " failed after " +
-                                 std::to_string(attempts) +
+                                 std::to_string(kRetryAttempts) +
                                  " attempts: " + e.what());
       }
-      const int64_t ceil_us = backoff_ceil_us(opt_.retry, tried);
+      const int64_t ceil_us = backoff_ceil_us(tried);
       int64_t sleep_us = 0;
       {
         // Count the retry and draw the jitter under the lock; the backoff
@@ -563,7 +547,7 @@ void DeployedTBNet::set_intra_op_width(int width) {
 }
 
 uint64_t DeployedTBNet::next_jitter() {
-  // splitmix64 over the engine's own state: deterministic per jitter_seed.
+  // splitmix64 over the engine's own state: deterministic per kJitterSeed.
   uint64_t z = (jitter_state_ += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
@@ -742,20 +726,6 @@ std::vector<int64_t> DeployedTBNet::predict_batch(const Tensor& batch_nchw) {
   return labels;
 }
 
-// ------------------------------------------------------ FullTeeDeployment --
-
-FullTeeDeployment::FullTeeDeployment(const nn::Sequential& victim,
-                                     tee::TeeContext& ctx, std::string uuid)
-    : session_(install_secure_layers(victim, 0, ctx, uuid)) {}
-
-Tensor FullTeeDeployment::infer(const Tensor& image_chw) {
-  return run_secure_layers(*session_, to_batch1(image_chw));
-}
-
-int64_t FullTeeDeployment::predict(const Tensor& image_chw) {
-  return infer(image_chw).argmax();
-}
-
 // ---------------------------------------------------- PartitionDeployment --
 
 PartitionDeployment::PartitionDeployment(const nn::Sequential& victim,
@@ -763,14 +733,19 @@ PartitionDeployment::PartitionDeployment(const nn::Sequential& victim,
                                          tee::TeeContext& ctx,
                                          std::string uuid)
     : first_tee_stage_(first_tee_stage) {
-  if (first_tee_stage <= 0 || first_tee_stage >= victim.size()) {
+  if (first_tee_stage < 0 || first_tee_stage >= victim.size()) {
     throw std::invalid_argument(
         "PartitionDeployment: first_tee_stage out of range");
   }
-  session_ = install_secure_layers(victim, first_tee_stage, ctx, uuid);
-  for (int i = 0; i < first_tee_stage; ++i) {
-    head_.push_back(victim.layer(i).clone());
+  // The TEE's layers ship as a secure-only image, one stage per layer, as
+  // plain clones with BN unfolded, so the TA's logits stay bitwise equal to
+  // victim.forward.
+  std::vector<std::unique_ptr<nn::Layer>> tail;
+  for (int i = 0; i < victim.size(); ++i) {
+    (i < first_tee_stage ? head_ : tail).push_back(victim.layer(i).clone());
   }
+  ctx.world().install(uuid, make_tbnet_ta(build_tbnet_ta_image(tail)));
+  session_ = std::make_unique<tee::TeeSession>(ctx.open_session(uuid));
 }
 
 Tensor PartitionDeployment::observable_tee_input(const Tensor& image_chw) {
@@ -780,7 +755,16 @@ Tensor PartitionDeployment::observable_tee_input(const Tensor& image_chw) {
 }
 
 Tensor PartitionDeployment::infer(const Tensor& image_chw) {
-  return run_secure_layers(*session_, observable_tee_input(image_chw));
+  // One kCmdRun: the input record, then the release record. The TA runs
+  // every stage and returns the logits.
+  std::vector<uint8_t> records;
+  pack_i64(records, kRecordInput);
+  pack_tensor(records, observable_tee_input(image_chw));
+  pack_i64(records, kRecordLogits);
+  std::vector<uint8_t> result;
+  ta_check(session_->invoke(kCmdRun, records, &result), "Run");
+  size_t off = 0;
+  return unpack_tensor(result, &off);
 }
 
 int64_t PartitionDeployment::predict(const Tensor& image_chw) {

@@ -7,18 +7,19 @@
 // OP-TEE-style session API. Every intermediate feature map crosses the
 // one-way channel; the TEE releases only the final prediction.
 //
-// Two prior-art baselines run on the same trusted application, installed
-// with secure-only stages (one per victim layer, no REE contribution):
-//   * FullTeeDeployment — the entire victim inside the TEE (full protection,
-//     worst latency/memory; the paper's comparison baseline).
-//   * PartitionDeployment — DarkneTZ-style layer split: the REE runs the
-//     head and hands its plaintext feature map to the TEE; the
+// The prior-art baselines run on the same trusted application, installed
+// with secure-only stages (one per victim layer, no REE contribution), as
+// one class: PartitionDeployment runs victim layers [0, first_tee_stage) in
+// the REE and the rest in the TEE.
+//   * first_tee_stage = 0 is the Full-TEE baseline — the entire victim
+//     inside the TEE (full protection, worst latency/memory; the paper's
+//     comparison baseline).
+//   * first_tee_stage > 0 is the DarkneTZ-style layer split: the REE runs
+//     the head and hands its plaintext feature map to the TEE; the
 //     substitute-layer attack in attack/ breaks it, motivating TBNet's
 //     one-way design.
-// Each inference of either baseline is one kCmdRun: an input record, then a
-// release record.
+// Each inference is one kCmdRun: an input record, then a release record.
 
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -121,24 +122,6 @@ class DeployedTBNet {
     /// TA image shrinks ~4x and the serving GEMMs run the int8 kernel tier
     /// (simd::int8_isa_name()). Empty = f32 deployment, unchanged.
     Tensor calibration;
-    /// Bounded retry for transient TEE faults (tee::TransientFault from the
-    /// context's FaultInjector, modeling a flaky world switch / channel
-    /// hiccup). Every fault site fires BEFORE the TA executes, so replaying
-    /// the identical command is side-effect free — see tee/fault.h. A
-    /// tee::PermanentFault (and any other exception) is never retried.
-    struct RetryPolicy {
-      /// Total tries per TA invocation (1 = no retries). After the last
-      /// failed attempt the engine throws, which serving surfaces as
-      /// Status::kEngineError for the batch — never a hang.
-      int max_attempts = 4;
-      /// Backoff before retry k is uniform in [0, base_backoff * 2^(k-1)]
-      /// ("full jitter"), capped at max_backoff. Deterministic per engine
-      /// via jitter_seed.
-      std::chrono::microseconds base_backoff{50};
-      std::chrono::microseconds max_backoff{2000};
-      uint64_t jitter_seed = 0x7e7;
-    };
-    RetryPolicy retry;
   };
 
   /// Clones M_R into normal-world memory, serializes M_T + channel maps into
@@ -246,11 +229,11 @@ class DeployedTBNet {
   /// thread is idle (no batch), so exec_ctx_ has a single user again.
   void stop_ree() TS_EXCLUDES(ree_mu_);
 
-  /// Runs `attempt` under Options::RetryPolicy: a tee::TransientFault
-  /// backs off (exponential, full jitter) and replays it; after the last
-  /// attempt it throws std::runtime_error naming `what`. Permanent faults
-  /// and every other exception propagate at once. A template, so a retried
-  /// invoke allocates nothing for its callable.
+  /// Runs `attempt` under the engine's fixed retry policy (deployed.cpp): a
+  /// tee::TransientFault backs off (exponential, full jitter) and replays
+  /// it; after the last attempt it throws std::runtime_error naming `what`.
+  /// Permanent faults and every other exception propagate at once. A
+  /// template, so a retried invoke allocates nothing for its callable.
   template <typename Attempt>
   void with_retry(const char* what, Attempt attempt);
   /// session_->invoke under with_retry; a TA status other than success
@@ -320,22 +303,10 @@ class DeployedTBNet {
 std::unique_ptr<tee::TrustedApp> make_tbnet_ta(
     const std::vector<uint8_t>& image);
 
-/// Baseline: whole victim model inside the TEE, one secure-only stage per
-/// victim layer.
-class FullTeeDeployment {
- public:
-  FullTeeDeployment(const nn::Sequential& victim, tee::TeeContext& ctx,
-                    std::string uuid = "full-victim");
-
-  Tensor infer(const Tensor& image_chw);
-  int64_t predict(const Tensor& image_chw);
-
- private:
-  std::unique_ptr<tee::TeeSession> session_;
-};
-
-/// Prior-art baseline: stages [0, first_tee_stage) in the REE, the rest in
-/// the TEE (DarkneTZ-style).
+/// Prior-art baselines: stages [0, first_tee_stage) in the REE, the rest in
+/// the TEE. 0 puts the whole victim in the TEE (Full-TEE); a stage in
+/// (0, size) is the DarkneTZ-style split. Other stages throw
+/// std::invalid_argument.
 class PartitionDeployment {
  public:
   PartitionDeployment(const nn::Sequential& victim, int first_tee_stage,

@@ -27,7 +27,7 @@
 // Inter-op parallelism: the server runs one dispatch worker PER ENGINE
 // function it is given. Each engine is invoked from exactly one worker
 // thread, only ever for one batch at a time, so a non-thread-safe engine
-// (DeployedTBNet, FullTeeDeployment, a bare Sequential) is fine — the
+// (DeployedTBNet, PartitionDeployment, a bare Sequential) is fine — the
 // caller supplies N independent engines (each with its own
 // ExecutionContext/arena; for DeployedTBNet that means one engine instance
 // per worker) to serve N batches concurrently. Intra-op kernel threads nest

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "tee/world.h"
@@ -51,10 +50,6 @@ class WorkspaceArena {
   /// is over-aligned and the bump position rounds up to a cache line, so
   /// packed GEMM panels can use aligned vector loads.
   float* alloc(int64_t n);
-
-  std::span<float> alloc_span(int64_t n) {
-    return std::span<float>(alloc(n), static_cast<size_t>(n));
-  }
 
   /// Snapshot of the current bump position.
   Mark mark() const;
@@ -147,7 +142,6 @@ class ExecutionContext {
   int64_t chunk_size(int64_t n) const;
 
   tee::World world() const { return world_; }
-  void set_world(tee::World world) { world_ = world; }
 
  private:
   mutable WorkspaceArena arena_;

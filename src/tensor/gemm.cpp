@@ -212,7 +212,6 @@ void apply_epilogue_reference(int64_t m, int64_t n, float* c, int64_t ldc,
     for (int64_t j = 0; j < n; ++j) {
       float v = crow[j];
       if (ep.row_scale != nullptr || ep.row_shift != nullptr) v = v * rs + rh;
-      if (ep.col_scale != nullptr) v *= ep.col_scale[j];
       if (ep.col_shift != nullptr) v += ep.col_shift[j];
       crow[j] = simd::apply_act(v, ep.act);
     }
@@ -299,31 +298,6 @@ void gemm_tn(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
 void gemm_tn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
              const float* b, float beta, float* c) {
   gemm_tn(default_execution_context(), m, n, k, alpha, a, b, beta, c);
-}
-
-void gemv_reference(int64_t m, int64_t n, float alpha, const float* a,
-                    const float* x, float beta, float* y) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * n;
-    float acc = 0.0f;
-    for (int64_t j = 0; j < n; ++j) acc += arow[j] * x[j];
-    y[i] = alpha * acc + (beta == 0.0f ? 0.0f : beta * y[i]);
-  }
-}
-
-void gemv(const ExecutionContext& ctx, int64_t m, int64_t n, float alpha,
-          const float* a, const float* x, float beta, float* y) {
-  ctx.parallel_for(m, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float acc = simd::dot(a + i * n, x, n);
-      y[i] = alpha * acc + (beta == 0.0f ? 0.0f : beta * y[i]);
-    }
-  });
-}
-
-void gemv(int64_t m, int64_t n, float alpha, const float* a, const float* x,
-          float beta, float* y) {
-  gemv(default_execution_context(), m, n, alpha, a, x, beta, y);
 }
 
 }  // namespace tbnet

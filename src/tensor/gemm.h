@@ -6,7 +6,7 @@
 //
 // Every entry point packs its operands into microkernel panels (pack.h) and
 // drives the dispatched 6x16 microkernel (simd.h), with an optional fused
-// per-row/per-column epilogue (bias, BN scale/shift, ReLU/ReLU6) so
+// per-row/per-column epilogue (bias, BN scale/shift, ReLU) so
 // conv -> BN -> activation is one pass over C. Outputs narrower than one
 // tile (n < kNR) take a per-element dot (gemm_nt) or the scalar reference
 // kernel (gemm_nn, gemm_tn) instead. The register-blocked PR-1 kernels stay
@@ -64,13 +64,6 @@ void gemm_tn(const ExecutionContext& ctx, int64_t m, int64_t n, int64_t k,
 void gemm_tn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
              const float* b, float beta, float* c);
 
-/// y[m] = alpha * A[m,n] * x[n] + beta * y[m]. Dispatched dot-product rows
-/// (simd::dot, parallelized on the context pool).
-void gemv(const ExecutionContext& ctx, int64_t m, int64_t n, float alpha,
-          const float* a, const float* x, float beta, float* y);
-void gemv(int64_t m, int64_t n, float alpha, const float* a, const float* x,
-          float beta, float* y);
-
 /// The PR-1 scalar blocked kernels, bit-stable across releases: the oracle
 /// parity tests and benchmarks compare the packed path against in-process.
 void gemm_nn_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
@@ -82,8 +75,6 @@ void gemm_nt_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
 void gemm_tn_reference(const ExecutionContext& ctx, int64_t m, int64_t n,
                        int64_t k, float alpha, const float* a, const float* b,
                        float beta, float* c);
-void gemv_reference(int64_t m, int64_t n, float alpha, const float* a,
-                    const float* x, float beta, float* y);
 
 /// Separate-pass epilogue over C[m,n] (row stride ldc) — the unfused
 /// reference for GemmEpilogue, also used by the n < kNR paths.

@@ -240,7 +240,6 @@ void run_packed(ThreadPool& pool, int64_t m, int64_t n, int64_t k, float alpha,
           if (last && !ep.empty()) {
             te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
             te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
             te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
             te.act = ep.act;
             tep = &te;
@@ -312,7 +311,6 @@ void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
           if (last && !ep.empty()) {
             te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
             te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
             te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
             te.act = ep.act;
             tep = &te;
@@ -399,7 +397,6 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
           if (last && !ep.empty()) {
             te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
             te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
             te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
             te.act = ep.act;
             tep = &te;

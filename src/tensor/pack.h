@@ -27,18 +27,16 @@ class ThreadPool;
 
 /// Optional fused per-row / per-column epilogue for a GEMM call, applied to
 /// each C element after the alpha/beta update (see simd::TileEpilogue for the
-/// exact formula). Row arrays have length m, column arrays length n.
+/// exact formula). Row arrays have length m, the column shift length n.
 struct GemmEpilogue {
   const float* row_scale = nullptr;
   const float* row_shift = nullptr;
-  const float* col_scale = nullptr;
   const float* col_shift = nullptr;
   simd::Act act = simd::Act::kNone;
 
   bool empty() const {
     return row_scale == nullptr && row_shift == nullptr &&
-           col_scale == nullptr && col_shift == nullptr &&
-           act == simd::Act::kNone;
+           col_shift == nullptr && act == simd::Act::kNone;
   }
 };
 

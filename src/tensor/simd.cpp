@@ -74,9 +74,6 @@ void micro_scalar(int64_t kc, const float* a_panel, const float* b_panel,
         const float rh =
             ep->row_shift != nullptr ? ep->row_shift[i0 + i] : 0.0f;
         for (int j = 0; j < kNR; ++j) v[j] = v[j] * rs + rh;
-        if (ep->col_scale != nullptr) {
-          for (int j = 0; j < nr; ++j) v[j] *= ep->col_scale[j];
-        }
         if (ep->col_shift != nullptr) {
           for (int j = 0; j < nr; ++j) v[j] += ep->col_shift[j];
         }
@@ -279,10 +276,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2(
           v0 = _mm256_fmadd_ps(rs, v0, rh);
           v1 = _mm256_fmadd_ps(rs, v1, rh);
         }
-        if (ep->col_scale != nullptr) {
-          v0 = _mm256_mul_ps(v0, _mm256_loadu_ps(ep->col_scale));
-          v1 = _mm256_mul_ps(v1, _mm256_loadu_ps(ep->col_scale + 8));
-        }
         if (ep->col_shift != nullptr) {
           v0 = _mm256_add_ps(v0, _mm256_loadu_ps(ep->col_shift));
           v1 = _mm256_add_ps(v1, _mm256_loadu_ps(ep->col_shift + 8));
@@ -291,11 +284,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2(
           const __m256 zero = _mm256_setzero_ps();
           v0 = _mm256_max_ps(v0, zero);
           v1 = _mm256_max_ps(v1, zero);
-          if (ep->act == Act::kReLU6) {
-            const __m256 six = _mm256_set1_ps(6.0f);
-            v0 = _mm256_min_ps(v0, six);
-            v1 = _mm256_min_ps(v1, six);
-          }
         }
       }
       _mm256_storeu_ps(crow, v0);
@@ -326,7 +314,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2(
         if (ep->row_scale != nullptr || ep->row_shift != nullptr) {
           v = std::fmaf(rs, v, rh);
         }
-        if (ep->col_scale != nullptr) v *= ep->col_scale[j];
         if (ep->col_shift != nullptr) v += ep->col_shift[j];
         v = apply_act(v, ep->act);
       }
@@ -367,10 +354,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2_mr1(
         v0 = _mm256_fmadd_ps(rs, v0, rh);
         v1 = _mm256_fmadd_ps(rs, v1, rh);
       }
-      if (ep->col_scale != nullptr) {
-        v0 = _mm256_mul_ps(v0, _mm256_loadu_ps(ep->col_scale));
-        v1 = _mm256_mul_ps(v1, _mm256_loadu_ps(ep->col_scale + 8));
-      }
       if (ep->col_shift != nullptr) {
         v0 = _mm256_add_ps(v0, _mm256_loadu_ps(ep->col_shift));
         v1 = _mm256_add_ps(v1, _mm256_loadu_ps(ep->col_shift + 8));
@@ -379,11 +362,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2_mr1(
         const __m256 zero = _mm256_setzero_ps();
         v0 = _mm256_max_ps(v0, zero);
         v1 = _mm256_max_ps(v1, zero);
-        if (ep->act == Act::kReLU6) {
-          const __m256 six = _mm256_set1_ps(6.0f);
-          v0 = _mm256_min_ps(v0, six);
-          v1 = _mm256_min_ps(v1, six);
-        }
       }
     }
     _mm256_storeu_ps(c, v0);
@@ -404,7 +382,6 @@ __attribute__((target("avx2,fma"))) void micro_avx2_mr1(
       if (ep->row_scale != nullptr || ep->row_shift != nullptr) {
         v = std::fmaf(rs, v, rh);
       }
-      if (ep->col_scale != nullptr) v *= ep->col_scale[j];
       if (ep->col_shift != nullptr) v += ep->col_shift[j];
       v = apply_act(v, ep->act);
     }
@@ -501,9 +478,6 @@ __attribute__((target("avx2,fma"))) void dw_row_avx2(
       __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
       if (act == Act::kReLU) {
         v = _mm256_max_ps(v, _mm256_setzero_ps());
-      } else if (act == Act::kReLU6) {
-        v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()),
-                          _mm256_set1_ps(6.0f));
       }
       _mm256_storeu_ps(out + t, v);
     }
@@ -552,9 +526,6 @@ __attribute__((target("avx2,fma"))) void dw_row_avx2(
         __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
         if (act == Act::kReLU) {
           v = _mm256_max_ps(v, _mm256_setzero_ps());
-        } else if (act == Act::kReLU6) {
-          v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()),
-                            _mm256_set1_ps(6.0f));
         }
         _mm256_storeu_ps(out + t, v);
       }
@@ -574,9 +545,6 @@ __attribute__((target("avx2,fma"))) void dw_row_avx2(
         __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
         if (act == Act::kReLU) {
           v = _mm256_max_ps(v, _mm256_setzero_ps());
-        } else if (act == Act::kReLU6) {
-          v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()),
-                            _mm256_set1_ps(6.0f));
         }
         _mm256_storeu_ps(out + t, v);
       }
@@ -600,9 +568,6 @@ __attribute__((target("avx2,fma"))) void dw_row_avx2(
       __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
       if (act == Act::kReLU) {
         v = _mm256_max_ps(v, _mm256_setzero_ps());
-      } else if (act == Act::kReLU6) {
-        v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()),
-                          _mm256_set1_ps(6.0f));
       }
       _mm256_storeu_ps(out + t, v);
     }
@@ -787,10 +752,6 @@ __attribute__((target("avx512f"))) void micro_avx512_wide(
           v0 = _mm512_fmadd_ps(rs, v0, rh);
           v1 = _mm512_fmadd_ps(rs, v1, rh);
         }
-        if (ep->col_scale != nullptr) {
-          v0 = _mm512_mul_ps(v0, _mm512_loadu_ps(ep->col_scale));
-          v1 = _mm512_mul_ps(v1, _mm512_loadu_ps(ep->col_scale + kNR));
-        }
         if (ep->col_shift != nullptr) {
           v0 = _mm512_add_ps(v0, _mm512_loadu_ps(ep->col_shift));
           v1 = _mm512_add_ps(v1, _mm512_loadu_ps(ep->col_shift + kNR));
@@ -799,11 +760,6 @@ __attribute__((target("avx512f"))) void micro_avx512_wide(
           const __m512 zero = _mm512_setzero_ps();
           v0 = _mm512_max_ps(v0, zero);
           v1 = _mm512_max_ps(v1, zero);
-          if (ep->act == Act::kReLU6) {
-            const __m512 six = _mm512_set1_ps(6.0f);
-            v0 = _mm512_min_ps(v0, six);
-            v1 = _mm512_min_ps(v1, six);
-          }
         }
       }
       _mm512_storeu_ps(crow, v0);
@@ -832,7 +788,6 @@ __attribute__((target("avx512f"))) void micro_avx512_wide(
         if (ep->row_scale != nullptr || ep->row_shift != nullptr) {
           v = std::fmaf(rs, v, rh);
         }
-        if (ep->col_scale != nullptr) v *= ep->col_scale[j];
         if (ep->col_shift != nullptr) v += ep->col_shift[j];
         v = apply_act(v, ep->act);
       }
@@ -908,11 +863,6 @@ __attribute__((target("avx2,fma"))) void i8_finish_avx2(
         const __m256 zero = _mm256_setzero_ps();
         v0 = _mm256_max_ps(v0, zero);
         v1 = _mm256_max_ps(v1, zero);
-        if (ep.act == Act::kReLU6) {
-          const __m256 six = _mm256_set1_ps(6.0f);
-          v0 = _mm256_min_ps(v0, six);
-          v1 = _mm256_min_ps(v1, six);
-        }
       }
       _mm256_storeu_ps(crow, v0);
       _mm256_storeu_ps(crow + 8, v1);
@@ -1269,15 +1219,11 @@ void micro_neon(int64_t kc, const float* a_panel, const float* b_panel,
                 ep->row_shift != nullptr ? ep->row_shift[i] : 0.0f;
             v = vfmaq_f32(vdupq_n_f32(rh), vdupq_n_f32(rs), v);
           }
-          if (ep->col_scale != nullptr) {
-            v = vmulq_f32(v, vld1q_f32(ep->col_scale + 4 * q));
-          }
           if (ep->col_shift != nullptr) {
             v = vaddq_f32(v, vld1q_f32(ep->col_shift + 4 * q));
           }
           if (ep->act != Act::kNone) {
             v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-            if (ep->act == Act::kReLU6) v = vminq_f32(v, vdupq_n_f32(6.0f));
           }
         }
         vst1q_f32(crow + 4 * q, v);
@@ -1303,7 +1249,6 @@ void micro_neon(int64_t kc, const float* a_panel, const float* b_panel,
         if (ep->row_scale != nullptr || ep->row_shift != nullptr) {
           v = std::fmaf(rs, v, rh);
         }
-        if (ep->col_scale != nullptr) v *= ep->col_scale[j];
         if (ep->col_shift != nullptr) v += ep->col_shift[j];
         v = apply_act(v, ep->act);
       }
@@ -1361,8 +1306,6 @@ void dw_row_neon(const float* const* rows, int64_t kh, const float* taps,
       float32x4_t v = vfmaq_f32(vshift, acc, vscale);
       if (act == Act::kReLU) {
         v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-      } else if (act == Act::kReLU6) {
-        v = vminq_f32(vmaxq_f32(v, vdupq_n_f32(0.0f)), vdupq_n_f32(6.0f));
       }
       vst1q_f32(out + t, v);
     }
@@ -1383,8 +1326,6 @@ void dw_row_neon(const float* const* rows, int64_t kh, const float* taps,
       float32x4_t v = vfmaq_f32(vshift, acc, vscale);
       if (act == Act::kReLU) {
         v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-      } else if (act == Act::kReLU6) {
-        v = vminq_f32(vmaxq_f32(v, vdupq_n_f32(0.0f)), vdupq_n_f32(6.0f));
       }
       vst1q_f32(out + t, v);
     }

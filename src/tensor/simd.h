@@ -59,7 +59,7 @@ const char* int8_isa_name();
 bool fast_kernels_enabled();
 
 /// Fused activation applied as the last step of a GEMM epilogue.
-enum class Act : uint8_t { kNone = 0, kReLU = 1, kReLU6 = 2 };
+enum class Act : uint8_t { kNone = 0, kReLU = 1 };
 
 /// True for the Act values the kernels implement. Epilogue builders validate
 /// with this BEFORE entering a hot loop: the per-element application below is
@@ -67,7 +67,7 @@ enum class Act : uint8_t { kNone = 0, kReLU = 1, kReLU6 = 2 };
 /// an old kernel) must be rejected at the boundary rather than silently
 /// clamped as ReLU.
 constexpr bool act_known(Act act) {
-  return act == Act::kNone || act == Act::kReLU || act == Act::kReLU6;
+  return act == Act::kNone || act == Act::kReLU;
 }
 
 /// Throws std::invalid_argument for values act_known rejects.
@@ -83,9 +83,6 @@ inline float apply_act(float v, Act act) {
       return v;
     case Act::kReLU:
       return v > 0.0f ? v : 0.0f;
-    case Act::kReLU6:
-      v = v > 0.0f ? v : 0.0f;
-      return v > 6.0f ? 6.0f : v;
   }
   return v;  // unreachable when the boundary validated act_known
 }
@@ -93,14 +90,13 @@ inline float apply_act(float v, Act act) {
 /// Per-tile epilogue view. Pointers are pre-offset to the tile origin by the
 /// driver; nullptr means identity (scale 1 / shift 0). Applied as
 ///   v = v * row_scale[i] + row_shift[i]
-///   v = v * col_scale[j] + col_shift[j]
+///   v = v + col_shift[j]
 ///   v = act(v)
 /// after the alpha/beta update. Row epilogues serve conv (C rows = output
-/// channels); column epilogues serve dense (C columns = output features).
+/// channels); the column shift serves dense (C columns = output features).
 struct TileEpilogue {
   const float* row_scale = nullptr;
   const float* row_shift = nullptr;
-  const float* col_scale = nullptr;
   const float* col_shift = nullptr;
   Act act = Act::kNone;
 };
@@ -220,7 +216,8 @@ MicroKernelI8Fn micro_kernel_i8();
 /// and the parity oracle the SIMD tiers are tested against (bits must match).
 MicroKernelI8Fn micro_kernel_i8_reference();
 
-/// SIMD dot product (FMA chains; lane order fixed per ISA). Backs gemv.
+/// SIMD dot product (FMA chains; lane order fixed per ISA). Backs the
+/// n < kNR gemm_nt path.
 float dot(const float* a, const float* b, int64_t n);
 
 // ----------------------------------------------------------- depthwise ----

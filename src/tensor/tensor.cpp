@@ -28,12 +28,6 @@ Tensor Tensor::randn(const Shape& shape, Rng& rng, float mean, float stddev) {
   return t;
 }
 
-Tensor Tensor::rand(const Shape& shape, Rng& rng, float lo, float hi) {
-  Tensor t(shape);
-  for (float& x : t.data_) x = static_cast<float>(rng.uniform(lo, hi));
-  return t;
-}
-
 Tensor Tensor::from(std::vector<float> values) {
   const int64_t n = static_cast<int64_t>(values.size());
   return Tensor(Shape{n}, std::move(values));

@@ -34,9 +34,6 @@ class Tensor {
   /// i.i.d. N(mean, stddev^2) entries.
   static Tensor randn(const Shape& shape, Rng& rng, float mean = 0.0f,
                       float stddev = 1.0f);
-  /// i.i.d. U[lo, hi) entries.
-  static Tensor rand(const Shape& shape, Rng& rng, float lo = 0.0f,
-                     float hi = 1.0f);
   /// 1-D tensor from explicit values.
   static Tensor from(std::vector<float> values);
 
@@ -77,7 +74,7 @@ class Tensor {
   float mean() const;
   float min() const;
   float max() const;
-  /// Sum of absolute values (used by the BN L1 sparsity penalty).
+  /// Sum of absolute values.
   float abs_sum() const;
   /// Index of the maximum element (first on ties).
   int64_t argmax() const;

@@ -114,8 +114,7 @@ TEST(DepthwiseSimd, FusedAffineAndActsMatchReference) {
       scale[static_cast<size_t>(ch)] = 0.5f + 0.2f * static_cast<float>(ch % 3);
       shift[static_cast<size_t>(ch)] = 0.1f * static_cast<float>(ch) - 0.2f;
     }
-    for (simd::Act act :
-         {simd::Act::kNone, simd::Act::kReLU, simd::Act::kReLU6}) {
+    for (simd::Act act : {simd::Act::kNone, simd::Act::kReLU}) {
       const Tensor got =
           dw.forward_fused(ctx, x, scale.data(), shift.data(), act);
       const Tensor want =
@@ -215,7 +214,7 @@ TEST(DepthwiseSimd, RejectsUnknownActValues) {
   EXPECT_THROW(dw.forward_reference(ctx, x, nullptr, nullptr, bogus),
                std::invalid_argument);
   EXPECT_NO_THROW(dw.forward_fused(ctx, x, nullptr, nullptr,
-                                   simd::Act::kReLU6));
+                                   simd::Act::kReLU));
 }
 
 // ------------------------------------------------ fused dw→pw --------------

@@ -1,229 +1,18 @@
-// Tests for the extension surface: extra layers (Dropout, LeakyReLU, Tanh,
-// Sigmoid, AvgPool2d), Adam + CosineLR, sealed TA images, the JSON report
-// writer, the deployment profiler, and the architecture-inference attack.
+// Tests for the extension surface: the JSON report writer, the deployment
+// profiler, and the architecture-inference attack.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "attack/attacks.h"
 #include "core/pruner.h"
 #include "core/report.h"
 #include "core/rollback.h"
 #include "models/model_zoo.h"
-#include "nn/activations.h"
-#include "nn/dense.h"
-#include "nn/dropout.h"
-#include "nn/optimizer.h"
-#include "nn/pool.h"
 #include "nn/sequential.h"
-#include "nn/serialize.h"
 #include "runtime/profiler.h"
-#include "tee/sealing.h"
 
 namespace tbnet {
 namespace {
-
-// ---------------------------------------------------------------- layers ---
-
-TEST(Dropout, IdentityAtInference) {
-  nn::Dropout drop(0.5, 1);
-  Rng rng(1);
-  Tensor x = Tensor::randn(Shape{4, 8}, rng);
-  EXPECT_TRUE(allclose(drop.forward(x, false), x, 0.0f, 0.0f));
-}
-
-TEST(Dropout, DropsAboutPAndRescales) {
-  nn::Dropout drop(0.25, 7);
-  Tensor x = Tensor::ones(Shape{10000});
-  Tensor y = drop.forward(x, true);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(y[i], 1.0f / 0.75f, 1e-5f);  // inverted scaling
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.25, 0.02);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  nn::Dropout drop(0.5, 3);
-  Tensor x = Tensor::ones(Shape{64});
-  Tensor y = drop.forward(x, true);
-  Tensor g = drop.backward(Tensor::ones(Shape{64}));
-  for (int64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(y[i] == 0.0f, g[i] == 0.0f) << i;
-  }
-}
-
-TEST(Dropout, RejectsBadP) {
-  EXPECT_THROW(nn::Dropout(-0.1), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(1.0), std::invalid_argument);
-}
-
-TEST(LeakyReLU, ForwardAndBackward) {
-  nn::LeakyReLU lrelu(0.1f);
-  Tensor x = Tensor::from({-2.0f, 3.0f});
-  Tensor y = lrelu.forward(x, true);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[1], 3.0f);
-  Tensor g = lrelu.backward(Tensor::from({1.0f, 1.0f}));
-  EXPECT_FLOAT_EQ(g[0], 0.1f);
-  EXPECT_FLOAT_EQ(g[1], 1.0f);
-}
-
-TEST(TanhLayer, MatchesStdTanhAndGradient) {
-  nn::Tanh tanh_layer;
-  Tensor x = Tensor::from({-1.0f, 0.0f, 2.0f});
-  Tensor y = tanh_layer.forward(x, true);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_NEAR(y[i], std::tanh(x[i]), 1e-6f);
-  Tensor g = tanh_layer.backward(Tensor::ones(Shape{3}));
-  for (int64_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(g[i], 1.0f - y[i] * y[i], 1e-6f);
-  }
-}
-
-TEST(SigmoidLayer, KnownValuesAndGradient) {
-  nn::Sigmoid sig;
-  Tensor x = Tensor::from({0.0f});
-  Tensor y = sig.forward(x, true);
-  EXPECT_FLOAT_EQ(y[0], 0.5f);
-  Tensor g = sig.backward(Tensor::from({4.0f}));
-  EXPECT_FLOAT_EQ(g[0], 1.0f);  // 4 * 0.5 * 0.5
-}
-
-TEST(AvgPool2d, ForwardAverages) {
-  nn::AvgPool2d pool(2);
-  Tensor x = Tensor::from({1, 2, 3, 4}).reshaped(Shape{1, 1, 2, 2});
-  Tensor y = pool.forward(x, false);
-  EXPECT_EQ(y.shape(), Shape({1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(y[0], 2.5f);
-}
-
-TEST(AvgPool2d, BackwardSpreadsUniformly) {
-  nn::AvgPool2d pool(2);
-  Tensor x = Tensor::from({1, 2, 3, 4}).reshaped(Shape{1, 1, 2, 2});
-  pool.forward(x, true);
-  Tensor g = pool.backward(Tensor::from({8.0f}).reshaped(Shape{1, 1, 1, 1}));
-  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 2.0f);
-}
-
-TEST(AvgPool2d, RejectsOversizedWindow) {
-  nn::AvgPool2d pool(4);
-  EXPECT_THROW(pool.forward(Tensor(Shape{1, 1, 2, 2}), false),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------------- optimizers --
-
-TEST(Adam, ConvergesOnQuadratic) {
-  // minimize (w - 3)^2; Adam should get close quickly.
-  Tensor w = Tensor::from({0.0f});
-  Tensor g = Tensor::from({0.0f});
-  std::vector<nn::ParamRef> params{{"w", &w, &g, false}};
-  nn::Adam adam(0.1);
-  for (int i = 0; i < 200; ++i) {
-    g[0] = 2.0f * (w[0] - 3.0f);
-    adam.step(params);
-  }
-  EXPECT_NEAR(w[0], 3.0f, 0.05f);
-}
-
-TEST(Adam, ResetsOnShapeChange) {
-  Tensor w = Tensor::from({0.0f, 0.0f});
-  Tensor g = Tensor::from({1.0f, 1.0f});
-  std::vector<nn::ParamRef> params{{"w", &w, &g, false}};
-  nn::Adam adam(0.1);
-  adam.step(params);
-  w = Tensor::from({0.0f});
-  g = Tensor::from({1.0f});
-  adam.step(params);  // must not crash
-  EXPECT_LT(w[0], 0.0f);
-}
-
-TEST(CosineLR, EndpointsAndMonotone) {
-  nn::CosineLR lr(0.1, 10, 0.001);
-  EXPECT_NEAR(lr.lr_at(0), 0.1, 1e-9);
-  EXPECT_NEAR(lr.lr_at(9), 0.001, 1e-9);
-  for (int e = 1; e < 10; ++e) {
-    EXPECT_LT(lr.lr_at(e), lr.lr_at(e - 1));
-  }
-  EXPECT_NEAR(lr.lr_at(25), 0.001, 1e-9);  // clamped past the horizon
-}
-
-TEST(SerializeExtensions, NewLayersRoundTrip) {
-  Rng rng(5);
-  nn::Sequential seq;
-  seq.emplace<nn::Dense>(6, 6, rng);
-  seq.emplace<nn::LeakyReLU>(0.2f);
-  seq.emplace<nn::Tanh>();
-  seq.emplace<nn::Sigmoid>();
-  seq.emplace<nn::Dropout>(0.3, 11);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, seq);
-  auto loaded = nn::load_model(ss);
-  Tensor x = Tensor::randn(Shape{2, 6}, rng);
-  EXPECT_TRUE(allclose(seq.forward(x, false), loaded->forward(x, false),
-                       0.0f, 0.0f));
-}
-
-TEST(SerializeExtensions, AvgPoolRoundTrip) {
-  nn::Sequential seq;
-  seq.emplace<nn::AvgPool2d>(2, 2);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, seq);
-  auto loaded = nn::load_model(ss);
-  Rng rng(6);
-  Tensor x = Tensor::randn(Shape{1, 2, 4, 4}, rng);
-  EXPECT_TRUE(allclose(seq.forward(x, false), loaded->forward(x, false),
-                       0.0f, 0.0f));
-}
-
-// ---------------------------------------------------------------- sealing --
-
-TEST(Sealing, RoundTrip) {
-  const auto key = tee::DeviceKey::derive("device-0");
-  std::vector<uint8_t> secret = {1, 2, 3, 200, 255, 0, 42};
-  const tee::SealedBlob blob = tee::seal(key, 99, secret);
-  EXPECT_NE(blob.ciphertext, secret);  // actually encrypted
-  EXPECT_EQ(tee::unseal(key, blob), secret);
-}
-
-TEST(Sealing, WrongKeyRejected) {
-  const auto key = tee::DeviceKey::derive("device-0");
-  const auto other = tee::DeviceKey::derive("device-1");
-  EXPECT_NE(key, other);
-  const tee::SealedBlob blob = tee::seal(key, 1, {9, 9, 9});
-  EXPECT_THROW(tee::unseal(other, blob), tee::SecurityViolation);
-}
-
-TEST(Sealing, TamperDetected) {
-  const auto key = tee::DeviceKey::derive("device-0");
-  tee::SealedBlob blob = tee::seal(key, 1, std::vector<uint8_t>(100, 7));
-  blob.ciphertext[50] ^= 0x01;
-  EXPECT_THROW(tee::unseal(key, blob), tee::SecurityViolation);
-}
-
-TEST(Sealing, WireFormatRoundTrip) {
-  const auto key = tee::DeviceKey::derive("k");
-  const tee::SealedBlob blob = tee::seal(key, 77, {5, 4, 3, 2, 1});
-  const auto wire = blob.serialize();
-  const tee::SealedBlob back = tee::SealedBlob::deserialize(wire);
-  EXPECT_EQ(back.nonce, blob.nonce);
-  EXPECT_EQ(back.tag, blob.tag);
-  EXPECT_EQ(tee::unseal(key, back), (std::vector<uint8_t>{5, 4, 3, 2, 1}));
-  EXPECT_THROW(tee::SealedBlob::deserialize({1, 2, 3}),
-               std::invalid_argument);
-}
-
-TEST(Sealing, DifferentNoncesDifferentCiphertext) {
-  const auto key = tee::DeviceKey::derive("k");
-  const std::vector<uint8_t> msg(64, 1);
-  EXPECT_NE(tee::seal(key, 1, msg).ciphertext,
-            tee::seal(key, 2, msg).ciphertext);
-}
 
 // ------------------------------------------------------------ JSON report --
 

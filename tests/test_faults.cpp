@@ -181,7 +181,7 @@ TEST(DeployedFaults, RetryExhaustionThrowsAndEngineRecovers) {
   const Tensor batch = random_batch(1, rng);
   const Tensor want = deployed.infer_batch(batch);
 
-  ctx.faults().script(Kind::kTransient, 4);  // == default max_attempts
+  ctx.faults().script(Kind::kTransient, 4);  // == the engine's retry attempts
   try {
     deployed.infer_batch(batch);
     FAIL() << "expected retry exhaustion";
@@ -223,7 +223,7 @@ TEST(DeployedFaults, SessionOpenIsRetried) {
   EXPECT_EQ(deployed.infer_batch(random_batch(1, rng)).dim(1), 10);
 
   // As many transients as attempts: the constructor gives up, typed.
-  ctx.faults().script(Kind::kTransient, 4);  // == default max_attempts
+  ctx.faults().script(Kind::kTransient, 4);  // == the engine's retry attempts
   try {
     DeployedTBNet failed(tb, ctx, "tbnet-open-exhausted");
     FAIL() << "expected retry exhaustion";
@@ -608,21 +608,6 @@ TEST(Serialize, V4RoundTripsAndRejectsCorruptionTyped) {
   bad_header[9] ^= 0x01;  // inside the u32 header CRC at offset 8
   std::istringstream bad2(bad_header, std::ios::binary);
   EXPECT_THROW(nn::load_model(bad2), nn::IntegrityError);
-}
-
-TEST(Serialize, PreChecksumVersionsStillLoad) {
-  // A handcrafted v1 stream: magic, u32 version, one unframed ReLU body
-  // (u32 string length + "ReLU"). No header CRC, no section framing.
-  std::string v1("TBNM", 4);
-  const uint32_t version = 1;
-  const uint32_t len = 4;
-  v1.append(reinterpret_cast<const char*>(&version), 4);
-  v1.append(reinterpret_cast<const char*>(&len), 4);
-  v1.append("ReLU", 4);
-  std::istringstream is(v1, std::ios::binary);
-  std::unique_ptr<nn::Layer> layer = nn::load_model(is);
-  ASSERT_NE(layer, nullptr);
-  EXPECT_EQ(layer->kind(), "ReLU");
 }
 
 TEST(DeployedFaults, CorruptedTransferSurfacesIntegrityFault) {

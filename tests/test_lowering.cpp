@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -701,81 +702,33 @@ TEST(DepthwiseBias, SelectChannelsKeepsBias) {
   EXPECT_EQ(dw.bias()[1], 1.0f);
 }
 
-// Byte-level writers mirroring the serializer, for crafting legacy streams.
 void put_u32(std::string& s, uint32_t v) {
   s.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-void put_i64(std::string& s, int64_t v) {
-  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_string(std::string& s, const std::string& v) {
-  put_u32(s, static_cast<uint32_t>(v.size()));
-  s.append(v);
-}
-void put_tensor(std::string& s, const Tensor& t) {
-  put_u32(s, static_cast<uint32_t>(t.shape().ndim()));
-  for (int64_t d : t.shape().dims()) put_i64(s, d);
-  s.append(reinterpret_cast<const char*>(t.data()),
-           static_cast<size_t>(t.numel()) * sizeof(float));
-}
 
-TEST(DepthwiseBias, LoadsVersion1StreamsWithoutBias) {
-  // A v1 DepthwiseConv2d record has no has_bias flag; the loader must
-  // accept it and construct a bias-free layer.
-  Rng rng(34);
-  nn::DepthwiseConv2d reference(
-      3, {.kernel = 3, .stride = 2, .pad = 1, .bias = false}, rng);
-  std::string bytes;
-  bytes.append("TBNM", 4);
-  put_u32(bytes, 1);  // legacy version
-  put_string(bytes, "DepthwiseConv2d");
-  put_i64(bytes, 3);  // channels
-  put_i64(bytes, 3);  // kernel
-  put_i64(bytes, 2);  // stride
-  put_i64(bytes, 1);  // pad
-  put_tensor(bytes, reference.weight());
-
-  std::istringstream is(bytes, std::ios::binary);
-  auto loaded = nn::load_model(is);
-  auto* dw = dynamic_cast<nn::DepthwiseConv2d*>(loaded.get());
-  ASSERT_NE(dw, nullptr);
-  EXPECT_FALSE(dw->has_bias());
-  const Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
-  expect_close(loaded->forward(x, false), reference.forward(x, false), 0.0f,
-               0.0f);
-}
-
-TEST(DepthwiseBias, LoadsUnversionedTwoBranchStreamsAsV1) {
-  // Two-branch streams from builds before model format v2 start directly
-  // with the stage count and contain v1 layer records; the loader must
-  // parse them bias-free rather than reading a weight dim as the bias flag.
+TEST(DepthwiseBias, TwoBranchStreamRoundTripsBias) {
+  // The sentinel-versioned two-branch format carries a biased depthwise
+  // stage through save_two_branch / load_two_branch.
   Rng rng(36);
-  nn::DepthwiseConv2d reference(
-      2, {.kernel = 3, .stride = 1, .pad = 1, .bias = false}, rng);
-  std::string bytes;
-  put_i64(bytes, 1);  // legacy layout: stage count first, no sentinel
-  put_i64(bytes, 0);  // empty channel map
-  put_i64(bytes, 1);  // fused
-  put_string(bytes, "ReLU");  // exposed branch (version-independent record)
-  put_string(bytes, "DepthwiseConv2d");  // secure branch, v1 record
-  put_i64(bytes, 2);  // channels
-  put_i64(bytes, 3);  // kernel
-  put_i64(bytes, 1);  // stride
-  put_i64(bytes, 1);  // pad
-  put_tensor(bytes, reference.weight());
+  core::TwoBranchModel model;
+  auto dw = std::make_unique<nn::DepthwiseConv2d>(
+      2, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1,
+                                      .bias = true},
+      rng);
+  dw->bias()[0] = 0.25f;
+  dw->bias()[1] = -0.5f;
+  model.add_stage(std::make_unique<nn::ReLU>(), std::move(dw));
 
-  std::istringstream is(bytes, std::ios::binary);
-  core::TwoBranchModel model = core::load_two_branch(is);
-  ASSERT_EQ(model.num_stages(), 1);
-  auto* dw = dynamic_cast<nn::DepthwiseConv2d*>(model.stage(0).secure.get());
-  ASSERT_NE(dw, nullptr);
-  EXPECT_FALSE(dw->has_bias());
-
-  // And the current (sentinel-versioned) format round-trips a biased layer.
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   core::save_two_branch(ss, model);
   core::TwoBranchModel reloaded = core::load_two_branch(ss);
-  EXPECT_EQ(reloaded.num_stages(), 1);
+  ASSERT_EQ(reloaded.num_stages(), 1);
+  auto* got =
+      dynamic_cast<nn::DepthwiseConv2d*>(reloaded.stage(0).secure.get());
+  ASSERT_NE(got, nullptr);
+  ASSERT_TRUE(got->has_bias());
+  EXPECT_EQ(got->bias()[0], 0.25f);
+  EXPECT_EQ(got->bias()[1], -0.5f);
 }
 
 TEST(DepthwiseBias, RejectsUnknownFutureVersion) {

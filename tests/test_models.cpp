@@ -198,35 +198,6 @@ TEST(Trainer, LearnsTinyTaskAboveChance) {
   EXPECT_DOUBLE_EQ(r.final_acc, evaluate(model, test));
 }
 
-TEST(Trainer, BnL1ShrinksGammasVsControl) {
-  auto run = [](double l1) {
-    ModelConfig cfg;
-    cfg.family = Family::kVgg;
-    cfg.depth = 11;
-    cfg.classes = 4;
-    cfg.width_mult = 0.125;
-    cfg.seed = 7;
-    nn::Sequential model = build_victim(cfg);
-    auto [train, test] =
-        data::SyntheticCifar::make_split(4, 96, 48, 12, 32, 0.25);
-    TrainConfig tc;
-    tc.epochs = 2;
-    tc.batch_size = 32;
-    tc.bn_l1 = l1;
-    tc.augment = false;
-    train_classifier(model, train, test, tc);
-    double mass = 0;
-    for (auto& p : model.params()) {
-      if (p.name.size() >= 5 &&
-          p.name.compare(p.name.size() - 5, 5, "gamma") == 0) {
-        mass += p.value->abs_sum();
-      }
-    }
-    return mass;
-  };
-  EXPECT_LT(run(0.05), run(0.0));
-}
-
 // ------------------------------------------------ training bits --------
 
 /// What one training step leaves behind, as raw bits: every gradient, the

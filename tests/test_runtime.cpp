@@ -630,17 +630,21 @@ TEST(DeployedTBNet, ModelTooBigForSecureMemoryFailsLoudly) {
   EXPECT_THROW(DeployedTBNet(tb, ctx), tee::SecurityViolation);
 }
 
-TEST(FullTeeDeployment, MatchesVictimForward) {
+TEST(PartitionDeployment, StageZeroIsTheFullTeeBaseline) {
   const auto cfg = tiny_vgg_cfg();
   nn::Sequential victim = models::build_victim(cfg);
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
-  FullTeeDeployment deployed(victim, ctx);
+  PartitionDeployment deployed(victim, /*first_tee_stage=*/0, ctx,
+                               "full-victim");
   Rng rng(8);
   Tensor img = Tensor::randn(Shape{3, 32, 32}, rng);
   Tensor want = victim.forward(img.reshaped(Shape{1, 3, 32, 32}), false);
   EXPECT_TRUE(allclose(deployed.infer(img), want, 0.0f, 0.0f));
   EXPECT_EQ(deployed.predict(img), want.argmax());
+  // Nothing runs in the REE: the TEE's input is the image itself.
+  EXPECT_TRUE(allclose(deployed.observable_tee_input(img),
+                       img.reshaped(Shape{1, 3, 32, 32}), 0.0f, 0.0f));
   // The whole victim is resident in secure memory.
   EXPECT_GE(world.memory().live_bytes(), victim.param_bytes());
 
@@ -686,7 +690,7 @@ TEST(PartitionDeployment, RejectsDegeneratePartitions) {
   nn::Sequential victim = models::build_victim(cfg);
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
-  EXPECT_THROW(PartitionDeployment(victim, 0, ctx), std::invalid_argument);
+  EXPECT_THROW(PartitionDeployment(victim, -1, ctx), std::invalid_argument);
   EXPECT_THROW(PartitionDeployment(victim, victim.size(), ctx),
                std::invalid_argument);
 }

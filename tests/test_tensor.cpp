@@ -265,17 +265,6 @@ TEST(Gemm, AlphaBetaAccumulation) {
   }
 }
 
-TEST(Gemv, MatchesGemm) {
-  const int64_t m = 9, n = 14;
-  Rng rng(6);
-  Tensor a = Tensor::randn(Shape{m, n}, rng);
-  Tensor x = Tensor::randn(Shape{n}, rng);
-  Tensor y(Shape{m}), ref(Shape{m});
-  gemv(m, n, 1.0f, a.data(), x.data(), 0.0f, y.data());
-  gemm_nn(m, 1, n, 1.0f, a.data(), x.data(), 0.0f, ref.data());
-  EXPECT_TRUE(allclose(y, ref, 1e-4f, 1e-4f));
-}
-
 // --------------------------------------------------------------- im2col ----
 
 TEST(Im2col, IdentityKernelReproducesImage) {
