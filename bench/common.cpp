@@ -4,11 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "nn/serialize.h"
+#include "tensor/bytes.h"
 
 namespace tbnet::bench {
 namespace {
@@ -173,7 +176,7 @@ data::SyntheticCifar test_set(const Setup& s) {
 
 namespace {
 
-void write_report(std::ostream& os, const core::PipelineReport& r,
+void write_report(std::vector<uint8_t>& out, const core::PipelineReport& r,
                   double victim_acc) {
   const double vals[] = {victim_acc,
                          r.transfer_acc,
@@ -187,14 +190,13 @@ void write_report(std::ostream& os, const core::PipelineReport& r,
                          static_cast<double>(r.secure_bytes_initial),
                          static_cast<double>(r.secure_bytes_final),
                          static_cast<double>(r.exposed_bytes_final)};
-  os.write(reinterpret_cast<const char*>(vals), sizeof(vals));
+  put_bytes(out, vals, sizeof(vals));
 }
 
-void read_report(std::istream& is, core::PipelineReport* r,
-                 double* victim_acc) {
+void read_report(ByteReader& in, core::PipelineReport* r, double* victim_acc) {
   double vals[12] = {};
-  is.read(reinterpret_cast<char*>(vals), sizeof(vals));
-  if (!is) throw std::runtime_error("bench cache: truncated report");
+  std::memcpy(vals, in.take(sizeof(vals), "bench cache report").data(),
+              sizeof(vals));
   *victim_acc = vals[0];
   r->transfer_acc = vals[1];
   r->pruned_acc = vals[2];
@@ -209,6 +211,12 @@ void read_report(std::istream& is, core::PipelineReport* r,
   r->exposed_bytes_final = static_cast<int64_t>(vals[11]);
 }
 
+/// The whole file, read once (empty when it cannot be read).
+std::vector<uint8_t> read_file(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f), {});
+}
+
 }  // namespace
 
 Artifacts get_or_build(const Setup& s, bool verbose) {
@@ -217,25 +225,24 @@ Artifacts get_or_build(const Setup& s, bool verbose) {
   const fs::path path = fs::path(kCacheDir) / (s.key() + ".bin");
 
   if (fs::exists(path)) {
-    std::ifstream f(path, std::ios::binary);
-    if (f) {
-      try {
-        Artifacts a;
-        auto victim = nn::load_model(f);
-        auto* seq = dynamic_cast<nn::Sequential*>(victim.get());
-        if (seq == nullptr) throw std::runtime_error("bad victim in cache");
-        a.victim = std::move(*seq);
-        a.model = core::load_two_branch(f);
-        read_report(f, &a.report, &a.victim_acc);
-        if (verbose) {
-          std::printf("[cache] %s <- %s\n", s.label.c_str(),
-                      path.string().c_str());
-        }
-        return a;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "[cache] %s unreadable (%s); rebuilding\n",
-                     path.string().c_str(), e.what());
+    try {
+      const std::vector<uint8_t> bytes = read_file(path);
+      ByteReader r(bytes);
+      Artifacts a;
+      auto victim = nn::load_model(r);
+      auto* seq = dynamic_cast<nn::Sequential*>(victim.get());
+      if (seq == nullptr) throw std::runtime_error("bad victim in cache");
+      a.victim = std::move(*seq);
+      a.model = core::load_two_branch(r);
+      read_report(r, &a.report, &a.victim_acc);
+      if (verbose) {
+        std::printf("[cache] %s <- %s\n", s.label.c_str(),
+                    path.string().c_str());
       }
+      return a;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "[cache] %s unreadable (%s); rebuilding\n",
+                   path.string().c_str(), e.what());
     }
   }
 
@@ -258,12 +265,13 @@ Artifacts get_or_build(const Setup& s, bool verbose) {
   core::TbnetPipeline pipeline(s.pipeline);
   a.report = pipeline.run(a.model, points, train, test);
 
-  std::ofstream f(path, std::ios::binary);
-  if (f) {
-    nn::save_model(f, a.victim);
-    core::save_two_branch(f, a.model);
-    write_report(f, a.report, a.victim_acc);
-  }
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, a.victim);
+  core::save_two_branch(bytes, a.model);
+  write_report(bytes, a.report, a.victim_acc);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
   return a;
 }
 

@@ -1,7 +1,5 @@
 #include "core/two_branch.h"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "nn/fuse.h"
@@ -273,62 +271,39 @@ namespace {
 constexpr int64_t kTwoBranchVersionSentinel = -2;
 }  // namespace
 
-void save_two_branch(std::ostream& os, const TwoBranchModel& model) {
-  const int64_t sentinel = kTwoBranchVersionSentinel;
-  os.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
-  const int64_t version = nn::kModelFormatVersion;
-  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  const int64_t stages = model.num_stages();
-  os.write(reinterpret_cast<const char*>(&stages), sizeof(stages));
-  for (int i = 0; i < stages; ++i) {
+void save_two_branch(std::vector<uint8_t>& out, const TwoBranchModel& model) {
+  put_i64(out, kTwoBranchVersionSentinel);
+  put_i64(out, nn::kModelFormatVersion);
+  put_i64(out, model.num_stages());
+  for (int i = 0; i < model.num_stages(); ++i) {
     const FusionStage& s = model.stage(i);
-    const int64_t map_len = static_cast<int64_t>(s.channel_map.size());
-    os.write(reinterpret_cast<const char*>(&map_len), sizeof(map_len));
-    for (int64_t v : s.channel_map) {
-      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    }
-    const int64_t fused = s.fused ? 1 : 0;
-    os.write(reinterpret_cast<const char*>(&fused), sizeof(fused));
-    nn::save_layer(os, *s.exposed);
-    nn::save_layer(os, *s.secure);
+    put_i64s(out, s.channel_map);
+    put_i64(out, s.fused ? 1 : 0);
+    nn::save_layer(out, *s.exposed);
+    nn::save_layer(out, *s.secure);
   }
 }
 
-TwoBranchModel load_two_branch(std::istream& is) {
-  int64_t head[3] = {};  // sentinel, version, stage count
-  is.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (!is || head[0] != kTwoBranchVersionSentinel ||
-      head[1] != nn::kModelFormatVersion) {
+TwoBranchModel load_two_branch(ByteReader& r) {
+  const int64_t sentinel = r.i64("two-branch sentinel");
+  if (sentinel != kTwoBranchVersionSentinel ||
+      r.i64("two-branch version") != nn::kModelFormatVersion) {
     throw std::runtime_error(
         "load_two_branch: unsupported stream (format v4 only)");
   }
-  const int64_t stages = head[2];
+  const int64_t stages = r.i64("stage count");
   if (stages <= 0 || stages > 4096) {
     throw std::runtime_error("load_two_branch: corrupt stage count");
   }
   TwoBranchModel model;
   for (int64_t i = 0; i < stages; ++i) {
-    int64_t map_len = 0;
-    is.read(reinterpret_cast<char*>(&map_len), sizeof(map_len));
-    if (!is || map_len < 0 || map_len > (1 << 20)) {
-      throw std::runtime_error("load_two_branch: corrupt channel map");
-    }
-    // Grown as values arrive, so a forged length costs no more than the
-    // bytes that are really there.
-    std::vector<int64_t> map;
-    for (int64_t j = 0; j < map_len && is; ++j) {
-      int64_t v = 0;
-      is.read(reinterpret_cast<char*>(&v), sizeof(v));
-      map.push_back(v);
-    }
-    int64_t fused = 1;
-    is.read(reinterpret_cast<char*>(&fused), sizeof(fused));
-    if (!is) throw std::runtime_error("load_two_branch: truncated stage");
-    auto exposed = nn::load_layer(is);
-    auto secure = nn::load_layer(is);
+    std::vector<int64_t> map = r.i64s("channel map");
+    const bool fused = r.i64("fused flag") != 0;
+    auto exposed = nn::load_layer(r);
+    auto secure = nn::load_layer(r);
     model.add_stage(std::move(exposed), std::move(secure));
     model.stage(static_cast<int>(i)).channel_map = std::move(map);
-    model.stage(static_cast<int>(i)).fused = (fused != 0);
+    model.stage(static_cast<int>(i)).fused = fused;
   }
   return model;
 }

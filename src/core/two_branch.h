@@ -18,11 +18,12 @@
 // side extracts exactly the channels matching its own retained ones before
 // the element-wise add (paper §3.5). An empty map means identity.
 
-#include <iosfwd>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "nn/layer.h"
+#include "tensor/bytes.h"
 
 namespace tbnet::core {
 
@@ -128,10 +129,10 @@ class TwoBranchModel {
 
 /// Serializes a two-branch model (both branches + channel maps). Streams
 /// carry the nn/serialize.h model-format version (sentinel-prefixed); the
-/// loader reads format v4 only and throws std::runtime_error on anything
-/// else.
-void save_two_branch(std::ostream& os, const TwoBranchModel& model);
-TwoBranchModel load_two_branch(std::istream& is);
+/// loader reads format v4 only, through the bounded ByteReader, and throws
+/// std::runtime_error on anything else. It reads exactly one stream of `r`.
+void save_two_branch(std::vector<uint8_t>& out, const TwoBranchModel& model);
+TwoBranchModel load_two_branch(ByteReader& r);
 
 /// out[:, j, ...] = in[:, map[j], ...] over channel dim 1 (rank 2 or 4).
 Tensor gather_channels(const Tensor& in, const std::vector<int64_t>& map);

@@ -1,8 +1,6 @@
 #include "nn/serialize.h"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "tensor/crc32c.h"
@@ -20,64 +18,23 @@
 namespace tbnet::nn {
 namespace {
 
-void write_u32(std::ostream& os, uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+/// A section frame: u32(crc32c of the body) i64(body length).
+constexpr size_t kFrameBytes = sizeof(uint32_t) + sizeof(int64_t);
+
+void put_string(std::vector<uint8_t>& out, const std::string& s) {
+  put_u32(out, static_cast<uint32_t>(s.size()));
+  put_bytes(out, s.data(), s.size());
 }
 
-void write_i64(std::ostream& os, int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void put_tensor(std::vector<uint8_t>& out, const Tensor& t) {
+  put_u32(out, static_cast<uint32_t>(t.shape().ndim()));
+  for (int64_t d : t.shape().dims()) put_i64(out, d);
+  put_floats(out, t.data(), t.numel());
 }
 
-void write_f32(std::ostream& os, float v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_u32(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_u32(os, static_cast<uint32_t>(t.shape().ndim()));
-  for (int64_t d : t.shape().dims()) write_i64(os, d);
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.numel() * sizeof(float)));
-}
-
-/// One layer section's bytes, consumed front to back. Every read checks
-/// what is left first, so a forged count or extent fails before anything of
-/// that size is allocated.
-struct Reader {
-  const char* p;
-  int64_t left;
-
-  const char* take(int64_t n, const char* what) {
-    if (n < 0 || n > left) {
-      throw std::runtime_error(std::string("model stream truncated (") +
-                               what + ")");
-    }
-    const char* at = p;
-    p += n;
-    left -= n;
-    return at;
-  }
-};
-
-template <typename T>
-T read_pod(Reader& r, const char* what) {
-  T v;
-  std::memcpy(&v, r.take(sizeof(T), what), sizeof(T));
-  return v;
-}
-
-uint32_t read_u32(Reader& r) { return read_pod<uint32_t>(r, "u32"); }
-int64_t read_i64(Reader& r) { return read_pod<int64_t>(r, "i64"); }
-float read_f32(Reader& r) { return read_pod<float>(r, "f32"); }
-
-std::string read_string(Reader& r) {
-  const uint32_t n = read_u32(r);
-  if (n > (1u << 20)) throw std::runtime_error("model stream: string too long");
-  return std::string(r.take(n, "string"), n);
+std::string read_string(ByteReader& r) {
+  const std::span<const uint8_t> s = r.take(r.u32("string length"), "string");
+  return std::string(s.begin(), s.end());
 }
 
 /// Bytes that a layer of prod(extents) parameters, `bytes_each` bytes
@@ -85,11 +42,12 @@ std::string read_string(Reader& r) {
 /// the product (overflow-checked) fits in what is left of the section: the
 /// check runs before the layer is built, so a forged extent cannot make a
 /// constructor allocate and initialize more than the stream holds.
-int64_t param_bytes(const Reader& r, std::initializer_list<int64_t> extents,
+int64_t param_bytes(const ByteReader& r, std::initializer_list<int64_t> extents,
                     int64_t bytes_each) {
+  const auto left = static_cast<int64_t>(r.left());
   int64_t bytes = bytes_each;
   for (int64_t e : extents) {
-    if (e <= 0 || e > r.left / bytes) {
+    if (e <= 0 || e > left / bytes) {
       throw std::runtime_error("model stream: layer larger than its section");
     }
     bytes *= e;
@@ -100,21 +58,16 @@ int64_t param_bytes(const Reader& r, std::initializer_list<int64_t> extents,
 /// Reads a tensor that must have shape `want` (whose element count the
 /// caller bounded with param_bytes). The header is compared dim by dim
 /// before the data is touched.
-Tensor read_tensor(Reader& r, const Shape& want) {
-  const uint32_t rank = read_u32(r);
-  if (rank != static_cast<uint32_t>(want.ndim())) {
+Tensor read_tensor(ByteReader& r, const Shape& want) {
+  if (r.u32("tensor rank") != static_cast<uint32_t>(want.ndim())) {
     throw std::runtime_error("model stream: tensor rank mismatch");
   }
   for (int64_t d : want.dims()) {
-    if (read_i64(r) != d) {
+    if (r.i64("tensor dim") != d) {
       throw std::runtime_error("model stream: tensor shape mismatch");
     }
   }
-  const int64_t n = want.numel();
-  const char* bytes = r.take(n * static_cast<int64_t>(sizeof(float)), "tensor");
-  std::vector<float> data(static_cast<size_t>(n));
-  std::memcpy(data.data(), bytes, data.size() * sizeof(float));
-  return Tensor(want, std::move(data));
+  return Tensor(want, r.floats(want.numel(), "tensor"));
 }
 
 /// Checks a convolution window: stride >= 1 and 0 <= pad < kernel, as every
@@ -128,34 +81,29 @@ void check_window(int64_t kernel, int64_t stride, int64_t pad) {
 /// Quantized-weight payload: [out, k] extents, per-channel
 /// scales, the activation quantizer, then the raw int8 bytes. qsum is
 /// derivable and is recomputed on load.
-void write_quant(std::ostream& os, const QuantizedWeights& qw) {
-  const int64_t out = static_cast<int64_t>(qw.scale.size());
-  const int64_t k = static_cast<int64_t>(qw.q.size()) / out;
-  write_i64(os, out);
-  write_i64(os, k);
-  os.write(reinterpret_cast<const char*>(qw.scale.data()),
-           static_cast<std::streamsize>(out * sizeof(float)));
-  write_f32(os, qw.act.scale);
-  write_i64(os, qw.act.zero_point);
-  os.write(reinterpret_cast<const char*>(qw.q.data()),
-           static_cast<std::streamsize>(qw.q.size()));
+void write_quant(std::vector<uint8_t>& out, const QuantizedWeights& qw) {
+  const auto rows = static_cast<int64_t>(qw.scale.size());
+  put_i64(out, rows);
+  put_i64(out, static_cast<int64_t>(qw.q.size()) / rows);
+  put_floats(out, qw.scale.data(), rows);
+  put_f32(out, qw.act.scale);
+  put_i64(out, qw.act.zero_point);
+  put_bytes(out, qw.q.data(), qw.q.size());
 }
 
-QuantizedWeights read_quant(Reader& r, int64_t expect_out, int64_t expect_k) {
-  const int64_t out = read_i64(r);
-  const int64_t k = read_i64(r);
+QuantizedWeights read_quant(ByteReader& r, int64_t expect_out,
+                            int64_t expect_k) {
+  const int64_t out = r.i64("quant rows");
+  const int64_t k = r.i64("quant columns");
   if (out != expect_out || k != expect_k) {
     throw std::runtime_error("model stream: quantized weight shape mismatch");
   }
   QuantizedWeights qw;
-  qw.scale.resize(static_cast<size_t>(out));
-  std::memcpy(qw.scale.data(),
-              r.take(out * static_cast<int64_t>(sizeof(float)), "quant"),
-              qw.scale.size() * sizeof(float));
-  qw.act.scale = read_f32(r);
-  qw.act.zero_point = static_cast<int32_t>(read_i64(r));
-  const auto* q = reinterpret_cast<const int8_t*>(r.take(out * k, "quant"));
-  qw.q.assign(q, q + out * k);
+  qw.scale = r.floats(out, "quant scales");
+  qw.act.scale = r.f32("quant activation scale");
+  qw.act.zero_point = static_cast<int32_t>(r.i64("quant zero point"));
+  const std::span<const uint8_t> q = r.take(out * k, "quant weights");
+  qw.q.assign(q.begin(), q.end());
   qw.qsum.resize(static_cast<size_t>(out));
   for (int64_t o = 0; o < out; ++o) {
     int32_t sum = 0;
@@ -180,96 +128,83 @@ Tensor dequantized_weight(const QuantizedWeights& qw, const Shape& shape) {
   return w;
 }
 
-/// std::streambuf that counts bytes without storing them.
-class CountingBuf : public std::streambuf {
- public:
-  int64_t count = 0;
-
- protected:
-  int overflow(int ch) override {
-    ++count;
-    return ch;
-  }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    count += n;
-    return n;
-  }
-};
+/// What a truncated layer-body field reports.
+constexpr const char* kField = "layer field";
 
 /// The unframed kind + config + tensors payload of one layer. Nested layers
 /// (Sequential / ResidualBlock children) go through the public framed
 /// save_layer, so every node in the tree carries its own checksum and the
 /// root frame covers the whole image.
-void save_layer_body(std::ostream& os, const Layer& layer) {
-  write_string(os, layer.kind());
+void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
+  put_string(out, layer.kind());
   if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
-    write_i64(os, conv->in_channels());
-    write_i64(os, conv->out_channels());
-    write_i64(os, conv->options().kernel);
-    write_i64(os, conv->options().stride);
-    write_i64(os, conv->options().pad);
-    write_u32(os, conv->has_bias() ? 1 : 0);
-    write_u32(os, conv->quantized() ? 1 : 0);
+    put_i64(out, conv->in_channels());
+    put_i64(out, conv->out_channels());
+    put_i64(out, conv->options().kernel);
+    put_i64(out, conv->options().stride);
+    put_i64(out, conv->options().pad);
+    put_u32(out, conv->has_bias() ? 1 : 0);
+    put_u32(out, conv->quantized() ? 1 : 0);
     if (conv->quantized()) {
-      write_quant(os, conv->quant());
+      write_quant(out, conv->quant());
     } else {
-      write_tensor(os, conv->weight());
+      put_tensor(out, conv->weight());
     }
-    if (conv->has_bias()) write_tensor(os, const_cast<Conv2d*>(conv)->bias());
+    if (conv->has_bias()) put_tensor(out, const_cast<Conv2d*>(conv)->bias());
   } else if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer)) {
-    write_i64(os, dw->channels());
-    write_i64(os, dw->options().kernel);
-    write_i64(os, dw->options().stride);
-    write_i64(os, dw->options().pad);
-    write_u32(os, dw->has_bias() ? 1 : 0);
-    write_tensor(os, dw->weight());
+    put_i64(out, dw->channels());
+    put_i64(out, dw->options().kernel);
+    put_i64(out, dw->options().stride);
+    put_i64(out, dw->options().pad);
+    put_u32(out, dw->has_bias() ? 1 : 0);
+    put_tensor(out, dw->weight());
     if (dw->has_bias()) {
-      write_tensor(os, const_cast<DepthwiseConv2d*>(dw)->bias());
+      put_tensor(out, const_cast<DepthwiseConv2d*>(dw)->bias());
     }
   } else if (const auto* bn = dynamic_cast<const BatchNorm2d*>(&layer)) {
-    write_i64(os, bn->channels());
-    write_f32(os, bn->eps());
-    write_f32(os, bn->momentum());
-    write_tensor(os, bn->gamma());
-    write_tensor(os, bn->beta());
-    write_tensor(os, bn->running_mean());
-    write_tensor(os, bn->running_var());
+    put_i64(out, bn->channels());
+    put_f32(out, bn->eps());
+    put_f32(out, bn->momentum());
+    put_tensor(out, bn->gamma());
+    put_tensor(out, bn->beta());
+    put_tensor(out, bn->running_mean());
+    put_tensor(out, bn->running_var());
   } else if (dynamic_cast<const ReLU*>(&layer) != nullptr) {
     // no state
   } else if (const auto* pool = dynamic_cast<const MaxPool2d*>(&layer)) {
-    write_i64(os, pool->kernel());
-    write_i64(os, pool->stride());
+    put_i64(out, pool->kernel());
+    put_i64(out, pool->stride());
   } else if (dynamic_cast<const GlobalAvgPool2d*>(&layer) != nullptr) {
     // no state
   } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
     // no state
   } else if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
-    write_i64(os, dense->in_features());
-    write_i64(os, dense->out_features());
-    write_u32(os, dense->has_bias() ? 1 : 0);
-    write_u32(os, dense->quantized() ? 1 : 0);
+    put_i64(out, dense->in_features());
+    put_i64(out, dense->out_features());
+    put_u32(out, dense->has_bias() ? 1 : 0);
+    put_u32(out, dense->quantized() ? 1 : 0);
     if (dense->quantized()) {
-      write_quant(os, dense->quant());
+      write_quant(out, dense->quant());
     } else {
-      write_tensor(os, dense->weight());
+      put_tensor(out, dense->weight());
     }
-    if (dense->has_bias()) write_tensor(os, const_cast<Dense*>(dense)->bias());
+    if (dense->has_bias()) put_tensor(out, const_cast<Dense*>(dense)->bias());
   } else if (const auto* seq = dynamic_cast<const Sequential*>(&layer)) {
-    write_u32(os, static_cast<uint32_t>(seq->size()));
-    for (int i = 0; i < seq->size(); ++i) save_layer(os, seq->layer(i));
+    put_u32(out, static_cast<uint32_t>(seq->size()));
+    for (int i = 0; i < seq->size(); ++i) save_layer(out, seq->layer(i));
   } else if (const auto* res = dynamic_cast<const ResidualBlock*>(&layer)) {
     auto& block = const_cast<ResidualBlock&>(*res);
-    write_i64(os, res->in_channels());
-    write_i64(os, res->out_channels());
-    write_i64(os, res->stride());
-    write_i64(os, res->internal_channels());
-    save_layer(os, block.conv1());
-    save_layer(os, block.bn1());
-    save_layer(os, block.conv2());
-    save_layer(os, block.bn2());
+    put_i64(out, res->in_channels());
+    put_i64(out, res->out_channels());
+    put_i64(out, res->stride());
+    put_i64(out, res->internal_channels());
+    save_layer(out, block.conv1());
+    save_layer(out, block.bn1());
+    save_layer(out, block.conv2());
+    save_layer(out, block.bn2());
     if (res->has_downsample()) {
-      save_layer(os, block.down_conv());
-      save_layer(os, block.down_bn());
+      save_layer(out, block.down_conv());
+      save_layer(out, block.down_bn());
     }
   } else {
     throw std::runtime_error("save_layer: unsupported layer kind '" +
@@ -277,22 +212,20 @@ void save_layer_body(std::ostream& os, const Layer& layer) {
   }
 }
 
-std::unique_ptr<Layer> parse_section(Reader& r);
-
 /// Parses one unframed layer body. Nested layers are framed sections of
 /// this body and parse in place, each within its own length.
-std::unique_ptr<Layer> parse_body(Reader& r) {
+std::unique_ptr<Layer> parse_body(ByteReader& r) {
   const std::string kind = read_string(r);
   Rng rng(0);  // weights are overwritten right after construction
   if (kind == "Conv2d") {
-    const int64_t in_c = read_i64(r);
-    const int64_t out_c = read_i64(r);
+    const int64_t in_c = r.i64(kField);
+    const int64_t out_c = r.i64(kField);
     Conv2d::Options opt;
-    opt.kernel = read_i64(r);
-    opt.stride = read_i64(r);
-    opt.pad = read_i64(r);
-    opt.bias = read_u32(r) != 0;
-    const bool quantized = read_u32(r) != 0;
+    opt.kernel = r.i64(kField);
+    opt.stride = r.i64(kField);
+    opt.pad = r.i64(kField);
+    opt.bias = r.u32(kField) != 0;
+    const bool quantized = r.u32(kField) != 0;
     param_bytes(r, {out_c, in_c, opt.kernel, opt.kernel},
                 quantized ? 1 : sizeof(float));
     check_window(opt.kernel, opt.stride, opt.pad);
@@ -309,12 +242,12 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
     return conv;
   }
   if (kind == "DepthwiseConv2d") {
-    const int64_t channels = read_i64(r);
+    const int64_t channels = r.i64(kField);
     DepthwiseConv2d::Options opt;
-    opt.kernel = read_i64(r);
-    opt.stride = read_i64(r);
-    opt.pad = read_i64(r);
-    opt.bias = read_u32(r) != 0;
+    opt.kernel = r.i64(kField);
+    opt.stride = r.i64(kField);
+    opt.pad = r.i64(kField);
+    opt.bias = r.u32(kField) != 0;
     param_bytes(r, {channels, opt.kernel, opt.kernel}, sizeof(float));
     check_window(opt.kernel, opt.stride, opt.pad);
     auto dw = std::make_unique<DepthwiseConv2d>(channels, opt, rng);
@@ -323,9 +256,9 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
     return dw;
   }
   if (kind == "BatchNorm2d") {
-    const int64_t c = read_i64(r);
-    const float eps = read_f32(r);
-    const float momentum = read_f32(r);
+    const int64_t c = r.i64(kField);
+    const float eps = r.f32(kField);
+    const float momentum = r.f32(kField);
     param_bytes(r, {c, 4}, sizeof(float));  // gamma, beta, mean, var
     auto bn = std::make_unique<BatchNorm2d>(c, eps, momentum);
     bn->gamma() = read_tensor(r, Shape{c});
@@ -336,18 +269,18 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
   }
   if (kind == "ReLU") return std::make_unique<ReLU>();
   if (kind == "MaxPool2d") {
-    const int64_t k = read_i64(r);
-    const int64_t s = read_i64(r);
+    const int64_t k = r.i64(kField);
+    const int64_t s = r.i64(kField);
     if (k < 1 || s < 1) throw std::runtime_error("model stream: bad pool window");
     return std::make_unique<MaxPool2d>(k, s);
   }
   if (kind == "GlobalAvgPool2d") return std::make_unique<GlobalAvgPool2d>();
   if (kind == "Flatten") return std::make_unique<Flatten>();
   if (kind == "Dense") {
-    const int64_t in_f = read_i64(r);
-    const int64_t out_f = read_i64(r);
-    const bool bias = read_u32(r) != 0;
-    const bool quantized = read_u32(r) != 0;
+    const int64_t in_f = r.i64(kField);
+    const int64_t out_f = r.i64(kField);
+    const bool bias = r.u32(kField) != 0;
+    const bool quantized = r.u32(kField) != 0;
     param_bytes(r, {out_f, in_f}, quantized ? 1 : sizeof(float));
     auto dense = std::make_unique<Dense>(in_f, out_f, rng, bias);
     if (quantized) {
@@ -361,16 +294,16 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
     return dense;
   }
   if (kind == "Sequential") {
-    const uint32_t n = read_u32(r);
+    const uint32_t n = r.u32(kField);
     auto seq = std::make_unique<Sequential>();
-    for (uint32_t i = 0; i < n; ++i) seq->add(parse_section(r));
+    for (uint32_t i = 0; i < n; ++i) seq->add(load_layer(r));
     return seq;
   }
   if (kind == "ResidualBlock") {
-    const int64_t in_c = read_i64(r);
-    const int64_t out_c = read_i64(r);
-    const int64_t stride = read_i64(r);
-    const int64_t internal = read_i64(r);
+    const int64_t in_c = r.i64(kField);
+    const int64_t out_c = r.i64(kField);
+    const int64_t stride = r.i64(kField);
+    const int64_t internal = r.i64(kField);
     if (stride < 1 || internal > out_c) {
       throw std::runtime_error("load_layer: malformed ResidualBlock");
     }
@@ -380,14 +313,14 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
     if (param_bytes(r, {internal, in_c, 3, 3}, 1) +
             param_bytes(r, {out_c, internal, 3, 3}, 1) +
             (down ? param_bytes(r, {out_c, in_c}, 1) : 0) >
-        r.left) {
+        static_cast<int64_t>(r.left())) {
       throw std::runtime_error("model stream: layer larger than its section");
     }
     auto block =
         std::make_unique<ResidualBlock>(in_c, out_c, stride, rng, internal);
     auto copy_into = [&r](Conv2d& conv, BatchNorm2d& bn) {
-      auto loaded_conv = parse_section(r);
-      auto loaded_bn = parse_section(r);
+      auto loaded_conv = load_layer(r);
+      auto loaded_bn = load_layer(r);
       auto* c = dynamic_cast<Conv2d*>(loaded_conv.get());
       auto* b = dynamic_cast<BatchNorm2d*>(loaded_bn.get());
       if (!c || !b || c->weight().shape() != conv.weight().shape() ||
@@ -411,110 +344,58 @@ std::unique_ptr<Layer> parse_body(Reader& r) {
   throw std::runtime_error("load_layer: unknown layer kind '" + kind + "'");
 }
 
-/// Verifies one framed section, u32(crc) i64(len) body[len], and parses
-/// its body in place.
-std::unique_ptr<Layer> parse_section(Reader& r) {
-  const uint32_t crc = read_u32(r);
-  const int64_t len = read_i64(r);
-  Reader body{r.take(len, "layer section"), len};
-  if (crc32c(body.p, static_cast<size_t>(len)) != crc) {
+}  // namespace
+
+void save_layer(std::vector<uint8_t>& out, const Layer& layer) {
+  // Frame (format v4): crc + len precede the body, so they are patched in
+  // once it is written. Nested sections are written once, in place.
+  const size_t frame = out.size();
+  out.resize(frame + kFrameBytes);
+  save_layer_body(out, layer);
+  const size_t body = frame + kFrameBytes;
+  put_at(out, frame, crc32c(out.data() + body, out.size() - body));
+  put_at(out, frame + sizeof(uint32_t),
+         static_cast<int64_t>(out.size() - body));
+}
+
+std::unique_ptr<Layer> load_layer(ByteReader& r) {
+  // The section is verified before a single field of its body is parsed;
+  // the body then parses in place, within its own length.
+  const uint32_t crc = r.u32("section checksum");
+  const std::span<const uint8_t> body =
+      r.take(r.i64("section length"), "layer section");
+  if (crc32c(body.data(), body.size()) != crc) {
     throw IntegrityError(
         "layer section checksum mismatch — corrupted model image");
   }
-  return parse_body(body);
+  ByteReader br(body);
+  return parse_body(br);
 }
 
-/// Bytes between the read position of `is` and its end.
-int64_t bytes_left(std::istream& is) {
-  const std::istream::pos_type here = is.tellg();
-  if (here < 0) throw std::runtime_error("model stream: not seekable");
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end = is.tellg();
-  is.seekg(here);
-  return static_cast<int64_t>(end - here);
+void save_model(std::vector<uint8_t>& out, const Layer& model) {
+  const size_t header = out.size();
+  put_bytes(out, "TBNM", 4);
+  put_u32(out, kModelFormatVersion);
+  put_u32(out, crc32c(out.data() + header, out.size() - header));
+  save_layer(out, model);
 }
 
-}  // namespace
-
-void save_layer(std::ostream& os, const Layer& layer) {
-  // Frame (format v4): buffer the body, then emit crc + len + bytes so the
-  // loader can verify the section before parsing a single field of it.
-  std::ostringstream body;
-  save_layer_body(body, layer);
-  const std::string bytes = body.str();
-  write_u32(os, crc32c(bytes.data(), bytes.size()));
-  write_i64(os, static_cast<int64_t>(bytes.size()));
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::unique_ptr<Layer> load_layer(std::istream& is) {
-  char head[12];  // the frame: u32(crc) i64(len)
-  is.read(head, sizeof(head));
-  if (!is) throw std::runtime_error("model stream truncated (layer section)");
-  int64_t len = 0;
-  std::memcpy(&len, head + 4, sizeof(len));
-  // Read only once the stream is known to hold it: a forged length must
-  // not size a buffer.
-  if (len < 0 || len > bytes_left(is)) {
-    throw std::runtime_error("model stream truncated (layer section)");
-  }
-  std::string bytes(head, sizeof(head));
-  bytes.resize(sizeof(head) + static_cast<size_t>(len));
-  is.read(bytes.data() + sizeof(head), static_cast<std::streamsize>(len));
-  if (!is) throw std::runtime_error("model stream truncated (layer section)");
-  Reader r{bytes.data(), static_cast<int64_t>(bytes.size())};
-  return parse_section(r);
-}
-
-void save_model(std::ostream& os, const Layer& model) {
-  char header[8] = {'T', 'B', 'N', 'M'};
-  const uint32_t version = kModelFormatVersion;
-  std::memcpy(header + 4, &version, sizeof(version));
-  os.write(header, sizeof(header));
-  write_u32(os, crc32c(header, sizeof(header)));
-  save_layer(os, model);
-}
-
-std::unique_ptr<Layer> load_model(std::istream& is) {
-  char header[8] = {};
-  is.read(header, 4);
-  if (!is || std::memcmp(header, "TBNM", 4) != 0) {
+std::unique_ptr<Layer> load_model(ByteReader& r) {
+  const std::span<const uint8_t> header = r.take(8, "model header");
+  if (std::memcmp(header.data(), "TBNM", 4) != 0) {
     throw std::runtime_error("load_model: bad magic");
   }
   uint32_t version = 0;
-  is.read(header + 4, sizeof(version));
-  std::memcpy(&version, header + 4, sizeof(version));
-  if (!is || version != kModelFormatVersion) {
+  std::memcpy(&version, header.data() + 4, sizeof(version));
+  if (version != kModelFormatVersion) {
     throw std::runtime_error("load_model: unsupported version " +
                              std::to_string(version));
   }
-  uint32_t crc = 0;
-  is.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!is) throw std::runtime_error("model stream truncated (u32)");
-  if (crc != crc32c(header, sizeof(header))) {
+  if (r.u32("header checksum") != crc32c(header.data(), header.size())) {
     throw IntegrityError(
         "model header checksum mismatch — corrupted model image");
   }
-  return load_layer(is);
-}
-
-void save_model_file(const std::string& path, const Layer& model) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_model_file: cannot open " + path);
-  save_model(f, model);
-}
-
-std::unique_ptr<Layer> load_model_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("load_model_file: cannot open " + path);
-  return load_model(f);
-}
-
-int64_t serialized_size(const Layer& model) {
-  CountingBuf buf;
-  std::ostream os(&buf);
-  save_model(os, model);
-  return buf.count;
+  return load_layer(r);
 }
 
 }  // namespace tbnet::nn

@@ -12,12 +12,13 @@
 //
 // All integers little-endian; tensors are rank + dims + raw float32.
 
-#include <iosfwd>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <string>
+#include <vector>
 
 #include "nn/layer.h"
+#include "tensor/bytes.h"
 
 namespace tbnet::nn {
 
@@ -51,27 +52,24 @@ class IntegrityError : public std::runtime_error {
 /// input, and v1–v3 carried no checksums. The loader reads the ten kinds
 /// this library writes (Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU,
 /// MaxPool2d, GlobalAvgPool2d, Flatten, Dense, Sequential, ResidualBlock).
-/// It checks every section length, tensor shape and layer parameter count
-/// against the bytes actually left before it allocates or builds anything.
+/// It reads through one bounded ByteReader (tensor/bytes.h) and checks every
+/// section length, tensor shape and layer parameter count against the bytes
+/// actually left before it allocates or builds anything.
 inline constexpr uint32_t kModelFormatVersion = 4;
 
-/// Serializes a layer tree (any Layer produced by this library) as one
+/// Appends a layer tree (any Layer produced by this library) as one
 /// checksummed v4 section (crc + len + body).
-void save_layer(std::ostream& os, const Layer& layer);
+void save_layer(std::vector<uint8_t>& out, const Layer& layer);
 
-/// Reconstructs a layer tree from one v4 section; throws std::runtime_error
-/// on malformed input and IntegrityError on a checksum mismatch.
-std::unique_ptr<Layer> load_layer(std::istream& is);
+/// Reads one v4 section from `r`. Malformed or truncated input throws
+/// std::runtime_error, a checksum mismatch IntegrityError (a subclass);
+/// nothing else escapes.
+std::unique_ptr<Layer> load_layer(ByteReader& r);
 
-/// Whole-model wrappers with magic/version framing.
-void save_model(std::ostream& os, const Layer& model);
-std::unique_ptr<Layer> load_model(std::istream& is);
-
-/// Convenience file-path overloads.
-void save_model_file(const std::string& path, const Layer& model);
-std::unique_ptr<Layer> load_model_file(const std::string& path);
-
-/// Serialized size in bytes (serializes into a counting stream).
-int64_t serialized_size(const Layer& model);
+/// Whole-model forms: the magic/version header, then the root section.
+/// load_model reads exactly that much of `r`, so several streams can follow
+/// one another in one buffer.
+void save_model(std::vector<uint8_t>& out, const Layer& model);
+std::unique_ptr<Layer> load_model(ByteReader& r);
 
 }  // namespace tbnet::nn

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "tee/fault.h"
 #include "nn/quant.h"
 #include "nn/serialize.h"
+#include "tensor/bytes.h"
 #include "tensor/ops.h"
 
 namespace tbnet::runtime {
@@ -21,10 +21,6 @@ namespace {
 using tee::kTeeErrorBadParameters;
 using tee::kTeeErrorBadState;
 using tee::kTeeSuccess;
-using tee::pack_floats;
-using tee::pack_i64;
-using tee::unpack_floats;
-using tee::unpack_i64;
 
 constexpr int64_t kFloat = static_cast<int64_t>(sizeof(float));
 constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
@@ -41,37 +37,47 @@ int64_t per_image(int64_t bytes, int64_t n) {
   return (bytes + n - 1) / n;
 }
 
-void pack_tensor(std::vector<uint8_t>& buf, const Tensor& t) {
+/// Appends `t` as a record tensor: its dims as an i64 list, then the floats.
+void put_tensor(std::vector<uint8_t>& buf, const Tensor& t) {
   buf.reserve(buf.size() + static_cast<size_t>(tensor_bytes(t)));
-  pack_i64(buf, t.shape().ndim());
-  for (int64_t d : t.shape().dims()) pack_i64(buf, d);
-  pack_floats(buf, t.data(), t.numel());
+  put_i64s(buf, t.shape().dims());
+  put_floats(buf, t.data(), t.numel());
 }
 
-/// Parses a tensor header + data. Inside the TA `buf` is REE-written, hence
-/// hostile: a negative dim, or dims whose product overflows int64 (and so
-/// could wrap to a small element count), is rejected before any data is
-/// read.
-Tensor unpack_tensor(const std::vector<uint8_t>& buf, size_t* offset) {
-  const int64_t rank = unpack_i64(buf, offset);
-  if (rank < 0 || rank > 8) throw std::out_of_range("unpack_tensor: bad rank");
-  std::vector<int64_t> dims;
+/// Reads what put_tensor wrote. Inside the TA the bytes are REE-written,
+/// hence hostile: a negative dim, or dims whose product overflows int64
+/// (and so could wrap to a small element count), is rejected before any
+/// data is read.
+Tensor read_tensor(ByteReader& r) {
+  const std::vector<int64_t> dims = r.i64s("tensor dims");
+  if (dims.size() > 8) throw std::runtime_error("tensor record: bad rank");
   int64_t numel = 1;
-  for (int64_t i = 0; i < rank; ++i) {
-    const int64_t d = unpack_i64(buf, offset);
+  for (const int64_t d : dims) {
     if (d < 0 || (d > 0 && numel > std::numeric_limits<int64_t>::max() / d)) {
-      throw std::out_of_range("unpack_tensor: bad dims");
+      throw std::runtime_error("tensor record: bad dims");
     }
     numel *= d;
-    dims.push_back(d);
   }
-  std::vector<float> data = unpack_floats(buf, offset, numel);
-  return Tensor(Shape(dims), std::move(data));
+  return Tensor(Shape(dims), r.floats(numel, "tensor data"));
 }
 
-/// Bytes of `image` not yet parsed past `off`.
-int64_t remaining(const std::vector<uint8_t>& image, size_t off) {
-  return off < image.size() ? static_cast<int64_t>(image.size() - off) : 0;
+/// Whether gather_channels(r_out, map) yields shape `want`, decided before
+/// it allocates anything: R_i's output is REE-written and the map comes from
+/// the image, so either may be forged. r_out must match `want` in every dim
+/// but the channels, and every map entry must name one of its channels.
+bool gathers_to(const Tensor& r_out, const std::vector<int64_t>& map,
+                const Shape& want) {
+  const Shape& s = r_out.shape();
+  if (map.empty()) return s == want;
+  if ((s.ndim() != 2 && s.ndim() != 4) || s.ndim() != want.ndim() ||
+      static_cast<int64_t>(map.size()) != want.dim(1)) {
+    return false;
+  }
+  for (int d = 0; d < s.ndim(); ++d) {
+    if (d != 1 && s.dim(d) != want.dim(d)) return false;
+  }
+  return std::all_of(map.begin(), map.end(),
+                     [&s](int64_t c) { return c >= 0 && c < s.dim(1); });
 }
 
 Tensor to_batch1(const Tensor& image_chw) {
@@ -91,47 +97,31 @@ Tensor to_batch1(const Tensor& image_chw) {
 class TbnetTA : public tee::TrustedApp {
  public:
   /// `image`: stage count, per stage (channel map, fused flag, block blob).
+  /// Each block parses in place from its slice of the image.
   explicit TbnetTA(const std::vector<uint8_t>& image)
       : exec_ctx_(tee::World::kSecure) {
-    size_t off = 0;
-    const int64_t stages = unpack_i64(image, &off);
+    ByteReader r(image);
+    const int64_t stages = r.i64("stage count");
     if (stages <= 0 || stages > 4096) {
       throw std::runtime_error("TbnetTA: corrupt TA image (stage count)");
     }
     for (int64_t i = 0; i < stages; ++i) {
-      // Lengths are checked against the bytes that remain before anything
-      // is sliced: a negative or oversized length must not read past the
-      // image.
-      const int64_t map_len = unpack_i64(image, &off);
-      if (map_len < 0 || map_len > remaining(image, off) / kI64) {
-        throw std::out_of_range("TbnetTA: corrupt TA image (map length)");
-      }
-      std::vector<int64_t> map;
-      for (int64_t j = 0; j < map_len; ++j) map.push_back(unpack_i64(image, &off));
-      fused_flags_.push_back(unpack_i64(image, &off) != 0);
-      const int64_t blob_len = unpack_i64(image, &off);
-      if (blob_len < 0 || blob_len > remaining(image, off)) {
-        throw std::out_of_range("TbnetTA: corrupt TA image (block length)");
-      }
-      std::string blob(reinterpret_cast<const char*>(image.data()) +
-                           static_cast<std::ptrdiff_t>(off),
-                       static_cast<size_t>(blob_len));
-      off += static_cast<size_t>(blob_len);
-      std::istringstream is(blob, std::ios::binary);
-      blocks_.push_back(nn::load_model(is));
-      maps_.push_back(std::move(map));
+      maps_.push_back(r.i64s("channel map"));
+      fused_flags_.push_back(r.i64("fused flag") != 0);
+      ByteReader block(r.take(r.i64("block length"), "block"));
+      blocks_.push_back(nn::load_model(block));
     }
-    // DeployedTBNet's image ships pre-folded (build_tbnet_ta_image); what
-    // remains is to pre-pack weight panels and build each block's fusion
-    // plan. Packs are allocated from the TA's own context arena before any
-    // forward runs, so they survive every per-call rewind.
-    for (auto& block : blocks_) block->prepare_inference(exec_ctx_);
   }
 
   void on_install(tee::TaContext& ctx) override {
     int64_t model_bytes = 0;
     for (const auto& b : blocks_) model_bytes += b->param_bytes();
     model_alloc_ = ctx.memory->allocate(model_bytes, "tbnet-ta/model");
+    // DeployedTBNet's image ships pre-folded (build_tbnet_ta_image); what
+    // remains is to pre-pack weight panels and build each block's fusion
+    // plan. Packs are allocated from the TA's own context arena before any
+    // forward runs, so they survive every per-call rewind.
+    for (auto& block : blocks_) block->prepare_inference(exec_ctx_);
   }
 
   uint32_t invoke(uint32_t command, const std::vector<uint8_t>& in,
@@ -145,8 +135,7 @@ class TbnetTA : public tee::TrustedApp {
         // scheduling hint: legal any time (even mid-pipeline), never
         // changes results, so no next_stage_ bookkeeping. The width is
         // REE-written, so it is range-checked before it narrows to int.
-        size_t off = 0;
-        const int64_t width = unpack_i64(in, &off);
+        const int64_t width = ByteReader(in).i64("width");
         if (width < 0 || width > std::numeric_limits<int>::max()) {
           return kTeeErrorBadParameters;
         }
@@ -165,39 +154,37 @@ class TbnetTA : public tee::TrustedApp {
   /// it, stage records must continue the pipeline in order, and a release
   /// record must close it after the last fused stage. The release ends the
   /// batch, so a later stream must open with an input record again. A
-  /// record cut short throws std::out_of_range. Records before a rejected
+  /// record cut short throws std::runtime_error. Records before a rejected
   /// one have run.
   uint32_t run(const std::vector<uint8_t>& in, std::vector<uint8_t>& out,
                tee::TaContext& ctx) {
-    size_t off = 0;
-    while (off < in.size()) {
-      const bool first = off == 0;
-      const int64_t tag = unpack_i64(in, &off);
+    ByteReader r(in);
+    while (r.left() > 0) {
+      const bool first = r.pos() == 0;
+      const int64_t tag = r.i64("record tag");
       switch (tag) {
         case kRecordInput:
           if (!first) return kTeeErrorBadState;
-          acc_ = unpack_tensor(in, &off);
+          acc_ = read_tensor(r);
           acc_alloc_ =
               ctx.memory->allocate(acc_.numel() * kFloat, "tbnet-ta/input");
           next_stage_ = 0;
           break;
 
         case kRecordStage: {
-          const uint32_t status = push_stage(in, &off, ctx);
+          const uint32_t status = push_stage(r, ctx);
           if (status != kTeeSuccess) return status;
           break;
         }
 
         case kRecordLogits:
         case kRecordLabels:
-          if (off != in.size()) return kTeeErrorBadParameters;
+          if (r.left() != 0) return kTeeErrorBadParameters;
           if (!run_tail(ctx)) return kTeeErrorBadState;
           if (tag == kRecordLogits) {
-            pack_tensor(out, acc_);
+            put_tensor(out, acc_);
           } else {
-            const std::vector<int64_t> labels = argmax_rows(acc_);
-            pack_i64(out, static_cast<int64_t>(labels.size()));
-            for (int64_t label : labels) pack_i64(out, label);
+            put_i64s(out, argmax_rows(acc_));
           }
           // The batch leaves once: nothing of it stays for a later stream.
           next_stage_ = -1;
@@ -212,17 +199,16 @@ class TbnetTA : public tee::TrustedApp {
     return kTeeSuccess;
   }
 
-  /// One stage record's body at `*off`: the stage index, then R_i's output,
-  /// which is fused into the stored map after this stage's M_T block.
-  uint32_t push_stage(const std::vector<uint8_t>& in, size_t* off,
-                      tee::TaContext& ctx) {
-    const int64_t stage = unpack_i64(in, off);
+  /// One stage record's body: the stage index, then R_i's output, which is
+  /// fused into the stored map after this stage's M_T block.
+  uint32_t push_stage(ByteReader& r, tee::TaContext& ctx) {
+    const int64_t stage = r.i64("stage index");
     if (next_stage_ < 0 || stage != next_stage_ ||
         stage >= static_cast<int64_t>(blocks_.size()) ||
         !fused_flags_[static_cast<size_t>(stage)]) {
       return kTeeErrorBadState;
     }
-    const Tensor r_out = unpack_tensor(in, off);
+    const Tensor r_out = read_tensor(r);
     // Working-set accounting: incoming REE contribution + stage output
     // live alongside the stored fused input during the stage.
     auto incoming_alloc =
@@ -233,10 +219,9 @@ class TbnetTA : public tee::TrustedApp {
         ctx.memory->allocate(out_t.numel() * kFloat, "tbnet-ta/out");
     // Fusion: select the REE channels aligned with our retained ones
     // (paper §3.5), then element-wise add (sharded on the TA context).
-    Tensor aligned =
-        core::gather_channels(r_out, maps_[static_cast<size_t>(stage)]);
-    if (aligned.shape() != out_t.shape()) return kTeeErrorBadParameters;
-    add(exec_ctx_, out_t, aligned, out_t);
+    const std::vector<int64_t>& map = maps_[static_cast<size_t>(stage)];
+    if (!gathers_to(r_out, map, out_t.shape())) return kTeeErrorBadParameters;
+    add(exec_ctx_, out_t, core::gather_channels(r_out, map), out_t);
     // The new fused map replaces the previous one.
     acc_ = std::move(out_t);
     acc_alloc_ = std::move(out_alloc);
@@ -272,13 +257,6 @@ class TbnetTA : public tee::TrustedApp {
   int next_stage_ = -1;
   tee::SecureMemoryPool::Allocation model_alloc_, acc_alloc_;
 };
-
-std::vector<uint8_t> serialize_blob(const nn::Layer& layer) {
-  std::ostringstream os(std::ios::binary);
-  nn::save_model(os, layer);
-  const std::string s = os.str();
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
 
 void ta_check(uint32_t status, const char* what) {
   if (status != kTeeSuccess) {
@@ -333,20 +311,21 @@ std::vector<uint8_t> build_tbnet_ta_image(
     const std::vector<std::unique_ptr<nn::Layer>>& blocks,
     const core::TwoBranchModel* model = nullptr) {
   std::vector<uint8_t> image;
-  pack_i64(image, static_cast<int64_t>(blocks.size()));
+  put_i64(image, static_cast<int64_t>(blocks.size()));
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (model != nullptr) {
       const core::FusionStage& s = model->stage(static_cast<int>(i));
-      pack_i64(image, static_cast<int64_t>(s.channel_map.size()));
-      for (int64_t v : s.channel_map) pack_i64(image, v);
-      pack_i64(image, s.fused ? 1 : 0);
+      put_i64s(image, s.channel_map);
+      put_i64(image, s.fused ? 1 : 0);
     } else {
-      pack_i64(image, 0);  // map length
-      pack_i64(image, 0);  // fused flag
+      put_i64(image, 0);  // map length
+      put_i64(image, 0);  // fused flag
     }
-    const std::vector<uint8_t> blob = serialize_blob(*blocks[i]);
-    pack_i64(image, static_cast<int64_t>(blob.size()));
-    image.insert(image.end(), blob.begin(), blob.end());
+    const size_t length_at = image.size();
+    put_i64(image, 0);  // the block's length, patched in once it is written
+    nn::save_model(image, *blocks[i]);
+    put_at(image, length_at,
+           static_cast<int64_t>(image.size() - length_at - sizeof(int64_t)));
   }
   return image;
 }
@@ -508,7 +487,7 @@ void DeployedTBNet::reopen(const Tensor& canary_nchw) {
   // worker shards exactly like it did before the loss.
   if (intra_op_width_ > 0) {
     std::vector<uint8_t> payload;
-    pack_i64(payload, intra_op_width_);
+    put_i64(payload, intra_op_width_);
     invoke_with_retry(kCmdSetWidth, payload, nullptr, "SetWidth");
   }
   if (canary_nchw.numel() > 0) {
@@ -542,7 +521,7 @@ void DeployedTBNet::set_intra_op_width(int width) {
   exec_ctx_.set_intra_op_width(intra_op_width_);
   // Mirror the cap into the TA so the secure-world shards respect it too.
   std::vector<uint8_t> payload;
-  pack_i64(payload, intra_op_width_);
+  put_i64(payload, intra_op_width_);
   invoke_with_retry(kCmdSetWidth, payload, nullptr, "SetWidth");
 }
 
@@ -580,8 +559,8 @@ std::vector<uint8_t> DeployedTBNet::run(const Tensor& batch_nchw,
     ree_input_bytes_ =
         std::max(ree_input_bytes_, per_image(bytes, batch_nchw.dim(0)));
     reserve_record(bytes);
-    pack_i64(ree_records_, kRecordInput);
-    pack_tensor(ree_records_, batch_nchw);
+    put_i64(ree_records_, kRecordInput);
+    put_tensor(ree_records_, batch_nchw);
     ree_batch_ = &batch_nchw;
     ree_cancel_ = false;
   }
@@ -607,7 +586,7 @@ std::vector<uint8_t> DeployedTBNet::run(const Tensor& batch_nchw,
       }
       ree_cv_.notify_all();  // nothing waits now: the REE may run ahead
       const bool last = sent == stages;
-      if (last) pack_i64(in_flight_, release);
+      if (last) put_i64(in_flight_, release);
       invoke_with_retry(kCmdRun, in_flight_, last ? &result : nullptr, "Run");
     } while (sent < stages);
   } catch (...) {
@@ -667,9 +646,9 @@ void DeployedTBNet::ree_loop() {
           const int64_t bytes = 2 * kI64 + tensor_bytes(x);
           ree_stage_bytes_ = std::max(ree_stage_bytes_, per_image(bytes, n));
           reserve_record(bytes);
-          pack_i64(ree_records_, kRecordStage);
-          pack_i64(ree_records_, static_cast<int64_t>(i));
-          pack_tensor(ree_records_, x);
+          put_i64(ree_records_, kRecordStage);
+          put_i64(ree_records_, static_cast<int64_t>(i));
+          put_tensor(ree_records_, x);
         } catch (...) {
           error = std::current_exception();
         }
@@ -702,8 +681,8 @@ void DeployedTBNet::stop_ree() {
 
 Tensor DeployedTBNet::infer_batch(const Tensor& batch_nchw) {
   const std::vector<uint8_t> result = run(batch_nchw, kRecordLogits);
-  size_t off = 0;
-  return unpack_tensor(result, &off);
+  ByteReader r(result);
+  return read_tensor(r);
 }
 
 Tensor DeployedTBNet::infer(const Tensor& image_chw) {
@@ -716,13 +695,10 @@ int64_t DeployedTBNet::predict(const Tensor& image_chw) {
 
 std::vector<int64_t> DeployedTBNet::predict_batch(const Tensor& batch_nchw) {
   const std::vector<uint8_t> result = run(batch_nchw, kRecordLabels);
-  size_t off = 0;
-  const int64_t count = unpack_i64(result, &off);
-  if (count != batch_nchw.dim(0)) {
+  std::vector<int64_t> labels = ByteReader(result).i64s("labels");
+  if (static_cast<int64_t>(labels.size()) != batch_nchw.dim(0)) {
     throw std::runtime_error("predict_batch: label count mismatch");
   }
-  std::vector<int64_t> labels(static_cast<size_t>(count));
-  for (int64_t& label : labels) label = unpack_i64(result, &off);
   return labels;
 }
 
@@ -758,13 +734,13 @@ Tensor PartitionDeployment::infer(const Tensor& image_chw) {
   // One kCmdRun: the input record, then the release record. The TA runs
   // every stage and returns the logits.
   std::vector<uint8_t> records;
-  pack_i64(records, kRecordInput);
-  pack_tensor(records, observable_tee_input(image_chw));
-  pack_i64(records, kRecordLogits);
+  put_i64(records, kRecordInput);
+  put_tensor(records, observable_tee_input(image_chw));
+  put_i64(records, kRecordLogits);
   std::vector<uint8_t> result;
   ta_check(session_->invoke(kCmdRun, records, &result), "Run");
-  size_t off = 0;
-  return unpack_tensor(result, &off);
+  ByteReader r(result);
+  return read_tensor(r);
 }
 
 int64_t PartitionDeployment::predict(const Tensor& image_chw) {

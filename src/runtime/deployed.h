@@ -297,9 +297,11 @@ class DeployedTBNet {
 };
 
 /// The trusted application built from a TA image (the bytes DeployedTBNet
-/// and the baselines install). The image is parsed as hostile input: a
-/// truncated or malformed one throws (std::out_of_range, or
-/// nn::IntegrityError for a damaged block) instead of reading past its end.
+/// and the baselines install). The image is parsed as hostile input, with
+/// one bounded reader (tensor/bytes.h) for its framing and the model
+/// streams inside it: a truncated or malformed image throws
+/// std::runtime_error (nn::IntegrityError for a damaged block) instead of
+/// reading past its end. Weight panels are packed when the TA is installed.
 std::unique_ptr<tee::TrustedApp> make_tbnet_ta(
     const std::vector<uint8_t>& image);
 

@@ -1,11 +1,13 @@
 #include "tee/optee_api.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
+#include "tensor/bytes.h"
 #include "tensor/crc32c.h"
 
 namespace tbnet::tee {
@@ -180,44 +182,35 @@ uint32_t TeeSession::invoke(uint32_t command, const std::vector<uint8_t>& in,
   return status;
 }
 
-void pack_i64(std::vector<uint8_t>& buf, int64_t v) {
-  const size_t at = buf.size();
-  buf.resize(at + sizeof(v));
-  std::memcpy(buf.data() + at, &v, sizeof(v));
+namespace {
+
+/// Runs `read` on the bytes of `buf` from *offset on, then advances *offset
+/// past what it consumed; a rejected read leaves *offset as it was.
+template <typename Read>
+auto read_at(const std::vector<uint8_t>& buf, size_t* offset, Read read) {
+  ByteReader r(
+      std::span<const uint8_t>(buf).subspan(std::min(*offset, buf.size())));
+  auto value = read(r);
+  *offset += r.pos();
+  return value;
 }
 
+}  // namespace
+
+void pack_i64(std::vector<uint8_t>& buf, int64_t v) { put_i64(buf, v); }
+
 int64_t unpack_i64(const std::vector<uint8_t>& buf, size_t* offset) {
-  if (*offset + sizeof(int64_t) > buf.size()) {
-    throw std::out_of_range("unpack_i64: truncated payload");
-  }
-  int64_t v = 0;
-  std::memcpy(&v, buf.data() + *offset, sizeof(v));
-  *offset += sizeof(v);
-  return v;
+  return read_at(buf, offset, [](ByteReader& r) { return r.i64("payload"); });
 }
 
 void pack_floats(std::vector<uint8_t>& buf, const float* data, int64_t count) {
-  const size_t at = buf.size();
-  buf.resize(at + static_cast<size_t>(count) * sizeof(float));
-  std::memcpy(buf.data() + at, data,
-              static_cast<size_t>(count) * sizeof(float));
+  put_floats(buf, data, count);
 }
 
 std::vector<float> unpack_floats(const std::vector<uint8_t>& buf,
                                  size_t* offset, int64_t count) {
-  // `count` may come from a hostile header: bound it by the bytes that
-  // remain BEFORE multiplying, so a negative or huge count cannot wrap the
-  // size check.
-  const size_t remaining = *offset < buf.size() ? buf.size() - *offset : 0;
-  if (count < 0 ||
-      static_cast<uint64_t>(count) > remaining / sizeof(float)) {
-    throw std::out_of_range("unpack_floats: truncated payload");
-  }
-  const size_t bytes = static_cast<size_t>(count) * sizeof(float);
-  std::vector<float> out(static_cast<size_t>(count));
-  if (bytes > 0) std::memcpy(out.data(), buf.data() + *offset, bytes);
-  *offset += bytes;
-  return out;
+  return read_at(buf, offset,
+                 [count](ByteReader& r) { return r.floats(count, "payload"); });
 }
 
 }  // namespace tbnet::tee

@@ -186,7 +186,9 @@ class TeeContext {
   std::unique_ptr<FaultInjector> faults_;
 };
 
-/// Byte-packing helpers for command payloads.
+/// Byte-packing helpers for command payloads: forwards to the bounded codec
+/// in tensor/bytes.h. A read that does not fit throws std::runtime_error and
+/// leaves *offset unchanged.
 void pack_i64(std::vector<uint8_t>& buf, int64_t v);
 int64_t unpack_i64(const std::vector<uint8_t>& buf, size_t* offset);
 void pack_floats(std::vector<uint8_t>& buf, const float* data, int64_t count);

@@ -15,7 +15,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -584,29 +583,28 @@ TEST(FaultInjector, CorruptionFlipsPayloadBitsDeterministically) {
 
 TEST(Serialize, V4RoundTripsAndRejectsCorruptionTyped) {
   nn::Sequential victim = models::build_victim(tiny_vgg_cfg());
-  std::ostringstream os(std::ios::binary);
-  nn::save_model(os, victim);
-  const std::string bytes = os.str();
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, victim);
 
   // Round trip: load and re-save reproduces the exact bytes (checksums and
   // framing included).
-  std::istringstream is(bytes, std::ios::binary);
-  std::unique_ptr<nn::Layer> loaded = nn::load_model(is);
-  std::ostringstream os2(std::ios::binary);
-  nn::save_model(os2, *loaded);
-  EXPECT_EQ(os2.str(), bytes);
+  ByteReader r(bytes);
+  std::unique_ptr<nn::Layer> loaded = nn::load_model(r);
+  std::vector<uint8_t> again;
+  nn::save_model(again, *loaded);
+  EXPECT_EQ(again, bytes);
 
   // One flipped bit mid-payload -> typed IntegrityError at load (the same
   // path DeployedTBNet's TA-image deploy takes), never wrong weights.
-  std::string corrupt = bytes;
+  std::vector<uint8_t> corrupt = bytes;
   corrupt[corrupt.size() / 2] ^= 0x40;
-  std::istringstream bad(corrupt, std::ios::binary);
+  ByteReader bad(corrupt);
   EXPECT_THROW(nn::load_model(bad), nn::IntegrityError);
 
   // Damage in the header checksum itself is also typed.
-  std::string bad_header = bytes;
+  std::vector<uint8_t> bad_header = bytes;
   bad_header[9] ^= 0x01;  // inside the u32 header CRC at offset 8
-  std::istringstream bad2(bad_header, std::ios::binary);
+  ByteReader bad2(bad_header);
   EXPECT_THROW(nn::load_model(bad2), nn::IntegrityError);
 }
 

@@ -316,9 +316,10 @@ TEST(Fusion, FoldBatchnormRemovesBnAndPreservesOutputs) {
   expect_close(folded.forward(x, false), want);
 
   // The folded model serializes as plain Conv2d(+bias) + ReLU.
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, folded);
-  auto loaded = nn::load_model(ss);
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, folded);
+  ByteReader r(bytes);
+  auto loaded = nn::load_model(r);
   expect_close(loaded->forward(x, false), want);
 }
 
@@ -347,7 +348,10 @@ TEST(Fusion, DepthwiseBnReluFusesAtRuntime) {
   ASSERT_NE(dw, nullptr);
   EXPECT_TRUE(dw->has_bias());  // absorbed the BN shift
   expect_close(folded.forward(x, false), want);
-  EXPECT_LT(nn::serialized_size(folded), nn::serialized_size(seq));
+  std::vector<uint8_t> folded_bytes, seq_bytes;
+  nn::save_model(folded_bytes, folded);
+  nn::save_model(seq_bytes, seq);
+  EXPECT_LT(folded_bytes.size(), seq_bytes.size());
 }
 
 TEST(Fusion, PreparedResidualBlockMatchesUnfusedEval) {

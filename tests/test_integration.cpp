@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "attack/attacks.h"
 #include "core/pipeline.h"
@@ -74,9 +73,10 @@ TEST(Integration, TwoBranchSerializationRoundTrip) {
   }
   core::rollback_finalize(model, std::move(snapshot), points, keep);
 
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  core::save_two_branch(ss, model);
-  core::TwoBranchModel loaded = core::load_two_branch(ss);
+  std::vector<uint8_t> bytes;
+  core::save_two_branch(bytes, model);
+  ByteReader r(bytes);
+  core::TwoBranchModel loaded = core::load_two_branch(r);
 
   Rng rng(1);
   Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
@@ -88,9 +88,10 @@ TEST(Integration, TwoBranchSerializationRoundTrip) {
 }
 
 TEST(Integration, LoadTwoBranchRejectsGarbage) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ss << "garbage bytes here";
-  EXPECT_THROW(core::load_two_branch(ss), std::runtime_error);
+  const std::string garbage = "garbage bytes here";
+  const std::vector<uint8_t> bytes(garbage.begin(), garbage.end());
+  ByteReader r(bytes);
+  EXPECT_THROW(core::load_two_branch(r), std::runtime_error);
 }
 
 TEST(Integration, RetrainSecureStandaloneImprovesSecureOnlyAccuracy) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -685,9 +684,10 @@ TEST(DepthwiseBias, FoldedModelSerializesAndRoundTrips) {
   ASSERT_EQ(nn::fold_batchnorm_inference(folded), 1);
   expect_close(folded.forward(x, false), want);
 
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, folded);
-  auto loaded = nn::load_model(ss);
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, folded);
+  ByteReader r(bytes);
+  auto loaded = nn::load_model(r);
   expect_close(loaded->forward(x, false), want);
 }
 
@@ -700,10 +700,6 @@ TEST(DepthwiseBias, SelectChannelsKeepsBias) {
   ASSERT_EQ(dw.channels(), 2);
   EXPECT_EQ(dw.bias()[0], 3.0f);
   EXPECT_EQ(dw.bias()[1], 1.0f);
-}
-
-void put_u32(std::string& s, uint32_t v) {
-  s.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 TEST(DepthwiseBias, TwoBranchStreamRoundTripsBias) {
@@ -719,9 +715,10 @@ TEST(DepthwiseBias, TwoBranchStreamRoundTripsBias) {
   dw->bias()[1] = -0.5f;
   model.add_stage(std::make_unique<nn::ReLU>(), std::move(dw));
 
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  core::save_two_branch(ss, model);
-  core::TwoBranchModel reloaded = core::load_two_branch(ss);
+  std::vector<uint8_t> bytes;
+  core::save_two_branch(bytes, model);
+  ByteReader r(bytes);
+  core::TwoBranchModel reloaded = core::load_two_branch(r);
   ASSERT_EQ(reloaded.num_stages(), 1);
   auto* got =
       dynamic_cast<nn::DepthwiseConv2d*>(reloaded.stage(0).secure.get());
@@ -732,11 +729,10 @@ TEST(DepthwiseBias, TwoBranchStreamRoundTripsBias) {
 }
 
 TEST(DepthwiseBias, RejectsUnknownFutureVersion) {
-  std::string bytes;
-  bytes.append("TBNM", 4);
+  std::vector<uint8_t> bytes = {'T', 'B', 'N', 'M'};
   put_u32(bytes, nn::kModelFormatVersion + 1);
-  std::istringstream is(bytes, std::ios::binary);
-  EXPECT_THROW(nn::load_model(is), std::runtime_error);
+  ByteReader r(bytes);
+  EXPECT_THROW(nn::load_model(r), std::runtime_error);
 }
 
 // ------------------------------------------------ hoisted BN composition ---

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/pipeline.h"
 #include "core/pruner.h"
@@ -113,9 +112,10 @@ TEST(DepthwiseConv2d, SelectChannels) {
 TEST(DepthwiseConv2d, SerializationRoundTrip) {
   Rng rng(7);
   nn::DepthwiseConv2d dw(3, {.kernel = 3, .stride = 2, .pad = 1}, rng);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, dw);
-  auto loaded = nn::load_model(ss);
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, dw);
+  ByteReader r(bytes);
+  auto loaded = nn::load_model(r);
   Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
   EXPECT_TRUE(allclose(dw.forward(x, false), loaded->forward(x, false), 0.0f,
                        0.0f));

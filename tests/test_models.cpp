@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/residual.h"
+#include "tensor/bytes.h"
 #include "tensor/threadpool.h"
 
 namespace tbnet::models {
@@ -206,7 +206,7 @@ TEST(Trainer, LearnsTinyTaskAboveChance) {
 struct StepBits {
   std::vector<std::vector<uint32_t>> grads;
   std::vector<uint32_t> dx;
-  std::string state;
+  std::vector<uint8_t> state;
 };
 
 std::vector<uint32_t> tensor_bits(const Tensor& t) {
@@ -255,9 +255,7 @@ TEST(TrainingBits, TwoBranchStepIndependentOfPoolSize) {
     for (const nn::ParamRef& p : m.params()) {
       bits.grads.push_back(tensor_bits(*p.grad));
     }
-    std::stringstream ss;
-    core::save_two_branch(ss, m);  // weights and BN running stats
-    bits.state = ss.str();
+    core::save_two_branch(bits.state, m);  // weights and BN running stats
     return bits;
   };
   const StepBits want = with_pool(1, step);
@@ -285,8 +283,7 @@ TEST(TrainingBits, WideResidualStepIndependentOfPoolSize) {
     for (nn::BatchNorm2d* bn : {&rb.bn1(), &rb.bn2(), &rb.down_bn()}) {
       for (const Tensor* t : {&bn->running_mean(), &bn->running_var()}) {
         const std::vector<uint32_t> b = tensor_bits(*t);
-        bits.state.append(reinterpret_cast<const char*>(b.data()),
-                          b.size() * sizeof(uint32_t));
+        put_bytes(bits.state, b.data(), b.size() * sizeof(uint32_t));
       }
     }
     return bits;

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <sstream>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -936,9 +935,10 @@ TEST(Serialize, RoundTripsPlainStack) {
   seq.emplace<Flatten>();
   seq.emplace<Dense>(4, 10, rng);
 
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  save_model(ss, seq);
-  auto loaded = load_model(ss);
+  std::vector<uint8_t> bytes;
+  save_model(bytes, seq);
+  ByteReader r(bytes);
+  auto loaded = load_model(r);
 
   Tensor x = Tensor::randn(Shape{2, 3, 8, 8}, rng);
   EXPECT_TRUE(allclose(seq.forward(x, false), loaded->forward(x, false),
@@ -948,9 +948,10 @@ TEST(Serialize, RoundTripsPlainStack) {
 TEST(Serialize, RoundTripsResidualBlock) {
   Rng rng(35);
   ResidualBlock block(3, 6, 2, rng);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  save_model(ss, block);
-  auto loaded = load_model(ss);
+  std::vector<uint8_t> bytes;
+  save_model(bytes, block);
+  ByteReader r(bytes);
+  auto loaded = load_model(r);
   Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
   EXPECT_TRUE(allclose(block.forward(x, false), loaded->forward(x, false),
                        0.0f, 0.0f));
@@ -960,27 +961,20 @@ TEST(Serialize, RoundTripsPrunedResidualBlock) {
   Rng rng(36);
   ResidualBlock block(4, 4, 1, rng);
   block.prune_internal({1, 3});
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  save_model(ss, block);
-  auto loaded = load_model(ss);
+  std::vector<uint8_t> bytes;
+  save_model(bytes, block);
+  ByteReader r(bytes);
+  auto loaded = load_model(r);
   Tensor x = Tensor::randn(Shape{1, 4, 6, 6}, rng);
   EXPECT_TRUE(allclose(block.forward(x, false), loaded->forward(x, false),
                        0.0f, 0.0f));
 }
 
 TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ss << "not a model";
-  EXPECT_THROW(load_model(ss), std::runtime_error);
-}
-
-TEST(Serialize, SerializedSizeMatchesStream) {
-  Rng rng(37);
-  Sequential seq;
-  seq.emplace<Dense>(8, 4, rng);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  save_model(ss, seq);
-  EXPECT_EQ(serialized_size(seq), static_cast<int64_t>(ss.str().size()));
+  const std::string garbage = "not a model";
+  const std::vector<uint8_t> bytes(garbage.begin(), garbage.end());
+  ByteReader r(bytes);
+  EXPECT_THROW(load_model(r), std::runtime_error);
 }
 
 // ------------------------------------------------------------------ init ---

@@ -57,9 +57,10 @@ TEST_P(SeedSweep, SerializationIsLossless) {
   cfg.width_mult = 0.25;
   cfg.seed = seed;
   nn::Sequential victim = models::build_victim(cfg);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_model(ss, victim);
-  auto loaded = nn::load_model(ss);
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, victim);
+  ByteReader r(bytes);
+  auto loaded = nn::load_model(r);
   Rng rng(seed ^ 2);
   Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
   EXPECT_TRUE(allclose(victim.forward(x, false), loaded->forward(x, false),

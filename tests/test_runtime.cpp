@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <typeinfo>
@@ -458,22 +457,22 @@ TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
   };
   constexpr int64_t k2to32 = int64_t{1} << 32;
   // A negative dim.
-  EXPECT_THROW(run(input_header({1, -3, 32, 32})), std::out_of_range);
+  EXPECT_THROW(run(input_header({1, -3, 32, 32})), std::runtime_error);
   // Dims whose product wraps int64 to 0, which would pass as an empty map.
-  EXPECT_THROW(run(input_header({k2to32, k2to32})), std::out_of_range);
+  EXPECT_THROW(run(input_header({k2to32, k2to32})), std::runtime_error);
   // An element count whose byte size wraps size_t to 0.
-  EXPECT_THROW(run(input_header({int64_t{1} << 62})), std::out_of_range);
+  EXPECT_THROW(run(input_header({int64_t{1} << 62})), std::runtime_error);
   // A truncated input: half the promised floats.
   const std::vector<float> half(3 * 32 * 32 / 2, 1.0f);
   Records truncated = input_header({1, 3, 32, 32});
   tee::pack_floats(truncated.bytes, half.data(),
                    static_cast<int64_t>(half.size()));
-  EXPECT_THROW(run(truncated), std::out_of_range);
+  EXPECT_THROW(run(truncated), std::runtime_error);
 
   // A stage record whose tensor lies, after a valid input record.
   EXPECT_THROW(run(Records().input(image).i64(kRecordStage).i64(0).raw(
                    tensor_header({1, -16, 32, 32}))),
-               std::out_of_range);
+               std::runtime_error);
   // A stream cut inside a record header: every prefix of stage 0's tag,
   // index, rank and four dims.
   Records whole;
@@ -483,7 +482,7 @@ TEST(TbnetTA, HostilePayloadsAreRejectedTyped) {
     Records cut;
     cut.input(image).raw(std::vector<uint8_t>(
         whole.bytes.begin(), whole.bytes.begin() + static_cast<long>(len)));
-    EXPECT_THROW(run(cut), std::out_of_range) << "cut after " << len << " B";
+    EXPECT_THROW(run(cut), std::runtime_error) << "cut after " << len << " B";
   }
 
   // Unknown tags.
@@ -561,7 +560,7 @@ TEST(TbnetTA, SetWidthRejectsWidthsOutsideInt) {
                               std::numeric_limits<int64_t>::max()}) {
     EXPECT_EQ(set_width(width), tee::kTeeErrorBadParameters) << width;
   }
-  EXPECT_THROW(s.invoke(kCmdSetWidth, {1, 2, 3}), std::out_of_range);
+  EXPECT_THROW(s.invoke(kCmdSetWidth, {1, 2, 3}), std::runtime_error);
   // The range's ends are accepted; widths never change results.
   EXPECT_EQ(set_width(kIntMax), tee::kTeeSuccess);
   EXPECT_TRUE(allclose(deployed.infer_batch(batch), want, 0.0f, 0.0f));
@@ -578,9 +577,8 @@ TEST(TbnetTA, TruncatedImageIsRejectedTyped) {
       3, 2,
       nn::Conv2d::Options{.kernel = 1, .stride = 1, .pad = 0, .bias = false},
       rng);
-  std::ostringstream os(std::ios::binary);
-  nn::save_model(os, block);
-  const std::string blob = os.str();
+  std::vector<uint8_t> blob;
+  nn::save_model(blob, block);
   std::vector<uint8_t> image;
   for (const int64_t v : {int64_t{1}, int64_t{2}, int64_t{0}, int64_t{1},
                           int64_t{1}, static_cast<int64_t>(blob.size())}) {
@@ -604,7 +602,7 @@ TEST(TbnetTA, TruncatedImageIsRejectedTyped) {
     const std::vector<uint8_t> cut(image.begin(),
                                    image.begin() + static_cast<long>(len));
     EXPECT_THROW(world.install("tbnet-cut", make_tbnet_ta(cut)),
-                 std::out_of_range)
+                 std::runtime_error)
         << "prefix of " << len << " bytes";
   }
   // Lengths that lie about the bytes behind them.
@@ -615,10 +613,10 @@ TEST(TbnetTA, TruncatedImageIsRejectedTyped) {
   };
   constexpr size_t kMapLenAt = 8, kBlobLenAt = 40;
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, -1)), std::out_of_range);
-  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, kMax / 8)), std::out_of_range);
-  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, -1)), std::out_of_range);
-  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, kMax)), std::out_of_range);
+  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, -1)), std::runtime_error);
+  EXPECT_THROW(make_tbnet_ta(with(kMapLenAt, kMax / 8)), std::runtime_error);
+  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, -1)), std::runtime_error);
+  EXPECT_THROW(make_tbnet_ta(with(kBlobLenAt, kMax)), std::runtime_error);
 }
 
 TEST(DeployedTBNet, ModelTooBigForSecureMemoryFailsLoudly) {

@@ -16,8 +16,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "attack/attacks.h"
 #include "core/pipeline.h"
@@ -31,6 +33,7 @@
 #include "tee/cost_model.h"
 #include "tee/device_profile.h"
 #include "tee/optee_api.h"
+#include "tensor/bytes.h"
 
 namespace {
 
@@ -93,8 +96,24 @@ std::pair<data::SyntheticCifar, data::SyntheticCifar> datasets(
       args.num("difficulty", 0.45));
 }
 
+/// The whole file, read once.
+std::vector<uint8_t> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw std::runtime_error("cannot open " + path);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f), {});
+}
+
+void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (!f) throw std::runtime_error("cannot write " + path);
+}
+
 nn::Sequential load_victim(const std::string& path) {
-  auto layer = nn::load_model_file(path);
+  const std::vector<uint8_t> bytes = read_file(path);
+  ByteReader r(bytes);
+  auto layer = nn::load_model(r);
   auto* seq = dynamic_cast<nn::Sequential*>(layer.get());
   if (seq == nullptr) {
     throw std::runtime_error(path + " does not contain a victim model");
@@ -103,9 +122,9 @@ nn::Sequential load_victim(const std::string& path) {
 }
 
 core::TwoBranchModel load_protected(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return core::load_two_branch(f);
+  const std::vector<uint8_t> bytes = read_file(path);
+  ByteReader r(bytes);
+  return core::load_two_branch(r);
 }
 
 int cmd_train_victim(const Args& args) {
@@ -124,7 +143,9 @@ int cmd_train_victim(const Args& args) {
   std::printf("final accuracy: %.2f%%\n",
               100 * models::evaluate(victim, test));
   const std::string out = args.str("out", "victim.bin");
-  nn::save_model_file(out, victim);
+  std::vector<uint8_t> bytes;
+  nn::save_model(bytes, victim);
+  write_file(out, bytes);
   std::printf("saved -> %s\n", out.c_str());
   return 0;
 }
@@ -161,8 +182,9 @@ int cmd_protect(const Args& args) {
               100 * report.attack_direct_acc, report.arch_divergence);
 
   const std::string out = args.str("out", "protected.tbn");
-  std::ofstream f(out, std::ios::binary);
-  core::save_two_branch(f, model);
+  std::vector<uint8_t> bytes;
+  core::save_two_branch(bytes, model);
+  write_file(out, bytes);
   std::printf("saved -> %s\n", out.c_str());
   if (args.has("report")) {
     core::write_text_file(args.str("report", "report.json"),
