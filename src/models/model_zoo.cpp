@@ -237,17 +237,13 @@ core::TwoBranchModel build_two_branch(const nn::Sequential& victim,
   auto secure_stages = build_stages(cfg, rng_t);
 
   TwoBranchModel model;
-  Rng rng_scratch(0);
   for (int i = 0; i < victim.size(); ++i) {
     const nn::Layer& v = victim.layer(i);
     std::unique_ptr<nn::Layer> exposed;
     if (const auto* block = dynamic_cast<const ResidualBlock*>(&v)) {
       // Paper §4: for ResNet, M_R is initialized from the main branch,
       // excluding the skip connections.
-      auto plain = std::make_unique<Sequential>(
-          nn::plain_block_like(*block, rng_scratch));
-      nn::copy_main_branch(*block, *plain);
-      exposed = std::move(plain);
+      exposed = std::make_unique<Sequential>(nn::plain_main_branch(*block));
     } else {
       exposed = v.clone();  // weights included
     }

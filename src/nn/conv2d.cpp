@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.h"
 #include "tensor/gemm.h"
@@ -10,19 +11,27 @@
 namespace tbnet::nn {
 
 Conv2d::Conv2d(int64_t in_c, int64_t out_c, const Options& opt, Rng& rng)
-    : in_c_(in_c),
-      out_c_(out_c),
-      opt_(opt),
-      weight_(Shape{out_c, in_c, opt.kernel, opt.kernel}),
-      weight_grad_(Shape{out_c, in_c, opt.kernel, opt.kernel}) {
-  if (in_c <= 0 || out_c <= 0) {
-    throw std::invalid_argument("Conv2d: channel counts must be positive");
+    : Conv2d(opt,
+             kaiming_normal(Shape{out_c, in_c, opt.kernel, opt.kernel},
+                            in_c * opt.kernel * opt.kernel, rng),
+             opt.bias ? Tensor(Shape{out_c}) : Tensor()) {}
+
+Conv2d::Conv2d(const Options& opt, Tensor weight, Tensor bias)
+    : opt_(opt), weight_(std::move(weight)), bias_(std::move(bias)) {
+  const Shape& ws = weight_.shape();
+  if (ws.ndim() != 4 || ws.dim(0) <= 0 || ws.dim(1) <= 0 ||
+      ws.dim(2) != opt.kernel || ws.dim(3) != opt.kernel) {
+    throw std::invalid_argument("Conv2d: weight " + ws.str() +
+                                " is not [out_c, in_c, kernel, kernel]");
   }
-  kaiming_normal(weight_, in_c * opt.kernel * opt.kernel, rng);
-  if (opt_.bias) {
-    bias_ = Tensor(Shape{out_c});
-    bias_grad_ = Tensor(Shape{out_c});
+  out_c_ = ws.dim(0);
+  in_c_ = ws.dim(1);
+  if (opt.bias ? bias_.shape() != Shape{out_c_} : !bias_.empty()) {
+    throw std::invalid_argument("Conv2d: bias must be [out_c] exactly when "
+                                "opt.bias is set");
   }
+  weight_grad_ = Tensor(ws);
+  if (opt.bias) bias_grad_ = Tensor(Shape{out_c_});
 }
 
 Conv2dGeom Conv2d::geom_for(const Shape& in) const {

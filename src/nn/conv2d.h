@@ -26,7 +26,13 @@ class Conv2d : public Layer {
     bool bias = false;  ///< usually false: BatchNorm follows.
   };
 
+  /// Draws the weight from `rng` (kaiming_normal); a bias starts at zero.
   Conv2d(int64_t in_c, int64_t out_c, const Options& opt, Rng& rng);
+
+  /// Builds the layer from its weights: `weight` is [out_c, in_c, kernel,
+  /// kernel], `bias` is [out_c] when opt.bias and empty otherwise (else
+  /// std::invalid_argument). The model loader builds parsed layers this way.
+  Conv2d(const Options& opt, Tensor weight, Tensor bias = Tensor());
 
   using Layer::forward;
   using Layer::backward;

@@ -1,6 +1,7 @@
 #include "nn/dense.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.h"
 #include "tensor/gemm.h"
@@ -8,19 +9,25 @@
 namespace tbnet::nn {
 
 Dense::Dense(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
-    : in_f_(in_features),
-      out_f_(out_features),
-      has_bias_(bias),
-      weight_(Shape{out_features, in_features}),
-      weight_grad_(Shape{out_features, in_features}) {
-  if (in_features <= 0 || out_features <= 0) {
-    throw std::invalid_argument("Dense: feature counts must be positive");
+    : Dense(kaiming_normal(Shape{out_features, in_features}, in_features, rng),
+            bias ? Tensor(Shape{out_features}) : Tensor()) {}
+
+Dense::Dense(Tensor weight, Tensor bias)
+    : has_bias_(!bias.empty()),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)) {
+  const Shape& ws = weight_.shape();
+  if (ws.ndim() != 2 || ws.dim(0) <= 0 || ws.dim(1) <= 0) {
+    throw std::invalid_argument("Dense: weight " + ws.str() +
+                                " is not [out_features, in_features]");
   }
-  kaiming_normal(weight_, in_features, rng);
-  if (has_bias_) {
-    bias_ = Tensor(Shape{out_features});
-    bias_grad_ = Tensor(Shape{out_features});
+  out_f_ = ws.dim(0);
+  in_f_ = ws.dim(1);
+  if (has_bias_ && bias_.shape() != Shape{out_f_}) {
+    throw std::invalid_argument("Dense: bias must be [out_features]");
   }
+  weight_grad_ = Tensor(ws);
+  if (has_bias_) bias_grad_ = Tensor(Shape{out_f_});
 }
 
 Shape Dense::out_shape(const Shape& in) const {

@@ -14,7 +14,13 @@ namespace tbnet::nn {
 /// y = x * W^T + b, with W laid out [out_features, in_features].
 class Dense : public Layer {
  public:
+  /// Draws W from `rng` (kaiming_normal); a bias starts at zero.
   Dense(int64_t in_features, int64_t out_features, Rng& rng, bool bias = true);
+
+  /// Builds the layer from its weights: `weight` is [out_features,
+  /// in_features], `bias` is [out_features] or empty for a bias-free layer
+  /// (else std::invalid_argument).
+  explicit Dense(Tensor weight, Tensor bias = Tensor());
 
   using Layer::forward;
   using Layer::backward;
@@ -40,6 +46,7 @@ class Dense : public Layer {
   Tensor& weight() { return weight_; }
   const Tensor& weight() const { return weight_; }
   Tensor& bias() { return bias_; }
+  const Tensor& bias() const { return bias_; }
 
   /// Keeps only the listed input *features* (columns of W).
   void select_in_features(const std::vector<int64_t>& keep);

@@ -1,6 +1,7 @@
 #include "nn/depthwise.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.h"
 #include "tensor/threadpool.h"
@@ -9,18 +10,27 @@ namespace tbnet::nn {
 
 DepthwiseConv2d::DepthwiseConv2d(int64_t channels, const Options& opt,
                                  Rng& rng)
-    : channels_(channels),
-      opt_(opt),
-      weight_(Shape{channels, opt.kernel, opt.kernel}),
-      weight_grad_(Shape{channels, opt.kernel, opt.kernel}) {
-  if (channels <= 0) {
-    throw std::invalid_argument("DepthwiseConv2d: channels must be positive");
+    : DepthwiseConv2d(opt,
+                      kaiming_normal(Shape{channels, opt.kernel, opt.kernel},
+                                     opt.kernel * opt.kernel, rng),
+                      opt.bias ? Tensor(Shape{channels}) : Tensor()) {}
+
+DepthwiseConv2d::DepthwiseConv2d(const Options& opt, Tensor weight,
+                                 Tensor bias)
+    : opt_(opt), weight_(std::move(weight)), bias_(std::move(bias)) {
+  const Shape& ws = weight_.shape();
+  if (ws.ndim() != 3 || ws.dim(0) <= 0 || ws.dim(1) != opt.kernel ||
+      ws.dim(2) != opt.kernel) {
+    throw std::invalid_argument("DepthwiseConv2d: weight " + ws.str() +
+                                " is not [channels, kernel, kernel]");
   }
-  kaiming_normal(weight_, opt.kernel * opt.kernel, rng);
-  if (opt_.bias) {
-    bias_ = Tensor(Shape{channels});
-    bias_grad_ = Tensor(Shape{channels});
+  channels_ = ws.dim(0);
+  if (opt.bias ? bias_.shape() != Shape{channels_} : !bias_.empty()) {
+    throw std::invalid_argument("DepthwiseConv2d: bias must be [channels] "
+                                "exactly when opt.bias is set");
   }
+  weight_grad_ = Tensor(ws);
+  if (opt.bias) bias_grad_ = Tensor(Shape{channels_});
 }
 
 Shape DepthwiseConv2d::out_shape(const Shape& in) const {

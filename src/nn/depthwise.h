@@ -25,7 +25,13 @@ class DepthwiseConv2d : public Layer {
     bool bias = false;  ///< usually false: BatchNorm follows.
   };
 
+  /// Draws the taps from `rng` (kaiming_normal); a bias starts at zero.
   DepthwiseConv2d(int64_t channels, const Options& opt, Rng& rng);
+
+  /// Builds the layer from its weights: `weight` is [channels, kernel,
+  /// kernel], `bias` is [channels] when opt.bias and empty otherwise (else
+  /// std::invalid_argument).
+  DepthwiseConv2d(const Options& opt, Tensor weight, Tensor bias = Tensor());
 
   using Layer::forward;
   using Layer::backward;
@@ -70,6 +76,7 @@ class DepthwiseConv2d : public Layer {
   Tensor& weight() { return weight_; }
   const Tensor& weight() const { return weight_; }
   Tensor& bias() { return bias_; }
+  const Tensor& bias() const { return bias_; }
   bool has_bias() const { return opt_.bias; }
 
   /// Keeps only the listed channels (input and output are the same set).

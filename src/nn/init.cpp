@@ -13,4 +13,11 @@ void kaiming_normal(Tensor& w, int64_t fan_in, Rng& rng) {
   }
 }
 
+Tensor kaiming_normal(const Shape& shape, int64_t fan_in, Rng& rng) {
+  if (fan_in <= 0) throw std::invalid_argument("kaiming_normal: fan_in <= 0");
+  Tensor w(shape);
+  kaiming_normal(w, fan_in, rng);
+  return w;
+}
+
 }  // namespace tbnet::nn

@@ -12,4 +12,9 @@ namespace tbnet::nn {
 /// ReLU networks (victim models and the fresh secure branch both use it).
 void kaiming_normal(Tensor& w, int64_t fan_in, Rng& rng);
 
+/// A new tensor of `shape`, filled as above. The layers' seeded
+/// constructors draw their weights with it and hand them to the
+/// constructors that take weights.
+Tensor kaiming_normal(const Shape& shape, int64_t fan_in, Rng& rng);
+
 }  // namespace tbnet::nn

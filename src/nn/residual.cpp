@@ -1,26 +1,91 @@
 #include "nn/residual.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "nn/activations.h"
 #include "nn/sequential.h"
 
 namespace tbnet::nn {
 
-ResidualBlock::ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride,
-                             Rng& rng, int64_t internal_c)
-    : in_c_(in_c), out_c_(out_c), stride_(stride) {
+namespace {
+
+/// A fresh block's members. Each draw is its own statement, so the weights
+/// come from `rng` in a fixed order: conv1, conv2, down_conv.
+ResidualBlock::Members fresh_members(int64_t in_c, int64_t out_c,
+                                     int64_t stride, Rng& rng,
+                                     int64_t internal_c) {
   if (internal_c == 0) internal_c = out_c;
   Conv2d::Options c1{.kernel = 3, .stride = stride, .pad = 1, .bias = false};
   Conv2d::Options c2{.kernel = 3, .stride = 1, .pad = 1, .bias = false};
-  conv1_ = std::make_unique<Conv2d>(in_c, internal_c, c1, rng);
-  bn1_ = std::make_unique<BatchNorm2d>(internal_c);
-  conv2_ = std::make_unique<Conv2d>(internal_c, out_c, c2, rng);
-  bn2_ = std::make_unique<BatchNorm2d>(out_c);
+  ResidualBlock::Members m;
+  m.conv1 = std::make_unique<Conv2d>(in_c, internal_c, c1, rng);
+  m.bn1 = std::make_unique<BatchNorm2d>(internal_c);
+  m.conv2 = std::make_unique<Conv2d>(internal_c, out_c, c2, rng);
+  m.bn2 = std::make_unique<BatchNorm2d>(out_c);
   if (stride != 1 || in_c != out_c) {
     Conv2d::Options cd{.kernel = 1, .stride = stride, .pad = 0, .bias = false};
-    down_conv_ = std::make_unique<Conv2d>(in_c, out_c, cd, rng);
-    down_bn_ = std::make_unique<BatchNorm2d>(out_c);
+    m.down_conv = std::make_unique<Conv2d>(in_c, out_c, cd, rng);
+    m.down_bn = std::make_unique<BatchNorm2d>(out_c);
+  }
+  return m;
+}
+
+/// Whether `conv` has the window and (absent) bias the member rule asks of
+/// its place in the block.
+bool has_window(const Conv2d& conv, int64_t kernel, int64_t stride,
+                int64_t pad) {
+  const Conv2d::Options& o = conv.options();
+  return o.kernel == kernel && o.stride == stride && o.pad == pad && !o.bias;
+}
+
+template <typename L>
+std::unique_ptr<L> clone_of(const L& layer) {
+  return std::unique_ptr<L>(static_cast<L*>(layer.clone().release()));
+}
+
+}  // namespace
+
+ResidualBlock::ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride,
+                             Rng& rng, int64_t internal_c)
+    : ResidualBlock(fresh_members(in_c, out_c, stride, rng, internal_c)) {}
+
+ResidualBlock::ResidualBlock(Members members)
+    : conv1_(std::move(members.conv1)),
+      bn1_(std::move(members.bn1)),
+      conv2_(std::move(members.conv2)),
+      bn2_(std::move(members.bn2)),
+      down_conv_(std::move(members.down_conv)),
+      down_bn_(std::move(members.down_bn)) {
+  const auto malformed = [](const char* why) {
+    throw std::runtime_error(std::string("ResidualBlock: ") + why);
+  };
+  if (!conv1_ || !bn1_ || !conv2_ || !bn2_) {
+    malformed("a main-branch member is missing");
+  }
+  const int64_t s = stride();
+  if (s < 1 || !has_window(*conv1_, 3, s, 1) || !has_window(*conv2_, 3, 1, 1)) {
+    malformed("conv1 must be 3x3 at the block's stride and conv2 3x3 at "
+              "stride 1, both pad 1 without a bias");
+  }
+  if (bn1_->channels() != internal_channels() ||
+      conv2_->in_channels() != internal_channels() ||
+      bn2_->channels() != out_channels()) {
+    malformed("member widths do not chain");
+  }
+  const bool needs_down = s != 1 || in_channels() != out_channels();
+  if (needs_down != (down_conv_ != nullptr) ||
+      needs_down != (down_bn_ != nullptr)) {
+    malformed("a downsample must be present exactly when the stride or the "
+              "width changes");
+  }
+  if (down_conv_ && (!has_window(*down_conv_, 1, s, 0) ||
+                     down_conv_->in_channels() != in_channels() ||
+                     down_conv_->out_channels() != out_channels() ||
+                     down_bn_->channels() != out_channels())) {
+    malformed("the downsample must be a 1x1 in_c -> out_c conv at the "
+              "block's stride, pad 0, without a bias");
   }
 }
 
@@ -52,16 +117,17 @@ void ResidualBlock::prepare_inference(ExecutionContext& ctx) {
   if (down_conv_) down_conv_->prepare_inference(ctx);
   // The block is frozen once prepared, so the BN scale/shift composition is
   // hoisted here instead of being rebuilt on every fused eval call.
-  const int64_t mid_c = conv1_->out_channels();
-  fused_s1_.resize(static_cast<size_t>(mid_c));
-  fused_t1_.resize(static_cast<size_t>(mid_c));
+  const auto mid_c = static_cast<size_t>(internal_channels());
+  const auto out_c = static_cast<size_t>(out_channels());
+  fused_s1_.resize(mid_c);
+  fused_t1_.resize(mid_c);
   bn1_->inference_scale_shift(fused_s1_.data(), fused_t1_.data());
-  fused_s2_.resize(static_cast<size_t>(out_c_));
-  fused_t2_.resize(static_cast<size_t>(out_c_));
+  fused_s2_.resize(out_c);
+  fused_t2_.resize(out_c);
   bn2_->inference_scale_shift(fused_s2_.data(), fused_t2_.data());
   if (down_conv_) {
-    fused_sd_.resize(static_cast<size_t>(out_c_));
-    fused_td_.resize(static_cast<size_t>(out_c_));
+    fused_sd_.resize(out_c);
+    fused_td_.resize(out_c);
     down_bn_->inference_scale_shift(fused_sd_.data(), fused_td_.data());
   }
   prepared_ = true;
@@ -92,12 +158,8 @@ Tensor ResidualBlock::forward(ExecutionContext& ctx, const Tensor& input,
   if (!train && prepared_) {
     return forward_fused_eval(ctx, input);
   }
-  if (train) cached_input_ = input;
   Tensor mid = bn1_->forward(ctx, conv1_->forward(ctx, input, train), train);
-  if (train) {
-    relu1_mask_.resize(static_cast<size_t>(mid.numel()));
-    mid_shape_ = mid.shape();
-  }
+  if (train) relu1_mask_.resize(static_cast<size_t>(mid.numel()));
   relu_forward(mid.numel(), mid.data(), nullptr,
                train ? relu1_mask_.data() : nullptr);
   Tensor main = bn2_->forward(ctx, conv2_->forward(ctx, mid, train), train);
@@ -161,19 +223,18 @@ std::vector<ParamRef> ResidualBlock::params() {
 }
 
 std::unique_ptr<Layer> ResidualBlock::clone() const {
-  // Clone via the layer clones to avoid copying forward caches. The clone is
+  // Clones of the members, so no forward cache is copied and the clone is
   // un-prepared (fresh packed caches) by construction.
-  Rng dummy(0);
-  auto copy = std::make_unique<ResidualBlock>(in_c_, out_c_, stride_, dummy);
-  copy->conv1_.reset(static_cast<Conv2d*>(conv1_->clone().release()));
-  copy->bn1_.reset(static_cast<BatchNorm2d*>(bn1_->clone().release()));
-  copy->conv2_.reset(static_cast<Conv2d*>(conv2_->clone().release()));
-  copy->bn2_.reset(static_cast<BatchNorm2d*>(bn2_->clone().release()));
+  Members m;
+  m.conv1 = clone_of(*conv1_);
+  m.bn1 = clone_of(*bn1_);
+  m.conv2 = clone_of(*conv2_);
+  m.bn2 = clone_of(*bn2_);
   if (down_conv_) {
-    copy->down_conv_.reset(static_cast<Conv2d*>(down_conv_->clone().release()));
-    copy->down_bn_.reset(static_cast<BatchNorm2d*>(down_bn_->clone().release()));
+    m.down_conv = clone_of(*down_conv_);
+    m.down_bn = clone_of(*down_bn_);
   }
-  return copy;
+  return std::make_unique<ResidualBlock>(std::move(m));
 }
 
 void ResidualBlock::prune_internal(const std::vector<int64_t>& keep) {
@@ -182,39 +243,11 @@ void ResidualBlock::prune_internal(const std::vector<int64_t>& keep) {
   conv2_->select_in_channels(keep);
 }
 
-Sequential plain_block_like(const ResidualBlock& block, Rng& rng) {
+Sequential plain_main_branch(const ResidualBlock& block) {
   Sequential seq;
-  Conv2d::Options c1{.kernel = 3, .stride = block.stride(), .pad = 1,
-                     .bias = false};
-  Conv2d::Options c2{.kernel = 3, .stride = 1, .pad = 1, .bias = false};
-  seq.emplace<Conv2d>(block.in_channels(), block.internal_channels(), c1, rng);
-  seq.emplace<BatchNorm2d>(block.internal_channels());
-  seq.emplace<ReLU>();
-  seq.emplace<Conv2d>(block.internal_channels(), block.out_channels(), c2, rng);
-  seq.emplace<BatchNorm2d>(block.out_channels());
-  seq.emplace<ReLU>();
+  seq.add(block.conv1().clone()).add(block.bn1().clone()).emplace<ReLU>();
+  seq.add(block.conv2().clone()).add(block.bn2().clone()).emplace<ReLU>();
   return seq;
-}
-
-void copy_main_branch(const ResidualBlock& src, Sequential& dst) {
-  auto& block = const_cast<ResidualBlock&>(src);
-  auto* c1 = dst.find_nth<Conv2d>(0);
-  auto* b1 = dst.find_nth<BatchNorm2d>(0);
-  auto* c2 = dst.find_nth<Conv2d>(1);
-  auto* b2 = dst.find_nth<BatchNorm2d>(1);
-  if (!c1 || !b1 || !c2 || !b2) {
-    throw std::invalid_argument("copy_main_branch: dst is not a plain block");
-  }
-  c1->weight() = block.conv1().weight();
-  b1->gamma() = block.bn1().gamma();
-  b1->beta() = block.bn1().beta();
-  b1->running_mean() = block.bn1().running_mean();
-  b1->running_var() = block.bn1().running_var();
-  c2->weight() = block.conv2().weight();
-  b2->gamma() = block.bn2().gamma();
-  b2->beta() = block.bn2().beta();
-  b2->running_mean() = block.bn2().running_mean();
-  b2->running_var() = block.bn2().running_var();
 }
 
 }  // namespace tbnet::nn

@@ -6,7 +6,16 @@
 // skip(x) is the identity when shapes match, otherwise a strided 1x1
 // convolution + BN ("downsample"). This is the secure-branch (M_T) block for
 // ResNet victims; the unsecured branch M_R uses the plain (skip-free)
-// Sequential version of the same stack, per the paper's initialization rule.
+// Sequential version of the same stack, per the paper's initialization rule
+// (plain_main_branch below).
+//
+// A block is built from its six members and owns them. The member rule:
+// conv1 is 3x3 at the block's stride, pad 1, no bias; conv2 is 3x3, stride
+// 1, pad 1, no bias; bn1 and bn2 are as wide as the convs they follow; a 1x1
+// downsample conv (at the block's stride, pad 0, no bias) and its BN are
+// present exactly when stride != 1 or in_c != out_c. The seeded constructor,
+// clone() and the model loader all end in the one constructor that checks
+// it, so a parsed block cannot carry a member the block would ignore.
 
 #include <memory>
 
@@ -19,10 +28,27 @@ namespace tbnet::nn {
 
 class ResidualBlock : public Layer {
  public:
-  /// `internal_c` is the width between conv1 and conv2 (out_c when 0);
-  /// the model loader builds pruned blocks at their stored width.
+  /// A block's six members; the downsample pair is null for an identity
+  /// skip.
+  struct Members {
+    std::unique_ptr<Conv2d> conv1;
+    std::unique_ptr<BatchNorm2d> bn1;
+    std::unique_ptr<Conv2d> conv2;
+    std::unique_ptr<BatchNorm2d> bn2;
+    std::unique_ptr<Conv2d> down_conv;
+    std::unique_ptr<BatchNorm2d> down_bn;
+  };
+
+  /// A fresh block: conv1, conv2 and then down_conv (when the skip needs
+  /// one) draw their weights from `rng` in that order. `internal_c` is the
+  /// width between conv1 and conv2 (out_c when 0).
   ResidualBlock(int64_t in_c, int64_t out_c, int64_t stride, Rng& rng,
                 int64_t internal_c = 0);
+
+  /// Builds the block from its members. Throws std::runtime_error unless
+  /// they follow the member rule (file comment); the block's in/out widths
+  /// and stride are conv1's inputs, conv2's outputs and conv1's stride.
+  explicit ResidualBlock(Members members);
 
   using Layer::forward;
   using Layer::backward;
@@ -37,18 +63,24 @@ class ResidualBlock : public Layer {
   int64_t param_bytes() const override;
 
   bool has_downsample() const { return down_conv_ != nullptr; }
-  int64_t in_channels() const { return in_c_; }
-  int64_t out_channels() const { return out_c_; }
+  int64_t in_channels() const { return conv1_->in_channels(); }
+  int64_t out_channels() const { return conv2_->out_channels(); }
   int64_t internal_channels() const { return conv1_->out_channels(); }
-  int64_t stride() const { return stride_; }
+  int64_t stride() const { return conv1_->options().stride; }
 
   Conv2d& conv1() { return *conv1_; }
+  const Conv2d& conv1() const { return *conv1_; }
   BatchNorm2d& bn1() { return *bn1_; }
+  const BatchNorm2d& bn1() const { return *bn1_; }
   Conv2d& conv2() { return *conv2_; }
+  const Conv2d& conv2() const { return *conv2_; }
   BatchNorm2d& bn2() { return *bn2_; }
+  const BatchNorm2d& bn2() const { return *bn2_; }
   /// Downsample path accessors; only valid when has_downsample().
   Conv2d& down_conv() { return *down_conv_; }
+  const Conv2d& down_conv() const { return *down_conv_; }
   BatchNorm2d& down_bn() { return *down_bn_; }
+  const BatchNorm2d& down_bn() const { return *down_bn_; }
 
   /// Prunes the block-internal channels (conv1 outputs / bn1 / conv2 inputs);
   /// the block's external interface (in_c, out_c) is unchanged, which keeps
@@ -65,7 +97,6 @@ class ResidualBlock : public Layer {
  private:
   Tensor forward_fused_eval(ExecutionContext& ctx, const Tensor& input);
 
-  int64_t in_c_, out_c_, stride_;
   std::unique_ptr<Conv2d> conv1_;
   std::unique_ptr<BatchNorm2d> bn1_;
   std::unique_ptr<Conv2d> conv2_;
@@ -75,8 +106,7 @@ class ResidualBlock : public Layer {
 
   // Forward caches.
   std::vector<uint8_t> relu1_mask_, relu_out_mask_;
-  Tensor cached_input_;
-  Shape mid_shape_, out_shape_cache_;
+  Shape out_shape_cache_;
   bool prepared_ = false;  ///< set by prepare_inference
   // Composed BN scale/shift for the fused eval path, cached by
   // prepare_inference (the block is frozen once prepared).
@@ -84,13 +114,10 @@ class ResidualBlock : public Layer {
   std::vector<float> fused_sd_, fused_td_;  ///< downsample; empty without one
 };
 
-/// Builds the skip-free ("plain") Sequential version of a residual block:
-/// Conv1-BN1-ReLU-Conv2-BN2-ReLU. Weights are freshly initialized; use
-/// copy_main_branch() to fill them from a victim block.
-Sequential plain_block_like(const ResidualBlock& block, Rng& rng);
-
-/// Copies conv/BN weights of `src`'s main branch into a plain block created
-/// by plain_block_like().
-void copy_main_branch(const ResidualBlock& src, Sequential& dst);
+/// M_R's skip-free ("plain") version of a residual block, built from clones
+/// of its main-branch members: Conv1-BN1-ReLU-Conv2-BN2-ReLU, with the
+/// block's weights (paper §4: for ResNet, M_R starts from the victim's main
+/// branch without the skip connection).
+Sequential plain_main_branch(const ResidualBlock& block);
 
 }  // namespace tbnet::nn

@@ -150,7 +150,7 @@ void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
     } else {
       put_tensor(out, conv->weight());
     }
-    if (conv->has_bias()) put_tensor(out, const_cast<Conv2d*>(conv)->bias());
+    if (conv->has_bias()) put_tensor(out, conv->bias());
   } else if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer)) {
     put_i64(out, dw->channels());
     put_i64(out, dw->options().kernel);
@@ -158,9 +158,7 @@ void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
     put_i64(out, dw->options().pad);
     put_u32(out, dw->has_bias() ? 1 : 0);
     put_tensor(out, dw->weight());
-    if (dw->has_bias()) {
-      put_tensor(out, const_cast<DepthwiseConv2d*>(dw)->bias());
-    }
+    if (dw->has_bias()) put_tensor(out, dw->bias());
   } else if (const auto* bn = dynamic_cast<const BatchNorm2d*>(&layer)) {
     put_i64(out, bn->channels());
     put_f32(out, bn->eps());
@@ -188,23 +186,22 @@ void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
     } else {
       put_tensor(out, dense->weight());
     }
-    if (dense->has_bias()) put_tensor(out, const_cast<Dense*>(dense)->bias());
+    if (dense->has_bias()) put_tensor(out, dense->bias());
   } else if (const auto* seq = dynamic_cast<const Sequential*>(&layer)) {
     put_u32(out, static_cast<uint32_t>(seq->size()));
     for (int i = 0; i < seq->size(); ++i) save_layer(out, seq->layer(i));
   } else if (const auto* res = dynamic_cast<const ResidualBlock*>(&layer)) {
-    auto& block = const_cast<ResidualBlock&>(*res);
     put_i64(out, res->in_channels());
     put_i64(out, res->out_channels());
     put_i64(out, res->stride());
     put_i64(out, res->internal_channels());
-    save_layer(out, block.conv1());
-    save_layer(out, block.bn1());
-    save_layer(out, block.conv2());
-    save_layer(out, block.bn2());
+    save_layer(out, res->conv1());
+    save_layer(out, res->bn1());
+    save_layer(out, res->conv2());
+    save_layer(out, res->bn2());
     if (res->has_downsample()) {
-      save_layer(out, block.down_conv());
-      save_layer(out, block.down_bn());
+      save_layer(out, res->down_conv());
+      save_layer(out, res->down_bn());
     }
   } else {
     throw std::runtime_error("save_layer: unsupported layer kind '" +
@@ -212,11 +209,22 @@ void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
   }
 }
 
+/// The next child section, which must parse as an L.
+template <typename L>
+std::unique_ptr<L> load_child(ByteReader& r) {
+  std::unique_ptr<Layer> layer = load_layer(r);
+  if (dynamic_cast<L*>(layer.get()) == nullptr) {
+    throw std::runtime_error("load_layer: malformed ResidualBlock");
+  }
+  return std::unique_ptr<L>(static_cast<L*>(layer.release()));
+}
+
 /// Parses one unframed layer body. Nested layers are framed sections of
-/// this body and parse in place, each within its own length.
+/// this body and parse in place, each within its own length. Every layer is
+/// built from the tensors it parsed, so nothing is initialized only to be
+/// overwritten.
 std::unique_ptr<Layer> parse_body(ByteReader& r) {
   const std::string kind = read_string(r);
-  Rng rng(0);  // weights are overwritten right after construction
   if (kind == "Conv2d") {
     const int64_t in_c = r.i64(kField);
     const int64_t out_c = r.i64(kField);
@@ -229,16 +237,18 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     param_bytes(r, {out_c, in_c, opt.kernel, opt.kernel},
                 quantized ? 1 : sizeof(float));
     check_window(opt.kernel, opt.stride, opt.pad);
-    auto conv = std::make_unique<Conv2d>(in_c, out_c, opt, rng);
     const Shape wshape{out_c, in_c, opt.kernel, opt.kernel};
+    QuantizedWeights qw;
+    Tensor weight;
     if (quantized) {
-      QuantizedWeights qw = read_quant(r, out_c, in_c * opt.kernel * opt.kernel);
-      conv->weight() = dequantized_weight(qw, wshape);
-      conv->set_quantized(std::move(qw));
+      qw = read_quant(r, out_c, in_c * opt.kernel * opt.kernel);
+      weight = dequantized_weight(qw, wshape);
     } else {
-      conv->weight() = read_tensor(r, wshape);
+      weight = read_tensor(r, wshape);
     }
-    if (opt.bias) conv->bias() = read_tensor(r, Shape{out_c});
+    Tensor bias = opt.bias ? read_tensor(r, Shape{out_c}) : Tensor();
+    auto conv = std::make_unique<Conv2d>(opt, std::move(weight), std::move(bias));
+    if (quantized) conv->set_quantized(std::move(qw));
     return conv;
   }
   if (kind == "DepthwiseConv2d") {
@@ -250,10 +260,10 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     opt.bias = r.u32(kField) != 0;
     param_bytes(r, {channels, opt.kernel, opt.kernel}, sizeof(float));
     check_window(opt.kernel, opt.stride, opt.pad);
-    auto dw = std::make_unique<DepthwiseConv2d>(channels, opt, rng);
-    dw->weight() = read_tensor(r, Shape{channels, opt.kernel, opt.kernel});
-    if (opt.bias) dw->bias() = read_tensor(r, Shape{channels});
-    return dw;
+    Tensor weight = read_tensor(r, Shape{channels, opt.kernel, opt.kernel});
+    Tensor bias = opt.bias ? read_tensor(r, Shape{channels}) : Tensor();
+    return std::make_unique<DepthwiseConv2d>(opt, std::move(weight),
+                                             std::move(bias));
   }
   if (kind == "BatchNorm2d") {
     const int64_t c = r.i64(kField);
@@ -282,15 +292,17 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     const bool bias = r.u32(kField) != 0;
     const bool quantized = r.u32(kField) != 0;
     param_bytes(r, {out_f, in_f}, quantized ? 1 : sizeof(float));
-    auto dense = std::make_unique<Dense>(in_f, out_f, rng, bias);
+    QuantizedWeights qw;
+    Tensor weight;
     if (quantized) {
-      QuantizedWeights qw = read_quant(r, out_f, in_f);
-      dense->weight() = dequantized_weight(qw, Shape{out_f, in_f});
-      dense->set_quantized(std::move(qw));
+      qw = read_quant(r, out_f, in_f);
+      weight = dequantized_weight(qw, Shape{out_f, in_f});
     } else {
-      dense->weight() = read_tensor(r, Shape{out_f, in_f});
+      weight = read_tensor(r, Shape{out_f, in_f});
     }
-    if (bias) dense->bias() = read_tensor(r, Shape{out_f});
+    Tensor b = bias ? read_tensor(r, Shape{out_f}) : Tensor();
+    auto dense = std::make_unique<Dense>(std::move(weight), std::move(b));
+    if (quantized) dense->set_quantized(std::move(qw));
     return dense;
   }
   if (kind == "Sequential") {
@@ -304,41 +316,24 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     const int64_t out_c = r.i64(kField);
     const int64_t stride = r.i64(kField);
     const int64_t internal = r.i64(kField);
-    if (stride < 1 || internal > out_c) {
-      throw std::runtime_error("load_layer: malformed ResidualBlock");
+    // The block is built from its parsed members, which the ResidualBlock
+    // constructor holds to the member rule (nn/residual.h); the header must
+    // then describe that block.
+    ResidualBlock::Members m;
+    m.conv1 = load_child<Conv2d>(r);
+    m.bn1 = load_child<BatchNorm2d>(r);
+    m.conv2 = load_child<Conv2d>(r);
+    m.bn2 = load_child<BatchNorm2d>(r);
+    if (stride != 1 || in_c != out_c) {
+      m.down_conv = load_child<Conv2d>(r);
+      m.down_bn = load_child<BatchNorm2d>(r);
     }
-    // The block is built at its stored internal width. Its convolutions
-    // (int8 at the least, one byte per weight) must fit in what is left.
-    const bool down = stride != 1 || in_c != out_c;
-    if (param_bytes(r, {internal, in_c, 3, 3}, 1) +
-            param_bytes(r, {out_c, internal, 3, 3}, 1) +
-            (down ? param_bytes(r, {out_c, in_c}, 1) : 0) >
-        static_cast<int64_t>(r.left())) {
-      throw std::runtime_error("model stream: layer larger than its section");
+    auto block = std::make_unique<ResidualBlock>(std::move(m));
+    if (block->in_channels() != in_c || block->out_channels() != out_c ||
+        block->stride() != stride || block->internal_channels() != internal) {
+      throw std::runtime_error(
+          "load_layer: ResidualBlock header disagrees with its members");
     }
-    auto block =
-        std::make_unique<ResidualBlock>(in_c, out_c, stride, rng, internal);
-    auto copy_into = [&r](Conv2d& conv, BatchNorm2d& bn) {
-      auto loaded_conv = load_layer(r);
-      auto loaded_bn = load_layer(r);
-      auto* c = dynamic_cast<Conv2d*>(loaded_conv.get());
-      auto* b = dynamic_cast<BatchNorm2d*>(loaded_bn.get());
-      if (!c || !b || c->weight().shape() != conv.weight().shape() ||
-          b->channels() != bn.channels()) {
-        throw std::runtime_error("load_layer: malformed ResidualBlock");
-      }
-      conv.weight() = c->weight();
-      // A quantized member keeps its quantization through the reload (the
-      // weight copy above is only the f32 fallback).
-      if (c->quantized()) conv.set_quantized(QuantizedWeights(c->quant()));
-      bn.gamma() = b->gamma();
-      bn.beta() = b->beta();
-      bn.running_mean() = b->running_mean();
-      bn.running_var() = b->running_var();
-    };
-    copy_into(block->conv1(), block->bn1());
-    copy_into(block->conv2(), block->bn2());
-    if (down) copy_into(block->down_conv(), block->down_bn());
     return block;
   }
   throw std::runtime_error("load_layer: unknown layer kind '" + kind + "'");

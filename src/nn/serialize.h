@@ -54,7 +54,12 @@ class IntegrityError : public std::runtime_error {
 /// MaxPool2d, GlobalAvgPool2d, Flatten, Dense, Sequential, ResidualBlock).
 /// It reads through one bounded ByteReader (tensor/bytes.h) and checks every
 /// section length, tensor shape and layer parameter count against the bytes
-/// actually left before it allocates or builds anything.
+/// actually left before it allocates or builds anything. Each layer is then
+/// built from the tensors it parsed, with nothing drawn to be overwritten. A
+/// ResidualBlock is built from its parsed member sections: they must follow
+/// the member rule (nn/residual.h) and match the block's header, so a member
+/// field the block would ignore (a bias, another stride) is rejected rather
+/// than dropped.
 inline constexpr uint32_t kModelFormatVersion = 4;
 
 /// Appends a layer tree (any Layer produced by this library) as one

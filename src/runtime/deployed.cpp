@@ -44,12 +44,12 @@ void put_tensor(std::vector<uint8_t>& buf, const Tensor& t) {
   put_floats(buf, t.data(), t.numel());
 }
 
-/// Reads what put_tensor wrote. Inside the TA the bytes are REE-written,
-/// hence hostile: a negative dim, or dims whose product overflows int64
-/// (and so could wrap to a small element count), is rejected before any
-/// data is read.
-Tensor read_tensor(ByteReader& r) {
-  const std::vector<int64_t> dims = r.i64s("tensor dims");
+/// Reads the dims that put_tensor wrote. Inside the TA the bytes are
+/// REE-written, hence hostile: a negative dim, or dims whose product
+/// overflows int64 (and so could wrap to a small element count), is
+/// rejected before any data is read.
+Shape read_dims(ByteReader& r) {
+  std::vector<int64_t> dims = r.i64s("tensor dims");
   if (dims.size() > 8) throw std::runtime_error("tensor record: bad rank");
   int64_t numel = 1;
   for (const int64_t d : dims) {
@@ -58,16 +58,22 @@ Tensor read_tensor(ByteReader& r) {
     }
     numel *= d;
   }
-  return Tensor(Shape(dims), r.floats(numel, "tensor data"));
+  return Shape(std::move(dims));
 }
 
-/// Whether gather_channels(r_out, map) yields shape `want`, decided before
-/// it allocates anything: R_i's output is REE-written and the map comes from
-/// the image, so either may be forged. r_out must match `want` in every dim
-/// but the channels, and every map entry must name one of its channels.
-bool gathers_to(const Tensor& r_out, const std::vector<int64_t>& map,
+/// Reads what put_tensor wrote.
+Tensor read_tensor(ByteReader& r) {
+  const Shape shape = read_dims(r);
+  return Tensor(shape, r.floats(shape.numel(), "tensor data"));
+}
+
+/// Whether gather_channels of an R_i output of shape `s` through `map`
+/// yields shape `want`, decided before anything is copied: R_i's output is
+/// REE-written and the map comes from the image, so either may be forged.
+/// `s` must match `want` in every dim but the channels, and every map entry
+/// must name one of its channels.
+bool gathers_to(const Shape& s, const std::vector<int64_t>& map,
                 const Shape& want) {
-  const Shape& s = r_out.shape();
   if (map.empty()) return s == want;
   if ((s.ndim() != 2 && s.ndim() != 4) || s.ndim() != want.ndim() ||
       static_cast<int64_t>(map.size()) != want.dim(1)) {
@@ -200,7 +206,10 @@ class TbnetTA : public tee::TrustedApp {
   }
 
   /// One stage record's body: the stage index, then R_i's output, which is
-  /// fused into the stored map after this stage's M_T block.
+  /// fused into the stored map after this stage's M_T block. R_i's dims and
+  /// the stored map are checked against the stage's output shape before its
+  /// floats are copied or the block runs, so a record that lies about its
+  /// shape costs neither.
   uint32_t push_stage(ByteReader& r, tee::TaContext& ctx) {
     const int64_t stage = r.i64("stage index");
     if (next_stage_ < 0 || stage != next_stage_ ||
@@ -208,19 +217,22 @@ class TbnetTA : public tee::TrustedApp {
         !fused_flags_[static_cast<size_t>(stage)]) {
       return kTeeErrorBadState;
     }
-    const Tensor r_out = read_tensor(r);
+    nn::Layer& block = *blocks_[static_cast<size_t>(stage)];
+    const std::vector<int64_t>& map = maps_[static_cast<size_t>(stage)];
+    const Shape r_shape = read_dims(r);
+    if (!gathers_to(r_shape, map, block.out_shape(acc_.shape()))) {
+      return kTeeErrorBadParameters;
+    }
+    const Tensor r_out(r_shape, r.floats(r_shape.numel(), "tensor data"));
     // Working-set accounting: incoming REE contribution + stage output
     // live alongside the stored fused input during the stage.
     auto incoming_alloc =
         ctx.memory->allocate(r_out.numel() * kFloat, "tbnet-ta/incoming");
-    Tensor out_t = blocks_[static_cast<size_t>(stage)]->forward(
-        exec_ctx_, acc_, false);
+    Tensor out_t = block.forward(exec_ctx_, acc_, false);
     auto out_alloc =
         ctx.memory->allocate(out_t.numel() * kFloat, "tbnet-ta/out");
     // Fusion: select the REE channels aligned with our retained ones
     // (paper §3.5), then element-wise add (sharded on the TA context).
-    const std::vector<int64_t>& map = maps_[static_cast<size_t>(stage)];
-    if (!gathers_to(r_out, map, out_t.shape())) return kTeeErrorBadParameters;
     add(exec_ctx_, out_t, core::gather_channels(r_out, map), out_t);
     // The new fused map replaces the previous one.
     acc_ = std::move(out_t);

@@ -419,11 +419,11 @@ TEST(ApplyKeep, PreservesKeptChannelComputation) {
 }
 
 TEST(ApplyKeep, InternalOnResidualPairKeepsInterface) {
-  Rng rng_r(22), rng_t(23);
+  Rng rng_t(23);
   TwoBranchModel model;
   // Exposed: plain block; secure: residual block (the ResNet pairing).
   ResidualBlock proto(4, 4, 1, rng_t);
-  auto plain = std::make_unique<Sequential>(nn::plain_block_like(proto, rng_r));
+  auto plain = std::make_unique<Sequential>(nn::plain_main_branch(proto));
   model.add_stage(std::move(plain),
                   std::make_unique<ResidualBlock>(4, 4, 1, rng_t));
   apply_channel_keep(model, {PrunePoint::Kind::kInternal, 0}, {1, 2});

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -49,14 +50,16 @@ namespace {
 // allocating (and zero-filling) gigabytes.
 thread_local size_t g_alloc_cap = 0;
 
-// While set, the largest single request seen on any thread: the TA's
-// kernels shard onto the pool's workers.
+// While set, the largest single request and the running total of requests
+// seen on any thread: the TA's kernels shard onto the pool's workers.
 std::atomic<bool> g_track_requests{false};
 std::atomic<size_t> g_largest_request{0};
+std::atomic<size_t> g_total_requested{0};
 
 void check_request(size_t n) {
   if (g_alloc_cap != 0 && n > g_alloc_cap) throw std::bad_alloc();
   if (g_track_requests.load(std::memory_order_relaxed)) {
+    g_total_requested.fetch_add(n, std::memory_order_relaxed);
     size_t seen = g_largest_request.load(std::memory_order_relaxed);
     while (n > seen && !g_largest_request.compare_exchange_weak(
                            seen, n, std::memory_order_relaxed)) {
@@ -251,6 +254,23 @@ void expect_rejected(const std::string& what, size_t input_bytes, Load load) {
   ADD_FAILURE() << what << ": " << error;
 }
 
+/// What `call` asked of operator new: its largest single request and the
+/// sum of all of them.
+struct Allocations {
+  size_t largest = 0;
+  size_t total = 0;
+};
+
+template <typename Call>
+Allocations allocations_of(Call call) {
+  g_largest_request = 0;
+  g_total_requested = 0;
+  g_track_requests = true;
+  call();
+  g_track_requests = false;
+  return {g_largest_request, g_total_requested};
+}
+
 struct HostileStream {
   std::string name;
   std::string bytes;
@@ -320,6 +340,28 @@ std::vector<HostileStream> hostile_streams() {
                              saved(nn::BatchNorm2d(2));
     cases.push_back({"ResidualBlock child wider than the block",
                      model_stream(framed(body))});
+  }
+  {
+    // Members the block would ignore: a conv1 that declares a bias, and a
+    // stride-2 conv1 inside a stride-1 block. Each has the shape the header
+    // asks for, so a loader that copied only the child's weights into a
+    // block built from the header would drop the field silently.
+    Rng rng(2);
+    const nn::Conv2d plain(
+        2, 2, {.kernel = 3, .stride = 1, .pad = 1, .bias = false}, rng);
+    const nn::Conv2d biased(
+        2, 2, {.kernel = 3, .stride = 1, .pad = 1, .bias = true}, rng);
+    const nn::Conv2d strided(
+        2, 2, {.kernel = 3, .stride = 2, .pad = 1, .bias = false}, rng);
+    const std::string bns = saved(nn::BatchNorm2d(2));
+    cases.push_back({"ResidualBlock conv1 with a bias",
+                     model_stream(framed(residual_head(2, 2, 1, 2) +
+                                         saved(biased) + bns + saved(plain) +
+                                         bns))});
+    cases.push_back({"ResidualBlock stride-2 conv1 in a stride-1 block",
+                     model_stream(framed(residual_head(2, 2, 1, 2) +
+                                         saved(strided) + bns + saved(plain) +
+                                         bns))});
   }
   {
     std::string s = conv_body(1, 1, 1, 0, 0);  // stride 0
@@ -955,19 +997,20 @@ TEST(MutationSweep, TaImagesParseOrThrowRuntimeError) {
 /// input shape.
 size_t largest_allocation(const std::string& what, tee::TeeSession& session,
                           uint32_t command, const std::vector<uint8_t>& bytes) {
-  g_largest_request = 0;
-  g_track_requests = true;
-  try {
-    std::vector<uint8_t> out;
-    session.invoke(command, bytes, &out);
-  } catch (const std::runtime_error&) {
-  } catch (const std::invalid_argument& e) {
-    if (command != runtime::kCmdRun) ADD_FAILURE() << what << ": " << e.what();
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << what << ": " << typeid(e).name() << ": " << e.what();
-  }
-  g_track_requests = false;
-  return g_largest_request;
+  return allocations_of([&] {
+           try {
+             std::vector<uint8_t> out;
+             session.invoke(command, bytes, &out);
+           } catch (const std::runtime_error&) {
+           } catch (const std::invalid_argument& e) {
+             if (command != runtime::kCmdRun) {
+               ADD_FAILURE() << what << ": " << e.what();
+             }
+           } catch (const std::exception& e) {
+             ADD_FAILURE() << what << ": " << typeid(e).name() << ": "
+                           << e.what();
+           }
+         }).largest;
 }
 
 TEST(MutationSweep, CommandsToALiveTaAreBoundedAndLeaveItServing) {
@@ -1015,11 +1058,10 @@ TEST(MutationSweep, CommandsToALiveTaAreBoundedAndLeaveItServing) {
     ASSERT_EQ(session.invoke(c.command, bytes, &out), tee::kTeeSuccess);
     c.largest = largest_allocation("unmutated", session, c.command, bytes);
   }
-  // The TA copies each record's tensor out of the stream before a stage can
-  // check its shape (it cannot know the first block's input shape at all),
-  // so a stream can make it copy any tensor its own bytes hold: a mutated
-  // batch dim made a [3, 8, 32, 32] stage record, three times the engine's
-  // own largest allocation. The bound is twice the larger of the unmutated
+  // A stage record's dims are checked against the stage's output before
+  // its floats are copied, but the TA cannot know its first block's input
+  // shape, so only an input record can still make it copy a tensor as large
+  // as the stream holds. The bound is twice the larger of the unmutated
   // stream's largest allocation and the mutated stream itself. An error
   // message takes a few hundred bytes whatever the input, so, like
   // AllocCap, it never falls below one page.
@@ -1033,6 +1075,91 @@ TEST(MutationSweep, CommandsToALiveTaAreBoundedAndLeaveItServing) {
         << what;
   }
   EXPECT_TRUE(allclose(engine.infer_batch(batch), want, 0.0f, 0.0f));
+}
+
+/// Appends `t` as a kCmdRun record tensor: its dims as an i64 list, then
+/// the floats.
+void put_record_tensor(std::string& s, const Tensor& t) {
+  put_i64(s, t.shape().ndim());
+  for (int64_t d : t.shape().dims()) put_i64(s, d);
+  s.append(reinterpret_cast<const char*>(t.data()),
+           static_cast<size_t>(t.numel()) * sizeof(float));
+}
+
+TEST(HostileRecords, StageRecordIsCheckedBeforeItIsCopied) {
+  // After a one-image input record, a stage-0 record whose batch dim says 3
+  // (and whose floats are all there) is rejected from its dims: neither its
+  // floats nor the stage's block may cost more than the unmodified stream's
+  // largest allocation (32,768 B, a [1, 8, 32, 32] map). Copying the record
+  // first would take 98,304 B at once.
+  const models::ModelConfig cfg = zoo(models::Family::kResNet, 20);
+  const core::TwoBranchModel model =
+      models::build_two_branch(models::build_victim(cfg), cfg);
+  tee::SecureWorld world;
+  tee::TeeContext ctx(world);
+  runtime::DeployedTBNet engine(model, ctx, "stage-dims");
+  tee::TeeSession session = ctx.open_session("stage-dims");
+
+  Rng rng(106);
+  const Tensor image = Tensor::randn(Shape{1, 3, 32, 32}, rng);
+  const Tensor r0 = model.stage(0).exposed->forward(image, false);
+  ASSERT_TRUE(model.stage(0).fused);
+  std::string input;
+  put_i64(input, runtime::kRecordInput);
+  put_record_tensor(input, image);
+  std::string records = input;
+  Tensor x = image;
+  for (int i = 0; i < model.num_stages() && model.stage(i).fused; ++i) {
+    x = model.stage(i).exposed->forward(x, false);
+    put_i64(records, runtime::kRecordStage);
+    put_i64(records, i);
+    put_record_tensor(records, x);
+  }
+  put_i64(records, runtime::kRecordLogits);
+  const std::vector<uint8_t> whole = to_vector(records);
+  std::vector<uint8_t> out;
+  ASSERT_EQ(session.invoke(runtime::kCmdRun, whole, &out), tee::kTeeSuccess);
+  const size_t unmodified =
+      largest_allocation("unmodified", session, runtime::kCmdRun, whole);
+
+  std::string forged = input;
+  put_i64(forged, runtime::kRecordStage);
+  put_i64(forged, 0);
+  put_record_tensor(forged, Tensor(Shape{3, r0.dim(1), r0.dim(2), r0.dim(3)}));
+  const std::vector<uint8_t> bytes = to_vector(forged);
+  uint32_t status = tee::kTeeSuccess;
+  const Allocations a = allocations_of(
+      [&] { status = session.invoke(runtime::kCmdRun, bytes, &out); });
+  EXPECT_EQ(status, tee::kTeeErrorBadParameters);
+  EXPECT_LE(a.largest, unmodified);
+}
+
+// ----------------------------------------------------------- saved work --
+
+TEST(SavedWork, ResidualCloneAllocatesNoMoreThanItsLargestMember) {
+  // A clone is built from clones of the members, never from a full-width
+  // block first: for a 64 -> 1 -> 64 block nothing larger than conv1's
+  // [1, 64, 3, 3] weight (2,304 B) is asked for, where a fresh 64 -> 64
+  // block's conv alone is 147,456 B.
+  Rng rng(107);
+  const nn::ResidualBlock block(64, 64, 1, rng, 1);
+  std::unique_ptr<nn::Layer> copy;
+  const Allocations a = allocations_of([&] { copy = block.clone(); });
+  EXPECT_LE(a.largest, size_t{64 * 3 * 3 * sizeof(float)});
+}
+
+TEST(SavedWork, LoadModelAllocatesAtMostThreeTimesItsStream) {
+  // Each layer is built from the tensors it parsed: its weights, one
+  // gradient buffer each, and small change. Building layers from fresh
+  // draws and overwriting them took over five times the stream.
+  std::vector<uint8_t> stream;
+  nn::save_model(stream,
+                 models::build_victim(zoo(models::Family::kResNet, 20)));
+  const Allocations a = allocations_of([&] {
+    ByteReader r(stream);
+    nn::load_model(r);
+  });
+  EXPECT_LE(a.total, 3 * stream.size()) << "total " << a.total;
 }
 
 }  // namespace

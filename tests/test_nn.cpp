@@ -450,11 +450,82 @@ TEST(ResidualBlock, PruneInternalKeepsInterface) {
   EXPECT_EQ(block.forward(x, false).shape(), Shape({1, 4, 6, 6}));
 }
 
+TEST(ResidualBlock, SeededMembersDrawInOrder) {
+  // The seeded constructor draws conv1, conv2, then down_conv: the same
+  // weights as kaiming_normal fills taken in that order from a twin Rng.
+  Rng rng(28), twin(28);
+  const ResidualBlock block(3, 5, 2, rng, 4);
+  ASSERT_TRUE(block.has_downsample());
+  const Tensor conv1 = kaiming_normal(Shape{4, 3, 3, 3}, 3 * 9, twin);
+  const Tensor conv2 = kaiming_normal(Shape{5, 4, 3, 3}, 4 * 9, twin);
+  const Tensor down = kaiming_normal(Shape{5, 3, 1, 1}, 3, twin);
+  EXPECT_TRUE(allclose(block.conv1().weight(), conv1, 0.0f, 0.0f));
+  EXPECT_TRUE(allclose(block.conv2().weight(), conv2, 0.0f, 0.0f));
+  EXPECT_TRUE(allclose(block.down_conv().weight(), down, 0.0f, 0.0f));
+  // Both Rngs are at the same point after the block's draws.
+  EXPECT_EQ(rng.uniform_int(1 << 30), twin.uniform_int(1 << 30));
+}
+
+TEST(ResidualBlock, MembersMustChainIntoABlock) {
+  Rng rng(29);
+  const auto conv = [&rng](int64_t in, int64_t out, int64_t kernel,
+                           int64_t stride, bool bias = false) {
+    return std::make_unique<Conv2d>(
+        in, out,
+        Conv2d::Options{.kernel = kernel,
+                        .stride = stride,
+                        .pad = kernel / 2,
+                        .bias = bias},
+        rng);
+  };
+  const auto bn = [](int64_t c) { return std::make_unique<BatchNorm2d>(c); };
+  // A well-formed 2 -> 4, stride-2 block; then one member broken at a time.
+  const auto members = [&](int broken) {
+    ResidualBlock::Members m;
+    m.conv1 = conv(2, 3, 3, broken == 0 ? 1 : 2);  // 0: conv1 at stride 1
+    m.bn1 = bn(broken == 1 ? 4 : 3);                // 1: bn1 too wide
+    m.conv2 = conv(3, 4, 3, 1, broken == 2);        // 2: conv2 with a bias
+    m.bn2 = bn(4);
+    if (broken != 3) {                              // 3: no downsample
+      m.down_conv = conv(2, 4, broken == 4 ? 3 : 1, 2);  // 4: 3x3 downsample
+      m.down_bn = bn(4);
+    }
+    return m;
+  };
+  const ResidualBlock ok(members(-1));
+  EXPECT_EQ(ok.in_channels(), 2);
+  EXPECT_EQ(ok.internal_channels(), 3);
+  EXPECT_EQ(ok.out_channels(), 4);
+  EXPECT_EQ(ok.stride(), 2);
+  for (int broken = 0; broken <= 4; ++broken) {
+    EXPECT_THROW(ResidualBlock{members(broken)}, std::runtime_error)
+        << "member " << broken;
+  }
+  // An identity skip must not carry a downsample.
+  ResidualBlock::Members id;
+  id.conv1 = conv(4, 4, 3, 1);
+  id.bn1 = bn(4);
+  id.conv2 = conv(4, 4, 3, 1);
+  id.bn2 = bn(4);
+  id.down_conv = conv(4, 4, 1, 1);
+  id.down_bn = bn(4);
+  EXPECT_THROW(ResidualBlock{std::move(id)}, std::runtime_error);
+}
+
+TEST(ResidualBlock, CloneKeepsEveryMember) {
+  Rng rng(30);
+  ResidualBlock block(3, 5, 2, rng, 4);
+  block.bn1().gamma() = Tensor::randn(block.bn1().gamma().shape(), rng);
+  std::vector<uint8_t> want, got;
+  save_layer(want, block);
+  save_layer(got, *block.clone());
+  EXPECT_EQ(got, want);
+}
+
 TEST(ResidualBlock, PlainBlockMirrorsMainBranch) {
   Rng rng(27);
   ResidualBlock block(3, 3, 1, rng);
-  Sequential plain = plain_block_like(block, rng);
-  copy_main_branch(block, plain);
+  Sequential plain = plain_main_branch(block);
   // With the skip removed the outputs differ, but the plain block must be a
   // valid network with the same interface.
   Tensor x = Tensor::randn(Shape{1, 3, 5, 5}, rng);
@@ -946,15 +1017,19 @@ TEST(Serialize, RoundTripsPlainStack) {
 }
 
 TEST(Serialize, RoundTripsResidualBlock) {
+  // A downsampling block, and one whose internal width exceeds its output.
   Rng rng(35);
-  ResidualBlock block(3, 6, 2, rng);
-  std::vector<uint8_t> bytes;
-  save_model(bytes, block);
-  ByteReader r(bytes);
-  auto loaded = load_model(r);
-  Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
-  EXPECT_TRUE(allclose(block.forward(x, false), loaded->forward(x, false),
-                       0.0f, 0.0f));
+  ResidualBlock down(3, 6, 2, rng);
+  ResidualBlock wide(3, 3, 1, rng, 8);
+  for (ResidualBlock* block : {&down, &wide}) {
+    std::vector<uint8_t> bytes;
+    save_model(bytes, *block);
+    ByteReader r(bytes);
+    auto loaded = load_model(r);
+    Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
+    EXPECT_TRUE(allclose(block->forward(x, false), loaded->forward(x, false),
+                         0.0f, 0.0f));
+  }
 }
 
 TEST(Serialize, RoundTripsPrunedResidualBlock) {
