@@ -288,12 +288,16 @@ struct LowerPoint {
   int64_t int8_arena_kb = 0;
 };
 
-/// Fused im2col→panel lowering (the Conv2d forward path) vs the PR-2
-/// materializing path (full im2col into an arena column buffer, consumed in
-/// place). Both run with a pre-packed weight, so the delta is pure lowering;
-/// the arena columns record the per-call scratch each path needs. pack_ms
-/// times the fused call's panel builds alone: every column panel's full
-/// depth, built once into one slab (the direct 1x1 path builds none).
+/// The Conv2d forward path (fused_ms) vs the materializing path (full
+/// im2col into an arena column buffer, consumed in place by the packed
+/// GEMM). The 3x3 stride-1 shapes whose conv takes the direct path
+/// (Conv2d::direct: up to 32 output channels, on the AVX2 and AVX-512
+/// tiers) time that path in fused_ms; it builds no panels and needs no
+/// arena scratch. The others time the fused im2col→panel lowering. Both
+/// GEMM paths run with a pre-packed weight, so their delta is pure
+/// lowering; the arena columns record the per-call scratch each path needs.
+/// pack_ms times the panel builds alone: every column panel's full depth,
+/// built once into one slab (the direct 1x1 path builds none).
 LowerPoint bench_lowering(const LowerShape& ls, int reps) {
   Rng rng(55);
   nn::Conv2d conv(ls.in_c, ls.out_c,
@@ -570,7 +574,7 @@ TrainPoint bench_train(const std::string& name, nn::Layer& layer,
 
 /// The training section: ReLU and BN forward(train)/backward and conv3x3
 /// backward at batch 8, 8 channels, 32x32 (ResNet20 w=0.125's first stage),
-/// plus conv3x3 backward at 16 channels, where dW takes the tiled path.
+/// plus conv3x3 backward at 16 channels.
 std::vector<TrainPoint> bench_training(int reps) {
   const int64_t b = 8, hw = 32;
   std::vector<TrainPoint> out;
@@ -596,7 +600,7 @@ std::vector<TrainPoint> bench_training(int reps) {
         c, c, nn::Conv2d::Options{.kernel = 3, .stride = 1, .pad = 1,
                                   .bias = false},
         rng);
-    // dW and dX are one [c x 9c x hw^2] GEMM each per image.
+    // dW and dX are c * 9c * hw^2 multiply-adds each per image.
     const double flops = 2.0 * 2.0 * static_cast<double>(b * c * 9 * c * hw * hw);
     out.push_back(bench_train("conv3x3_train_bwd_" + std::to_string(c) +
                                   "c_32x32",

@@ -2,24 +2,36 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/threadpool.h"
 
 namespace tbnet::nn {
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
-    : channels_(channels),
+    : BatchNorm2d(Tensor::ones(Shape{channels}), Tensor(Shape{channels}),
+                  Tensor(Shape{channels}), Tensor::ones(Shape{channels}), eps,
+                  momentum) {}
+
+BatchNorm2d::BatchNorm2d(Tensor gamma, Tensor beta, Tensor running_mean,
+                         Tensor running_var, float eps, float momentum)
+    : channels_(0),
       eps_(eps),
       momentum_(momentum),
-      gamma_(Tensor::ones(Shape{channels})),
-      gamma_grad_(Shape{channels}),
-      beta_(Shape{channels}),
-      beta_grad_(Shape{channels}),
-      running_mean_(Shape{channels}),
-      running_var_(Tensor::ones(Shape{channels})) {
-  if (channels <= 0) {
-    throw std::invalid_argument("BatchNorm2d: channels must be positive");
+      gamma_(std::move(gamma)),
+      beta_(std::move(beta)),
+      running_mean_(std::move(running_mean)),
+      running_var_(std::move(running_var)) {
+  const Shape& s = gamma_.shape();
+  if (s.ndim() != 1 || s.dim(0) <= 0 || beta_.shape() != s ||
+      running_mean_.shape() != s || running_var_.shape() != s) {
+    throw std::invalid_argument(
+        "BatchNorm2d: gamma, beta, running mean and running variance must "
+        "each be [channels] with channels > 0");
   }
+  channels_ = s.dim(0);
+  gamma_grad_ = Tensor(s);
+  beta_grad_ = Tensor(s);
 }
 
 Shape BatchNorm2d::out_shape(const Shape& in) const {
@@ -206,10 +218,9 @@ std::vector<ParamRef> BatchNorm2d::params() {
 }
 
 std::unique_ptr<Layer> BatchNorm2d::clone() const {
-  auto copy = std::make_unique<BatchNorm2d>(*this);
-  copy->cached_xhat_ = Tensor();
-  copy->cached_inv_std_.clear();
-  return copy;
+  // Built from the layer's state: no forward cache, zero gradients.
+  return std::make_unique<BatchNorm2d>(gamma_, beta_, running_mean_,
+                                       running_var_, eps_, momentum_);
 }
 
 void BatchNorm2d::inference_scale_shift(float* scale, float* shift) const {

@@ -18,6 +18,12 @@ class BatchNorm2d : public Layer {
   explicit BatchNorm2d(int64_t channels, float eps = 1e-5f,
                        float momentum = 0.1f);
 
+  /// Builds the layer from its state: `gamma`, `beta`, `running_mean` and
+  /// `running_var` are [channels] each (else std::invalid_argument). The
+  /// model loader and clone() build layers this way.
+  BatchNorm2d(Tensor gamma, Tensor beta, Tensor running_mean,
+              Tensor running_var, float eps, float momentum);
+
   using Layer::forward;
   using Layer::backward;
   Tensor forward(ExecutionContext& ctx, const Tensor& input,

@@ -1,5 +1,11 @@
 #pragma once
-// 2-D convolution layer (NCHW), im2col + GEMM implementation.
+// 2-D convolution layer (NCHW). A 3x3, stride-1, pad-1 conv whose depth
+// in_c * 9 fits one packed-GEMM k-slice and whose output is at most 32
+// channels runs direct on the AVX2 and AVX-512 tiers
+// (simd::direct_conv3x3): forward, dX and dW read the image, dy and the
+// weight in place. Every other conv, and every conv on the scalar and NEON
+// tiers, lowers panel by panel into the packed GEMM (im2col.h, pack.h).
+// Both paths give the same forward bits (see simd.h).
 
 #include <cstdint>
 #include <vector>
@@ -64,6 +70,11 @@ class Conv2d : public Layer {
   const Tensor& bias() const { return bias_; }
   bool has_bias() const { return opt_.bias; }
 
+  /// True when this conv runs the direct path: 3x3, stride 1, pad 1,
+  /// in_c * 9 <= packdetail::kBlockK, out_c <= 32, on a tier that has
+  /// direct kernels. Decided by the shape and the tier only.
+  bool direct() const;
+
   /// The cached microkernel panels (empty until prepare_inference). External
   /// drivers that loop the packed GEMM themselves — the fused
   /// depthwise→pointwise path feeds B panels straight from the depthwise row
@@ -101,7 +112,8 @@ class Conv2d : public Layer {
 
   /// Packs the weight into microkernel panels (cached; see Layer). A
   /// quantized layer packs int8 A panels instead of f32 ones; every int8
-  /// tier, the scalar one included, consumes the same panel layout.
+  /// tier, the scalar one included, consumes the same panel layout. A
+  /// direct conv reads its weight in place and packs nothing.
   void prepare_inference(ExecutionContext& ctx) override;
 
  private:
@@ -111,6 +123,12 @@ class Conv2d : public Layer {
                       const GemmEpilogue& ep);
   Tensor forward_int8(ExecutionContext& ctx, const Tensor& input,
                       const GemmEpilogue& ep);
+  Tensor forward_direct(ExecutionContext& ctx, const Tensor& input,
+                        const GemmEpilogue& ep);
+  void backward_direct(ExecutionContext& ctx, const Tensor& grad_output,
+                       Tensor& grad_input);
+  void backward_gemm(ExecutionContext& ctx, const Tensor& grad_output,
+                     Tensor& grad_input);
 
   int64_t in_c_, out_c_;
   Options opt_;

@@ -193,11 +193,10 @@ std::vector<ParamRef> Dense::params() {
 }
 
 std::unique_ptr<Layer> Dense::clone() const {
-  auto copy = std::make_unique<Dense>(*this);
-  copy->cached_input_ = Tensor();
-  // Quantized weights are model state; the int8 pack is a prepare-time
-  // cache and is dropped like the f32 PackedGemm (whose copy is empty).
-  copy->qpacked_.clear();
+  // Built from the layer's state, like Conv2d::clone: no forward cache, no
+  // packs, zero gradients; quantized weights are model state and survive.
+  auto copy = std::make_unique<Dense>(weight_, bias_);
+  copy->quant_ = quant_;
   return copy;
 }
 

@@ -229,9 +229,8 @@ void DepthwiseConv2d::fuse_scale_shift(const float* scale, const float* shift) {
 }
 
 std::unique_ptr<Layer> DepthwiseConv2d::clone() const {
-  auto copy = std::make_unique<DepthwiseConv2d>(*this);
-  copy->cached_input_ = Tensor();
-  return copy;
+  // Built from the layer's state: no forward cache, zero gradients.
+  return std::make_unique<DepthwiseConv2d>(opt_, weight_, bias_);
 }
 
 void DepthwiseConv2d::select_channels(const std::vector<int64_t>& keep) {

@@ -71,7 +71,8 @@ class Layer {
   virtual std::string kind() const = 0;
 
   /// Deep copy, including parameters and running statistics, excluding any
-  /// cached forward state.
+  /// cached forward state and prepare-time packs. Gradients start at zero
+  /// (every training loop zeroes them before backward).
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Output shape for a given input shape (throws on incompatible input).

@@ -270,12 +270,13 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     const float eps = r.f32(kField);
     const float momentum = r.f32(kField);
     param_bytes(r, {c, 4}, sizeof(float));  // gamma, beta, mean, var
-    auto bn = std::make_unique<BatchNorm2d>(c, eps, momentum);
-    bn->gamma() = read_tensor(r, Shape{c});
-    bn->beta() = read_tensor(r, Shape{c});
-    bn->running_mean() = read_tensor(r, Shape{c});
-    bn->running_var() = read_tensor(r, Shape{c});
-    return bn;
+    Tensor gamma = read_tensor(r, Shape{c});
+    Tensor beta = read_tensor(r, Shape{c});
+    Tensor mean = read_tensor(r, Shape{c});
+    Tensor var = read_tensor(r, Shape{c});
+    return std::make_unique<BatchNorm2d>(std::move(gamma), std::move(beta),
+                                         std::move(mean), std::move(var), eps,
+                                         momentum);
   }
   if (kind == "ReLU") return std::make_unique<ReLU>();
   if (kind == "MaxPool2d") {

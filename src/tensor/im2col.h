@@ -1,8 +1,12 @@
 #pragma once
-// im2col / col2im lowering for 2-D convolution.
+// im2col / col2im lowering for 2-D convolution on the packed GEMM.
 //
-// Convolution forward is computed as  W[outC, inC*kh*kw] x cols[inC*kh*kw, oh*ow]
-// per image; backward-to-input uses col2im to scatter the column gradient back.
+// A GEMM conv's forward is  W[outC, inC*kh*kw] x cols[inC*kh*kw, oh*ow]  per
+// image, fed panel by panel (im2col_pack_panel) so the column matrix never
+// exists; its backward lowers whole images (im2col for dW) and scatters the
+// column gradient back (col2im for dX). The 3x3 stride-1 convs that
+// nn::Conv2d::direct picks run direct instead (simd::direct_conv3x3) and
+// use none of this.
 
 #include <cstdint>
 

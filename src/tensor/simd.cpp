@@ -1179,6 +1179,628 @@ __attribute__((target("avx512f,avx2,fma"))) void quant_group_avx512(
 #endif  // TBNET_SIMD_HAVE_AVX512
 #endif  // TBNET_SIMD_HAVE_AVX2
 
+// ------------------------------------------------------ direct 3x3 conv --
+//
+// See simd.h for the tile, the masked taps and both contracts. Both tiers
+// share the unit split and the tap plan; the kernels differ in width, in
+// register budget and in how a lane mask reaches the load.
+
+#if defined(TBNET_SIMD_HAVE_AVX2)
+
+int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+/// `out_c` channels in `nb` blocks of at most `ob_max`, as even as can be:
+/// the first `nb_hi` hold `ob_hi` channels, the rest ob_hi - 1.
+struct ChannelBlocks {
+  int64_t nb = 0, nb_hi = 0, ob_hi = 0;
+
+  ChannelBlocks(int64_t out_c, int ob_max)
+      : nb(ceil_div(out_c, ob_max)),
+        nb_hi(0),
+        ob_hi(ceil_div(out_c, nb)) {
+    nb_hi = out_c - nb * (ob_hi - 1);
+  }
+  int64_t o0(int64_t b) const {
+    return b < nb_hi ? b * ob_hi : nb_hi * ob_hi + (b - nb_hi) * (ob_hi - 1);
+  }
+  int ob(int64_t b) const {
+    return static_cast<int>(b < nb_hi ? ob_hi : ob_hi - 1);
+  }
+};
+
+/// How a forward call splits into units: channel blocks by `ntb` tile
+/// blocks of `tb` tiles (the last may hold fewer), where tb_max[ob_hi]
+/// bounds a block's tiles. Unit u is tile block u / nb and channel block
+/// u % nb, so a run of units shares its tile plan.
+struct DirectSplit {
+  ChannelBlocks ch;
+  int64_t tiles = 0, ntb = 0, tb = 0;
+
+  DirectSplit(int64_t out_c, int64_t tile_count, int ob_max,
+              const int* tb_max)
+      : ch(out_c, ob_max),
+        tiles(tile_count),
+        ntb(ceil_div(tiles, tb_max[ch.ob_hi])),
+        tb(ceil_div(tiles, ntb)) {}
+  int64_t units() const { return ch.nb * ntb; }
+};
+
+/// One tap of one tile: lanes `keep` take plane[off + lane - shift]. The
+/// masked load reads lanes `load` = keep >> shift at plane + off; shift is
+/// nonzero only where the tile's first lane would address before the plane,
+/// and then `off` is the first in-bounds element.
+struct TapLoad {
+  int64_t off = 0;
+  uint16_t load = 0, keep = 0;
+  int32_t shift = 0;
+};
+
+/// The nine taps of one tile, its first pixel and its in-plane lanes.
+struct TilePlan {
+  TapLoad tap[9];
+  int64_t j0 = 0;
+  uint16_t in = 0;
+  bool shifted = false;  ///< some tap has a nonzero shift
+};
+
+/// Fills a tile's taps from its lane classes: `in` inside the plane, `top`
+/// / `bottom` on its first / last row, `left` / `right` on its first / last
+/// column. A lane's tap (ky, kx) is padding exactly when it sits on the
+/// border that tap looks past.
+void plan_taps(TilePlan& p, int64_t j0, int64_t width, uint32_t in,
+               uint32_t top, uint32_t bottom, uint32_t left, uint32_t right) {
+  p.j0 = j0;
+  p.in = static_cast<uint16_t>(in);
+  p.shifted = false;
+  for (int ky = 0; ky < 3; ++ky) {
+    const uint32_t rows =
+        in & ~(ky == 0 ? top : 0u) & ~(ky == 2 ? bottom : 0u);
+    for (int kx = 0; kx < 3; ++kx) {
+      TapLoad& t = p.tap[ky * 3 + kx];
+      t = TapLoad{};
+      const uint32_t keep =
+          rows & ~(kx == 0 ? left : 0u) & ~(kx == 2 ? right : 0u);
+      if (keep == 0) continue;  // reads nothing, pointer at the plane
+      const int64_t base = j0 + (ky - 1) * width + (kx - 1);
+      t.shift = base < 0 ? __builtin_ctz(keep) : 0;
+      t.off = base + t.shift;
+      t.keep = static_cast<uint16_t>(keep);
+      t.load = static_cast<uint16_t>(keep >> t.shift);
+      p.shifted = p.shifted || t.shift != 0;
+    }
+  }
+}
+
+// ------------------------------------------------------------ AVX-512 --
+
+constexpr int kDirectLanes512 = 16;
+/// Output channels per block, and per width the most tiles per block that
+/// keep ob * tb accumulators, tb taps and one weight in the 32 zmm.
+constexpr int kObMax512 = 8;
+constexpr int kTbMax512[kObMax512 + 1] = {0, 8, 8, 7, 5, 4, 4, 3, 3};
+
+__attribute__((target("avx512f"))) inline __m512i iota512() {
+  return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                           15);
+}
+
+/// Plans tile j0 / 16 of an h x w plane: lane rows and columns come from
+/// one division and a wrap loop (which runs 16 / w times at most).
+__attribute__((target("avx512f"))) void plan_tile_avx512(TilePlan& p,
+                                                         int64_t j0,
+                                                         int64_t h,
+                                                         int64_t w) {
+  const int64_t oy0 = j0 / w;
+  const __m512i vw = _mm512_set1_epi32(static_cast<int32_t>(w));
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i ox = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<int32_t>(j0 - oy0 * w)), iota512());
+  __m512i oy = _mm512_set1_epi32(static_cast<int32_t>(oy0));
+  for (__mmask16 wrap = _mm512_cmpge_epi32_mask(ox, vw); wrap != 0;
+       wrap = _mm512_cmpge_epi32_mask(ox, vw)) {
+    ox = _mm512_mask_sub_epi32(ox, wrap, ox, vw);
+    oy = _mm512_mask_add_epi32(oy, wrap, oy, one);
+  }
+  const __m512i last_row = _mm512_set1_epi32(static_cast<int32_t>(h - 1));
+  const __m512i last_col = _mm512_set1_epi32(static_cast<int32_t>(w - 1));
+  plan_taps(p, j0, w, _mm512_cmple_epi32_mask(oy, last_row),
+            _mm512_cmpeq_epi32_mask(oy, zero),
+            _mm512_cmpeq_epi32_mask(oy, last_row),
+            _mm512_cmpeq_epi32_mask(ox, zero),
+            _mm512_cmpeq_epi32_mask(ox, last_col));
+}
+
+/// Tap q of tile p from `plane`: a masked load, shifted into place when the
+/// block has shifted taps (kShift; the permute is then the identity for
+/// unshifted ones).
+template <bool kShift>
+__attribute__((target("avx512f"))) inline __m512 tap_avx512(
+    const TilePlan& p, int q, const float* plane) {
+  const TapLoad& e = p.tap[q];
+  // The mask goes from memory straight to a mask register: compilers route
+  // a mask through a general register otherwise, a port-5 uop per tap that
+  // the FMAs need.
+  __mmask16 m;
+  asm("kmovw %1, %0" : "=Yk"(m) : "m"(e.load));
+  const __m512 v = _mm512_maskz_loadu_ps(m, plane + e.off);
+  if constexpr (!kShift) return v;
+  const __m512i idx = _mm512_sub_epi32(iota512(), _mm512_set1_epi32(e.shift));
+  return _mm512_maskz_permutexvar_ps(static_cast<__mmask16>(e.keep), idx, v);
+}
+
+/// OB output channels from o0 by TB tiles, every image: per element one FMA
+/// chain over (c, ky, kx) from zero, then the epilogue (see simd.h).
+template <int OB, int TB, bool kShift>
+__attribute__((target("avx512f"))) void direct_block_avx512(
+    const Conv3x3Args& a, const TilePlan* plan, int64_t o0) {
+  const int64_t hw = a.height * a.width, in_c = a.in_c;
+  const int64_t w_in = a.w_in, w_tap = a.w_tap;
+  const bool affine = a.row_scale != nullptr || a.row_shift != nullptr;
+  // One row pointer per channel and one shared tap index, so each weight
+  // broadcast is a single base + index load.
+  const float* wrow[OB];
+  for (int o = 0; o < OB; ++o) wrow[o] = a.w + (o0 + o) * a.w_out;
+  for (int64_t img = 0; img < a.n; ++img) {
+    __m512 acc[OB][TB];
+    for (int o = 0; o < OB; ++o) {
+      for (int t = 0; t < TB; ++t) acc[o][t] = _mm512_setzero_ps();
+    }
+    const float* plane = a.x + img * in_c * hw;
+    for (int64_t c = 0; c < in_c; ++c, plane += hw) {
+      int64_t idx = c * w_in;
+#pragma GCC unroll 3
+      for (int q = 0; q < 9; ++q, idx += w_tap) {
+        __m512 xv[TB];
+        for (int t = 0; t < TB; ++t) xv[t] = tap_avx512<kShift>(plan[t], q, plane);
+        for (int o = 0; o < OB; ++o) {
+          const __m512 wv = _mm512_set1_ps(wrow[o][idx]);
+          for (int t = 0; t < TB; ++t) {
+            acc[o][t] = _mm512_fmadd_ps(wv, xv[t], acc[o][t]);
+          }
+        }
+      }
+    }
+    // Unrolled like the loops above, so the accumulators stay registers.
+#pragma GCC unroll 8
+    for (int o = 0; o < OB; ++o) {
+      float* yo = a.y + (img * a.out_c + o0 + o) * hw;
+      const __m512 rs = _mm512_set1_ps(
+          a.row_scale != nullptr ? a.row_scale[o0 + o] : 1.0f);
+      const __m512 rh = _mm512_set1_ps(
+          a.row_shift != nullptr ? a.row_shift[o0 + o] : 0.0f);
+#pragma GCC unroll 8
+      for (int t = 0; t < TB; ++t) {
+        __m512 v = acc[o][t];
+        if (affine) v = _mm512_fmadd_ps(rs, v, rh);
+        // vmaxps(v, 0) as the GEMM applies it (NaN and -0 give +0); the
+        // all-lanes mask form keeps GCC's _mm512_undefined_ps out.
+        if (a.act != Act::kNone) {
+          v = _mm512_maskz_max_ps(0xFFFF, v, _mm512_setzero_ps());
+        }
+        _mm512_mask_storeu_ps(yo + plan[t].j0,
+                              static_cast<__mmask16>(plan[t].in), v);
+      }
+    }
+  }
+}
+
+/// Picks the block kernel for `tb` tiles (TB counts down to it).
+template <int OB, int TB>
+__attribute__((target("avx512f"))) void direct_tb_avx512(
+    const Conv3x3Args& a, const TilePlan* plan, int tb, int64_t o0) {
+  if constexpr (TB > 1) {
+    if (tb < TB) return direct_tb_avx512<OB, TB - 1>(a, plan, tb, o0);
+  }
+  bool shifted = false;
+  for (int t = 0; t < TB; ++t) shifted = shifted || plan[t].shifted;
+  if (shifted) {
+    direct_block_avx512<OB, TB, true>(a, plan, o0);
+  } else {
+    direct_block_avx512<OB, TB, false>(a, plan, o0);
+  }
+}
+
+/// Picks the block kernel for `ob` channels (OB counts down to it).
+template <int OB>
+__attribute__((target("avx512f"))) void direct_ob_avx512(
+    const Conv3x3Args& a, const TilePlan* plan, int ob, int tb, int64_t o0) {
+  if constexpr (OB > 1) {
+    if (ob < OB) return direct_ob_avx512<OB - 1>(a, plan, ob, tb, o0);
+  }
+  direct_tb_avx512<OB, kTbMax512[OB]>(a, plan, tb, o0);
+}
+
+DirectSplit direct_split_avx512(const Conv3x3Args& a) {
+  return DirectSplit(a.out_c,
+                           ceil_div(a.height * a.width, kDirectLanes512),
+                           kObMax512, kTbMax512);
+}
+
+int64_t direct_units_avx512(const Conv3x3Args& a) {
+  return direct_split_avx512(a).units();
+}
+
+__attribute__((target("avx512f"))) void direct_forward_avx512(
+    const Conv3x3Args& a, int64_t u0, int64_t u1) {
+  const DirectSplit s = direct_split_avx512(a);
+  TilePlan plan[kTbMax512[1]];
+  int64_t planned = -1;  // tile block the plan holds
+  for (int64_t u = u0; u < u1; ++u) {
+    const int64_t tbi = u / s.ch.nb, b = u % s.ch.nb;
+    const int64_t t0 = tbi * s.tb;
+    const int tb = static_cast<int>(std::min(s.tb, s.tiles - t0));
+    if (tbi != planned) {
+      for (int t = 0; t < tb; ++t) {
+        plan_tile_avx512(plan[t], (t0 + t) * kDirectLanes512, a.height,
+                         a.width);
+      }
+      planned = tbi;
+    }
+    direct_ob_avx512<kObMax512>(a, plan, s.ch.ob(b), tb, s.ch.o0(b));
+  }
+}
+
+/// Weight-gradient units: output-channel blocks of at most kObGrad512 by
+/// input channel by kernel row; tiles are planned kGradChunk at a time.
+constexpr int kObGrad512 = 8;
+constexpr int64_t kGradChunk = 32;
+
+/// Fixed-tree sum of sixteen lanes (halves, then quarters, then four).
+__attribute__((target("avx512f"))) inline float hsum512(__m512 v) {
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(0xFFFF, v, v, 0x4E));
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(0xFFFF, v, v, 0xB1));
+  __m128 x = _mm512_maskz_extractf32x4_ps(0xF, v, 0);
+  x = _mm_add_ps(x, _mm_movehl_ps(x, x));
+  x = _mm_add_ss(x, _mm_shuffle_ps(x, x, 1));
+  return _mm_cvtss_f32(x);
+}
+
+/// One weight-gradient unit: OB channels from o0, input channel c, kernel
+/// row ky. Sums over (tile chunk, image, tile), then a fixed lane tree.
+template <int OB>
+__attribute__((target("avx512f"))) void grad_unit_avx512(
+    const Conv3x3GradArgs& a, int64_t o0, int64_t c, int ky) {
+  const int64_t hw = a.height * a.width;
+  const int64_t tiles = ceil_div(hw, kDirectLanes512);
+  __m512 acc[OB][3];
+  for (int o = 0; o < OB; ++o) {
+    for (int kx = 0; kx < 3; ++kx) acc[o][kx] = _mm512_setzero_ps();
+  }
+  TilePlan plan[kGradChunk];
+  for (int64_t t0 = 0; t0 < tiles; t0 += kGradChunk) {
+    const int nt = static_cast<int>(std::min(kGradChunk, tiles - t0));
+    bool shifted = false;
+    for (int t = 0; t < nt; ++t) {
+      plan_tile_avx512(plan[t], (t0 + t) * kDirectLanes512, a.height,
+                       a.width);
+      shifted = shifted || plan[t].shifted;
+    }
+    for (int64_t img = 0; img < a.n; ++img) {
+      const float* plane = a.x + (img * a.in_c + c) * hw;
+      const float* dyi = a.dy + (img * a.out_c + o0) * hw;
+      for (int t = 0; t < nt; ++t) {
+        const TilePlan& p = plan[t];
+        __m512 xv[3];
+        for (int kx = 0; kx < 3; ++kx) {
+          xv[kx] = shifted ? tap_avx512<true>(p, ky * 3 + kx, plane)
+                           : tap_avx512<false>(p, ky * 3 + kx, plane);
+        }
+        const __mmask16 in = static_cast<__mmask16>(p.in);
+        for (int o = 0; o < OB; ++o) {
+          const __m512 d = _mm512_maskz_loadu_ps(in, dyi + o * hw + p.j0);
+          for (int kx = 0; kx < 3; ++kx) {
+            acc[o][kx] = _mm512_fmadd_ps(d, xv[kx], acc[o][kx]);
+          }
+        }
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    float* dw = a.dw + ((o0 + o) * a.in_c + c) * 9 + ky * 3;
+#pragma GCC unroll 3
+    for (int kx = 0; kx < 3; ++kx) dw[kx] += hsum512(acc[o][kx]);
+  }
+}
+
+template <int OB>
+__attribute__((target("avx512f"))) void grad_ob_avx512(
+    const Conv3x3GradArgs& a, int ob, int64_t o0, int64_t c, int ky) {
+  if constexpr (OB > 1) {
+    if (ob < OB) return grad_ob_avx512<OB - 1>(a, ob, o0, c, ky);
+  }
+  grad_unit_avx512<OB>(a, o0, c, ky);
+}
+
+int64_t grad_units_avx512(const Conv3x3GradArgs& a) {
+  return ChannelBlocks(a.out_c, kObGrad512).nb * a.in_c * 3;
+}
+
+__attribute__((target("avx512f"))) void grad_avx512(const Conv3x3GradArgs& a,
+                                                    int64_t u0, int64_t u1) {
+  const ChannelBlocks ch(a.out_c, kObGrad512);
+  for (int64_t u = u0; u < u1; ++u) {
+    const int ky = static_cast<int>(u % 3);
+    const int64_t c = (u / 3) % a.in_c, b = u / (3 * a.in_c);
+    grad_ob_avx512<kObGrad512>(a, ch.ob(b), ch.o0(b), c, ky);
+  }
+}
+
+const DirectConv3x3 kDirectAvx512 = {&direct_units_avx512,
+                                     &direct_forward_avx512,
+                                     &grad_units_avx512, &grad_avx512};
+
+// --------------------------------------------------------------- AVX2 --
+//
+// Eight lanes; a lane mask reaches vmaskmovps as a vector, so the plan
+// keeps each tap's load mask in vector form beside the bits.
+
+constexpr int kDirectLanes2 = 8;
+/// ob * tb accumulators, tb taps, one weight and one mask in 16 ymm.
+constexpr int kObMax2 = 4;
+constexpr int kTbMax2[kObMax2 + 1] = {0, 6, 4, 3, 2};
+
+struct TilePlan2 {
+  TilePlan p;
+  alignas(32) int32_t load[9][kDirectLanes2];  ///< tap load masks, per lane
+  alignas(32) int32_t in[kDirectLanes2];       ///< in-plane lanes
+};
+
+__attribute__((target("avx2,fma"))) inline __m256i iota2() {
+  return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+}
+
+/// Lane mask bits -> vmaskmovps mask (all-ones lanes).
+__attribute__((target("avx2,fma"))) inline __m256i lanes2(uint32_t bits) {
+  const __m256i lane_bit = _mm256_sllv_epi32(_mm256_set1_epi32(1), iota2());
+  return _mm256_cmpeq_epi32(
+      _mm256_and_si256(_mm256_set1_epi32(static_cast<int32_t>(bits)),
+                       lane_bit),
+      lane_bit);
+}
+
+__attribute__((target("avx2,fma"))) inline uint32_t bits2(__m256i m) {
+  return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(m)));
+}
+
+__attribute__((target("avx2,fma"))) void plan_tile_avx2(TilePlan2& p2,
+                                                       int64_t j0, int64_t h,
+                                                       int64_t w) {
+  const int64_t oy0 = j0 / w;
+  const __m256i vw = _mm256_set1_epi32(static_cast<int32_t>(w));
+  const __m256i last_row = _mm256_set1_epi32(static_cast<int32_t>(h - 1));
+  const __m256i last_col = _mm256_set1_epi32(static_cast<int32_t>(w - 1));
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i ox = _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<int32_t>(j0 - oy0 * w)), iota2());
+  __m256i oy = _mm256_set1_epi32(static_cast<int32_t>(oy0));
+  for (__m256i wrap = _mm256_cmpgt_epi32(ox, last_col);
+       !_mm256_testz_si256(wrap, wrap);
+       wrap = _mm256_cmpgt_epi32(ox, last_col)) {
+    ox = _mm256_sub_epi32(ox, _mm256_and_si256(wrap, vw));
+    oy = _mm256_sub_epi32(oy, wrap);  // wrap lanes are -1
+  }
+  TilePlan& p = p2.p;
+  plan_taps(p, j0, w, ~bits2(_mm256_cmpgt_epi32(oy, last_row)) & 0xFFu,
+            bits2(_mm256_cmpeq_epi32(oy, zero)),
+            bits2(_mm256_cmpeq_epi32(oy, last_row)),
+            bits2(_mm256_cmpeq_epi32(ox, zero)),
+            bits2(_mm256_cmpeq_epi32(ox, last_col)));
+  for (int q = 0; q < 9; ++q) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(p2.load[q]),
+                       lanes2(p.tap[q].load));
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(p2.in), lanes2(p.in));
+}
+
+template <bool kShift>
+__attribute__((target("avx2,fma"))) inline __m256 tap_avx2(
+    const TilePlan2& p2, int q, const float* plane) {
+  const TapLoad& e = p2.p.tap[q];
+  const __m256 v = _mm256_maskload_ps(
+      plane + e.off,
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(p2.load[q])));
+  if constexpr (!kShift) return v;
+  const __m256i idx = _mm256_sub_epi32(iota2(), _mm256_set1_epi32(e.shift));
+  return _mm256_and_ps(_mm256_permutevar8x32_ps(v, idx),
+                       _mm256_castsi256_ps(lanes2(e.keep)));
+}
+
+template <int OB, int TB, bool kShift>
+__attribute__((target("avx2,fma"))) void direct_block_avx2(
+    const Conv3x3Args& a, const TilePlan2* plan, int64_t o0) {
+  const int64_t hw = a.height * a.width, in_c = a.in_c;
+  const int64_t w_in = a.w_in, w_tap = a.w_tap;
+  const bool affine = a.row_scale != nullptr || a.row_shift != nullptr;
+  const float* wrow[OB];
+  for (int o = 0; o < OB; ++o) wrow[o] = a.w + (o0 + o) * a.w_out;
+  for (int64_t img = 0; img < a.n; ++img) {
+    __m256 acc[OB][TB];
+    for (int o = 0; o < OB; ++o) {
+      for (int t = 0; t < TB; ++t) acc[o][t] = _mm256_setzero_ps();
+    }
+    const float* plane = a.x + img * in_c * hw;
+    for (int64_t c = 0; c < in_c; ++c, plane += hw) {
+      int64_t idx = c * w_in;
+#pragma GCC unroll 3
+      for (int q = 0; q < 9; ++q, idx += w_tap) {
+        __m256 xv[TB];
+        for (int t = 0; t < TB; ++t) xv[t] = tap_avx2<kShift>(plan[t], q, plane);
+        for (int o = 0; o < OB; ++o) {
+          const __m256 wv = _mm256_broadcast_ss(wrow[o] + idx);
+          for (int t = 0; t < TB; ++t) {
+            acc[o][t] = _mm256_fmadd_ps(wv, xv[t], acc[o][t]);
+          }
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (int o = 0; o < OB; ++o) {
+      float* yo = a.y + (img * a.out_c + o0 + o) * hw;
+      const __m256 rs = _mm256_set1_ps(
+          a.row_scale != nullptr ? a.row_scale[o0 + o] : 1.0f);
+      const __m256 rh = _mm256_set1_ps(
+          a.row_shift != nullptr ? a.row_shift[o0 + o] : 0.0f);
+#pragma GCC unroll 8
+      for (int t = 0; t < TB; ++t) {
+        __m256 v = acc[o][t];
+        if (affine) v = _mm256_fmadd_ps(rs, v, rh);
+        if (a.act != Act::kNone) v = _mm256_max_ps(v, _mm256_setzero_ps());
+        float* dst = yo + plan[t].p.j0;
+        if (plan[t].p.in == 0xFFu) {
+          _mm256_storeu_ps(dst, v);
+        } else {
+          _mm256_maskstore_ps(
+              dst, _mm256_load_si256(reinterpret_cast<const __m256i*>(plan[t].in)),
+              v);
+        }
+      }
+    }
+  }
+}
+
+template <int OB, int TB>
+__attribute__((target("avx2,fma"))) void direct_tb_avx2(
+    const Conv3x3Args& a, const TilePlan2* plan, int tb, int64_t o0) {
+  if constexpr (TB > 1) {
+    if (tb < TB) return direct_tb_avx2<OB, TB - 1>(a, plan, tb, o0);
+  }
+  bool shifted = false;
+  for (int t = 0; t < TB; ++t) shifted = shifted || plan[t].p.shifted;
+  if (shifted) {
+    direct_block_avx2<OB, TB, true>(a, plan, o0);
+  } else {
+    direct_block_avx2<OB, TB, false>(a, plan, o0);
+  }
+}
+
+template <int OB>
+__attribute__((target("avx2,fma"))) void direct_ob_avx2(
+    const Conv3x3Args& a, const TilePlan2* plan, int ob, int tb, int64_t o0) {
+  if constexpr (OB > 1) {
+    if (ob < OB) return direct_ob_avx2<OB - 1>(a, plan, ob, tb, o0);
+  }
+  direct_tb_avx2<OB, kTbMax2[OB]>(a, plan, tb, o0);
+}
+
+DirectSplit direct_split_avx2(const Conv3x3Args& a) {
+  return DirectSplit(a.out_c,
+                           ceil_div(a.height * a.width, kDirectLanes2),
+                           kObMax2, kTbMax2);
+}
+
+int64_t direct_units_avx2(const Conv3x3Args& a) {
+  return direct_split_avx2(a).units();
+}
+
+__attribute__((target("avx2,fma"))) void direct_forward_avx2(
+    const Conv3x3Args& a, int64_t u0, int64_t u1) {
+  const DirectSplit s = direct_split_avx2(a);
+  TilePlan2 plan[kTbMax2[1]];
+  int64_t planned = -1;
+  for (int64_t u = u0; u < u1; ++u) {
+    const int64_t tbi = u / s.ch.nb, b = u % s.ch.nb;
+    const int64_t t0 = tbi * s.tb;
+    const int tb = static_cast<int>(std::min(s.tb, s.tiles - t0));
+    if (tbi != planned) {
+      for (int t = 0; t < tb; ++t) {
+        plan_tile_avx2(plan[t], (t0 + t) * kDirectLanes2, a.height, a.width);
+      }
+      planned = tbi;
+    }
+    direct_ob_avx2<kObMax2>(a, plan, s.ch.ob(b), tb, s.ch.o0(b));
+  }
+}
+
+/// Three kernel columns by OB channels, three taps, dy and a mask: 16 ymm.
+constexpr int kObGrad2 = 3;
+
+/// Fixed-tree sum of eight lanes.
+__attribute__((target("avx2,fma"))) inline float hsum2(__m256 v) {
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+  return _mm_cvtss_f32(s);
+}
+
+template <int OB>
+__attribute__((target("avx2,fma"))) void grad_unit_avx2(
+    const Conv3x3GradArgs& a, int64_t o0, int64_t c, int ky) {
+  const int64_t hw = a.height * a.width;
+  const int64_t tiles = ceil_div(hw, kDirectLanes2);
+  __m256 acc[OB][3];
+  for (int o = 0; o < OB; ++o) {
+    for (int kx = 0; kx < 3; ++kx) acc[o][kx] = _mm256_setzero_ps();
+  }
+  TilePlan2 plan[kGradChunk];
+  for (int64_t t0 = 0; t0 < tiles; t0 += kGradChunk) {
+    const int nt = static_cast<int>(std::min(kGradChunk, tiles - t0));
+    bool shifted = false;
+    for (int t = 0; t < nt; ++t) {
+      plan_tile_avx2(plan[t], (t0 + t) * kDirectLanes2, a.height, a.width);
+      shifted = shifted || plan[t].p.shifted;
+    }
+    for (int64_t img = 0; img < a.n; ++img) {
+      const float* plane = a.x + (img * a.in_c + c) * hw;
+      const float* dyi = a.dy + (img * a.out_c + o0) * hw;
+      for (int t = 0; t < nt; ++t) {
+        const TilePlan2& p2 = plan[t];
+        __m256 xv[3];
+        for (int kx = 0; kx < 3; ++kx) {
+          xv[kx] = shifted ? tap_avx2<true>(p2, ky * 3 + kx, plane)
+                           : tap_avx2<false>(p2, ky * 3 + kx, plane);
+        }
+        const bool full = p2.p.in == 0xFFu;
+        for (int o = 0; o < OB; ++o) {
+          const float* src = dyi + o * hw + p2.p.j0;
+          const __m256 d =
+              full ? _mm256_loadu_ps(src)
+                   : _mm256_maskload_ps(
+                         src, _mm256_load_si256(
+                                  reinterpret_cast<const __m256i*>(p2.in)));
+          for (int kx = 0; kx < 3; ++kx) {
+            acc[o][kx] = _mm256_fmadd_ps(d, xv[kx], acc[o][kx]);
+          }
+        }
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    float* dw = a.dw + ((o0 + o) * a.in_c + c) * 9 + ky * 3;
+#pragma GCC unroll 3
+    for (int kx = 0; kx < 3; ++kx) dw[kx] += hsum2(acc[o][kx]);
+  }
+}
+
+template <int OB>
+__attribute__((target("avx2,fma"))) void grad_ob_avx2(
+    const Conv3x3GradArgs& a, int ob, int64_t o0, int64_t c, int ky) {
+  if constexpr (OB > 1) {
+    if (ob < OB) return grad_ob_avx2<OB - 1>(a, ob, o0, c, ky);
+  }
+  grad_unit_avx2<OB>(a, o0, c, ky);
+}
+
+int64_t grad_units_avx2(const Conv3x3GradArgs& a) {
+  return ChannelBlocks(a.out_c, kObGrad2).nb * a.in_c * 3;
+}
+
+__attribute__((target("avx2,fma"))) void grad_avx2(const Conv3x3GradArgs& a,
+                                                  int64_t u0, int64_t u1) {
+  const ChannelBlocks ch(a.out_c, kObGrad2);
+  for (int64_t u = u0; u < u1; ++u) {
+    const int ky = static_cast<int>(u % 3);
+    const int64_t c = (u / 3) % a.in_c, b = u / (3 * a.in_c);
+    grad_ob_avx2<kObGrad2>(a, ch.ob(b), ch.o0(b), c, ky);
+  }
+}
+
+const DirectConv3x3 kDirectAvx2 = {&direct_units_avx2, &direct_forward_avx2,
+                                   &grad_units_avx2, &grad_avx2};
+#endif  // TBNET_SIMD_HAVE_AVX2
+
 // ------------------------------------------------------------------ NEON --
 
 #if TBNET_SIMD_NEON
@@ -1351,6 +1973,7 @@ struct Kernels {
   const char* int8_name = "scalar";
   DwRowKernelFn dw_row = &dw_row_scalar;
   MaskedRowsFn masked_rows = nullptr;
+  const DirectConv3x3* direct = nullptr;
   float (*dot)(const float*, const float*, int64_t) = &dot_scalar;
 };
 
@@ -1365,6 +1988,7 @@ Kernels select_kernels() {
     k.micro1 = &micro_avx2_mr1;
     k.dw_row = &dw_row_avx2;
     k.masked_rows = &masked_rows_avx2;
+    k.direct = &kDirectAvx2;
     k.dot = &dot_avx2;
 #if defined(TBNET_SIMD_HAVE_AVX512)
     // The 6x16 kernels stay the AVX2 forms (bit-compatible by contract);
@@ -1375,6 +1999,7 @@ Kernels select_kernels() {
       k.name = "avx512f-fma";
       k.wide = &micro_avx512_wide;
       k.masked_rows = &masked_rows_avx512;
+      k.direct = &kDirectAvx512;
     }
 #endif
     // Int8 ladder, probed independently of the f32 tiers: every tier is
@@ -1437,6 +2062,22 @@ MicroKernelI8Fn micro_kernel_i8_reference() { return &micro_i8_scalar; }
 QuantizeU7GroupFn quantize_u7_group() { return kernels().quant_group; }
 DwRowKernelFn dw_row_kernel() { return kernels().dw_row; }
 MaskedRowsFn masked_rows_kernel() { return kernels().masked_rows; }
+const DirectConv3x3* direct_conv3x3() { return kernels().direct; }
+
+const DirectConv3x3* direct_conv3x3_for(Isa isa) {
+#if defined(TBNET_SIMD_HAVE_AVX2)
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  if (isa == Isa::kAvx2 && avx2) return &kDirectAvx2;
+#if defined(TBNET_SIMD_HAVE_AVX512)
+  if (isa == Isa::kAvx512 && avx2 && __builtin_cpu_supports("avx512f")) {
+    return &kDirectAvx512;
+  }
+#endif
+#endif
+  (void)isa;
+  return nullptr;
+}
 
 void require_known_act(Act act) {
   if (!act_known(act)) {

@@ -23,11 +23,17 @@
 // not depend on the batch size that surrounded it (the serving tests assert
 // batched == per-image bit-for-bit).
 //
+// Beside the GEMM the dispatch holds the int8 kernels, the depthwise row
+// kernel, the masked-row panel builder and the direct 3x3 convolution
+// (direct_conv3x3, AVX2 and AVX-512 only), each documented with its
+// determinism contract below.
+//
 // TBNET_DETERMINISTIC=1 decides one thing: the dispatch selects the scalar
 // tier for every kernel table (f32, int8, depthwise, no wide tile, no
-// masked-row panels). Everything above the dispatch (packing, BN folding,
-// fusion) runs unchanged, so the pin is the path a host without AVX2+FMA or
-// NEON runs, with bits that do not depend on the host's vector ISA.
+// masked-row panels, no direct conv). Everything above the dispatch
+// (packing, BN folding, fusion) runs unchanged, so the pin is the path a
+// host without AVX2+FMA or NEON runs, with bits that do not depend on the
+// host's vector ISA.
 
 #include <cmath>
 #include <cstdint>
@@ -322,5 +328,81 @@ using MaskedRowsFn = void (*)(const MaskedPanelPlan& plan, PanelTap& tap,
 /// tiers, pinned or not (they keep the clamped copy). Decided once, like
 /// micro_kernel.
 MaskedRowsFn masked_rows_kernel();
+
+// ---------------------------------------------------- direct 3x3 conv ----
+//
+// Direct convolution for 3x3, stride-1, pad-1 f32 planes (nn::Conv2d picks
+// it: see conv2d.h for the rule). It reads the image, the weights and, for
+// the gradients, dy in place: nothing is lowered, packed or scattered.
+//
+// A tile is kV consecutive output pixels of the flattened plane (kV = 16 on
+// AVX-512, 8 on AVX2), so a tile may span several short rows. Tap (ky, kx)
+// of a tile is one masked load at a constant offset from the tile, because
+// at stride 1 input pixel = output pixel + (ky - 1) * w + (kx - 1). Lanes
+// whose tap falls in the padding are masked off: they read nothing and hold
+// +0.0f, which the FMA multiplies like any other tap. Where the first lane
+// would address before the plane, the load starts at the first in-bounds
+// lane and a permute moves the values into place, so no pointer outside the
+// plane is formed.
+//
+// Forward determinism contract: each output element is ONE FMA chain that
+// starts from +0.0f and runs over (c, ky, kx) in order, then takes the GEMM
+// epilogue (v = fma(row_scale, v, row_shift) when either is set, then ReLU
+// by max). That is the packed GEMM's per-element chain when the whole depth
+// in_c * 9 fits one packdetail::kBlockK slice, so the two paths agree bit
+// for bit on both tiers, padded taps included (a +Inf weight times a padded
+// +0.0f is NaN on both). Work splits into units (a block of output channels
+// by a block of tiles); a unit runs every image, and no element's chain
+// depends on the split or on the unit's block sizes.
+//
+// Weight-gradient contract: unit (output-channel block, c, ky) sums
+// dy[o] * x[c] shifted by (ky, kx) over the batch and the plane in a fixed
+// order (tile chunk, image, tile, then a fixed lane tree), and adds each
+// sum into dw once. The order is fixed per tier, not across tiers.
+//
+// Null on the scalar and NEON tiers and under TBNET_DETERMINISTIC=1, so
+// those keep the GEMM path.
+
+/// One direct convolution: y[i, o] = ep(sum_{c, t} w(o, c, t) * x[i, c]
+/// shifted by tap t), every plane height x width. Tap t = ky * 3 + kx of
+/// (o, c) is w[o * w_out + c * w_in + t * w_tap]: the forward reads the
+/// [out_c, in_c, 3, 3] weight as is; dX reads it transposed and flipped.
+struct Conv3x3Args {
+  const float* x = nullptr;  ///< [n, in_c, height, width]
+  float* y = nullptr;        ///< [n, out_c, height, width], written
+  const float* w = nullptr;
+  int64_t w_out = 0, w_in = 0, w_tap = 1;
+  int64_t n = 0, in_c = 0, out_c = 0, height = 0, width = 0;
+  const float* row_scale = nullptr;  ///< [out_c] or nullptr (see contract)
+  const float* row_shift = nullptr;  ///< [out_c] or nullptr
+  Act act = Act::kNone;
+};
+
+/// One weight gradient: dw[o, c, ky, kx] += sum over images and pixels of
+/// dy[i, o] * x[i, c] shifted by (ky, kx).
+struct Conv3x3GradArgs {
+  const float* x = nullptr;   ///< [n, in_c, height, width]
+  const float* dy = nullptr;  ///< [n, out_c, height, width]
+  float* dw = nullptr;        ///< [out_c, in_c, 3, 3], accumulated into
+  int64_t n = 0, in_c = 0, out_c = 0, height = 0, width = 0;
+};
+
+/// One tier's direct kernels. `*_units` count a call's work units (a pure
+/// function of the shape); the runners compute units [u0, u1) and may run
+/// concurrently on disjoint ranges. They allocate nothing.
+struct DirectConv3x3 {
+  int64_t (*forward_units)(const Conv3x3Args& a);
+  void (*forward)(const Conv3x3Args& a, int64_t u0, int64_t u1);
+  int64_t (*weight_grad_units)(const Conv3x3GradArgs& a);
+  void (*weight_grad)(const Conv3x3GradArgs& a, int64_t u0, int64_t u1);
+};
+
+/// The direct kernels for this host, or nullptr (scalar, NEON, pinned).
+const DirectConv3x3* direct_conv3x3();
+
+/// Test hook: the direct kernels of tier `isa` (kAvx2 or kAvx512) when the
+/// host supports it, pinned or not, else nullptr. Lets one host check every
+/// tier it can run, although the dispatch picks one per process.
+const DirectConv3x3* direct_conv3x3_for(Isa isa);
 
 }  // namespace tbnet::simd

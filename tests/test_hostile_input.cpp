@@ -1148,6 +1148,35 @@ TEST(SavedWork, ResidualCloneAllocatesNoMoreThanItsLargestMember) {
   EXPECT_LE(a.largest, size_t{64 * 3 * 3 * sizeof(float)});
 }
 
+TEST(SavedWork, LayerCloneCopiesNoForwardCache) {
+  // After a training forward on [8, 8, 32, 32] each layer holds 262,144 B
+  // of that batch (Conv2d its input, BatchNorm2d its normalized input). A
+  // clone is built from the layer's state, so nothing larger than the
+  // conv's [8, 8, 3, 3] weight (2,304 B) is asked for. The running
+  // statistics the forward updated survive the clone.
+  Rng rng(108);
+  const Tensor x = Tensor::randn(Shape{8, 8, 32, 32}, rng);
+  nn::Conv2d conv(8, 8, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
+                  rng);
+  nn::BatchNorm2d bn(8);
+  ExecutionContext ctx;
+  conv.forward(ctx, x, /*train=*/true);
+  bn.forward(ctx, x, /*train=*/true);
+  for (const nn::Layer* layer : {static_cast<const nn::Layer*>(&conv),
+                                 static_cast<const nn::Layer*>(&bn)}) {
+    std::unique_ptr<nn::Layer> copy;
+    const Allocations a = allocations_of([&] { copy = layer->clone(); });
+    EXPECT_LE(a.largest, size_t{8 * 8 * 3 * 3 * sizeof(float)})
+        << layer->kind();
+  }
+  const std::unique_ptr<nn::Layer> copy = bn.clone();
+  const auto& twin = static_cast<const nn::BatchNorm2d&>(*copy);
+  for (int64_t c = 0; c < 8; ++c) {
+    EXPECT_EQ(twin.running_mean()[c], bn.running_mean()[c]) << c;
+    EXPECT_EQ(twin.running_var()[c], bn.running_var()[c]) << c;
+  }
+}
+
 TEST(SavedWork, LoadModelAllocatesAtMostThreeTimesItsStream) {
   // Each layer is built from the tensors it parsed: its weights, one
   // gradient buffer each, and small change. Building layers from fresh

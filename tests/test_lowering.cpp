@@ -4,21 +4,25 @@
 // every panel-builder branch (f32 and quantized) and of the row-wise
 // im2col/col2im against naive per-element oracles, conv geometry
 // validation, the direct 1x1 in-place path, arena high-water accounting (no
-// column buffer on the packed path), pool-size determinism, the packed
-// gemm_tn variant, and the DepthwiseConv2d bias (model format v2, loader
-// back-compat).
+// column buffer on the packed path, none on the direct path), pool-size
+// determinism, the direct 3x3 path's bit parity with the packed GEMM on
+// every x86 tier the host supports, the packed gemm_tn variant, and the
+// DepthwiseConv2d bias (model format v2, loader back-compat).
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/two_branch.h"
@@ -74,7 +78,8 @@ const ConvCase kConvCases[] = {
 /// bit for bit.
 Tensor conv_materialized_packed(const ExecutionContext& ctx,
                                 const nn::Conv2d& conv, const Conv2dGeom& g,
-                                const Tensor& x) {
+                                const Tensor& x,
+                                const GemmEpilogue& ep = {}) {
   const int64_t rows = g.col_rows(), cols = g.col_cols();
   const int64_t out_c = conv.out_channels();
   std::vector<float> colbuf(static_cast<size_t>(rows * cols));
@@ -89,8 +94,7 @@ Tensor conv_materialized_packed(const ExecutionContext& ctx,
     im2col(g, x.data() + i * in_stride, colbuf.data());
     packdetail::run_packed_b_rowmajor(ctx.pool(), out_c, cols, rows, 1.0f,
                                       apack.data(), colbuf.data(), cols, 0.0f,
-                                      out.data() + i * out_c * cols, cols,
-                                      GemmEpilogue{});
+                                      out.data() + i * out_c * cols, cols, ep);
   }
   return out;
 }
@@ -487,18 +491,27 @@ TEST(FusedLowering, ConvForwardMatchesScalarReference) {
 // ------------------------------------------------ arena accounting ---------
 
 TEST(FusedLowering, ConvForwardDoesNotMaterializeColumnMatrix) {
-  Rng rng(24);
-  nn::Conv2d conv(16, 16, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
-                  rng);
-  const Tensor x = Tensor::randn(Shape{1, 16, 32, 32}, rng);
-  ExecutionContext ctx;
-  conv.forward(ctx, x, false);
-  // PR-2 allocated the full [in_c*kh*kw, oh*ow] column matrix from the
-  // arena; the fused path's high-water mark is the per-call A pack plus the
-  // per-chunk panel slabs — an order of magnitude below it.
+  // A [in_c*kh*kw, oh*ow] column matrix of a 16-channel 3x3 conv with a
+  // 32x32 output. The GEMM path's high-water mark is the per-call A pack
+  // plus the per-chunk panel slabs, an order of magnitude below it; the
+  // direct path allocates nothing at all.
   const int64_t colbuf_floats = 16 * 3 * 3 * 32 * 32;
-  EXPECT_GT(ctx.arena().capacity_floats(), 0);
-  EXPECT_LT(ctx.arena().capacity_floats(), colbuf_floats / 2);
+  Rng rng(24);
+  for (const int64_t stride : {2, 1}) {
+    nn::Conv2d conv(16, 16,
+                    {.kernel = 3, .stride = stride, .pad = 1, .bias = false},
+                    rng);
+    const Tensor x = Tensor::randn(Shape{1, 16, 32 * stride, 32 * stride}, rng);
+    ExecutionContext ctx;
+    conv.forward(ctx, x, false);
+    if (conv.direct()) {
+      EXPECT_EQ(ctx.arena().capacity_floats(), 0) << "stride " << stride;
+    } else {
+      EXPECT_GT(ctx.arena().capacity_floats(), 0) << "stride " << stride;
+      EXPECT_LT(ctx.arena().capacity_floats(), colbuf_floats / 2)
+          << "stride " << stride;
+    }
+  }
 }
 
 TEST(FusedLowering, Direct1x1UsesInputInPlace) {
@@ -540,26 +553,330 @@ TEST(ThreadedGemm, BitsIndependentOfPoolSize) {
 }
 
 TEST(ThreadedGemm, FusedConvBitsIndependentOfPoolSize) {
+  // Stride 2 takes the GEMM path on every tier; stride 1 takes the direct
+  // path where the tier has one.
   Rng rng(27);
-  nn::Conv2d conv(8, 12, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
-                  rng);
   const Tensor x = Tensor::randn(Shape{2, 8, 19, 17}, rng);  // ragged panels
-  Tensor base;
-  {
-    ThreadPool pool(1);
-    ExecutionContext ctx;
-    ctx.set_pool(&pool);
-    base = conv.forward(ctx, x, false);
-  }
-  for (int threads : {2, 4}) {
-    ThreadPool pool(threads);
-    ExecutionContext ctx;
-    ctx.set_pool(&pool);
-    const Tensor got = conv.forward(ctx, x, false);
-    for (int64_t i = 0; i < got.numel(); ++i) {
-      ASSERT_EQ(got[i], base[i]) << "threads=" << threads << " at " << i;
+  for (const int64_t stride : {2, 1}) {
+    nn::Conv2d conv(8, 12,
+                    {.kernel = 3, .stride = stride, .pad = 1, .bias = false},
+                    rng);
+    Tensor base;
+    {
+      ThreadPool pool(1);
+      ExecutionContext ctx;
+      ctx.set_pool(&pool);
+      base = conv.forward(ctx, x, false);
+    }
+    for (int threads : {2, 4}) {
+      ThreadPool pool(threads);
+      ExecutionContext ctx;
+      ctx.set_pool(&pool);
+      const Tensor got = conv.forward(ctx, x, false);
+      for (int64_t i = 0; i < got.numel(); ++i) {
+        ASSERT_EQ(got[i], base[i])
+            << "stride=" << stride << " threads=" << threads << " at " << i;
+      }
     }
   }
+}
+
+// ------------------------------------------------ direct 3x3 conv ----------
+//
+// The direct path (nn::Conv2d::direct, simd::direct_conv3x3) must give the
+// packed GEMM's bits. Each case is checked three ways: Conv2d's dispatched
+// forward against conv_materialized_packed (the GEMM on the same tier); the
+// direct kernel of every x86 tier this host supports, whichever tier the
+// dispatch picked, against the GEMM's chain spelled with std::fmaf; and, on
+// a tier with direct kernels, the GEMM itself against that spelling.
+
+/// The packed GEMM's per-element chain for a 3x3, stride-1, pad-1 conv (see
+/// simd.h), before the epilogue: one fused chain from +0.0f over
+/// (c, ky, kx), padded taps multiplied as +0.0f. A single chain however
+/// deep, so it is the GEMM's only while the depth fits one k-slice.
+Tensor fma_chain_oracle(const Tensor& w, const Tensor& x) {
+  const int64_t n = x.dim(0), in_c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int64_t out_c = w.dim(0);
+  Tensor y(Shape{n, out_c, h, wd});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t o = 0; o < out_c; ++o) {
+      for (int64_t oy = 0; oy < h; ++oy) {
+        for (int64_t ox = 0; ox < wd; ++ox) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < in_c; ++c) {
+            for (int64_t ky = 0; ky < 3; ++ky) {
+              for (int64_t kx = 0; kx < 3; ++kx) {
+                const int64_t iy = oy + ky - 1, ix = ox + kx - 1;
+                const float v = iy >= 0 && iy < h && ix >= 0 && ix < wd
+                                    ? x[((i * in_c + c) * h + iy) * wd + ix]
+                                    : 0.0f;
+                acc = std::fmaf(w[((o * in_c + c) * 3 + ky) * 3 + kx], v, acc);
+              }
+            }
+          }
+          y[((i * out_c + o) * h + oy) * wd + ox] = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+/// The GEMM epilogue on a chain's result: fmaf(scale, v, shift) when either
+/// is set, then ReLU.
+Tensor with_epilogue(Tensor y, const GemmEpilogue& ep) {
+  const int64_t out_c = y.dim(1), plane = y.dim(2) * y.dim(3);
+  for (int64_t i = 0; i < y.numel(); ++i) {
+    const int64_t o = (i / plane) % out_c;
+    float v = y[i];
+    if (ep.row_scale != nullptr || ep.row_shift != nullptr) {
+      v = std::fmaf(ep.row_scale != nullptr ? ep.row_scale[o] : 1.0f, v,
+                    ep.row_shift != nullptr ? ep.row_shift[o] : 0.0f);
+    }
+    if (ep.act == simd::Act::kReLU) v = v > 0.0f ? v : 0.0f;
+    y[i] = v;
+  }
+  return y;
+}
+
+/// Element-wise bit equality (NaN payloads included).
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// The direct kernels of every x86 tier this host can run.
+std::vector<std::pair<const char*, const simd::DirectConv3x3*>>
+direct_tiers() {
+  std::vector<std::pair<const char*, const simd::DirectConv3x3*>> out;
+  for (const auto& [name, isa] :
+       {std::pair{"avx2", simd::Isa::kAvx2},
+        std::pair{"avx512", simd::Isa::kAvx512}}) {
+    if (const simd::DirectConv3x3* k = simd::direct_conv3x3_for(isa)) {
+      out.emplace_back(name, k);
+    }
+  }
+  return out;
+}
+
+/// Runs a tier's direct forward one unit at a time, last unit first: the
+/// bits must not depend on how the units are split or ordered.
+Tensor run_direct_tier(const simd::DirectConv3x3& k, const Tensor& w,
+                       const Tensor& x, const float* scale,
+                       const float* shift, simd::Act act) {
+  Tensor y(Shape{x.dim(0), w.dim(0), x.dim(2), x.dim(3)});
+  simd::Conv3x3Args a;
+  a.x = x.data();
+  a.y = y.data();
+  a.w = w.data();
+  a.w_out = w.dim(1) * 9;
+  a.w_in = 9;
+  a.w_tap = 1;
+  a.n = x.dim(0);
+  a.in_c = x.dim(1);
+  a.out_c = w.dim(0);
+  a.height = x.dim(2);
+  a.width = x.dim(3);
+  a.row_scale = scale;
+  a.row_shift = shift;
+  a.act = act;
+  for (int64_t u = k.forward_units(a); u-- > 0;) k.forward(a, u, u + 1);
+  return y;
+}
+
+/// Checks one conv and epilogue the three ways described above; `raw` is
+/// fma_chain_oracle of the conv's weight and x.
+void check_direct_forward(const ExecutionContext& ctx, nn::Conv2d& conv,
+                          const Tensor& x, const Tensor& raw,
+                          const Tensor& got, const GemmEpilogue& ep,
+                          const std::string& what) {
+  Conv2dGeom g;
+  g.in_c = x.dim(1);
+  g.in_h = x.dim(2);
+  g.in_w = x.dim(3);
+  g.kernel_h = g.kernel_w = 3;
+  g.pad_h = g.pad_w = 1;
+  const Tensor want = conv_materialized_packed(ctx, conv, g, x, ep);
+  expect_same_bits(got, want, what + " (dispatched vs GEMM)");
+  const Tensor chain = with_epilogue(raw, ep);
+  if (simd::direct_conv3x3() != nullptr &&
+      x.dim(1) * 9 <= packdetail::kBlockK) {
+    expect_same_bits(want, chain, what + " (GEMM vs fmaf chain)");
+  }
+  for (const auto& [tier, k] : direct_tiers()) {
+    expect_same_bits(run_direct_tier(*k, conv.weight(), x, ep.row_scale,
+                                     ep.row_shift, ep.act),
+                     chain, what + " (" + tier + " direct vs fmaf chain)");
+  }
+}
+
+TEST(DirectConv, ForwardMatchesPackedGemmBitwise) {
+  // Every listed width, plane and batch, paired cyclically (42 cases). 72
+  // input channels is the first depth past one k-slice: the layer keeps
+  // the GEMM there, and only the kernels are held to the single chain.
+  const int64_t kIn[] = {1, 3, 8, 16, 64, 71, 72};
+  const int64_t kOut[] = {1, 5, 8, 12, 64};
+  const int64_t kPlane[][2] = {{1, 1},   {7, 9},   {8, 8},
+                               {16, 16}, {32, 32}, {33, 33}};
+  if (simd::direct_conv3x3() != nullptr) {
+    ASSERT_FALSE(direct_tiers().empty());
+  }
+  Rng rng(40);
+  ExecutionContext ctx;
+  for (int i = 0; i < 42; ++i) {
+    const int64_t in_c = kIn[i % 7], out_c = kOut[i % 5];
+    const int64_t h = kPlane[i % 6][0], w = kPlane[i % 6][1];
+    const int64_t n = i % 2 == 0 ? 1 : 3;
+    const bool bias = i % 3 == 0;
+    nn::Conv2d conv(in_c, out_c,
+                    {.kernel = 3, .stride = 1, .pad = 1, .bias = bias}, rng);
+    if (bias) conv.bias() = Tensor::randn(Shape{out_c}, rng);
+    const Tensor x = Tensor::randn(Shape{n, in_c, h, w}, rng);
+    const Tensor scale = Tensor::randn(Shape{out_c}, rng);
+    const Tensor shift = Tensor::randn(Shape{out_c}, rng);
+    const std::string what = std::to_string(in_c) + "->" +
+                             std::to_string(out_c) + " " + std::to_string(h) +
+                             "x" + std::to_string(w) + " n" +
+                             std::to_string(n);
+    const Tensor raw = fma_chain_oracle(conv.weight(), x);
+    // The plain forward: its bias is the GEMM's row shift.
+    GemmEpilogue plain;
+    plain.row_shift = bias ? conv.bias().data() : nullptr;
+    check_direct_forward(ctx, conv, x, raw, conv.forward(ctx, x, false), plain,
+                         what + " forward");
+    // forward_fused as the fusion plan calls it: BN scale/shift and ReLU,
+    // shift alone, ReLU alone.
+    const GemmEpilogue fused[] = {
+        {scale.data(), shift.data(), nullptr, simd::Act::kReLU},
+        {nullptr, shift.data(), nullptr, simd::Act::kNone},
+        {nullptr, nullptr, nullptr, simd::Act::kReLU}};
+    const GemmEpilogue& ep = fused[i % 3];
+    check_direct_forward(
+        ctx, conv, x, raw,
+        conv.forward_fused(ctx, x, ep.row_scale, ep.row_shift, ep.act), ep,
+        what + " fused");
+  }
+}
+
+TEST(DirectConv, GradientKernelsOfEveryTierMatchOracle) {
+  // dX (the forward kernel on dy, weight transposed and flipped through its
+  // strides) and dW of every x86 tier the host supports, against direct
+  // loops in double: whichever tier the dispatch picked, Conv2d's backward
+  // tests reach only that one. Plane sizes cover tail tiles and dW's tile
+  // chunks; each dW entry starts from a nonzero value it must add onto.
+  struct Case {
+    int64_t in_c, out_c, h, w, n;
+  };
+  const Case cases[] = {{3, 5, 7, 9, 2},
+                        {8, 8, 8, 8, 3},
+                        {1, 7, 16, 16, 2},
+                        {8, 3, 33, 33, 1},
+                        {9, 12, 1, 1, 2}};
+  Rng rng(42);
+  for (const Case& cs : cases) {
+    const Tensor x = Tensor::randn(Shape{cs.n, cs.in_c, cs.h, cs.w}, rng);
+    const Tensor w = Tensor::randn(Shape{cs.out_c, cs.in_c, 3, 3}, rng);
+    const Tensor dy = Tensor::randn(Shape{cs.n, cs.out_c, cs.h, cs.w}, rng);
+    const Tensor dw0 = Tensor::randn(w.shape(), rng);
+    std::vector<double> dx(static_cast<size_t>(x.numel())), dx_scale(dx.size());
+    std::vector<double> dw(static_cast<size_t>(w.numel())), dw_scale(dw.size());
+    for (int64_t i = 0; i < cs.n; ++i) {
+      for (int64_t o = 0; o < cs.out_c; ++o) {
+        for (int64_t y = 0; y < cs.h; ++y) {
+          for (int64_t xo = 0; xo < cs.w; ++xo) {
+            const double g = dy[((i * cs.out_c + o) * cs.h + y) * cs.w + xo];
+            for (int64_t c = 0; c < cs.in_c; ++c) {
+              for (int64_t ky = 0; ky < 3; ++ky) {
+                for (int64_t kx = 0; kx < 3; ++kx) {
+                  const int64_t iy = y + ky - 1, ix = xo + kx - 1;
+                  if (iy < 0 || iy >= cs.h || ix < 0 || ix >= cs.w) continue;
+                  const size_t xi = static_cast<size_t>(
+                      ((i * cs.in_c + c) * cs.h + iy) * cs.w + ix);
+                  const size_t wi =
+                      static_cast<size_t>(((o * cs.in_c + c) * 3 + ky) * 3 + kx);
+                  const double xv = x[static_cast<int64_t>(xi)];
+                  const double wv = w[static_cast<int64_t>(wi)];
+                  dx[xi] += g * wv;
+                  dx_scale[xi] += std::fabs(g * wv);
+                  dw[wi] += g * xv;
+                  dw_scale[wi] += std::fabs(g * xv);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    for (const auto& [tier, k] : direct_tiers()) {
+      const std::string what = std::string(tier) + " " +
+                               std::to_string(cs.in_c) + "->" +
+                               std::to_string(cs.out_c) + " " +
+                               std::to_string(cs.h) + "x" +
+                               std::to_string(cs.w);
+      Tensor got_dx(x.shape());
+      simd::Conv3x3Args d;
+      d.x = dy.data();
+      d.y = got_dx.data();
+      d.w = w.data() + 8;
+      d.w_out = 9;
+      d.w_in = cs.in_c * 9;
+      d.w_tap = -1;
+      d.n = cs.n;
+      d.in_c = cs.out_c;
+      d.out_c = cs.in_c;
+      d.height = cs.h;
+      d.width = cs.w;
+      k->forward(d, 0, k->forward_units(d));
+      Tensor got_dw = dw0;
+      simd::Conv3x3GradArgs g;
+      g.x = x.data();
+      g.dy = dy.data();
+      g.dw = got_dw.data();
+      g.n = cs.n;
+      g.in_c = cs.in_c;
+      g.out_c = cs.out_c;
+      g.height = cs.h;
+      g.width = cs.w;
+      for (int64_t u = k->weight_grad_units(g); u-- > 0;) {
+        k->weight_grad(g, u, u + 1);
+      }
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        const size_t u = static_cast<size_t>(i);
+        ASSERT_NEAR(got_dx[i], dx[u], 1e-4 * (dx_scale[u] + 1e-3))
+            << what << " dX at " << i;
+      }
+      for (int64_t i = 0; i < w.numel(); ++i) {
+        const size_t u = static_cast<size_t>(i);
+        const double want = dw0[i] + dw[u];
+        ASSERT_NEAR(got_dw[i], want,
+                    1e-4 * (std::fabs(dw0[i]) + dw_scale[u] + 1e-3))
+            << what << " dW at " << i;
+      }
+    }
+  }
+}
+
+TEST(DirectConv, InfWeightMakesPaddedTapsNaNLikeTheGemm) {
+  // The GEMM multiplies padded taps by +0.0f, so an infinite weight turns
+  // every output whose tap at that weight is padding into NaN. The direct
+  // path must multiply, not skip.
+  Rng rng(41);
+  nn::Conv2d conv(8, 5, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
+                  rng);
+  conv.weight()[((2 * 8 + 3) * 3 + 0) * 3 + 0] =
+      std::numeric_limits<float>::infinity();  // o 2, c 3, tap (0, 0)
+  const Tensor x = Tensor::randn(Shape{2, 8, 7, 9}, rng);
+  ExecutionContext ctx;
+  const Tensor got = conv.forward(ctx, x, false);
+  int64_t nans = 0;
+  for (int64_t i = 0; i < got.numel(); ++i) nans += std::isnan(got[i]) ? 1 : 0;
+  EXPECT_GT(nans, 0);
+  check_direct_forward(ctx, conv, x, fma_chain_oracle(conv.weight(), x), got,
+                       GemmEpilogue{}, "inf weight");
 }
 
 // ------------------------------------------------ packed gemm_tn -----------

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pruner.h"
@@ -265,32 +266,38 @@ TEST(TrainingBits, TwoBranchStepIndependentOfPoolSize) {
 }
 
 TEST(TrainingBits, WideResidualStepIndependentOfPoolSize) {
-  // 24 output channels put every conv's dW on the tiled path (n >= kNR).
-  Rng rng(12);
-  const nn::ResidualBlock base(16, 24, 1, rng);
-  const Tensor x = Tensor::randn(Shape{3, 16, 12, 12}, rng);
-  const Tensor g = Tensor::randn(Shape{3, 24, 12, 12}, rng);
-  auto step = [&] {
-    std::unique_ptr<nn::Layer> block = base.clone();
-    ExecutionContext ctx;
-    block->forward(ctx, x, /*train=*/true);
-    StepBits bits;
-    bits.dx = tensor_bits(block->backward(ctx, g));
-    for (const nn::ParamRef& p : block->params()) {
-      bits.grads.push_back(tensor_bits(*p.grad));
-    }
-    auto& rb = static_cast<nn::ResidualBlock&>(*block);
-    for (nn::BatchNorm2d* bn : {&rb.bn1(), &rb.bn2(), &rb.down_bn()}) {
-      for (const Tensor* t : {&bn->running_mean(), &bn->running_var()}) {
-        const std::vector<uint32_t> b = tensor_bits(*t);
-        put_bytes(bits.state, b.data(), b.size() * sizeof(uint32_t));
+  // 16 -> 24 runs both 3x3 convs on the direct path where the tier has one.
+  // 72 -> 80 keeps every conv on the GEMM (its depth passes one k-slice),
+  // where 80 output channels put each dW on the tiled path (n >= kNR).
+  for (const auto& [in_c, out_c] :
+       {std::pair<int64_t, int64_t>{16, 24}, {72, 80}}) {
+    Rng rng(12);
+    const nn::ResidualBlock base(in_c, out_c, 1, rng);
+    const Tensor x = Tensor::randn(Shape{3, in_c, 12, 12}, rng);
+    const Tensor g = Tensor::randn(Shape{3, out_c, 12, 12}, rng);
+    auto step = [&] {
+      std::unique_ptr<nn::Layer> block = base.clone();
+      ExecutionContext ctx;
+      block->forward(ctx, x, /*train=*/true);
+      StepBits bits;
+      bits.dx = tensor_bits(block->backward(ctx, g));
+      for (const nn::ParamRef& p : block->params()) {
+        bits.grads.push_back(tensor_bits(*p.grad));
       }
+      auto& rb = static_cast<nn::ResidualBlock&>(*block);
+      for (nn::BatchNorm2d* bn : {&rb.bn1(), &rb.bn2(), &rb.down_bn()}) {
+        for (const Tensor* t : {&bn->running_mean(), &bn->running_var()}) {
+          const std::vector<uint32_t> b = tensor_bits(*t);
+          put_bytes(bits.state, b.data(), b.size() * sizeof(uint32_t));
+        }
+      }
+      return bits;
+    };
+    const StepBits want = with_pool(1, step);
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE(std::to_string(in_c) + "->" + std::to_string(out_c));
+      expect_same_step(with_pool(threads, step), want, threads);
     }
-    return bits;
-  };
-  const StepBits want = with_pool(1, step);
-  for (const int threads : {2, 4}) {
-    expect_same_step(with_pool(threads, step), want, threads);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -839,12 +840,28 @@ TEST(Conv2d, BackwardMatchesDirectOracleAtTileShapes) {
     cases.push_back({5, out_c, 9, 3, 2, 1});
     cases.push_back({5, out_c, 9, 1, 1, 0});
   }
-  // 27 x 27 output columns: the dW GEMM's depth crosses one k-slice.
+  // 3x3 stride 1 on the GEMM path on every tier: 72 input channels put the
+  // depth past one k-slice (Conv2d::direct). At 27 x 27 output columns the
+  // dW GEMM's depth crosses one k-slice too.
+  cases.push_back({72, 8, 9, 3, 1, 1});
+  cases.push_back({72, 4, 27, 3, 1, 1});
   cases.push_back({3, 24, 27, 3, 1, 1});
+  // 3x3 stride 1 on the direct path where the tier has one: the pipeline's
+  // planes and a ragged one, 1, 7, 8 and 64 channels each way (64 output
+  // channels keep the GEMM, see Conv2d::direct).
+  for (const int64_t hw : {8, 16, 32, 11}) {
+    for (const auto& [in_c, out_c] :
+         {std::pair<int64_t, int64_t>{1, 7}, {7, 8}, {8, 1}, {64, 8},
+          {8, 64}, {1, 1}}) {
+      cases.push_back({in_c, out_c, hw, 3, 1, 1});
+    }
+  }
   Rng rng(106);
   for (const Case& cs : cases) {
     const std::string what = std::to_string(cs.in_c) + "->" +
-                             std::to_string(cs.out_c) + " k" +
+                             std::to_string(cs.out_c) + " " +
+                             std::to_string(cs.hw) + "x" +
+                             std::to_string(cs.hw) + " k" +
                              std::to_string(cs.kernel) + " s" +
                              std::to_string(cs.stride);
     Conv2d conv(cs.in_c, cs.out_c,

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "data/synthetic_cifar.h"
@@ -317,6 +318,13 @@ TEST(QuantizedLayers, ConvCloseToF32AndPoolAndBatchInvariant) {
   const Tensor pre = prepped.forward(pctx, x, false);
   for (int64_t i = 0; i < pre.numel(); ++i) {
     ASSERT_EQ(pre[i], got[i]) << "at " << i;
+  }
+  // The quantized weights are model state: a clone keeps them.
+  const std::unique_ptr<nn::Layer> copy = prepped.clone();
+  ASSERT_TRUE(static_cast<const nn::Conv2d&>(*copy).quantized());
+  const Tensor cloned = copy->forward(ctx, x, false);
+  for (int64_t i = 0; i < cloned.numel(); ++i) {
+    ASSERT_EQ(cloned[i], got[i]) << "at " << i;
   }
 }
 

@@ -137,18 +137,36 @@ TEST(WorkspaceArena, ScopeRestoresAcrossGrowth) {
 }
 
 TEST(WorkspaceArena, NoGrowthAfterForwardWarmup) {
-  const auto cfg = tiny_vgg_cfg();
-  nn::Sequential victim = models::build_victim(cfg);
-  ExecutionContext ctx;
+  // The tiny VGG's 64-channel convs take the GEMM path, which scratches in
+  // the arena. A stack of narrow 3x3 stride-1 convs runs direct where the
+  // tier has the path, and then scratches nothing.
   Rng rng(3);
   const Tensor batch = random_batch(4, rng);
-  victim.forward(ctx, batch, false);  // warmup populates the arena
-  const int64_t capacity = ctx.arena().capacity_bytes();
-  const size_t blocks = ctx.arena().block_count();
-  EXPECT_GT(capacity, 0);
-  for (int i = 0; i < 5; ++i) victim.forward(ctx, batch, false);
-  EXPECT_EQ(ctx.arena().capacity_bytes(), capacity);
-  EXPECT_EQ(ctx.arena().block_count(), blocks);
+  nn::Sequential narrow;
+  narrow.emplace<nn::Conv2d>(
+      3, 8, nn::Conv2d::Options{.kernel = 3, .stride = 1, .pad = 1}, rng);
+  narrow.emplace<nn::Conv2d>(
+      8, 8, nn::Conv2d::Options{.kernel = 3, .stride = 1, .pad = 1}, rng);
+  bool all_direct = true;
+  for (int i = 0; i < 2; ++i) {
+    all_direct = all_direct && narrow.find_nth<nn::Conv2d>(i)->direct();
+  }
+  nn::Sequential vgg = models::build_victim(tiny_vgg_cfg());
+  for (nn::Sequential* model : {&vgg, &narrow}) {
+    const bool scratch_free = model == &narrow && all_direct;
+    ExecutionContext ctx;
+    model->forward(ctx, batch, false);  // warmup populates the arena
+    const int64_t capacity = ctx.arena().capacity_bytes();
+    const size_t blocks = ctx.arena().block_count();
+    if (scratch_free) {
+      EXPECT_EQ(capacity, 0);
+    } else {
+      EXPECT_GT(capacity, 0) << (model == &vgg ? "vgg" : "narrow");
+    }
+    for (int i = 0; i < 5; ++i) model->forward(ctx, batch, false);
+    EXPECT_EQ(ctx.arena().capacity_bytes(), capacity);
+    EXPECT_EQ(ctx.arena().block_count(), blocks);
+  }
 }
 
 // ------------------------------------------- context kernel overloads ------
