@@ -1,22 +1,24 @@
-// bench_serving — batched serving throughput of the deployed TBNet engine.
+// bench_serving — the serving gates that CI holds against BENCH_serving.json.
 //
-// Sweeps the inference batch size over the ResNet-style zoo model and emits
-// one JSON document with throughput (imgs/s), per-batch latency percentiles
-// (p50/p95/p99 from LatencyRecorder), and world-switch counts, plus an
-// InferenceServer section exercising request coalescing with concurrent
-// submitters. The engine under test is the deployed steady state: BN folded
-// into conv weights, conv/dense+activation fused into GEMM epilogues, and
-// weights pre-packed into microkernel panels at construction.
+// Every section serves the deployed TBNet engine of a ResNet20 (w=0.125):
+//   * soak: one bounded worker under open-loop load at 1x, 2x and 10x its
+//     closed-loop capacity, a 2x point with 1% transient faults, and an
+//     unbounded 10x baseline whose p99 must grow with soak length;
+//   * elastic: a 1x -> 10x -> 1x stepped load on an autoscaled pool against
+//     a fixed single worker;
+//   * chaos (--chaos): one of two workers is killed mid-soak and must come
+//     back through its circuit breaker and DeployedTBNet::reopen;
+//   * width_cap: two workers on a hardware-width pool, each engine sharding
+//     at full width vs capped at half.
+// --soak-seconds=S sets the soak length (default 2; 0 skips the soak and
+// elastic sections). tools/check_bench_regression.py and CI's serving step
+// read the JSON this prints. The end-to-end serving benchmark (latency and
+// throughput per workload) is perfbench, not this program.
 //
 // Timing model: compute runs at host speed; the REE<->TEE world-switch and
 // shared-memory transfer latencies of the paper's testbed (DeviceProfile
 // rpi3, 50us/switch, 1GB/s channel) are injected into every TA invocation by
-// TeeSession::simulate_timing. That is the overhead axis batching amortizes:
-// a batch of N crosses the world O(stages) times instead of O(N * stages).
-// Pass --no-device-timing for raw host numbers (pure simulator cost).
-//
-// The sweep runs single-threaded (TBNET_THREADS=1 unless the caller already
-// pinned it) so the batch-16 vs batch-1 ratio isolates batching itself.
+// TeeSession::simulate_timing.
 
 #include <algorithm>
 #include <chrono>
@@ -36,6 +38,7 @@
 #include "tee/device_profile.h"
 #include "tee/optee_api.h"
 #include "tensor/rng.h"
+#include "tensor/simd.h"
 #include "tensor/threadpool.h"
 
 namespace {
@@ -47,58 +50,143 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct SweepPoint {
-  int64_t batch = 0;
-  int64_t images = 0;
-  int64_t batches = 0;
-  double imgs_per_s = 0.0;
-  double batch_p50_ms = 0.0;
-  double batch_p95_ms = 0.0;
-  double batch_p99_ms = 0.0;
-  double switches_per_image = 0.0;
-  double overhead_ms_per_image = 0.0;  ///< injected switch/transfer stall
+// One worker's own device: secure world, TEE context (and so fault
+// injector) and deployed engine, with the RPi3 profile's switch and
+// transfer stalls injected into every TA invoke. Killing one worker's TEE
+// must not perturb another's, so no two workers share any of these.
+struct Device {
+  Device(const core::TwoBranchModel& tb, const tee::DeviceProfile& profile,
+         const std::string& uuid)
+      : world(profile.secure_mem_budget), ctx(world), engine(tb, ctx, uuid) {
+    engine.session().simulate_timing(profile);
+  }
+
+  tee::SecureWorld world;
+  tee::TeeContext ctx;
+  runtime::DeployedTBNet engine;
 };
 
-SweepPoint run_sweep_point(runtime::DeployedTBNet& engine, int64_t batch,
-                           int64_t target_images, Rng& rng) {
-  const Tensor input = Tensor::randn(Shape{batch, 3, 32, 32}, rng);
-  engine.infer_batch(input);  // warmup: arena growth, TA state, page faults
-
-  SweepPoint p;
-  p.batch = batch;
-  const int64_t switches_before = engine.world_switches();
-  const double overhead_before = engine.session().simulated_overhead_s();
-  runtime::LatencyRecorder rec;
-  const auto t0 = Clock::now();
-  while (p.images < target_images) {
-    const auto b0 = Clock::now();
-    engine.infer_batch(input);
-    rec.record(seconds_since(b0));
-    p.images += batch;
-    ++p.batches;
+/// `n` devices named `<prefix><w>`, each warmed up with one batch of four
+/// images drawn from `rng`.
+std::vector<std::unique_ptr<Device>> make_devices(
+    const core::TwoBranchModel& tb, const tee::DeviceProfile& profile,
+    const std::string& prefix, int n, Rng& rng) {
+  std::vector<std::unique_ptr<Device>> devices;
+  for (int w = 0; w < n; ++w) {
+    devices.push_back(
+        std::make_unique<Device>(tb, profile, prefix + std::to_string(w)));
+    devices.back()->engine.infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, rng));
   }
-  const double total_s = seconds_since(t0);
-  p.imgs_per_s = static_cast<double>(p.images) / total_s;
-  p.batch_p50_ms = rec.percentile(50.0) * 1e3;
-  p.batch_p95_ms = rec.percentile(95.0) * 1e3;
-  p.batch_p99_ms = rec.percentile(99.0) * 1e3;
-  p.switches_per_image =
-      static_cast<double>(engine.world_switches() - switches_before) /
-      static_cast<double>(p.images);
-  p.overhead_ms_per_image =
-      (engine.session().simulated_overhead_s() - overhead_before) * 1e3 /
-      static_cast<double>(p.images);
+  return devices;
+}
+
+runtime::InferenceServer::BatchFn serve(runtime::DeployedTBNet& engine) {
+  return [eng = &engine](const Tensor& nchw) { return eng->infer_batch(nchw); };
+}
+
+/// The server the gates hold: batches of up to 16 and, when `bounded`, a
+/// 64-deep queue that sheds its oldest request and a 100 ms deadline.
+runtime::InferenceServer::Config server_config(bool bounded) {
+  runtime::InferenceServer::Config cfg;
+  cfg.max_batch = 16;
+  if (bounded) {
+    cfg.queue_capacity = 64;
+    cfg.admission = runtime::AdmissionPolicy::kShedOldest;
+    cfg.default_deadline = std::chrono::milliseconds(100);
+  }
+  return cfg;
+}
+
+/// The 32 CHW images an open-loop submitter cycles through.
+std::vector<Tensor> image_pool(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> pool;
+  for (int i = 0; i < 32; ++i) {
+    pool.push_back(Tensor::randn(Shape{3, 32, 32}, rng));
+  }
+  return pool;
+}
+
+/// The soaks' 1x load: closed-loop throughput at batch 16 over 32 images,
+/// after one warm-up batch (arena growth, TA state, page faults).
+double measure_capacity(runtime::DeployedTBNet& engine) {
+  constexpr int64_t kBatch = 16;
+  constexpr int64_t kImages = 32;
+  Rng rng(23);
+  const Tensor input = Tensor::randn(Shape{kBatch, 3, 32, 32}, rng);
+  engine.infer_batch(input);
+  const auto t0 = Clock::now();
+  for (int64_t images = 0; images < kImages; images += kBatch) {
+    engine.infer_batch(input);
+  }
+  return static_cast<double>(kImages) / seconds_since(t0);
+}
+
+// ---- intra-op width cap --------------------------------------------------
+// The rest of the program runs the one-thread pool the baseline was
+// recorded on, where the cap cannot matter; this section swaps in a
+// hardware-width pool and measures the same 2-worker closed-loop load with
+// each engine sharding at full width (2x oversubscription) vs capped at
+// half. Meaningful only on >= 2 real cores; CI notes the ratio warn-only
+// for that reason.
+
+struct WidthCapPoint {
+  int hardware_threads = 0;
+  int workers = 2;
+  int capped_width = 0;
+  double imgs_per_s_uncapped = 0.0;
+  double imgs_per_s_capped = 0.0;
+};
+
+WidthCapPoint run_width_cap(const core::TwoBranchModel& tb,
+                            const tee::DeviceProfile& profile) {
+  WidthCapPoint p;
+  ThreadPool hw_pool(0);  // hardware_concurrency
+  ThreadPool::set_global_for_testing(&hw_pool);
+  p.hardware_threads = hw_pool.num_threads();
+  p.capped_width = std::max(1, p.hardware_threads / p.workers);
+  Rng wrng(37);
+  const auto devices =
+      make_devices(tb, profile, "tbnet-width-", p.workers, wrng);
+  for (const bool capped : {false, true}) {
+    std::vector<runtime::InferenceServer::BatchFn> fns;
+    for (const auto& d : devices) {
+      d->engine.set_intra_op_width(capped ? p.capped_width : 0);
+      fns.push_back(serve(d->engine));
+    }
+    runtime::InferenceServer server(std::move(fns), server_config(false));
+    const int64_t per_thread = 48;
+    const auto t0 = Clock::now();
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < 4; ++t) {
+      submitters.emplace_back([&server, per_thread, t] {
+        Rng trng(300 + static_cast<uint64_t>(t));
+        std::vector<std::future<runtime::InferenceResult>> futures;
+        for (int64_t i = 0; i < per_thread; ++i) {
+          futures.push_back(
+              server.submit(Tensor::randn(Shape{3, 32, 32}, trng)));
+        }
+        for (auto& f : futures) f.get();
+      });
+    }
+    for (auto& th : submitters) th.join();
+    server.drain();
+    const double imgs_per_s =
+        4.0 * static_cast<double>(per_thread) / seconds_since(t0);
+    (capped ? p.imgs_per_s_capped : p.imgs_per_s_uncapped) = imgs_per_s;
+  }
+  ThreadPool::set_global_for_testing(nullptr);
   return p;
 }
 
 // ---- overload soak (PR 7) -------------------------------------------------
 // Open-loop load generation: a submitter fires at a fixed offered rate
-// regardless of completions (unlike the closed-loop sections above, where
-// waiting submitters implicitly throttle to the service rate). That is the
-// regime where an unbounded queue diverges — latency grows with soak length
-// — and where the bounded queue + shedding + deadlines must keep goodput
-// and accepted-latency flat. Goodput divides Ok answers by the full wall
-// time including drain, so an unbounded backlog pays for itself honestly.
+// regardless of completions (unlike a closed loop, where waiting submitters
+// implicitly throttle to the service rate). That is the regime where an
+// unbounded queue diverges — latency grows with soak length — and where the
+// bounded queue + shedding + deadlines must keep goodput and
+// accepted-latency flat. Goodput divides Ok answers by the full wall time
+// including drain, so an unbounded backlog pays for itself honestly.
 
 struct SoakConfig {
   double offered_imgs_per_s = 0.0;
@@ -125,18 +213,10 @@ struct SoakPoint {
   double batch_p99_ms = 0.0;
 };
 
-SoakPoint run_soak(runtime::DeployedTBNet& engine, tee::TeeContext& ctx,
-                   const SoakConfig& sc) {
-  runtime::InferenceServer::Config scfg;
-  scfg.max_batch = 16;
-  if (sc.bounded) {
-    scfg.queue_capacity = 64;
-    scfg.admission = runtime::AdmissionPolicy::kShedOldest;
-    scfg.default_deadline = std::chrono::milliseconds(100);
-  }
-  const int64_t retries_before = engine.retries();
-  const int64_t faults_before = ctx.faults().faults_injected();
-  ctx.faults().set_rate(sc.fault_rate);
+SoakPoint run_soak(Device& dev, const SoakConfig& sc) {
+  const int64_t retries_before = dev.engine.retries();
+  const int64_t faults_before = dev.ctx.faults().faults_injected();
+  dev.ctx.faults().set_rate(sc.fault_rate);
 
   SoakPoint p;
   p.offered_imgs_per_s = sc.offered_imgs_per_s;
@@ -145,14 +225,9 @@ SoakPoint run_soak(runtime::DeployedTBNet& engine, tee::TeeContext& ctx,
   runtime::ServingStats stats;
   double wall_s = 0.0;
   {
-    runtime::InferenceServer server(
-        [&engine](const Tensor& nchw) { return engine.infer_batch(nchw); },
-        scfg);
-    Rng srng(31);
-    std::vector<Tensor> pool;
-    for (int i = 0; i < 32; ++i) {
-      pool.push_back(Tensor::randn(Shape{3, 32, 32}, srng));
-    }
+    runtime::InferenceServer server(serve(dev.engine),
+                                    server_config(sc.bounded));
+    const std::vector<Tensor> pool = image_pool(31);
     std::vector<std::future<runtime::InferenceResult>> futures;
     const auto interval =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -179,14 +254,14 @@ SoakPoint run_soak(runtime::DeployedTBNet& engine, tee::TeeContext& ctx,
     }
     wall_s = seconds_since(t0);
   }
-  ctx.faults().set_rate(0.0);
+  dev.ctx.faults().set_rate(0.0);
 
   p.rejected = stats.rejected;
   p.shed = stats.shed;
   p.expired = stats.expired;
   p.engine_errors = stats.engine_errors;
-  p.retries = engine.retries() - retries_before;
-  p.faults_injected = ctx.faults().faults_injected() - faults_before;
+  p.retries = dev.engine.retries() - retries_before;
+  p.faults_injected = dev.ctx.faults().faults_injected() - faults_before;
   p.goodput_imgs_per_s =
       wall_s > 0.0 ? static_cast<double>(p.ok) / wall_s : 0.0;
   p.accepted_p50_ms = accepted.percentile(50.0) * 1e3;
@@ -221,39 +296,23 @@ struct ChaosPoint {
 };
 
 ChaosPoint run_chaos(const core::TwoBranchModel& tb,
-                     const tee::DeviceProfile& profile, bool device_timing,
+                     const tee::DeviceProfile& profile,
                      double offered_imgs_per_s, double seconds) {
-  // Independent worlds/engines per worker, like the worker sweep: killing
-  // worker 1's TEE must not perturb worker 0.
-  std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
-  std::vector<std::unique_ptr<tee::TeeContext>> tee_ctxs;
-  std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-  std::vector<runtime::InferenceServer::BatchFn> fns;
-  std::vector<runtime::InferenceServer::RecoverFn> recover;
   Rng crng(41);
   const Tensor canary = Tensor::randn(Shape{1, 3, 32, 32}, crng);
-  for (int w = 0; w < 2; ++w) {
-    worlds.push_back(
-        std::make_unique<tee::SecureWorld>(profile.secure_mem_budget));
-    tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
-    engines.push_back(std::make_unique<runtime::DeployedTBNet>(
-        tb, *tee_ctxs.back(), "tbnet-chaos-" + std::to_string(w),
-        runtime::DeployedTBNet::Options{.max_batch = 64}));
-    if (device_timing) engines.back()->session().simulate_timing(profile);
-    engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, crng));
-    runtime::DeployedTBNet* eng = engines.back().get();
-    fns.push_back([eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
+  const auto devices = make_devices(tb, profile, "tbnet-chaos-", 2, crng);
+  std::vector<runtime::InferenceServer::BatchFn> fns;
+  std::vector<runtime::InferenceServer::RecoverFn> recover;
+  for (const auto& d : devices) {
+    fns.push_back(serve(d->engine));
     // Recovery = full session re-establishment: tear down, re-deploy the TA
     // image (re-verifying its checksums), reopen, canary-infer. Throws while
     // the injected permanent fault persists — the supervisor backs off.
-    recover.push_back([eng, canary] { eng->reopen(canary); });
+    recover.push_back([eng = &d->engine, canary] { eng->reopen(canary); });
   }
+  tee::FaultInjector& victim_faults = devices[1]->ctx.faults();
 
-  runtime::InferenceServer::Config scfg;
-  scfg.max_batch = 16;
-  scfg.queue_capacity = 64;
-  scfg.admission = runtime::AdmissionPolicy::kShedOldest;
-  scfg.default_deadline = std::chrono::milliseconds(100);
+  runtime::InferenceServer::Config scfg = server_config(true);
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::milliseconds(2);
   scfg.recovery_max_backoff = std::chrono::milliseconds(50);
@@ -265,11 +324,7 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
   p.heal_at_s = seconds * 0.7;
   {
     runtime::InferenceServer server(std::move(fns), std::move(recover), scfg);
-    Rng srng(43);
-    std::vector<Tensor> pool;
-    for (int i = 0; i < 32; ++i) {
-      pool.push_back(Tensor::randn(Shape{3, 32, 32}, srng));
-    }
+    const std::vector<Tensor> pool = image_pool(43);
     std::vector<std::future<runtime::InferenceResult>> futures;
     std::vector<double> submit_s;
     const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -285,11 +340,11 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
         // Permanent session loss on worker 1: every TEE boundary crossing
         // (open/invoke) now raises PermanentFault, including the reopens
         // the supervisor attempts.
-        tee_ctxs[1]->faults().set_rate(1.0, /*permanent_fraction=*/1.0);
+        victim_faults.set_rate(1.0, /*permanent_fraction=*/1.0);
         killed = true;
       }
       if (killed && !healed && now_s >= p.heal_at_s) {
-        tee_ctxs[1]->faults().set_rate(0.0);
+        victim_faults.set_rate(0.0);
         healed = true;
       }
       if (killed && recovered_at < 0.0 && server.stats().recoveries >= 1) {
@@ -301,7 +356,7 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
       std::this_thread::sleep_until(next);
     }
     if (!healed) {
-      tee_ctxs[1]->faults().set_rate(0.0);
+      victim_faults.set_rate(0.0);
       healed = true;
     }
     // The worker may still be mid-backoff when submission ends; wait for the
@@ -378,11 +433,7 @@ struct ElasticLeg {
 ElasticLeg drive_stepped_load(runtime::InferenceServer& server,
                               double capacity, double phase_s) {
   ElasticLeg leg;
-  Rng srng(47);
-  std::vector<Tensor> pool;
-  for (int i = 0; i < 32; ++i) {
-    pool.push_back(Tensor::randn(Shape{3, 32, 32}, srng));
-  }
+  const std::vector<Tensor> pool = image_pool(47);
   std::vector<std::future<runtime::InferenceResult>> futures;
   const double steps[3] = {1.0, 10.0, 1.0};
   const auto t0 = Clock::now();
@@ -429,15 +480,8 @@ struct ElasticPoint {
 };
 
 ElasticPoint run_elastic(const core::TwoBranchModel& tb,
-                         const tee::DeviceProfile& profile,
-                         bool device_timing, double capacity,
+                         const tee::DeviceProfile& profile, double capacity,
                          double seconds) {
-  runtime::InferenceServer::Config scfg;
-  scfg.max_batch = 16;
-  scfg.queue_capacity = 64;
-  scfg.admission = runtime::AdmissionPolicy::kShedOldest;
-  scfg.default_deadline = std::chrono::milliseconds(100);
-
   ElasticPoint p;
   p.soak_seconds = seconds;
   const double phase_s = seconds / 3.0;
@@ -447,36 +491,23 @@ ElasticPoint run_elastic(const core::TwoBranchModel& tb,
   // slot (own secure world, own TA session, own arena).
   struct Slots {
     std::mutex mu;
-    std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
-    std::vector<std::unique_ptr<tee::TeeContext>> ctxs;
-    std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
+    std::vector<std::unique_ptr<Device>> devices;
   };
-  const auto make_factory = [&tb, &profile, device_timing](Slots& slots) {
-    return [&tb, &profile, device_timing, &slots](int worker) {
+  const auto make_factory = [&tb, &profile](Slots& slots) {
+    return [&tb, &profile, &slots](int worker) {
       // Invocations are serial by contract (construction thread, then the
       // supervisor); the lock just makes that independence obvious.
       std::lock_guard<std::mutex> lock(slots.mu);
-      slots.worlds.push_back(
-          std::make_unique<tee::SecureWorld>(profile.secure_mem_budget));
-      slots.ctxs.push_back(
-          std::make_unique<tee::TeeContext>(*slots.worlds.back()));
-      slots.engines.push_back(std::make_unique<runtime::DeployedTBNet>(
-          tb, *slots.ctxs.back(), "tbnet-elastic-" + std::to_string(worker),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
-      if (device_timing) {
-        slots.engines.back()->session().simulate_timing(profile);
-      }
-      runtime::DeployedTBNet* eng = slots.engines.back().get();
-      runtime::InferenceServer::BatchFn fn =
-          [eng](const Tensor& nchw) { return eng->infer_batch(nchw); };
-      return std::make_pair(std::move(fn),
+      slots.devices.push_back(std::make_unique<Device>(
+          tb, profile, "tbnet-elastic-" + std::to_string(worker)));
+      return std::make_pair(serve(slots.devices.back()->engine),
                             runtime::InferenceServer::RecoverFn{});
     };
   };
 
   {
     Slots slots;  // outlives the server (declared first)
-    runtime::InferenceServer::Config fixed_cfg = scfg;
+    runtime::InferenceServer::Config fixed_cfg = server_config(true);
     fixed_cfg.min_workers = 1;
     fixed_cfg.max_workers = 1;
     runtime::InferenceServer server(make_factory(slots), fixed_cfg);
@@ -484,7 +515,7 @@ ElasticPoint run_elastic(const core::TwoBranchModel& tb,
   }
   {
     Slots slots;
-    runtime::InferenceServer::Config elastic_cfg = scfg;
+    runtime::InferenceServer::Config elastic_cfg = server_config(true);
     elastic_cfg.min_workers = 1;
     elastic_cfg.max_workers = 4;
     elastic_cfg.autoscale_interval = std::chrono::milliseconds(20);
@@ -524,29 +555,19 @@ void print_soak_point(const SoakPoint& p, double goodput_1x,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Single-thread by default so the sweep isolates batching, not the pool.
+  // BENCH_serving.json was recorded with the kernel pool at one thread, so
+  // the gates compare like with like only under the same pin.
   setenv("TBNET_THREADS", "1", /*overwrite=*/0);
 
-  bool device_timing = true;
   bool chaos = false;
-  double width = 0.125;
-  int64_t target_images = 192;
   double soak_seconds = 2.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-device-timing") == 0) {
-      device_timing = false;
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
+    if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
-    } else if (std::strncmp(argv[i], "--width=", 8) == 0) {
-      width = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--images=", 9) == 0) {
-      target_images = std::atoll(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--soak-seconds=", 15) == 0) {
       soak_seconds = std::atof(argv[i] + 15);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--no-device-timing] [--chaos] [--width=W] "
-                   "[--images=N] [--soak-seconds=S]\n",
+      std::fprintf(stderr, "usage: %s [--chaos] [--soak-seconds=S]\n",
                    argv[0]);
       return 2;
     }
@@ -556,212 +577,33 @@ int main(int argc, char** argv) {
   cfg.family = models::Family::kResNet;
   cfg.depth = 20;
   cfg.classes = 10;
-  cfg.width_mult = width;
+  cfg.width_mult = 0.125;
   cfg.seed = 17;
 
   const nn::Sequential victim = models::build_victim(cfg);
   const core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
   const tee::DeviceProfile profile = tee::DeviceProfile::rpi3();
 
-  tee::SecureWorld world(profile.secure_mem_budget);
-  tee::TeeContext ctx(world);
-  runtime::DeployedTBNet engine(tb, ctx, "tbnet-serving",
-                                runtime::DeployedTBNet::Options{.max_batch = 64});
-  if (device_timing) engine.session().simulate_timing(profile);
-
-  Rng rng(23);
-  const std::vector<int64_t> batches = {1, 2, 4, 8, 16, 32};
-  std::vector<SweepPoint> sweep;
-  for (int64_t b : batches) {
-    sweep.push_back(run_sweep_point(engine, b, target_images, rng));
-  }
-
-  double tput1 = 0.0, tput16 = 0.0;
-  for (const SweepPoint& p : sweep) {
-    if (p.batch == 1) tput1 = p.imgs_per_s;
-    if (p.batch == 16) tput16 = p.imgs_per_s;
-  }
-
-  // Server section: concurrent single-image submitters riding coalesced
-  // batches through the same engine.
-  runtime::InferenceServer::Config scfg;
-  scfg.max_batch = 16;
-  runtime::ServingStats server_stats;
-  {
-    runtime::InferenceServer server(
-        [&engine](const Tensor& nchw) { return engine.infer_batch(nchw); },
-        scfg);
-    const int64_t per_thread = 48;
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-      submitters.emplace_back([&server, per_thread, t] {
-        Rng trng(100 + static_cast<uint64_t>(t));
-        std::vector<std::future<runtime::InferenceResult>> futures;
-        for (int64_t i = 0; i < per_thread; ++i) {
-          futures.push_back(
-              server.submit(Tensor::randn(Shape{3, 32, 32}, trng)));
-        }
-        for (auto& f : futures) f.get();
-      });
-    }
-    for (auto& th : submitters) th.join();
-    server.drain();
-    server_stats = server.stats();
-  }
-
-  // Inter-op scaling: the same submit load against 1 vs 2 dispatch workers,
-  // each worker owning a fully independent engine (own secure world, own
-  // TA session, own ExecutionContext/arena). Intra-op threads stay at
-  // TBNET_THREADS (1 by default here), so the workers ratio isolates
-  // dispatch-level parallelism — ~1.0x on a 1-vCPU builder, > 1 on real
-  // cores (the CI artifact records the hosted runner's number).
-  struct WorkerPoint {
-    int workers = 0;
-    int intra_op_width = 0;
-    double imgs_per_s = 0.0;
-    runtime::ServingStats stats;
-  };
-  std::vector<WorkerPoint> worker_sweep;
-  // PR 10 default fix: each worker's engine caps its intra-op shards at
-  // pool_threads / nworkers, so N workers submit ~pool_threads chunks total
-  // instead of N x pool_threads (a no-op at this bench's TBNET_THREADS=1;
-  // the width_cap section below measures the effect on real cores).
-  const int pool_threads = ThreadPool::global().num_threads();
-  for (int nworkers : {1, 2}) {
-    // Dedicated worlds/engines per run so each sweep point starts cold-free
-    // (one warmup batch each) and nothing is shared across workers.
-    std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
-    std::vector<std::unique_ptr<tee::TeeContext>> tee_ctxs;
-    std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-    std::vector<runtime::InferenceServer::BatchFn> fns;
-    Rng wrng(29);
-    for (int w = 0; w < nworkers; ++w) {
-      worlds.push_back(
-          std::make_unique<tee::SecureWorld>(profile.secure_mem_budget));
-      tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
-      engines.push_back(std::make_unique<runtime::DeployedTBNet>(
-          tb, *tee_ctxs.back(), "tbnet-worker-" + std::to_string(w),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
-      if (device_timing) engines.back()->session().simulate_timing(profile);
-      engines.back()->set_intra_op_width(
-          std::max(1, pool_threads / nworkers));
-      engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, wrng));
-      runtime::DeployedTBNet* eng = engines.back().get();
-      fns.push_back(
-          [eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
-    }
-    WorkerPoint p;
-    p.workers = nworkers;
-    p.intra_op_width = std::max(1, pool_threads / nworkers);
-    runtime::InferenceServer server(std::move(fns), scfg);
-    const int64_t per_thread = 48;
-    const auto t0 = Clock::now();
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-      submitters.emplace_back([&server, per_thread, t] {
-        Rng trng(200 + static_cast<uint64_t>(t));
-        std::vector<std::future<runtime::InferenceResult>> futures;
-        for (int64_t i = 0; i < per_thread; ++i) {
-          futures.push_back(
-              server.submit(Tensor::randn(Shape{3, 32, 32}, trng)));
-        }
-        for (auto& f : futures) f.get();
-      });
-    }
-    for (auto& th : submitters) th.join();
-    server.drain();
-    p.imgs_per_s = 4.0 * static_cast<double>(per_thread) /
-                   std::chrono::duration<double>(Clock::now() - t0).count();
-    p.stats = server.stats();
-    worker_sweep.push_back(std::move(p));
-  }
-
-  // ---- intra-op width cap: 2 workers, full width vs pool/2 -----------
-  // The sweep above pins TBNET_THREADS=1, where the cap cannot matter; this
-  // section swaps in a hardware-width pool and measures the same 2-worker
-  // closed-loop load with each engine sharding at full width (2x
-  // oversubscription) vs capped at half. Meaningful only on >= 2 real
-  // cores; CI notes the ratio warn-only for that reason.
-  struct WidthCapPoint {
-    int hardware_threads = 0;
-    int workers = 2;
-    int capped_width = 0;
-    double imgs_per_s_uncapped = 0.0;
-    double imgs_per_s_capped = 0.0;
-  };
-  WidthCapPoint width_cap;
-  {
-    ThreadPool hw_pool(0);  // hardware_concurrency
-    ThreadPool::set_global_for_testing(&hw_pool);
-    width_cap.hardware_threads = hw_pool.num_threads();
-    width_cap.capped_width =
-        std::max(1, width_cap.hardware_threads / width_cap.workers);
-    std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
-    std::vector<std::unique_ptr<tee::TeeContext>> tee_ctxs;
-    std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-    Rng wrng(37);
-    for (int w = 0; w < width_cap.workers; ++w) {
-      worlds.push_back(
-          std::make_unique<tee::SecureWorld>(profile.secure_mem_budget));
-      tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
-      engines.push_back(std::make_unique<runtime::DeployedTBNet>(
-          tb, *tee_ctxs.back(), "tbnet-width-" + std::to_string(w),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
-      if (device_timing) engines.back()->session().simulate_timing(profile);
-      engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, wrng));
-    }
-    for (const bool capped : {false, true}) {
-      std::vector<runtime::InferenceServer::BatchFn> fns;
-      for (auto& e : engines) {
-        e->set_intra_op_width(capped ? width_cap.capped_width : 0);
-        runtime::DeployedTBNet* eng = e.get();
-        fns.push_back(
-            [eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
-      }
-      runtime::InferenceServer server(std::move(fns), scfg);
-      const int64_t per_thread = 48;
-      const auto t0 = Clock::now();
-      std::vector<std::thread> submitters;
-      for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&server, per_thread, t] {
-          Rng trng(300 + static_cast<uint64_t>(t));
-          std::vector<std::future<runtime::InferenceResult>> futures;
-          for (int64_t i = 0; i < per_thread; ++i) {
-            futures.push_back(
-                server.submit(Tensor::randn(Shape{3, 32, 32}, trng)));
-          }
-          for (auto& f : futures) f.get();
-        });
-      }
-      for (auto& th : submitters) th.join();
-      server.drain();
-      const double imgs_per_s =
-          4.0 * static_cast<double>(per_thread) /
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      (capped ? width_cap.imgs_per_s_capped
-              : width_cap.imgs_per_s_uncapped) = imgs_per_s;
-    }
-    ThreadPool::set_global_for_testing(nullptr);
-  }
+  Device serving(tb, profile, "tbnet-serving");
+  const double capacity = measure_capacity(serving.engine);
+  const WidthCapPoint width_cap = run_width_cap(tb, profile);
 
   // ---- overload soak: bounded queue vs unbounded baseline ------------
-  // 1x capacity is the closed-loop batch-16 throughput measured above; the
-  // bounded points (capacity 64, shed-oldest, 100 ms deadline) must hold
-  // goodput and accepted-p99 flat at 2x and 10x offered load, while the
-  // unbounded baseline's request p99 grows with soak length at the same
+  // The bounded points (capacity 64, shed-oldest, 100 ms deadline) must
+  // hold goodput and accepted-p99 flat at 2x and 10x offered load, while
+  // the unbounded baseline's request p99 grows with soak length at the same
   // 10x. A bounded 2x point also runs with a 1% transient fault rate to
   // show retry absorbing faults under load.
   std::vector<SoakPoint> soak_bounded;
   SoakPoint soak_faulty;
   std::vector<SoakPoint> soak_unbounded;
-  const double capacity = tput16 > 0.0 ? tput16 : 100.0;
   if (soak_seconds > 0.0) {
     for (double x : {1.0, 2.0, 10.0}) {
       SoakConfig sc;
       sc.offered_imgs_per_s = capacity * x;
       sc.seconds = soak_seconds;
       sc.bounded = true;
-      SoakPoint p = run_soak(engine, ctx, sc);
+      SoakPoint p = run_soak(serving, sc);
       p.offered_x = x;
       soak_bounded.push_back(p);
     }
@@ -771,7 +613,7 @@ int main(int argc, char** argv) {
       sc.seconds = soak_seconds * 0.5;
       sc.bounded = true;
       sc.fault_rate = 0.01;
-      soak_faulty = run_soak(engine, ctx, sc);
+      soak_faulty = run_soak(serving, sc);
       soak_faulty.offered_x = 2.0;
     }
     // Short soaks: an unbounded 10x backlog must still be drained (and is
@@ -781,7 +623,7 @@ int main(int argc, char** argv) {
       sc.offered_imgs_per_s = capacity * 10.0;
       sc.seconds = soak_seconds * frac;
       sc.bounded = false;
-      SoakPoint p = run_soak(engine, ctx, sc);
+      SoakPoint p = run_soak(serving, sc);
       p.offered_x = 10.0;
       soak_unbounded.push_back(p);
     }
@@ -791,94 +633,23 @@ int main(int argc, char** argv) {
   ChaosPoint chaos_point;
   if (chaos) {
     const double chaos_seconds = soak_seconds > 0.0 ? soak_seconds : 2.0;
-    chaos_point =
-        run_chaos(tb, profile, device_timing, capacity * 2.0, chaos_seconds);
+    chaos_point = run_chaos(tb, profile, capacity * 2.0, chaos_seconds);
   }
 
   // ---- elastic soak: autoscaled pool vs fixed single worker ----------
   ElasticPoint elastic_point;
   if (soak_seconds > 0.0) {
-    elastic_point =
-        run_elastic(tb, profile, device_timing, capacity, soak_seconds);
+    elastic_point = run_elastic(tb, profile, capacity, soak_seconds);
   }
 
   // ---- JSON ----------------------------------------------------------
   std::printf("{\n");
   std::printf("  \"model\": \"%s\",\n", cfg.name().c_str());
-  std::printf("  \"stages\": %d,\n", engine.num_stages());
-  std::printf("  \"device_timing\": %s,\n",
-              device_timing ? "\"raspberry-pi-3b/op-tee\"" : "null");
-  std::printf("  \"threads\": %s,\n", std::getenv("TBNET_THREADS"));
-  std::printf("  \"isa\": \"%s\",\n", server_stats.isa.c_str());
-  std::printf("  \"int8_isa\": \"%s\",\n", server_stats.int8_isa.c_str());
-  // REE-side scratch high-water mark (packed weights + per-call workspace);
-  // with fused im2col→panel lowering this excludes any column matrices.
-  std::printf("  \"workspace_bytes\": %lld,\n",
-              static_cast<long long>(engine.workspace_bytes()));
-  std::printf("  \"sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    std::printf(
-        "    {\"batch\": %lld, \"images\": %lld, \"imgs_per_s\": %.2f, "
-        "\"batch_p50_ms\": %.3f, \"batch_p95_ms\": %.3f, "
-        "\"batch_p99_ms\": %.3f, "
-        "\"world_switches_per_image\": %.3f, "
-        "\"injected_overhead_ms_per_image\": %.4f}%s\n",
-        static_cast<long long>(p.batch), static_cast<long long>(p.images),
-        p.imgs_per_s, p.batch_p50_ms, p.batch_p95_ms, p.batch_p99_ms,
-        p.switches_per_image, p.overhead_ms_per_image,
-        i + 1 < sweep.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  std::printf("  \"speedup_batch16_vs_batch1\": %.3f,\n",
-              tput1 > 0.0 ? tput16 / tput1 : 0.0);
-  std::printf("  \"server\": {\n");
-  std::printf("    \"requests\": %lld,\n",
-              static_cast<long long>(server_stats.requests));
-  std::printf("    \"batches\": %lld,\n",
-              static_cast<long long>(server_stats.batches));
-  std::printf("    \"mean_batch_size\": %.2f,\n",
-              server_stats.mean_batch_size());
-  std::printf("    \"request_p50_ms\": %.3f,\n",
-              server_stats.request_latency.percentile(50.0) * 1e3);
-  std::printf("    \"request_p95_ms\": %.3f,\n",
-              server_stats.request_latency.percentile(95.0) * 1e3);
-  std::printf("    \"request_p99_ms\": %.3f,\n",
-              server_stats.request_latency.percentile(99.0) * 1e3);
-  std::printf("    \"batch_p50_ms\": %.3f,\n",
-              server_stats.batch_latency.percentile(50.0) * 1e3);
-  std::printf("    \"batch_p95_ms\": %.3f,\n",
-              server_stats.batch_latency.percentile(95.0) * 1e3);
-  std::printf("    \"batch_p99_ms\": %.3f\n",
-              server_stats.batch_latency.percentile(99.0) * 1e3);
-  std::printf("  },\n");
-  double tput_1w = 0.0, tput_2w = 0.0;
-  std::printf("  \"server_workers\": [\n");
-  for (size_t i = 0; i < worker_sweep.size(); ++i) {
-    const WorkerPoint& p = worker_sweep[i];
-    if (p.workers == 1) tput_1w = p.imgs_per_s;
-    if (p.workers == 2) tput_2w = p.imgs_per_s;
-    std::printf(
-        "    {\"workers\": %d, \"intra_op_width\": %d, \"imgs_per_s\": %.2f, "
-        "\"request_p50_ms\": %.3f, \"request_p99_ms\": %.3f, "
-        "\"mean_batch_size\": %.2f, \"max_queue_depth\": %lld, "
-        "\"worker_utilization\": [",
-        p.workers, p.intra_op_width, p.imgs_per_s,
-        p.stats.request_latency.percentile(50.0) * 1e3,
-        p.stats.request_latency.percentile(99.0) * 1e3,
-        p.stats.mean_batch_size(),
-        static_cast<long long>(p.stats.max_queue_depth));
-    for (size_t w = 0; w < p.stats.per_worker.size(); ++w) {
-      std::printf("%s%.3f", w == 0 ? "" : ", ",
-                  p.stats.worker_utilization(static_cast<int>(w)));
-    }
-    std::printf("]}%s\n", i + 1 < worker_sweep.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  // Inter-op dispatch scaling; bounded by physical cores (the "threads"
-  // field above is the INTRA-op width each worker uses).
-  std::printf("  \"speedup_workers2_vs_1\": %.3f,\n",
-              tput_1w > 0.0 ? tput_2w / tput_1w : 0.0);
+  std::printf("  \"stages\": %d,\n", serving.engine.num_stages());
+  std::printf("  \"device_timing\": \"%s\",\n", profile.name.c_str());
+  std::printf("  \"threads\": %d,\n", ThreadPool::global().num_threads());
+  std::printf("  \"isa\": \"%s\",\n", simd::isa_name());
+  std::printf("  \"int8_isa\": \"%s\",\n", simd::int8_isa_name());
   // Oversubscription fix receipts: same 2-worker load, engines sharding at
   // full pool width (before) vs capped at pool/2 (after). Only meaningful
   // on >= 2 hardware threads; CI reports the ratio warn-only.

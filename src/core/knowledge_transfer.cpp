@@ -56,8 +56,11 @@ double apply_sparsity(TwoBranchModel& model,
   return lambda * value;
 }
 
-double evaluate_mode(TwoBranchModel& model, const data::Dataset& dataset,
-                     int64_t batch_size, ForwardMode mode) {
+/// Top-1 accuracy over `dataset` of `forward`, which maps a batch of images
+/// to eval-mode logits.
+template <typename Forward>
+double top1_accuracy(const data::Dataset& dataset, int64_t batch_size,
+                     Forward forward) {
   data::DataLoader::Options lo;
   lo.batch_size = batch_size;
   lo.shuffle = false;
@@ -67,21 +70,7 @@ double evaluate_mode(TwoBranchModel& model, const data::Dataset& dataset,
   data::Batch batch;
   int64_t hits = 0, total = 0;
   while (loader.next(batch)) {
-    Tensor logits;
-    switch (mode) {
-      case ForwardMode::kFused:
-        logits = model.forward(batch.images, /*train=*/false);
-        break;
-      case ForwardMode::kSecureOnly:
-        logits = model.forward_secure_only(batch.images, /*train=*/false);
-        break;
-      case ForwardMode::kExposedOnly:
-        logits = model.forward_exposed_only(batch.images, /*train=*/false);
-        break;
-      case ForwardMode::kNone:
-        throw std::logic_error("evaluate_mode: bad mode");
-    }
-    const auto pred = argmax_rows(logits);
+    const auto pred = argmax_rows(forward(batch.images));
     for (size_t i = 0; i < pred.size(); ++i) hits += (pred[i] == batch.labels[i]);
     total += batch.size();
   }
@@ -189,18 +178,24 @@ TransferResult retrain_secure_standalone(TwoBranchModel& model,
 
 double evaluate_fused(TwoBranchModel& model, const data::Dataset& dataset,
                       int64_t batch_size) {
-  return evaluate_mode(model, dataset, batch_size, ForwardMode::kFused);
+  return top1_accuracy(dataset, batch_size, [&model](const Tensor& x) {
+    return model.forward(x, /*train=*/false);
+  });
 }
 
 double evaluate_secure_only(TwoBranchModel& model,
                             const data::Dataset& dataset, int64_t batch_size) {
-  return evaluate_mode(model, dataset, batch_size, ForwardMode::kSecureOnly);
+  return top1_accuracy(dataset, batch_size, [&model](const Tensor& x) {
+    return model.forward_secure_only(x, /*train=*/false);
+  });
 }
 
 double evaluate_exposed_only(TwoBranchModel& model,
                              const data::Dataset& dataset,
                              int64_t batch_size) {
-  return evaluate_mode(model, dataset, batch_size, ForwardMode::kExposedOnly);
+  return top1_accuracy(dataset, batch_size, [&model](const Tensor& x) {
+    return model.forward_exposed_only(x);
+  });
 }
 
 BnGammas collect_bn_gammas(TwoBranchModel& model,

@@ -139,16 +139,16 @@ Tensor TwoBranchModel::forward_secure_only(ExecutionContext& ctx,
   return x;
 }
 
-Tensor TwoBranchModel::forward_exposed_only(const Tensor& input, bool train) {
-  return forward_exposed_only(default_execution_context(), input, train);
+Tensor TwoBranchModel::forward_exposed_only(const Tensor& input) {
+  return forward_exposed_only(default_execution_context(), input);
 }
 
 Tensor TwoBranchModel::forward_exposed_only(ExecutionContext& ctx,
-                                            const Tensor& input, bool train) {
+                                            const Tensor& input) {
   if (stages_.empty()) throw std::logic_error("TwoBranchModel: no stages");
   Tensor x = input;
-  for (FusionStage& s : stages_) x = s.exposed->forward(ctx, x, train);
-  last_mode_ = train ? ForwardMode::kExposedOnly : ForwardMode::kNone;
+  for (FusionStage& s : stages_) x = s.exposed->forward(ctx, x, false);
+  last_mode_ = ForwardMode::kNone;
   return x;
 }
 
@@ -194,13 +194,6 @@ void TwoBranchModel::backward(ExecutionContext& ctx, const Tensor& grad_logits,
       Tensor g = grad_logits;
       for (int i = n - 1; i >= 0; --i) {
         g = stages_[static_cast<size_t>(i)].secure->backward(ctx, g);
-      }
-      break;
-    }
-    case ForwardMode::kExposedOnly: {
-      Tensor g = grad_logits;
-      for (int i = n - 1; i >= 0; --i) {
-        g = stages_[static_cast<size_t>(i)].exposed->backward(ctx, g);
       }
       break;
     }

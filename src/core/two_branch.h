@@ -48,7 +48,6 @@ enum class ForwardMode {
   kNone,
   kFused,        ///< both branches + per-stage fusion (normal TBNet)
   kSecureOnly,   ///< M_T alone, no REE contribution (paper Tab. 2 ablation)
-  kExposedOnly,  ///< M_R alone (what the attacker can run)
 };
 
 class TwoBranchModel {
@@ -84,11 +83,10 @@ class TwoBranchModel {
                              bool train);
   Tensor forward_secure_only(const Tensor& input, bool train);
 
-  /// Runs only the exposed chain — exactly what an attacker who extracted
-  /// M_R from REE memory can execute.
-  Tensor forward_exposed_only(ExecutionContext& ctx, const Tensor& input,
-                              bool train);
-  Tensor forward_exposed_only(const Tensor& input, bool train);
+  /// Runs only the exposed chain, in eval mode — exactly what an attacker
+  /// who extracted M_R from REE memory can execute.
+  Tensor forward_exposed_only(ExecutionContext& ctx, const Tensor& input);
+  Tensor forward_exposed_only(const Tensor& input);
 
   /// Back-propagates dLoss/dlogits through whatever the last forward ran.
   /// With `freeze_exposed` (fused mode only) gradients are not propagated

@@ -1,7 +1,6 @@
 #include "tee/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace tbnet::tee {
 namespace {
@@ -22,25 +21,9 @@ double uniform01(uint64_t* state) {
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  return s != nullptr && *s != '\0' ? std::atof(s) : fallback;
-}
-
-uint64_t env_u64(const char* name, uint64_t fallback) {
-  const char* s = std::getenv(name);
-  return s != nullptr && *s != '\0'
-             ? std::strtoull(s, nullptr, 0)
-             : fallback;
-}
-
 }  // namespace
 
-FaultInjector::FaultInjector()
-    : FaultInjector(env_u64("TBNET_FAULT_SEED", kDefaultSeed),
-                    env_double("TBNET_FAULT_RATE", 0.0),
-                    env_double("TBNET_FAULT_PERMANENT", 0.0),
-                    env_double("TBNET_FAULT_CORRUPTION", 0.0)) {}
+FaultInjector::FaultInjector() : FaultInjector(kDefaultSeed, 0.0) {}
 
 FaultInjector::FaultInjector(uint64_t seed, double rate,
                              double permanent_fraction,

@@ -9,10 +9,8 @@
 // InferenceServer) needs those failures on demand, so the FaultInjector sits
 // at the optee_api boundaries — session open, command invoke, payload
 // transfer — and throws TransientFault / PermanentFault (or flips payload
-// bits, for kCorruption) either by seeded random sampling (env
-// TBNET_FAULT_RATE / TBNET_FAULT_SEED / TBNET_FAULT_PERMANENT /
-// TBNET_FAULT_CORRUPTION; see README "Fault injection" for the knob table)
-// or from scripted outcomes tests use to target exact boundaries:
+// bits, for kCorruption) either by seeded random sampling (set_rate) or
+// from scripted outcomes tests use to target exact boundaries:
 //   * script(kind, count) — a site-agnostic FIFO consumed by every check()
 //     (script kNone to let one crossing pass, then the fault kind to fire on
 //     the next), and
@@ -78,11 +76,7 @@ class FaultInjector {
     kCorruption,  ///< check_transfer() flips seeded payload bits in transit
   };
 
-  /// Env-configured: TBNET_FAULT_RATE (per-boundary probability, default 0),
-  /// TBNET_FAULT_SEED (PRNG seed, default 0x5eed), TBNET_FAULT_PERMANENT
-  /// (fraction of injected faults that are permanent, default 0),
-  /// TBNET_FAULT_CORRUPTION (fraction that are payload corruptions,
-  /// default 0; only meaningful at the payload-bearing transfer boundary).
+  /// Seed 0x5eed and rate 0: nothing fires until set_rate() or a script.
   FaultInjector();
   FaultInjector(uint64_t seed, double rate, double permanent_fraction = 0.0,
                 double corruption_fraction = 0.0);

@@ -175,8 +175,8 @@ class TeeContext {
   OneWayChannel& channel() { return channel_; }
   SecureWorld& world() { return world_; }
 
-  /// The injector shared by every session this context opens —
-  /// env-configured (TBNET_FAULT_*), scriptable for tests.
+  /// The injector shared by every session this context opens; it injects
+  /// nothing until set_rate() or a script arms it.
   FaultInjector& faults() { return *faults_; }
   const FaultInjector& faults() const { return *faults_; }
 

@@ -758,8 +758,8 @@ __attribute__((target("avx512f"))) void micro_avx512_wide(
         }
         if (ep->act != Act::kNone) {
           const __m512 zero = _mm512_setzero_ps();
-          v0 = _mm512_max_ps(v0, zero);
-          v1 = _mm512_max_ps(v1, zero);
+          v0 = _mm512_maskz_max_ps(0xFFFF, v0, zero);
+          v1 = _mm512_maskz_max_ps(0xFFFF, v1, zero);
         }
       }
       _mm512_storeu_ps(crow, v0);
@@ -1165,15 +1165,16 @@ __attribute__((target("avx512f,avx2,fma"))) void quant_group_avx512(
   const float* rows[kKG] = {r0, r1, r2, r3};
   __m512i q[kKG];
   for (int t = 0; t < kKG; ++t) {
-    const __m512i v =
-        _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(rows[t]), vinv));
-    q[t] =
-        _mm512_min_epi32(_mm512_max_epi32(_mm512_add_epi32(v, vzp), lo), hi);
+    const __m512i v = _mm512_maskz_cvtps_epi32(
+        0xFFFF, _mm512_mul_ps(_mm512_loadu_ps(rows[t]), vinv));
+    q[t] = _mm512_maskz_min_epi32(
+        0xFFFF, _mm512_maskz_max_epi32(0xFFFF, _mm512_add_epi32(v, vzp), lo),
+        hi);
   }
   const __m512i packed = _mm512_or_si512(
-      _mm512_or_si512(q[0], _mm512_slli_epi32(q[1], 8)),
-      _mm512_or_si512(_mm512_slli_epi32(q[2], 16),
-                      _mm512_slli_epi32(q[3], 24)));
+      _mm512_or_si512(q[0], _mm512_maskz_slli_epi32(0xFFFF, q[1], 8)),
+      _mm512_or_si512(_mm512_maskz_slli_epi32(0xFFFF, q[2], 16),
+                      _mm512_maskz_slli_epi32(0xFFFF, q[3], 24)));
   _mm512_storeu_si512(grp, packed);
 }
 #endif  // TBNET_SIMD_HAVE_AVX512

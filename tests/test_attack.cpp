@@ -42,7 +42,7 @@ TEST(Extraction, MatchesExposedOnlyForward) {
   Rng rng(1);
   Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
   EXPECT_TRUE(allclose(stolen.forward(x, false),
-                       tb.forward_exposed_only(x, false), 0.0f, 0.0f));
+                       tb.forward_exposed_only(x), 0.0f, 0.0f));
 }
 
 TEST(Extraction, IsACopyNotAView) {
@@ -54,7 +54,7 @@ TEST(Extraction, IsACopyNotAView) {
   Rng rng(2);
   Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
   EXPECT_FALSE(allclose(stolen.forward(x, false),
-                        tb.forward_exposed_only(x, false)));
+                        tb.forward_exposed_only(x)));
 }
 
 TEST(DirectUse, EqualsEvaluateOfExtractedModel) {

@@ -161,7 +161,7 @@ TEST(TwoBranchModel, ExposedOnlyIgnoresSecureBranch) {
   for (int i = 0; i < model.num_stages(); ++i) {
     manual = model.stage(i).exposed->forward(manual, false);
   }
-  EXPECT_TRUE(allclose(model.forward_exposed_only(x, false), manual, 1e-6f,
+  EXPECT_TRUE(allclose(model.forward_exposed_only(x), manual, 1e-6f,
                        1e-6f));
 }
 
@@ -618,7 +618,7 @@ TEST(Rollback, RestoresExposedAndInstallsMaps) {
   Tensor x = Tensor::randn(Shape{1, 3, 12, 12}, rng);
   EXPECT_EQ(model.forward(x, false).shape(), Shape({1, 4}));
   // Exposed-only attack path also still works (it is a full network).
-  EXPECT_EQ(model.forward_exposed_only(x, false).shape(), Shape({1, 4}));
+  EXPECT_EQ(model.forward_exposed_only(x).shape(), Shape({1, 4}));
 }
 
 TEST(Rollback, NoAcceptedIterationIsNoOp) {

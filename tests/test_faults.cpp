@@ -12,9 +12,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,6 +151,39 @@ TEST(FaultInjector, ScriptedQueueTargetsExactBoundaries) {
   inj.script(Kind::kTransient, 3);
   inj.clear_script();
   EXPECT_NO_THROW(inj.check("invoke"));
+}
+
+/// Answers every command with success and no payload.
+class OkTA : public tee::TrustedApp {
+ public:
+  uint32_t invoke(uint32_t, const std::vector<uint8_t>&,
+                  std::vector<uint8_t>&, tee::TaContext&) override {
+    return tee::kTeeSuccess;
+  }
+};
+
+TEST(FaultInjector, DefaultInjectorIgnoresTheEnvironment) {
+  // Every TeeContext builds the default injector, so a stray variable in a
+  // developer's or a runner's environment must not arm it.
+  tee::SecureWorld world;
+  world.install("ok", std::make_unique<OkTA>());
+  const char* prior = std::getenv("TBNET_FAULT_RATE");
+  const std::optional<std::string> saved =
+      prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
+  setenv("TBNET_FAULT_RATE", "1", /*overwrite=*/1);
+  tee::TeeContext ctx(world);
+  if (saved) {
+    setenv("TBNET_FAULT_RATE", saved->c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("TBNET_FAULT_RATE");
+  }
+
+  EXPECT_EQ(ctx.faults().rate(), 0.0);
+  EXPECT_NO_THROW({
+    tee::TeeSession session = ctx.open_session("ok");
+    EXPECT_EQ(session.invoke(1, {}), tee::kTeeSuccess);
+  });
+  EXPECT_EQ(ctx.faults().faults_injected(), 0);
 }
 
 // ------------------------------------------------- engine retry ------------

@@ -82,8 +82,8 @@ TEST(Integration, TwoBranchSerializationRoundTrip) {
   Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
   EXPECT_TRUE(allclose(model.forward(x, false), loaded.forward(x, false),
                        0.0f, 0.0f));
-  EXPECT_TRUE(allclose(model.forward_exposed_only(x, false),
-                       loaded.forward_exposed_only(x, false), 0.0f, 0.0f));
+  EXPECT_TRUE(allclose(model.forward_exposed_only(x),
+                       loaded.forward_exposed_only(x), 0.0f, 0.0f));
   EXPECT_EQ(model.stage(0).channel_map, loaded.stage(0).channel_map);
 }
 

@@ -152,7 +152,7 @@ TEST(MobileNet, InterfacePruningCascadesThroughDepthwise) {
   Rng rng(9);
   Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
   EXPECT_EQ(tb.forward(x, false).shape(), Shape({1, 4}));
-  EXPECT_EQ(tb.forward_exposed_only(x, false).shape(), Shape({1, 4}));
+  EXPECT_EQ(tb.forward_exposed_only(x).shape(), Shape({1, 4}));
 }
 
 TEST(MobileNet, FullPipelineAndDeployment) {

@@ -106,7 +106,7 @@ TEST(ModelZoo, TwoBranchVggExposedInheritsVictimWeights) {
   Rng rng(2);
   Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
   // M_R alone IS the victim at initialization (paper step 1).
-  EXPECT_TRUE(allclose(tb.forward_exposed_only(x, false),
+  EXPECT_TRUE(allclose(tb.forward_exposed_only(x),
                        victim.forward(x, false), 1e-5f, 1e-5f));
   // M_T has the same architecture but fresh weights: same output shape,
   // different values.
@@ -136,7 +136,7 @@ TEST(ModelZoo, TwoBranchResNetExposedDropsSkips) {
   // conv weights.
   Rng rng(3);
   Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
-  EXPECT_EQ(tb.forward_exposed_only(x, false).shape(), Shape({1, 10}));
+  EXPECT_EQ(tb.forward_exposed_only(x).shape(), Shape({1, 10}));
   auto* victim_block = dynamic_cast<nn::ResidualBlock*>(&victim.layer(1));
   auto* exposed_block = dynamic_cast<nn::Sequential*>(tb.stage(1).exposed.get());
   ASSERT_NE(victim_block, nullptr);

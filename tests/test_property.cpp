@@ -38,7 +38,7 @@ TEST_P(SeedSweep, TwoBranchInitializationInvariants) {
 
   Rng rng(seed ^ 1);
   Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
-  EXPECT_TRUE(allclose(tb.forward_exposed_only(x, false),
+  EXPECT_TRUE(allclose(tb.forward_exposed_only(x),
                        victim.forward(x, false), 1e-5f, 1e-5f));
   for (const auto& p : models::prune_points(cfg)) {
     const auto rp = core::resolve_point(tb, p);

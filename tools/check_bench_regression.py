@@ -74,9 +74,7 @@ METADATA_KEYS = frozenset({
     "int8_geomean_vs_f32", "micro_roofline_gflops", "thread_scaling",
     "nested_scaling",
     # BENCH_serving.json
-    "model", "stages", "device_timing", "workspace_bytes", "sweep",
-    "server", "server_workers", "speedup_batch16_vs_batch1",
-    "speedup_workers2_vs_1",
+    "model", "stages", "device_timing",
     # width_cap is descriptive: the capped-vs-uncapped ratio only means
     # something on >= 2 hardware threads, so CI notes it warn-only instead
     # of gating a 1-vCPU runner's noise.
