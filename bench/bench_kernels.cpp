@@ -7,12 +7,10 @@
 // 1/2/4-thread scaling sweep on large shapes, nested-parallel_for scaling
 // (work-stealing vs the inline-serial path), fused-lowering vs materialized
 // conv timings (with the fused call's panel-build time and arena
-// footprints), depthwise row-kernel timings (SIMD vs scalar reference, and
-// fused dw→pw vs back-to-back layers), fused-epilogue conv timings, and
-// training-mode layer timings (ReLU, BatchNorm2d, conv backward). The
-// shape list is the im2col GEMMs a CIFAR-scale ResNet victim actually
-// produces, so the speedup column tracks the serving-relevant sizes rather
-// than only square LINPACK-style GEMMs.
+// footprints), fused-epilogue conv timings, and training-mode layer timings
+// (ReLU, BatchNorm2d, conv backward). The shape list is the im2col GEMMs a
+// CIFAR-scale ResNet victim actually produces, so the speedup column tracks
+// the serving-relevant sizes rather than only square LINPACK-style GEMMs.
 //
 // Usage: bench_kernels [--quick]
 //   --quick  small shapes / fewer reps; the CI smoke configuration.
@@ -30,8 +28,6 @@
 
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "nn/depthwise.h"
-#include "nn/fuse.h"
 #include "nn/quant.h"
 #include "nn/sequential.h"
 #include "nn/activations.h"
@@ -380,125 +376,6 @@ LowerPoint bench_lowering(const LowerShape& ls, int reps) {
   return p;
 }
 
-struct DwShape {
-  const char* name;
-  int64_t channels, hw, stride;
-  bool quick;
-};
-
-// MobileNet-style 3x3 depthwise maps; stride 2 exercises the deinterleaved
-// vector loads.
-const DwShape kDwShapes[] = {
-    {"dw3x3_32c_32x32_s1", 32, 32, 1, true},
-    {"dw3x3_64c_16x16_s1", 64, 16, 1, false},
-    {"dw3x3_32c_32x32_s2", 32, 32, 2, true},
-    {"dw3x3_128c_8x8_s1", 128, 8, 1, false},
-};
-
-struct DwPoint {
-  const char* name;
-  double flops = 0.0;
-  double scalar_ms = 0.0;
-  double simd_ms = 0.0;
-};
-
-/// Depthwise row kernel vs the scalar per-pixel reference, single image,
-/// fused per-channel affine + ReLU on both sides (the deployed shape).
-DwPoint bench_depthwise(const DwShape& ds, int reps) {
-  Rng rng(66);
-  nn::DepthwiseConv2d dw(
-      ds.channels, {.kernel = 3, .stride = ds.stride, .pad = 1, .bias = false},
-      rng);
-  const Tensor x = Tensor::randn(Shape{1, ds.channels, ds.hw, ds.hw}, rng);
-  std::vector<float> scale(static_cast<size_t>(ds.channels), 0.9f);
-  std::vector<float> shift(static_cast<size_t>(ds.channels), 0.05f);
-  ExecutionContext ctx;
-  const int64_t out_hw = (ds.hw + 2 - 3) / ds.stride + 1;
-  DwPoint p;
-  p.name = ds.name;
-  p.flops = 2.0 * static_cast<double>(ds.channels * out_hw * out_hw * 9);
-  auto best_ms = [&](auto&& fn) {
-    fn();  // warmup
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      for (int i = 0; i < 8; ++i) fn();
-      best = std::min(best, seconds_since(t0) / 8.0 * 1e3);
-    }
-    return best;
-  };
-  p.scalar_ms = best_ms([&] {
-    dw.forward_reference(ctx, x, scale.data(), shift.data(),
-                         simd::Act::kReLU);
-  });
-  p.simd_ms = best_ms([&] {
-    dw.forward_fused(ctx, x, scale.data(), shift.data(), simd::Act::kReLU);
-  });
-  return p;
-}
-
-struct DwPwShape {
-  const char* name;
-  int64_t channels, out_c, hw, stride;
-  bool quick;
-};
-
-const DwPwShape kDwPwShapes[] = {
-    {"dwpw_32to64_32x32_s1", 32, 64, 32, 1, true},
-    {"dwpw_64to128_16x16_s1", 64, 128, 16, 1, false},
-    {"dwpw_32to64_32x32_s2", 32, 64, 32, 2, false},
-};
-
-struct DwPwPoint {
-  const char* name;
-  double flops = 0.0;
-  double unfused_ms = 0.0;
-  double fused_ms = 0.0;
-};
-
-/// Fused depthwise→pointwise (panel producer, no intermediate map) vs
-/// running the two fused layers back to back. Both use the pre-packed
-/// pointwise weight, so the delta is the intermediate materialization.
-DwPwPoint bench_dwpw(const DwPwShape& s, int reps) {
-  Rng rng(67);
-  nn::DepthwiseConv2d dw(
-      s.channels, {.kernel = 3, .stride = s.stride, .pad = 1, .bias = false},
-      rng);
-  nn::Conv2d pw(s.channels, s.out_c,
-                {.kernel = 1, .stride = 1, .pad = 0, .bias = false}, rng);
-  const Tensor x = Tensor::randn(Shape{1, s.channels, s.hw, s.hw}, rng);
-  ExecutionContext weights_ctx;
-  pw.prepare_inference(weights_ctx);
-  ExecutionContext ctx;
-  const int64_t out_hw = (s.hw + 2 - 3) / s.stride + 1;
-  DwPwPoint p;
-  p.name = s.name;
-  p.flops = 2.0 * static_cast<double>(s.channels * out_hw * out_hw) *
-            static_cast<double>(9 + s.out_c);
-  auto best_ms = [&](auto&& fn) {
-    fn();  // warmup
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      for (int i = 0; i < 8; ++i) fn();
-      best = std::min(best, seconds_since(t0) / 8.0 * 1e3);
-    }
-    return best;
-  };
-  p.unfused_ms = best_ms([&] {
-    const Tensor mid =
-        dw.forward_fused(ctx, x, nullptr, nullptr, simd::Act::kReLU);
-    pw.forward_fused(ctx, mid, nullptr, nullptr, simd::Act::kReLU);
-  });
-  p.fused_ms = best_ms([&] {
-    GemmEpilogue ep;
-    ep.act = simd::Act::kReLU;
-    nn::forward_depthwise_pointwise(ctx, x, dw, nullptr, nullptr,
-                                    simd::Act::kReLU, pw, ep);
-  });
-  return p;
-}
-
 struct ConvPoint {
   const char* name;
   double unfused_ms = 0.0;
@@ -775,42 +652,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(p.fused_arena_kb),
         static_cast<long long>(p.materialized_arena_kb),
         static_cast<long long>(p.int8_arena_kb));
-    first = false;
-  }
-  std::printf("\n  ],\n");
-
-  // Depthwise: SIMD row kernel vs scalar reference, and fused dw→pw vs the
-  // two layers back to back. `flops` rides along so the regression gate can
-  // apply its min-flop noise floor uniformly.
-  std::printf("  \"depthwise\": [\n");
-  first = true;
-  for (const DwShape& ds : kDwShapes) {
-    if (quick && !ds.quick) continue;
-    const DwPoint p = bench_depthwise(ds, reps);
-    std::printf(
-        "%s    {\"name\": \"%s\", \"channels\": %lld, \"hw\": %lld, "
-        "\"stride\": %lld, \"flops\": %.0f, \"scalar_ms\": %.4f, "
-        "\"simd_ms\": %.4f, \"speedup\": %.2f}",
-        first ? "" : ",\n", p.name, static_cast<long long>(ds.channels),
-        static_cast<long long>(ds.hw), static_cast<long long>(ds.stride),
-        p.flops, p.scalar_ms, p.simd_ms, p.scalar_ms / p.simd_ms);
-    first = false;
-  }
-  std::printf("\n  ],\n");
-
-  std::printf("  \"depthwise_fused\": [\n");
-  first = true;
-  for (const DwPwShape& s : kDwPwShapes) {
-    if (quick && !s.quick) continue;
-    const DwPwPoint p = bench_dwpw(s, reps);
-    std::printf(
-        "%s    {\"name\": \"%s\", \"channels\": %lld, \"out_c\": %lld, "
-        "\"hw\": %lld, \"stride\": %lld, \"flops\": %.0f, "
-        "\"unfused_ms\": %.4f, \"fused_ms\": %.4f, \"speedup\": %.2f}",
-        first ? "" : ",\n", p.name, static_cast<long long>(s.channels),
-        static_cast<long long>(s.out_c), static_cast<long long>(s.hw),
-        static_cast<long long>(s.stride), p.flops, p.unfused_ms, p.fused_ms,
-        p.unfused_ms / p.fused_ms);
     first = false;
   }
   std::printf("\n  ],\n");

@@ -8,7 +8,6 @@
 
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
 
@@ -18,7 +17,6 @@ namespace {
 using nn::BatchNorm2d;
 using nn::Conv2d;
 using nn::Dense;
-using nn::DepthwiseConv2d;
 using nn::ResidualBlock;
 using nn::Sequential;
 
@@ -60,19 +58,6 @@ void shrink_consumer(nn::Layer* block, const std::vector<int64_t>& keep) {
         "path pins its input width)");
   }
   auto* seq = as_sequential(block, "interface consumer");
-  if (auto* dw = find_nth_layer<DepthwiseConv2d>(*seq, 0)) {
-    // Depthwise-separable consumer: the depthwise conv's channel set IS its
-    // input set, so the following BN and the pointwise conv's inputs shrink
-    // with it.
-    dw->select_channels(keep);
-    if (auto* bn = find_nth_layer<BatchNorm2d>(*seq, 0)) {
-      bn->select_channels(keep);
-    }
-    if (auto* pw = find_nth_layer<Conv2d>(*seq, 0)) {
-      pw->select_in_channels(keep);
-    }
-    return;
-  }
   if (auto* conv = find_nth_layer<Conv2d>(*seq, 0)) {
     conv->select_in_channels(keep);
     return;

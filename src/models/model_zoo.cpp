@@ -8,7 +8,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
 #include "nn/flatten.h"
 #include "nn/pool.h"
 #include "nn/residual.h"
@@ -100,33 +99,6 @@ Sequential head_stage(int64_t in_c, int64_t hidden, int64_t classes,
   return s;
 }
 
-/// One depthwise-separable block: DW(3x3, s) - BN - ReLU - PW(1x1) - BN -
-/// ReLU (MobileNet v1 style).
-Sequential separable_stage(int64_t in_c, int64_t out_c, int64_t stride,
-                           Rng& rng) {
-  Sequential s;
-  nn::DepthwiseConv2d::Options dw{.kernel = 3, .stride = stride, .pad = 1};
-  s.emplace<nn::DepthwiseConv2d>(in_c, dw, rng);
-  s.emplace<BatchNorm2d>(in_c);
-  s.emplace<ReLU>();
-  Conv2d::Options pw{.kernel = 1, .stride = 1, .pad = 0, .bias = false};
-  s.emplace<Conv2d>(in_c, out_c, pw, rng);
-  s.emplace<BatchNorm2d>(out_c);
-  s.emplace<ReLU>();
-  return s;
-}
-
-/// MobileNet block plan: (out_channels, stride) per separable block.
-std::vector<std::pair<int64_t, int64_t>> mobilenet_plan(int blocks) {
-  if (blocks < 2 || blocks > 10) {
-    throw std::invalid_argument("mobilenet_plan: blocks must be in [2, 10]");
-  }
-  const std::vector<std::pair<int64_t, int64_t>> full = {
-      {64, 1}, {128, 2}, {128, 1}, {256, 2}, {256, 1},
-      {512, 2}, {512, 1}, {512, 1}, {1024, 2}, {1024, 1}};
-  return {full.begin(), full.begin() + blocks};
-}
-
 Sequential resnet_stem(int64_t in_c, int64_t out_c, Rng& rng) {
   Sequential s;
   Conv2d::Options opt{.kernel = 3, .stride = 1, .pad = 1, .bias = false};
@@ -155,20 +127,6 @@ std::vector<std::unique_ptr<nn::Layer>> build_stages(const ModelConfig& cfg,
     const int64_t hidden = (cfg.depth == 18) ? scaled(512, cfg.width_mult) : 0;
     stages.push_back(std::make_unique<Sequential>(
         head_stage(in_c, hidden, cfg.classes, rng)));
-  } else if (cfg.family == Family::kMobileNet) {
-    const auto plan = mobilenet_plan(cfg.depth);
-    const int64_t stem_c = scaled(32, cfg.width_mult);
-    stages.push_back(std::make_unique<Sequential>(
-        resnet_stem(cfg.in_channels, stem_c, rng)));  // conv-bn-relu stem
-    int64_t in_c = stem_c;
-    for (const auto& [channels, stride] : plan) {
-      const int64_t out_c = scaled(channels, cfg.width_mult);
-      stages.push_back(std::make_unique<Sequential>(
-          separable_stage(in_c, out_c, stride, rng)));
-      in_c = out_c;
-    }
-    stages.push_back(std::make_unique<Sequential>(
-        head_stage(in_c, /*hidden=*/0, cfg.classes, rng)));
   } else {
     const ResNetPlan plan = resnet_plan(cfg.depth);
     const int64_t w0 = scaled(plan.widths[0], cfg.width_mult);
@@ -195,7 +153,6 @@ std::vector<std::unique_ptr<nn::Layer>> build_stages(const ModelConfig& cfg,
 std::string ModelConfig::name() const {
   const char* prefix = "VGG";
   if (family == Family::kResNet) prefix = "ResNet";
-  if (family == Family::kMobileNet) prefix = "MobileNet-";
   std::string base = prefix + std::to_string(depth);
   if (width_mult != 1.0) {
     base += " (w=" + std::to_string(width_mult).substr(0, 4) + ")";
@@ -209,9 +166,6 @@ int num_stages(const ModelConfig& cfg) {
     int convs = 0;
     for (int64_t p : plan) convs += (p != kPool);
     return convs + 1;
-  }
-  if (cfg.family == Family::kMobileNet) {
-    return 1 + cfg.depth + 1;  // stem + separable blocks + head
   }
   const ResNetPlan plan = resnet_plan(cfg.depth);
   return 1 + plan.blocks_per_group * static_cast<int>(plan.widths.size()) + 1;
@@ -259,10 +213,8 @@ core::TwoBranchModel build_two_branch(const nn::Sequential& victim,
 std::vector<core::PrunePoint> prune_points(const ModelConfig& cfg) {
   std::vector<PrunePoint> points;
   const int stages = num_stages(cfg);
-  if (cfg.family == Family::kVgg || cfg.family == Family::kMobileNet) {
-    // Every conv / separable stage's output channels form a prunable fusion
-    // interface (for separable blocks the interface is the pointwise conv's
-    // output; the consumer's depthwise conv shrinks with it).
+  if (cfg.family == Family::kVgg) {
+    // Every conv stage's output channels form a prunable fusion interface.
     for (int i = 0; i + 1 < stages; ++i) {
       points.push_back({PrunePoint::Kind::kInterface, i});
     }

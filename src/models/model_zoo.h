@@ -15,12 +15,11 @@
 
 namespace tbnet::models {
 
-enum class Family { kVgg, kResNet, kMobileNet };
+enum class Family { kVgg, kResNet };
 
 struct ModelConfig {
   Family family = Family::kVgg;
   /// VGG: 11/13/16/18 (18 = 16 conv + 2 dense). ResNet: 20/32.
-  /// MobileNet: number of depthwise-separable blocks (4-8).
   int depth = 18;
   int64_t classes = 10;
   int64_t in_channels = 3;

@@ -75,12 +75,6 @@ class Conv2d : public Layer {
   /// direct kernels. Decided by the shape and the tier only.
   bool direct() const;
 
-  /// The cached microkernel panels (empty until prepare_inference). External
-  /// drivers that loop the packed GEMM themselves — the fused
-  /// depthwise→pointwise path feeds B panels straight from the depthwise row
-  /// kernel — read the panels through this instead of re-packing per call.
-  const PackedGemm& packed_weight() const { return packed_; }
-
   /// Keeps only the listed output channels (rows of the weight); used when
   /// this layer's own BN channels are pruned.
   void select_out_channels(const std::vector<int64_t>& keep);
@@ -96,19 +90,12 @@ class Conv2d : public Layer {
   void fuse_scale_shift(const float* scale, const float* shift);
 
   /// Attaches int8 quantized weights (nn/quant.h). Every eval forward —
-  /// plain, fused, and the dw→pw producer path — then runs the int8 engine;
-  /// the f32 weight_ is kept untouched as the training / reference fallback.
+  /// plain and fused — then runs the int8 engine; the f32 weight_ is kept
+  /// untouched as the training / reference fallback.
   /// Clears the packed caches (they no longer match the serving path).
   void set_quantized(QuantizedWeights qw);
   bool quantized() const { return !quant_.empty(); }
   const QuantizedWeights& quant() const { return quant_; }
-
-  /// Raw int8 A panels (packdetail::pack_a_i8 layout) once prepared, nullptr
-  /// otherwise — the int8 analogue of packed_weight() for external drivers
-  /// like the fused dw→pw path.
-  const int8_t* packed_quant() const {
-    return qpacked_.empty() ? nullptr : qpacked_.data();
-  }
 
   /// Packs the weight into microkernel panels (cached; see Layer). A
   /// quantized layer packs int8 A panels instead of f32 ones; every int8

@@ -82,7 +82,7 @@ void compose_quant_epilogue(const QuantizedWeights& qw, const float* rs,
 ///   - Conv2d: always eligible;
 ///   - Dense: eligible when out_features >= simd::kNR (narrow logit heads
 ///     stay f32 — they are latency-trivial and accuracy-critical);
-///   - DepthwiseConv2d and everything else: left f32.
+///   - everything else: left f32.
 ///
 /// Each layer is quantized AFTER its own f32 forward, so calibration
 /// statistics downstream are pure f32. Returns the network output of the

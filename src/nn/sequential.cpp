@@ -6,8 +6,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
-#include "nn/fuse.h"
 
 namespace tbnet::nn {
 
@@ -63,48 +61,6 @@ void Sequential::prepare_inference(ExecutionContext& ctx) {
         step.act = simd::Act::kReLU;
         ++j;
       }
-    } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(
-                   layers_[static_cast<size_t>(i)].get())) {
-      if (j < n) {
-        if (auto* bn = dynamic_cast<BatchNorm2d*>(
-                layers_[static_cast<size_t>(j)].get());
-            bn != nullptr && bn->channels() == dw->channels()) {
-          step.bn = j;
-          ++j;
-        }
-      }
-      if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-        step.act = simd::Act::kReLU;
-        ++j;
-      }
-      // MobileNet tail: a following 1x1 stride-1 pad-0 Conv2d over the
-      // same channels joins the step (with its own BN/ReLU), so the
-      // depthwise output feeds the pointwise GEMM's panel producer instead
-      // of materializing. Wider-than-kMaxSimdKernel filters run the scalar
-      // reference kernel and are left unfused.
-      if (j < n && dw->options().kernel <= DepthwiseConv2d::kMaxSimdKernel) {
-        if (auto* pwc = dynamic_cast<Conv2d*>(
-                layers_[static_cast<size_t>(j)].get());
-            pwc != nullptr && pwc->options().kernel == 1 &&
-            pwc->options().stride == 1 && pwc->options().pad == 0 &&
-            pwc->in_channels() == dw->channels()) {
-          step.pw = j;
-          ++j;
-          if (j < n) {
-            if (auto* bn = dynamic_cast<BatchNorm2d*>(
-                    layers_[static_cast<size_t>(j)].get());
-                bn != nullptr && bn->channels() == pwc->out_channels()) {
-              step.pw_bn = j;
-              ++j;
-            }
-          }
-          if (j < n &&
-              dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
-            step.pw_act = simd::Act::kReLU;
-            ++j;
-          }
-        }
-      }
     } else if (dynamic_cast<Dense*>(layers_[static_cast<size_t>(i)].get())) {
       if (j < n && dynamic_cast<ReLU*>(layers_[static_cast<size_t>(j)].get())) {
         step.act = simd::Act::kReLU;
@@ -117,46 +73,23 @@ void Sequential::prepare_inference(ExecutionContext& ctx) {
   }
   // Hoist the BN scale/shift composition out of the per-call path: the
   // model is frozen once prepared, so the composed vectors (including the
-  // head layer's own bias) are computed once here and reused by every
-  // fused eval.
+  // head conv's own bias) are computed once here and reused by every fused
+  // eval. Only a Conv2d head folds a BN.
   for (FusedStep& step : plan_) {
-    if (step.bn >= 0) {
-      auto* bn = static_cast<BatchNorm2d*>(
-          layers_[static_cast<size_t>(step.bn)].get());
-      const int64_t c = bn->channels();
-      step.scale.resize(static_cast<size_t>(c));
-      step.shift.resize(static_cast<size_t>(c));
-      bn->inference_scale_shift(step.scale.data(), step.shift.data());
-      Layer* head = layers_[static_cast<size_t>(step.layer)].get();
-      const float* bias = nullptr;
-      if (auto* conv = dynamic_cast<Conv2d*>(head)) {
-        if (conv->has_bias()) bias = conv->bias().data();
-      } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(head)) {
-        if (dw->has_bias()) bias = dw->bias().data();
-      }
-      if (bias != nullptr) {
-        // y = (head(x) + b) * s + t  =>  shift = b * s + t
-        for (int64_t o = 0; o < c; ++o) {
-          step.shift[static_cast<size_t>(o)] += bias[o] * step.scale[static_cast<size_t>(o)];
-        }
-      }
-    }
-    if (step.pw_bn >= 0) {
-      // Same composition for the pointwise half of a dw→pw step.
-      auto* bn = static_cast<BatchNorm2d*>(
-          layers_[static_cast<size_t>(step.pw_bn)].get());
-      const int64_t c = bn->channels();
-      step.pw_scale.resize(static_cast<size_t>(c));
-      step.pw_shift.resize(static_cast<size_t>(c));
-      bn->inference_scale_shift(step.pw_scale.data(), step.pw_shift.data());
-      auto* pwc = static_cast<Conv2d*>(
-          layers_[static_cast<size_t>(step.pw)].get());
-      if (pwc->has_bias()) {
-        const float* bias = pwc->bias().data();
-        for (int64_t o = 0; o < c; ++o) {
-          step.pw_shift[static_cast<size_t>(o)] +=
-              bias[o] * step.pw_scale[static_cast<size_t>(o)];
-        }
+    if (step.bn < 0) continue;
+    auto* bn =
+        static_cast<BatchNorm2d*>(layers_[static_cast<size_t>(step.bn)].get());
+    const int64_t c = bn->channels();
+    step.scale.resize(static_cast<size_t>(c));
+    step.shift.resize(static_cast<size_t>(c));
+    bn->inference_scale_shift(step.scale.data(), step.shift.data());
+    auto* conv =
+        static_cast<Conv2d*>(layers_[static_cast<size_t>(step.layer)].get());
+    if (conv->has_bias()) {
+      // y = (conv(x) + b) * s + t  =>  shift = b * s + t
+      const float* bias = conv->bias().data();
+      for (int64_t o = 0; o < c; ++o) {
+        step.shift[static_cast<size_t>(o)] += bias[o] * step.scale[static_cast<size_t>(o)];
       }
     }
   }
@@ -182,41 +115,9 @@ Tensor Sequential::forward_prepared(ExecutionContext& ctx,
     if (auto* conv = dynamic_cast<Conv2d*>(layer)) {
       if (shift == nullptr && conv->has_bias()) shift = conv->bias().data();
       x = conv->forward_fused(ctx, x, scale, shift, step.act);
-    } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(layer)) {
-      if (shift == nullptr && dw->has_bias()) shift = dw->bias().data();
-      if (step.pw >= 0) {
-        // dw→pw step: the depthwise rows feed the pointwise GEMM's B-panel
-        // producer; both layers' BN/activation ride their own epilogues.
-        auto* pwc = static_cast<Conv2d*>(
-            layers_[static_cast<size_t>(step.pw)].get());
-        const float* pw_scale =
-            step.pw_bn >= 0 ? step.pw_scale.data() : nullptr;
-        const float* pw_shift = step.pw_bn >= 0 ? step.pw_shift.data()
-                                : pwc->has_bias() ? pwc->bias().data()
-                                                  : nullptr;
-        // Shape-dependent dispatch: producer fusion loses on shallow wide
-        // maps (fuse.h), so those run the two fused layers back to back —
-        // bit-identical either way, the gate is latency-only. The plan
-        // cannot decide this: input spatial dims are unknown at prepare.
-        const Shape dw_os = dw->out_shape(x.shape());
-        if (fuse_dw_pw_profitable(dw->channels(),
-                                  dw_os.dim(2) * dw_os.dim(3))) {
-          GemmEpilogue ep;
-          ep.row_scale = pw_scale;
-          ep.row_shift = pw_shift;
-          ep.act = step.pw_act;
-          x = forward_depthwise_pointwise(ctx, x, *dw, scale, shift, step.act,
-                                          *pwc, ep);
-        } else {
-          const Tensor mid = dw->forward_fused(ctx, x, scale, shift, step.act);
-          x = pwc->forward_fused(ctx, mid, pw_scale, pw_shift, step.pw_act);
-        }
-      } else {
-        x = dw->forward_fused(ctx, x, scale, shift, step.act);
-      }
     } else {
-      // The planner only folds layers behind Conv2d/DepthwiseConv2d/Dense,
-      // so a multi-layer step's head is one of the three.
+      // The planner only folds layers behind Conv2d/Dense, so a multi-layer
+      // step's head is one of the two.
       x = static_cast<Dense*>(layer)->forward_fused(ctx, x, step.act);
     }
   }

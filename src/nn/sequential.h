@@ -61,40 +61,27 @@ class Sequential : public Layer {
   int64_t macs(const Shape& in) const override;
   int64_t param_bytes() const override;
 
-  /// Builds the fusion plan — [Conv2d|DepthwiseConv2d] (+BatchNorm2d)
-  /// (+ReLU) and Dense (+ReLU) runs collapse into one fused step, and a
-  /// DepthwiseConv2d run followed by a 1x1 stride-1 pad-0 Conv2d run fuses
-  /// further into a single depthwise→pointwise step whose intermediate map
-  /// is never materialized (nn/fuse.h) — then recurses so children pack
-  /// their weights. Eval-mode forward follows the plan; train-mode forward
-  /// and un-prepared Sequentials are unchanged. Mutating the container (add)
-  /// or copying/cloning it drops the plan.
+  /// Builds the fusion plan — Conv2d (+BatchNorm2d) (+ReLU) and Dense
+  /// (+ReLU) runs collapse into one fused step — then recurses so children
+  /// pack their weights. Eval-mode forward follows the plan; train-mode
+  /// forward and un-prepared Sequentials are unchanged. Mutating the
+  /// container (add) or copying/cloning it drops the plan.
   void prepare_inference(ExecutionContext& ctx) override;
 
  private:
   /// One step of the fusion plan: run layers_[layer] with `consumed`
-  /// following layers folded into its epilogue. A DepthwiseConv2d head may
-  /// additionally absorb a following 1x1 Conv2d (and ITS BN/ReLU): the step
-  /// then runs forward_depthwise_pointwise, feeding depthwise rows straight
-  /// into the pointwise GEMM's B-panel producer so the intermediate NCHW
-  /// tensor never materializes.
+  /// following layers folded into its epilogue.
   struct FusedStep {
     int layer = 0;
     int consumed = 1;    ///< total layers this step advances past
     int bn = -1;         ///< index of the folded BatchNorm2d, -1 = none
     simd::Act act = simd::Act::kNone;
-    int pw = -1;         ///< index of a fused pointwise Conv2d, -1 = none
-    int pw_bn = -1;      ///< BatchNorm folded into the pointwise epilogue
-    simd::Act pw_act = simd::Act::kNone;
     /// Composed per-channel epilogue affine, cached at prepare time when a
     /// BN is folded in: scale = gamma / sqrt(var + eps), shift = the BN
-    /// shift with the head layer's own bias pre-composed. The model is
+    /// shift with the head conv's own bias pre-composed. The model is
     /// frozen after prepare_inference (see Layer), so recomputing these per
-    /// eval call would be pure waste; empty when bn < 0. The pw_* pair is
-    /// the same composition for the fused pointwise conv (empty when
-    /// pw_bn < 0).
+    /// eval call would be pure waste; empty when bn < 0.
     std::vector<float> scale, shift;
-    std::vector<float> pw_scale, pw_shift;
   };
 
   Tensor forward_prepared(ExecutionContext& ctx, const Tensor& input);

@@ -9,7 +9,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
 #include "nn/flatten.h"
 #include "nn/pool.h"
 #include "nn/residual.h"
@@ -151,14 +150,6 @@ void save_layer_body(std::vector<uint8_t>& out, const Layer& layer) {
       put_tensor(out, conv->weight());
     }
     if (conv->has_bias()) put_tensor(out, conv->bias());
-  } else if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer)) {
-    put_i64(out, dw->channels());
-    put_i64(out, dw->options().kernel);
-    put_i64(out, dw->options().stride);
-    put_i64(out, dw->options().pad);
-    put_u32(out, dw->has_bias() ? 1 : 0);
-    put_tensor(out, dw->weight());
-    if (dw->has_bias()) put_tensor(out, dw->bias());
   } else if (const auto* bn = dynamic_cast<const BatchNorm2d*>(&layer)) {
     put_i64(out, bn->channels());
     put_f32(out, bn->eps());
@@ -250,20 +241,6 @@ std::unique_ptr<Layer> parse_body(ByteReader& r) {
     auto conv = std::make_unique<Conv2d>(opt, std::move(weight), std::move(bias));
     if (quantized) conv->set_quantized(std::move(qw));
     return conv;
-  }
-  if (kind == "DepthwiseConv2d") {
-    const int64_t channels = r.i64(kField);
-    DepthwiseConv2d::Options opt;
-    opt.kernel = r.i64(kField);
-    opt.stride = r.i64(kField);
-    opt.pad = r.i64(kField);
-    opt.bias = r.u32(kField) != 0;
-    param_bytes(r, {channels, opt.kernel, opt.kernel}, sizeof(float));
-    check_window(opt.kernel, opt.stride, opt.pad);
-    Tensor weight = read_tensor(r, Shape{channels, opt.kernel, opt.kernel});
-    Tensor bias = opt.bias ? read_tensor(r, Shape{channels}) : Tensor();
-    return std::make_unique<DepthwiseConv2d>(opt, std::move(weight),
-                                             std::move(bias));
   }
   if (kind == "BatchNorm2d") {
     const int64_t c = r.i64(kField);

@@ -49,9 +49,10 @@ class IntegrityError : public std::runtime_error {
 ///       body, so the root frame doubles as a whole-image checksum. Loaders
 ///       verify every frame and throw IntegrityError on mismatch.
 /// Writers emit v4 and the loaders read v4 only: a TA image is hostile
-/// input, and v1–v3 carried no checksums. The loader reads the ten kinds
-/// this library writes (Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU,
-/// MaxPool2d, GlobalAvgPool2d, Flatten, Dense, Sequential, ResidualBlock).
+/// input, and v1–v3 carried no checksums. The loader reads the nine kinds
+/// this library writes (Conv2d, BatchNorm2d, ReLU, MaxPool2d,
+/// GlobalAvgPool2d, Flatten, Dense, Sequential, ResidualBlock) and rejects
+/// any other kind with std::runtime_error.
 /// It reads through one bounded ByteReader (tensor/bytes.h) and checks every
 /// section length, tensor shape and layer parameter count against the bytes
 /// actually left before it allocates or builds anything. Each layer is then

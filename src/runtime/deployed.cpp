@@ -302,8 +302,7 @@ int64_t backoff_ceil_us(int attempt) {
 }
 
 /// Clones one branch block for deployment, folding inference-mode BatchNorm
-/// into the adjacent convs — including depthwise convs since the model format
-/// grew a depthwise bias (nn/fuse.h).
+/// into the adjacent convs (nn/fuse.h).
 std::unique_ptr<nn::Layer> deployment_clone(const nn::Layer& block) {
   std::unique_ptr<nn::Layer> copy = block.clone();
   if (auto* seq = dynamic_cast<nn::Sequential*>(copy.get())) {

@@ -99,9 +99,7 @@ inline constexpr int64_t kRecordLabels = 4;
 /// Deployment is also where the compute graph freezes: both branches' blocks
 /// are cloned, inference-mode BatchNorm is folded into the adjacent conv
 /// weights (nn/fuse.h), remaining conv/dense+activation runs fuse into GEMM
-/// epilogues, depthwise→pointwise (MobileNet separable) pairs fuse into a
-/// single producer-fed GEMM whose intermediate map never materializes, and
-/// weights are pre-packed into microkernel panels
+/// epilogues, and weights are pre-packed into microkernel panels
 /// (Layer::prepare_inference). The engine therefore matches the in-process
 /// TwoBranchModel::forward to ~1e-6 relative error, not bitwise, in both
 /// kernel modes: TBNET_DETERMINISTIC=1 selects the scalar tier, whose bits

@@ -101,9 +101,7 @@ void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
 /// [kk, kk+kc) and columns [j0, j0+nr), laid out [kc][kNR] at `panel` with
 /// columns [nr, kNR) zero-filled. This is how the hot paths feed the driver
 /// without ever materializing the right operand: the conv producer reads
-/// straight from the padded CHW image (im2col_pack_panel), and the fused
-/// depthwise→pointwise producer (nn/fuse.h) computes depthwise output rows
-/// into the panel with the SIMD row kernel (simd::dw_row_kernel).
+/// straight from the padded CHW image (im2col_pack_panel).
 using PanelProducer = std::function<void(int64_t kk, int64_t kc, int64_t j0,
                                          int nr, float* panel)>;
 

@@ -90,98 +90,6 @@ float dot_scalar(const float* a, const float* b, int64_t n) {
   return acc;
 }
 
-// ------------------------------------------------------- depthwise rows --
-
-/// Output-column range [lo, hi) of [0, n) whose taps are all horizontally in
-/// bounds — the steady state the vector loops run with no per-pixel checks.
-struct DwInterior {
-  int64_t lo, hi;
-};
-
-/// Bounds of the zero-staged narrow-row fast path (stack buffer sizing).
-constexpr int64_t kDwStageWidth = 32;
-constexpr int64_t kDwStageRows = 16;
-
-DwInterior dw_interior(int64_t kw, int64_t iw, int64_t pad_w, int64_t stride_w,
-                       int64_t ox0, int64_t n) {
-  // ox is interior iff ox*stride - pad >= 0 and ox*stride - pad + kw <= iw.
-  const int64_t ox_lo = (pad_w + stride_w - 1) / stride_w;
-  const int64_t span = iw - kw + pad_w;  // max interior ox*stride
-  DwInterior r;
-  r.lo = std::clamp<int64_t>(ox_lo - ox0, 0, n);
-  r.hi = span < 0 ? r.lo : std::clamp<int64_t>(span / stride_w + 1 - ox0, r.lo, n);
-  return r;
-}
-
-/// Border pixel, FMA chain: out-of-bounds taps and null rows are skipped, so
-/// the chain for valid taps matches the vector lanes' (which only ever see
-/// all-valid taps) tap for tap. std::fmaf rounds identically to vector FMA.
-inline float dw_pixel_fmaf(const float* const* rows, int64_t kh,
-                           const float* taps, int64_t kw, int64_t iw,
-                           int64_t ix0) {
-  float acc = 0.0f;
-  for (int64_t ky = 0; ky < kh; ++ky) {
-    const float* row = rows[ky];
-    if (row == nullptr) continue;
-    for (int64_t kx = 0; kx < kw; ++kx) {
-      const int64_t ix = ix0 + kx;
-      if (ix < 0 || ix >= iw) continue;
-      acc = std::fmaf(row[ix], taps[ky * kw + kx], acc);
-    }
-  }
-  return acc;
-}
-
-/// Border pixel, plain multiply-add — the scalar ISA's chain (matches its
-/// interior loop; no forced FMA, see micro_scalar).
-inline float dw_pixel_muladd(const float* const* rows, int64_t kh,
-                             const float* taps, int64_t kw, int64_t iw,
-                             int64_t ix0) {
-  float acc = 0.0f;
-  for (int64_t ky = 0; ky < kh; ++ky) {
-    const float* row = rows[ky];
-    if (row == nullptr) continue;
-    for (int64_t kx = 0; kx < kw; ++kx) {
-      const int64_t ix = ix0 + kx;
-      if (ix < 0 || ix >= iw) continue;
-      acc += row[ix] * taps[ky * kw + kx];
-    }
-  }
-  return acc;
-}
-
-/// Portable fallback: plain multiply-add with an interior/border split so
-/// even the scalar ISA skips per-pixel bounds checks in the steady state.
-void dw_row_scalar(const float* const* rows, int64_t kh, const float* taps,
-                   int64_t kw, int64_t iw, int64_t pad_w, int64_t stride_w,
-                   int64_t ox0, int64_t n, float scale, float shift, Act act,
-                   float* out) {
-  const DwInterior in = dw_interior(kw, iw, pad_w, stride_w, ox0, n);
-  int64_t t = 0;
-  for (; t < in.lo; ++t) {
-    const float acc = dw_pixel_muladd(rows, kh, taps, kw, iw,
-                                      (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(acc * scale + shift, act);
-  }
-  for (; t < in.hi; ++t) {
-    const int64_t ix0 = (ox0 + t) * stride_w - pad_w;
-    float acc = 0.0f;
-    for (int64_t ky = 0; ky < kh; ++ky) {
-      const float* row = rows[ky];
-      if (row == nullptr) continue;
-      for (int64_t kx = 0; kx < kw; ++kx) {
-        acc += row[ix0 + kx] * taps[ky * kw + kx];
-      }
-    }
-    out[t] = apply_act(acc * scale + shift, act);
-  }
-  for (; t < n; ++t) {
-    const float acc = dw_pixel_muladd(rows, kh, taps, kw, iw,
-                                      (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(acc * scale + shift, act);
-  }
-}
-
 // --------------------------------------------------- masked panel rows --
 
 /// Plane offset of segment s's input row at tap row kh, or -1 where that
@@ -417,168 +325,6 @@ __attribute__((target("avx2,fma"))) float dot_avx2(const float* a,
                 ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
   for (; i < n; ++i) total = std::fmaf(a[i], b[i], total);
   return total;
-}
-
-/// Even lanes of 16 consecutive floats: p[0], p[2], ..., p[14] — the
-/// stride-2 gather. NOTE: reads p[15] too (one float past the last used
-/// element); the caller backs the vector range off where that would leave
-/// the input row.
-__attribute__((target("avx2,fma"))) inline __m256 dw_load_even(
-    const float* p) {
-  const __m256 lo = _mm256_loadu_ps(p);
-  const __m256 hi = _mm256_loadu_ps(p + 8);
-  // [lo0 lo2 hi0 hi2 | lo4 lo6 hi4 hi6] -> reorder 64-bit pairs to
-  // [lo0 lo2 lo4 lo6 hi0 hi2 hi4 hi6].
-  const __m256 ev = _mm256_shuffle_ps(lo, hi, 0x88);
-  return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(ev), 0xD8));
-}
-
-/// AVX2 depthwise row kernel: 8 output pixels per vector, per-lane FMA chain
-/// in tap order (bit-compatible with the fmaf border path). Interior runs
-/// vectorized for stride 1 (with a fully-unrolled 3x3 form) and stride 2
-/// (deinterleaved loads); other strides keep the scalar-fmaf loop, which is
-/// still chain-compatible.
-__attribute__((target("avx2,fma"))) void dw_row_avx2(
-    const float* const* rows, int64_t kh, const float* taps, int64_t kw,
-    int64_t iw, int64_t pad_w, int64_t stride_w, int64_t ox0, int64_t n,
-    float scale, float shift, Act act, float* out) {
-  const DwInterior in = dw_interior(kw, iw, pad_w, stride_w, ox0, n);
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vshift = _mm256_set1_ps(shift);
-  int64_t t = 0;
-  if (stride_w == 1 && n >= 8 && in.hi - in.lo < 8 && n <= kDwStageWidth &&
-      kh <= kDwStageRows && kw <= kDwStageRows) {
-    // Narrow row (MobileNet tail maps: 8x8 and friends): the all-in-bounds
-    // interior is shorter than one vector, so the split above would compute
-    // every pixel scalar. Stage each tap row's segment into a zero-padded
-    // stack buffer instead and run the vector chain over the whole row:
-    // a staged 0 contributes exactly nothing to a lane (the accumulator
-    // starts at +0 and additions can never produce -0, so fma(0, k, acc)
-    // == acc bitwise), which keeps the bits identical to the skip-based
-    // border path.
-    alignas(32) float staged[kDwStageRows][kDwStageWidth + kDwStageRows];
-    const int64_t width = n + kw - 1;
-    for (int64_t ky = 0; ky < kh; ++ky) {
-      const float* row = rows[ky];
-      if (row == nullptr) continue;
-      for (int64_t i = 0; i < width; ++i) {
-        const int64_t ix = ox0 - pad_w + i;
-        staged[ky][i] = ix >= 0 && ix < iw ? row[ix] : 0.0f;
-      }
-    }
-    for (; t + 8 <= n; t += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (int64_t ky = 0; ky < kh; ++ky) {
-        if (rows[ky] == nullptr) continue;
-        for (int64_t kx = 0; kx < kw; ++kx) {
-          acc = _mm256_fmadd_ps(_mm256_loadu_ps(staged[ky] + t + kx),
-                                _mm256_broadcast_ss(taps + ky * kw + kx), acc);
-        }
-      }
-      __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
-      if (act == Act::kReLU) {
-        v = _mm256_max_ps(v, _mm256_setzero_ps());
-      }
-      _mm256_storeu_ps(out + t, v);
-    }
-    for (; t < n; ++t) {
-      const float acc =
-          dw_pixel_fmaf(rows, kh, taps, kw, iw, (ox0 + t) - pad_w);
-      out[t] = apply_act(std::fmaf(acc, scale, shift), act);
-    }
-    return;
-  }
-  for (; t < in.lo; ++t) {
-    const float acc = dw_pixel_fmaf(rows, kh, taps, kw, iw,
-                                    (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(std::fmaf(acc, scale, shift), act);
-  }
-  if (stride_w == 1) {
-    const int64_t base = ox0 - pad_w;
-    if (kh == 3 && kw == 3 && rows[0] != nullptr && rows[1] != nullptr &&
-        rows[2] != nullptr) {
-      // Steady-state 3x3: nine tap broadcasts live in registers across the
-      // whole row; the loop body is 9 FMAs + 9 (overlapping) loads.
-      const float* r0 = rows[0];
-      const float* r1 = rows[1];
-      const float* r2 = rows[2];
-      const __m256 k00 = _mm256_broadcast_ss(taps + 0);
-      const __m256 k01 = _mm256_broadcast_ss(taps + 1);
-      const __m256 k02 = _mm256_broadcast_ss(taps + 2);
-      const __m256 k10 = _mm256_broadcast_ss(taps + 3);
-      const __m256 k11 = _mm256_broadcast_ss(taps + 4);
-      const __m256 k12 = _mm256_broadcast_ss(taps + 5);
-      const __m256 k20 = _mm256_broadcast_ss(taps + 6);
-      const __m256 k21 = _mm256_broadcast_ss(taps + 7);
-      const __m256 k22 = _mm256_broadcast_ss(taps + 8);
-      for (; t + 8 <= in.hi; t += 8) {
-        const int64_t ix = base + t;
-        __m256 acc = _mm256_fmadd_ps(_mm256_loadu_ps(r0 + ix), k00,
-                                     _mm256_setzero_ps());
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r0 + ix + 1), k01, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r0 + ix + 2), k02, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r1 + ix), k10, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r1 + ix + 1), k11, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r1 + ix + 2), k12, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + ix), k20, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + ix + 1), k21, acc);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + ix + 2), k22, acc);
-        __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
-        if (act == Act::kReLU) {
-          v = _mm256_max_ps(v, _mm256_setzero_ps());
-        }
-        _mm256_storeu_ps(out + t, v);
-      }
-    } else {
-      for (; t + 8 <= in.hi; t += 8) {
-        const int64_t ix = base + t;
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t ky = 0; ky < kh; ++ky) {
-          const float* row = rows[ky];
-          if (row == nullptr) continue;
-          for (int64_t kx = 0; kx < kw; ++kx) {
-            acc = _mm256_fmadd_ps(_mm256_loadu_ps(row + ix + kx),
-                                  _mm256_broadcast_ss(taps + ky * kw + kx),
-                                  acc);
-          }
-        }
-        __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
-        if (act == Act::kReLU) {
-          v = _mm256_max_ps(v, _mm256_setzero_ps());
-        }
-        _mm256_storeu_ps(out + t, v);
-      }
-    }
-  } else if (stride_w == 2) {
-    for (; t + 8 <= in.hi; t += 8) {
-      const int64_t ix = (ox0 + t) * 2 - pad_w;
-      // dw_load_even touches index ix + kx + 15; the last one used is +14.
-      // Hand the trailing pixels to the scalar tail when the extra lane
-      // would cross the row end.
-      if (ix + (kw - 1) + 15 >= iw) break;
-      __m256 acc = _mm256_setzero_ps();
-      for (int64_t ky = 0; ky < kh; ++ky) {
-        const float* row = rows[ky];
-        if (row == nullptr) continue;
-        for (int64_t kx = 0; kx < kw; ++kx) {
-          acc = _mm256_fmadd_ps(dw_load_even(row + ix + kx),
-                                _mm256_broadcast_ss(taps + ky * kw + kx), acc);
-        }
-      }
-      __m256 v = _mm256_fmadd_ps(acc, vscale, vshift);
-      if (act == Act::kReLU) {
-        v = _mm256_max_ps(v, _mm256_setzero_ps());
-      }
-      _mm256_storeu_ps(out + t, v);
-    }
-  }
-  // Interior tail + right border: dw_pixel_fmaf's bounds checks all pass for
-  // interior pixels, so one loop covers both with the identical chain.
-  for (; t < n; ++t) {
-    const float acc = dw_pixel_fmaf(rows, kh, taps, kw, iw,
-                                    (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(std::fmaf(acc, scale, shift), act);
-  }
 }
 
 /// 8-lane expand-load: the popcount(m) floats at src land in the lanes of
@@ -1896,69 +1642,6 @@ float dot_neon(const float* a, const float* b, int64_t n) {
   return total;
 }
 
-/// NEON depthwise row kernel: 4 output pixels per q-register, per-lane FMA
-/// chain in tap order. Stride 2 uses vld2q deinterleaved loads (reads 8
-/// floats for 4 outputs; the range backs off where that would cross the row
-/// end). Border pixels use std::fmaf (scalar fmadd on aarch64).
-void dw_row_neon(const float* const* rows, int64_t kh, const float* taps,
-                 int64_t kw, int64_t iw, int64_t pad_w, int64_t stride_w,
-                 int64_t ox0, int64_t n, float scale, float shift, Act act,
-                 float* out) {
-  const DwInterior in = dw_interior(kw, iw, pad_w, stride_w, ox0, n);
-  const float32x4_t vscale = vdupq_n_f32(scale);
-  const float32x4_t vshift = vdupq_n_f32(shift);
-  int64_t t = 0;
-  for (; t < in.lo; ++t) {
-    const float acc = dw_pixel_fmaf(rows, kh, taps, kw, iw,
-                                    (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(std::fmaf(acc, scale, shift), act);
-  }
-  if (stride_w == 1) {
-    const int64_t base = ox0 - pad_w;
-    for (; t + 4 <= in.hi; t += 4) {
-      const int64_t ix = base + t;
-      float32x4_t acc = vdupq_n_f32(0.0f);
-      for (int64_t ky = 0; ky < kh; ++ky) {
-        const float* row = rows[ky];
-        if (row == nullptr) continue;
-        for (int64_t kx = 0; kx < kw; ++kx) {
-          acc = vfmaq_f32(acc, vld1q_f32(row + ix + kx),
-                          vdupq_n_f32(taps[ky * kw + kx]));
-        }
-      }
-      float32x4_t v = vfmaq_f32(vshift, acc, vscale);
-      if (act == Act::kReLU) {
-        v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-      }
-      vst1q_f32(out + t, v);
-    }
-  } else if (stride_w == 2) {
-    for (; t + 4 <= in.hi; t += 4) {
-      const int64_t ix = (ox0 + t) * 2 - pad_w;
-      // vld2q reads index ix + kx + 7; the last one used is +6.
-      if (ix + (kw - 1) + 7 >= iw) break;
-      float32x4_t acc = vdupq_n_f32(0.0f);
-      for (int64_t ky = 0; ky < kh; ++ky) {
-        const float* row = rows[ky];
-        if (row == nullptr) continue;
-        for (int64_t kx = 0; kx < kw; ++kx) {
-          acc = vfmaq_f32(acc, vld2q_f32(row + ix + kx).val[0],
-                          vdupq_n_f32(taps[ky * kw + kx]));
-        }
-      }
-      float32x4_t v = vfmaq_f32(vshift, acc, vscale);
-      if (act == Act::kReLU) {
-        v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-      }
-      vst1q_f32(out + t, v);
-    }
-  }
-  for (; t < n; ++t) {
-    const float acc = dw_pixel_fmaf(rows, kh, taps, kw, iw,
-                                    (ox0 + t) * stride_w - pad_w);
-    out[t] = apply_act(std::fmaf(acc, scale, shift), act);
-  }
-}
 #endif  // TBNET_SIMD_NEON
 
 // -------------------------------------------------------------- dispatch --
@@ -1972,7 +1655,6 @@ struct Kernels {
   MicroKernelI8Fn micro_i8 = &micro_i8_scalar;
   QuantizeU7GroupFn quant_group = &quant_group_scalar;
   const char* int8_name = "scalar";
-  DwRowKernelFn dw_row = &dw_row_scalar;
   MaskedRowsFn masked_rows = nullptr;
   const DirectConv3x3* direct = nullptr;
   float (*dot)(const float*, const float*, int64_t) = &dot_scalar;
@@ -1987,7 +1669,6 @@ Kernels select_kernels() {
     k.name = "avx2-fma";
     k.micro = &micro_avx2;
     k.micro1 = &micro_avx2_mr1;
-    k.dw_row = &dw_row_avx2;
     k.masked_rows = &masked_rows_avx2;
     k.direct = &kDirectAvx2;
     k.dot = &dot_avx2;
@@ -2038,7 +1719,6 @@ Kernels select_kernels() {
   k.name = "neon";
   k.micro = &micro_neon;
   k.micro1 = &micro_neon;
-  k.dw_row = &dw_row_neon;
   k.dot = &dot_neon;
   return k;
 #endif
@@ -2061,7 +1741,6 @@ MicroKernelWideFn micro_kernel_wide() { return kernels().wide; }
 MicroKernelI8Fn micro_kernel_i8() { return kernels().micro_i8; }
 MicroKernelI8Fn micro_kernel_i8_reference() { return &micro_i8_scalar; }
 QuantizeU7GroupFn quantize_u7_group() { return kernels().quant_group; }
-DwRowKernelFn dw_row_kernel() { return kernels().dw_row; }
 MaskedRowsFn masked_rows_kernel() { return kernels().masked_rows; }
 const DirectConv3x3* direct_conv3x3() { return kernels().direct; }
 

@@ -23,14 +23,13 @@
 // not depend on the batch size that surrounded it (the serving tests assert
 // batched == per-image bit-for-bit).
 //
-// Beside the GEMM the dispatch holds the int8 kernels, the depthwise row
-// kernel, the masked-row panel builder and the direct 3x3 convolution
-// (direct_conv3x3, AVX2 and AVX-512 only), each documented with its
-// determinism contract below.
+// Beside the GEMM the dispatch holds the int8 kernels, the masked-row panel
+// builder and the direct 3x3 convolution (direct_conv3x3, AVX2 and AVX-512
+// only), each documented with its determinism contract below.
 //
 // TBNET_DETERMINISTIC=1 decides one thing: the dispatch selects the scalar
-// tier for every kernel table (f32, int8, depthwise, no wide tile, no
-// masked-row panels, no direct conv). Everything above the dispatch
+// tier for every kernel table (f32, int8, no wide tile, no masked-row
+// panels, no direct conv). Everything above the dispatch
 // (packing, BN folding, fusion) runs unchanged, so the pin is the path a
 // host without AVX2+FMA or NEON runs, with bits that do not depend on the
 // host's vector ISA.
@@ -79,10 +78,10 @@ constexpr bool act_known(Act act) {
 /// Throws std::invalid_argument for values act_known rejects.
 void require_known_act(Act act);
 
-/// Scalar activation application shared by the GEMM epilogue finalizers and
-/// the depthwise kernels — the single place the Act semantics live. Explicit
-/// per-value dispatch; callers guarantee act_known(act) (require_known_act at
-/// the call boundary).
+/// Scalar activation application shared by the GEMM epilogue finalizers —
+/// the single place the Act semantics live. Explicit per-value dispatch;
+/// callers guarantee act_known(act) (require_known_act at the call
+/// boundary).
 inline float apply_act(float v, Act act) {
   switch (act) {
     case Act::kNone:
@@ -225,52 +224,6 @@ MicroKernelI8Fn micro_kernel_i8_reference();
 /// SIMD dot product (FMA chains; lane order fixed per ISA). Backs the
 /// n < kNR gemm_nt path.
 float dot(const float* a, const float* b, int64_t n);
-
-// ----------------------------------------------------------- depthwise ----
-//
-// The depthwise engine mirrors the GEMM design: one row microkernel, three
-// implementations (AVX2 via target attribute + runtime dispatch, NEON,
-// scalar), selected once per process. The kernel computes a segment of one
-// output row of a per-channel k x k convolution with the channel's
-// scale/shift + activation fused into the store:
-//
-//   out[t] = act(acc(t) * scale + shift)
-//   acc(t) = sum_{ky < kh, kx < kw} rows[ky][(ox0 + t) * stride_w - pad_w + kx]
-//            * taps[ky * kw + kx]
-//
-// Interior/border split: the kernel computes once per call the output range
-// whose taps are all horizontally in bounds and runs it vectorized with no
-// per-pixel checks; only the (at most kernel-width) edge pixels take the
-// bounds-checked path. Vertical padding is the caller's job — rows[ky] ==
-// nullptr marks an out-of-bounds tap row and contributes exactly zero.
-//
-// Determinism contract (the dw→pw producer leans on this): each output
-// pixel's accumulation is an independent chain in (ky, kx) tap order. On FMA
-// ISAs the border pixels finalize with std::fmaf, which rounds identically
-// to the vector FMA lanes, so a pixel's bits depend neither on which side of
-// the interior split covered it nor on how [ox0, ox0 + n) was segmented —
-// computing a row whole or 16 columns at a time gives the same bytes. The
-// scalar ISA uses plain multiply-add throughout (also segment-invariant).
-// Passing scale = 1 / shift = 0 for an affine-free layer is exact (x * 1 + 0
-// round-trips bitwise through fmaf).
-//
-// Under TBNET_DETERMINISTIC=1 the dispatch selects the scalar row kernel,
-// whose chains are DepthwiseConv2d::forward_reference's bit for bit.
-
-/// Depthwise row microkernel: writes out[0, n) covering output columns
-/// [ox0, ox0 + n) of one row. `rows` holds kh input-row base pointers
-/// (plane + iy * iw, nullptr when iy is out of bounds); `taps` is the
-/// channel's kh x kw filter; `iw` bounds the horizontal reads. See the
-/// contract above.
-using DwRowKernelFn = void (*)(const float* const* rows, int64_t kh,
-                               const float* taps, int64_t kw, int64_t iw,
-                               int64_t pad_w, int64_t stride_w, int64_t ox0,
-                               int64_t n, float scale, float shift, Act act,
-                               float* out);
-
-/// The dispatched depthwise row kernel for this host (decided once, same
-/// dispatch as micro_kernel).
-DwRowKernelFn dw_row_kernel();
 
 // -------------------------------------------------------- conv lowering ----
 //

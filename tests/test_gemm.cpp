@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
 #include "nn/fuse.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
@@ -206,6 +206,29 @@ TEST(PackedGemm, ReLUClampsInEpilogue) {
   }
 }
 
+TEST(PackedGemm, ReferenceEpilogueRejectsUnknownAct) {
+  // An Act value the kernels do not implement must be rejected at the
+  // boundary (simd::require_known_act), before any element is touched,
+  // rather than applied as ReLU.
+  const auto bogus = static_cast<simd::Act>(7);
+  EXPECT_FALSE(simd::act_known(bogus));
+  EXPECT_TRUE(simd::act_known(simd::Act::kNone));
+  EXPECT_TRUE(simd::act_known(simd::Act::kReLU));
+  float c[4] = {-1.0f, 2.0f, -3.0f, 4.0f};
+  GemmEpilogue ep;
+  ep.act = bogus;
+  EXPECT_THROW(apply_epilogue_reference(2, 2, c, 2, ep),
+               std::invalid_argument);
+  EXPECT_EQ(c[0], -1.0f);
+  EXPECT_EQ(c[2], -3.0f);
+  ep.act = simd::Act::kReLU;
+  EXPECT_NO_THROW(apply_epilogue_reference(2, 2, c, 2, ep));
+  EXPECT_EQ(c[0], 0.0f);
+  EXPECT_EQ(c[1], 2.0f);
+  EXPECT_EQ(c[2], 0.0f);
+  EXPECT_EQ(c[3], 4.0f);
+}
+
 // ------------------------------------------------------- PackedGemm --------
 
 TEST(PackedGemm, PrepackedAMatchesUnpackedBitForBit) {
@@ -321,37 +344,6 @@ TEST(Fusion, FoldBatchnormRemovesBnAndPreservesOutputs) {
   ByteReader r(bytes);
   auto loaded = nn::load_model(r);
   expect_close(loaded->forward(x, false), want);
-}
-
-TEST(Fusion, DepthwiseBnReluFusesAtRuntime) {
-  Rng rng(11);
-  nn::Sequential seq;
-  seq.emplace<nn::DepthwiseConv2d>(
-      6, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1},
-      rng);
-  seq.emplace<nn::BatchNorm2d>(6);
-  seq.emplace<nn::ReLU>();
-  randomize_bn(*seq.find_nth<nn::BatchNorm2d>(0), rng);
-
-  const Tensor x = Tensor::randn(Shape{2, 6, 9, 9}, rng);
-  const Tensor want = seq.forward(x, false);
-  nn::Sequential fused = seq;
-  ExecutionContext ctx;
-  fused.prepare_inference(ctx);
-  expect_close(fused.forward(ctx, x, false), want);
-  // Since the depthwise bias (model format v2), the BN also folds
-  // structurally: the shift lands in the new bias and the BN layer goes.
-  nn::Sequential folded = seq;
-  EXPECT_EQ(nn::fold_batchnorm_inference(folded), 1);
-  EXPECT_EQ(folded.size(), 2);
-  auto* dw = folded.find_nth<nn::DepthwiseConv2d>(0);
-  ASSERT_NE(dw, nullptr);
-  EXPECT_TRUE(dw->has_bias());  // absorbed the BN shift
-  expect_close(folded.forward(x, false), want);
-  std::vector<uint8_t> folded_bytes, seq_bytes;
-  nn::save_model(folded_bytes, folded);
-  nn::save_model(seq_bytes, seq);
-  EXPECT_LT(folded_bytes.size(), seq_bytes.size());
 }
 
 TEST(Fusion, PreparedResidualBlockMatchesUnfusedEval) {

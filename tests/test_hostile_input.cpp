@@ -30,7 +30,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/depthwise.h"
 #include "nn/flatten.h"
 #include "nn/fuse.h"
 #include "nn/pool.h"
@@ -154,6 +153,20 @@ void put_string(std::string& s, const std::string& v) {
 void put_dims(std::string& s, const std::vector<int64_t>& dims) {
   put_u32(s, static_cast<uint32_t>(dims.size()));
   for (int64_t d : dims) put_i64(s, d);
+}
+
+/// t[i] = base + i / 4: distinct, exactly representable weights.
+Tensor filled(Tensor t, float base) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = base + static_cast<float>(i) * 0.25f;
+  }
+  return t;
+}
+
+void put_tensor(std::string& s, const Tensor& t) {
+  put_dims(s, t.shape().dims());
+  s.append(reinterpret_cast<const char*>(t.data()),
+           static_cast<size_t>(t.numel()) * sizeof(float));
 }
 
 std::vector<uint8_t> to_vector(const std::string& s) {
@@ -290,14 +303,17 @@ std::vector<HostileStream> hostile_streams() {
   cases.push_back({"Conv2d 65536x65536x3x3",
                    model_stream(framed(conv_body(65536, 65536, 3, 1, 1)))});
   {
+    // A well-formed section of a kind this library no longer writes: two
+    // channels, 3x3 taps, stride 2, pad 1, with a bias.
     std::string s;
     put_string(s, "DepthwiseConv2d");
-    for (int64_t v : {int64_t{1} << 40, int64_t{3}, int64_t{1}, int64_t{1}}) {
+    for (int64_t v : {int64_t{2}, int64_t{3}, int64_t{2}, int64_t{1}}) {
       put_i64(s, v);
     }
-    put_u32(s, 0);  // bias
-    cases.push_back({"DepthwiseConv2d 2^40 channels",
-                     model_stream(framed(s))});
+    put_u32(s, 1);  // bias
+    put_tensor(s, filled(Tensor(Shape{2, 3, 3}), 1.5f));
+    put_tensor(s, filled(Tensor(Shape{2}), 2.0f));
+    cases.push_back({"retired kind DepthwiseConv2d", model_stream(framed(s))});
   }
   {
     std::string s;
@@ -384,6 +400,15 @@ std::vector<HostileStream> hostile_streams() {
     cases.push_back({"format v1", s});
   }
   {
+    // A future version with a valid header checksum, then a ReLU.
+    std::string s("TBNM", 4);
+    put_u32(s, nn::kModelFormatVersion + 1);
+    put_u32(s, crc32c(s.data(), s.size()));
+    std::string relu;
+    put_string(relu, "ReLU");
+    cases.push_back({"future format version", s + framed(relu)});
+  }
+  {
     // The unversioned two-branch layout: the stage count comes first, then
     // unframed v1 records.
     std::string s;
@@ -415,20 +440,6 @@ TEST(HostileStreams, EveryLoaderRejectsWithoutLargeAllocations) {
 
 
 // ------------------------------------------------------------ v4 layout --
-
-/// t[i] = base + i / 4: distinct, exactly representable weights.
-Tensor filled(Tensor t, float base) {
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    t[i] = base + static_cast<float>(i) * 0.25f;
-  }
-  return t;
-}
-
-void put_tensor(std::string& s, const Tensor& t) {
-  put_dims(s, t.shape().dims());
-  s.append(reinterpret_cast<const char*>(t.data()),
-           static_cast<size_t>(t.numel()) * sizeof(float));
-}
 
 /// A Conv2d section: `config` is {in, out, kernel, stride, pad}; then the
 /// bias and quantized flags, the int8 payload or the f32 weight, the bias.
@@ -500,12 +511,6 @@ TEST(ModelFormat, V4BytesArePinned) {
   qw.qsum = {2, -5};
   qw.act = {.scale = 0.125f, .zero_point = 3};
   qconv->set_quantized(qw);
-  auto dw = std::make_unique<nn::DepthwiseConv2d>(
-      2, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 2, .pad = 1,
-                                      .bias = true},
-      rng);
-  dw->weight() = filled(dw->weight(), 1.5f);
-  dw->bias() = filled(dw->bias(), 2.0f);
   auto bn = std::make_unique<nn::BatchNorm2d>(2, 1e-3f, 0.25f);
   fill_bn(*bn, 3.0f);
   auto block = std::make_unique<nn::ResidualBlock>(2, 4, 2, rng, 3);
@@ -523,21 +528,10 @@ TEST(ModelFormat, V4BytesArePinned) {
   // The hand-built stream, taken before the layers move into the model.
   std::string seq;
   put_string(seq, "Sequential");
-  put_u32(seq, 10);
+  put_u32(seq, 9);
   seq += conv_section({2, 3, 3, 1, 1}, *conv) +
-         conv_section({3, 2, 1, 1, 0}, *qconv);
-  {
-    std::string s;
-    put_string(s, "DepthwiseConv2d");
-    for (int64_t v : {int64_t{2}, int64_t{3}, int64_t{2}, int64_t{1}}) {
-      put_i64(s, v);
-    }
-    put_u32(s, 1);  // bias
-    put_tensor(s, dw->weight());
-    put_tensor(s, dw->bias());
-    seq += framed(s);
-  }
-  seq += bn_section(*bn) + kind_section("ReLU");
+         conv_section({3, 2, 1, 1, 0}, *qconv) + bn_section(*bn) +
+         kind_section("ReLU");
   {
     std::string s;
     put_string(s, "MaxPool2d");
@@ -570,8 +564,8 @@ TEST(ModelFormat, V4BytesArePinned) {
   const std::string want = model_stream(framed(seq));
 
   nn::Sequential model;
-  model.add(std::move(conv)).add(std::move(qconv)).add(std::move(dw));
-  model.add(std::move(bn)).emplace<nn::ReLU>().emplace<nn::MaxPool2d>(2, 2);
+  model.add(std::move(conv)).add(std::move(qconv)).add(std::move(bn));
+  model.emplace<nn::ReLU>().emplace<nn::MaxPool2d>(2, 2);
   model.add(std::move(block)).emplace<nn::GlobalAvgPool2d>();
   model.emplace<nn::Flatten>().add(std::move(dense));
   std::vector<uint8_t> got;
@@ -920,7 +914,6 @@ TEST(MutationSweep, ModelStreamsParseOrThrowRuntimeError) {
   };
   const std::vector<Corpus> corpus = {
       {model_part(models::build_victim(zoo(models::Family::kResNet, 20))), 1},
-      {model_part(models::build_victim(zoo(models::Family::kMobileNet, 4))), 1},
       {model_part(quantized_vgg()), sizeof(float)}};
   Mutator m(101);
   for (int i = 0; i < kSweepIterations; ++i) {

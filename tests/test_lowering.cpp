@@ -7,7 +7,7 @@
 // column buffer on the packed path, none on the direct path), pool-size
 // determinism, the direct 3x3 path's bit parity with the packed GEMM on
 // every x86 tier the host supports, the packed gemm_tn variant, and the
-// DepthwiseConv2d bias (model format v2, loader back-compat).
+// prepare-time BN composition.
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -19,20 +19,15 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/two_branch.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "nn/depthwise.h"
-#include "nn/fuse.h"
 #include "nn/sequential.h"
-#include "nn/serialize.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/pack.h"
@@ -431,19 +426,12 @@ TEST(ConvGeometry, WindowLargerThanPaddedInputThrows) {
     EXPECT_THROW(conv.out_shape(x.shape()), std::invalid_argument) << b.hw;
     EXPECT_THROW(conv.forward(ctx, x, false), std::invalid_argument) << b.hw;
     EXPECT_THROW(conv.forward(ctx, x, true), std::invalid_argument) << b.hw;
-    nn::DepthwiseConv2d dw(
-        4, {.kernel = b.kernel, .stride = b.stride, .pad = b.pad}, rng);
-    EXPECT_THROW(dw.out_shape(x.shape()), std::invalid_argument) << b.hw;
-    EXPECT_THROW(dw.forward(ctx, x, false), std::invalid_argument) << b.hw;
-    EXPECT_THROW(dw.forward(ctx, x, true), std::invalid_argument) << b.hw;
   }
   // A window exactly as large as the padded input is a 1x1 output.
   const Tensor x(Shape{1, 4, 3, 3});
   nn::Conv2d conv(4, 4, {.kernel = 5, .stride = 2, .pad = 1, .bias = false},
                   rng);
   EXPECT_EQ(conv.forward(ctx, x, true).shape(), (Shape{1, 4, 1, 1}));
-  nn::DepthwiseConv2d dw(4, {.kernel = 5, .stride = 2, .pad = 1}, rng);
-  EXPECT_EQ(dw.forward(ctx, x, true).shape(), (Shape{1, 4, 1, 1}));
 }
 
 TEST(FusedLowering, ConvForwardMatchesMaterializedBitwise) {
@@ -928,128 +916,6 @@ TEST(PackedGemmTn, BitwiseMatchesGemmNnOnTransposedA) {
   for (int64_t i = 0; i < c_nn.numel(); ++i) {
     ASSERT_EQ(c_tn[i], c_nn[i]) << "at " << i;
   }
-}
-
-// ------------------------------------------------ depthwise bias -----------
-
-TEST(DepthwiseBias, ForwardAppliesBias) {
-  Rng rng(30);
-  nn::DepthwiseConv2d with_bias(
-      4, {.kernel = 3, .stride = 1, .pad = 1, .bias = true}, rng);
-  Rng rng2(30);  // same weights
-  nn::DepthwiseConv2d without(
-      4, {.kernel = 3, .stride = 1, .pad = 1, .bias = false}, rng2);
-  for (int64_t c = 0; c < 4; ++c) {
-    with_bias.bias()[c] = 0.25f * static_cast<float>(c) - 0.5f;
-  }
-  const Tensor x = Tensor::randn(Shape{2, 4, 6, 6}, rng);
-  const Tensor got = with_bias.forward(x, false);
-  Tensor want = without.forward(x, false);
-  const int64_t hw = 6 * 6;
-  for (int64_t i = 0; i < 2; ++i) {
-    for (int64_t c = 0; c < 4; ++c) {
-      float* plane = want.data() + (i * 4 + c) * hw;
-      for (int64_t t = 0; t < hw; ++t) plane[t] += with_bias.bias()[c];
-    }
-  }
-  expect_close(got, want, 1e-6f, 1e-6f);
-  ASSERT_EQ(with_bias.params().size(), 2u);
-  EXPECT_EQ(with_bias.params()[1].name, "bias");
-  EXPECT_FALSE(with_bias.params()[1].apply_weight_decay);
-}
-
-TEST(DepthwiseBias, BiasGradAccumulatesPerChannel) {
-  Rng rng(31);
-  nn::DepthwiseConv2d dw(3, {.kernel = 3, .stride = 1, .pad = 1, .bias = true},
-                         rng);
-  const Tensor x = Tensor::randn(Shape{2, 3, 5, 5}, rng);
-  const Tensor y = dw.forward(x, true);
-  const Tensor dy = Tensor::randn(y.shape(), rng);
-  dw.backward(dy);
-  const int64_t hw = 5 * 5;
-  for (int64_t c = 0; c < 3; ++c) {
-    float want = 0.0f;
-    for (int64_t i = 0; i < 2; ++i) {
-      const float* p = dy.data() + (i * 3 + c) * hw;
-      for (int64_t t = 0; t < hw; ++t) want += p[t];
-    }
-    Tensor* bg = dw.params()[1].grad;
-    ASSERT_NE(bg, nullptr);
-    EXPECT_NEAR((*bg)[c], want, 1e-4f + 1e-4f * std::fabs(want)) << "c=" << c;
-  }
-}
-
-TEST(DepthwiseBias, FoldedModelSerializesAndRoundTrips) {
-  Rng rng(32);
-  nn::Sequential seq;
-  seq.emplace<nn::DepthwiseConv2d>(
-      5, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1},
-      rng);
-  seq.emplace<nn::BatchNorm2d>(5);
-  seq.emplace<nn::ReLU>();
-  auto* bn = seq.find_nth<nn::BatchNorm2d>(0);
-  for (int64_t c = 0; c < 5; ++c) {
-    bn->gamma()[c] = 0.7f + 0.1f * static_cast<float>(c);
-    bn->beta()[c] = 0.2f - 0.06f * static_cast<float>(c);
-    bn->running_mean()[c] = 0.1f * static_cast<float>(c % 3);
-    bn->running_var()[c] = 0.4f + 0.2f * static_cast<float>(c % 2);
-  }
-  const Tensor x = Tensor::randn(Shape{1, 5, 7, 7}, rng);
-  const Tensor want = seq.forward(x, false);
-
-  nn::Sequential folded = seq;
-  ASSERT_EQ(nn::fold_batchnorm_inference(folded), 1);
-  expect_close(folded.forward(x, false), want);
-
-  std::vector<uint8_t> bytes;
-  nn::save_model(bytes, folded);
-  ByteReader r(bytes);
-  auto loaded = nn::load_model(r);
-  expect_close(loaded->forward(x, false), want);
-}
-
-TEST(DepthwiseBias, SelectChannelsKeepsBias) {
-  Rng rng(33);
-  nn::DepthwiseConv2d dw(4, {.kernel = 3, .stride = 1, .pad = 1, .bias = true},
-                         rng);
-  for (int64_t c = 0; c < 4; ++c) dw.bias()[c] = static_cast<float>(c);
-  dw.select_channels({3, 1});
-  ASSERT_EQ(dw.channels(), 2);
-  EXPECT_EQ(dw.bias()[0], 3.0f);
-  EXPECT_EQ(dw.bias()[1], 1.0f);
-}
-
-TEST(DepthwiseBias, TwoBranchStreamRoundTripsBias) {
-  // The sentinel-versioned two-branch format carries a biased depthwise
-  // stage through save_two_branch / load_two_branch.
-  Rng rng(36);
-  core::TwoBranchModel model;
-  auto dw = std::make_unique<nn::DepthwiseConv2d>(
-      2, nn::DepthwiseConv2d::Options{.kernel = 3, .stride = 1, .pad = 1,
-                                      .bias = true},
-      rng);
-  dw->bias()[0] = 0.25f;
-  dw->bias()[1] = -0.5f;
-  model.add_stage(std::make_unique<nn::ReLU>(), std::move(dw));
-
-  std::vector<uint8_t> bytes;
-  core::save_two_branch(bytes, model);
-  ByteReader r(bytes);
-  core::TwoBranchModel reloaded = core::load_two_branch(r);
-  ASSERT_EQ(reloaded.num_stages(), 1);
-  auto* got =
-      dynamic_cast<nn::DepthwiseConv2d*>(reloaded.stage(0).secure.get());
-  ASSERT_NE(got, nullptr);
-  ASSERT_TRUE(got->has_bias());
-  EXPECT_EQ(got->bias()[0], 0.25f);
-  EXPECT_EQ(got->bias()[1], -0.5f);
-}
-
-TEST(DepthwiseBias, RejectsUnknownFutureVersion) {
-  std::vector<uint8_t> bytes = {'T', 'B', 'N', 'M'};
-  put_u32(bytes, nn::kModelFormatVersion + 1);
-  ByteReader r(bytes);
-  EXPECT_THROW(nn::load_model(r), std::runtime_error);
 }
 
 // ------------------------------------------------ hoisted BN composition ---

@@ -317,7 +317,8 @@ TEST(DeployedTBNetBatch, RejectsOversizedBatch) {
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
   DeployedTBNet deployed(tb, ctx, "tbnet-small-batch",
-                         DeployedTBNet::Options{.max_batch = 2});
+                         DeployedTBNet::Options{.max_batch = 2,
+                                                .calibration = {}});
   Rng rng(10);
   EXPECT_THROW(deployed.infer_batch(random_batch(3, rng)),
                std::invalid_argument);

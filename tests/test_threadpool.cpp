@@ -1,9 +1,9 @@
 // ThreadPool tests: the parallel_for contract (chunking, nesting, FIFO
 // fairness) and the PR-5 work-stealing scheduler — helping waits, oldest-
 // first steals, nested parallel_for under contention, and bit-identity of
-// kernel results issued from inside a pool task. This suite (with
-// test_serving and test_depthwise) is the TSan CI job's target: every test
-// here must stay race-free, not merely pass.
+// kernel results issued from inside a pool task. Like every ctest entry it
+// runs under the TSan CI job: every test here must stay race-free, not
+// merely pass.
 
 #include <gtest/gtest.h>
 
@@ -93,7 +93,7 @@ TEST(ThreadPoolEdge, NestedParallelForPreservesChunkBoundaries) {
   const int64_t chunk = pool.chunk_size(n);
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> nested_chunks;
-  pool.parallel_for(1000, [&](int64_t b, int64_t e) {
+  pool.parallel_for(1000, [&](int64_t b, int64_t) {
     if (b != 0) return;  // nest from exactly one task
     pool.parallel_for(n, [&](int64_t ib, int64_t ie) {
       std::lock_guard<std::mutex> lock(mu);

@@ -9,8 +9,6 @@ root) and flags any metric that regressed by more than the threshold:
   * "int8_gemm" shapes: int8_gflops (higher is better)
   * "conv_lowering" shapes: fused_ms (lower is better)
   * "fused_conv" shapes: fused_ms (lower is better)
-  * "depthwise" shapes: simd_ms (lower is better)
-  * "depthwise_fused" shapes: fused_ms (lower is better)
   * "training" entries: ms (lower is better) — the protection pipeline's
     inner loop: training-mode ReLU and BatchNorm2d forward/backward at
     batch 8, 8 channels, 32x32, and conv3x3 backward at 8 and 16 channels
@@ -273,10 +271,6 @@ def main():
                            args.threshold, args.min_flops, "conv_lowering")
     regressions += compare(baseline, current, "fused_ms", False,
                            args.threshold, args.min_flops, "fused_conv")
-    regressions += compare(baseline, current, "simd_ms", False,
-                           args.threshold, args.min_flops, "depthwise")
-    regressions += compare(baseline, current, "fused_ms", False,
-                           args.threshold, args.min_flops, "depthwise_fused")
     regressions += compare(baseline, current, "ms", False,
                            args.threshold, args.min_flops, "training")
     regressions += compare_soak(baseline, current, args.threshold)

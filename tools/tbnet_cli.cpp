@@ -1,11 +1,11 @@
 // tbnet — command-line front end for the whole workflow.
 //
-//   tbnet train-victim  --family vgg --depth 18 --classes 10 --width 0.25 \
+//   tbnet train-victim  --family vgg --depth 18 --classes 10 --width 0.25
 //                       --epochs 12 --out victim.bin
-//   tbnet protect       --victim victim.bin --family vgg --depth 18 \
+//   tbnet protect       --victim victim.bin --family vgg --depth 18
 //                       --classes 10 --width 0.25 --out protected.tbn
 //   tbnet evaluate      --model protected.tbn --classes 10
-//   tbnet deploy        --model protected.tbn --victim victim.bin \
+//   tbnet deploy        --model protected.tbn --victim victim.bin
 //                       --family vgg --depth 18 --classes 10 --width 0.25
 //   tbnet attack        --model protected.tbn --classes 10 --fraction 0.5
 //
