@@ -7,9 +7,7 @@
 //   * elastic: a 1x -> 10x -> 1x stepped load on an autoscaled pool against
 //     a fixed single worker;
 //   * chaos (--chaos): one of two workers is killed mid-soak and must come
-//     back through its circuit breaker and DeployedTBNet::reopen;
-//   * width_cap: two workers on a hardware-width pool, each engine sharding
-//     at full width vs capped at half.
+//     back through its circuit breaker and DeployedTBNet::reopen.
 // --soak-seconds=S sets the soak length (default 2; 0 skips the soak and
 // elastic sections). tools/check_bench_regression.py and CI's serving step
 // read the JSON this prints. The end-to-end serving benchmark (latency and
@@ -120,63 +118,6 @@ double measure_capacity(runtime::DeployedTBNet& engine) {
     engine.infer_batch(input);
   }
   return static_cast<double>(kImages) / seconds_since(t0);
-}
-
-// ---- intra-op width cap --------------------------------------------------
-// The rest of the program runs the one-thread pool the baseline was
-// recorded on, where the cap cannot matter; this section swaps in a
-// hardware-width pool and measures the same 2-worker closed-loop load with
-// each engine sharding at full width (2x oversubscription) vs capped at
-// half. Meaningful only on >= 2 real cores; CI notes the ratio warn-only
-// for that reason.
-
-struct WidthCapPoint {
-  int hardware_threads = 0;
-  int workers = 2;
-  int capped_width = 0;
-  double imgs_per_s_uncapped = 0.0;
-  double imgs_per_s_capped = 0.0;
-};
-
-WidthCapPoint run_width_cap(const core::TwoBranchModel& tb,
-                            const tee::DeviceProfile& profile) {
-  WidthCapPoint p;
-  ThreadPool hw_pool(0);  // hardware_concurrency
-  ThreadPool::set_global_for_testing(&hw_pool);
-  p.hardware_threads = hw_pool.num_threads();
-  p.capped_width = std::max(1, p.hardware_threads / p.workers);
-  Rng wrng(37);
-  const auto devices =
-      make_devices(tb, profile, "tbnet-width-", p.workers, wrng);
-  for (const bool capped : {false, true}) {
-    std::vector<runtime::InferenceServer::BatchFn> fns;
-    for (const auto& d : devices) {
-      d->engine.set_intra_op_width(capped ? p.capped_width : 0);
-      fns.push_back(serve(d->engine));
-    }
-    runtime::InferenceServer server(std::move(fns), server_config(false));
-    const int64_t per_thread = 48;
-    const auto t0 = Clock::now();
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-      submitters.emplace_back([&server, per_thread, t] {
-        Rng trng(300 + static_cast<uint64_t>(t));
-        std::vector<std::future<runtime::InferenceResult>> futures;
-        for (int64_t i = 0; i < per_thread; ++i) {
-          futures.push_back(
-              server.submit(Tensor::randn(Shape{3, 32, 32}, trng)));
-        }
-        for (auto& f : futures) f.get();
-      });
-    }
-    for (auto& th : submitters) th.join();
-    server.drain();
-    const double imgs_per_s =
-        4.0 * static_cast<double>(per_thread) / seconds_since(t0);
-    (capped ? p.imgs_per_s_capped : p.imgs_per_s_uncapped) = imgs_per_s;
-  }
-  ThreadPool::set_global_for_testing(nullptr);
-  return p;
 }
 
 // ---- overload soak (PR 7) -------------------------------------------------
@@ -586,7 +527,6 @@ int main(int argc, char** argv) {
 
   Device serving(tb, profile, "tbnet-serving");
   const double capacity = measure_capacity(serving.engine);
-  const WidthCapPoint width_cap = run_width_cap(tb, profile);
 
   // ---- overload soak: bounded queue vs unbounded baseline ------------
   // The bounded points (capacity 64, shed-oldest, 100 ms deadline) must
@@ -650,23 +590,6 @@ int main(int argc, char** argv) {
   std::printf("  \"threads\": %d,\n", ThreadPool::global().num_threads());
   std::printf("  \"isa\": \"%s\",\n", simd::isa_name());
   std::printf("  \"int8_isa\": \"%s\",\n", simd::int8_isa_name());
-  // Oversubscription fix receipts: same 2-worker load, engines sharding at
-  // full pool width (before) vs capped at pool/2 (after). Only meaningful
-  // on >= 2 hardware threads; CI reports the ratio warn-only.
-  std::printf("  \"width_cap\": {\n");
-  std::printf("    \"hardware_threads\": %d,\n", width_cap.hardware_threads);
-  std::printf("    \"workers\": %d,\n", width_cap.workers);
-  std::printf("    \"capped_width\": %d,\n", width_cap.capped_width);
-  std::printf("    \"imgs_per_s_uncapped\": %.2f,\n",
-              width_cap.imgs_per_s_uncapped);
-  std::printf("    \"imgs_per_s_capped\": %.2f,\n",
-              width_cap.imgs_per_s_capped);
-  std::printf("    \"speedup_capped_vs_uncapped\": %.3f\n",
-              width_cap.imgs_per_s_uncapped > 0.0
-                  ? width_cap.imgs_per_s_capped /
-                        width_cap.imgs_per_s_uncapped
-                  : 0.0);
-  std::printf("  },\n");
   if (soak_bounded.empty()) {
     std::printf("  \"soak\": null,\n");
   } else {

@@ -47,12 +47,11 @@ void print_health(const char* phase, const runtime::ServingStats& s) {
               static_cast<long long>(s.engine_errors),
               static_cast<long long>(s.integrity_errors));
   std::printf("  quarantines %lld | recoveries %lld | requeued %lld | "
-              "canary_failures %lld | watchdog_trips %lld\n",
+              "canary_failures %lld\n",
               static_cast<long long>(s.quarantines),
               static_cast<long long>(s.recoveries),
               static_cast<long long>(s.requeued),
-              static_cast<long long>(s.canary_failures),
-              static_cast<long long>(s.watchdog_trips));
+              static_cast<long long>(s.canary_failures));
 }
 
 int64_t submit_burst(runtime::InferenceServer& server, int n, Rng& rng) {

@@ -96,6 +96,9 @@ Tensor Conv2d::forward(ExecutionContext& ctx, const Tensor& input,
 Tensor Conv2d::forward_fused(ExecutionContext& ctx, const Tensor& input,
                              const float* scale, const float* shift,
                              simd::Act act) {
+  // Every tier must see a valid Act: the direct kernels clamp any value
+  // other than kNone, the scalar finalizer applies it as kNone.
+  simd::require_known_act(act);
   GemmEpilogue ep;
   ep.row_scale = scale;
   ep.row_shift = shift;

@@ -48,6 +48,7 @@ Tensor Dense::forward(ExecutionContext& ctx, const Tensor& input, bool train) {
 
 Tensor Dense::forward_fused(ExecutionContext& ctx, const Tensor& input,
                             simd::Act act) {
+  simd::require_known_act(act);  // rejected here, before any tier reads it
   return forward_impl(ctx, input, /*train=*/false, act);
 }
 

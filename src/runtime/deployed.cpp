@@ -494,13 +494,6 @@ void DeployedTBNet::reopen(const Tensor& canary_nchw) {
   // — a corrupted image throws nn::IntegrityError here, at deploy time.
   tee_ctx_->world().install(uuid_, make_tbnet_ta(ta_image_));
   open_session_with_retry();
-  // The fresh TA starts uncapped; restore the engine's width so a recovered
-  // worker shards exactly like it did before the loss.
-  if (intra_op_width_ > 0) {
-    std::vector<uint8_t> payload;
-    put_i64(payload, intra_op_width_);
-    invoke_with_retry(kCmdSetWidth, payload, nullptr, "SetWidth");
-  }
   if (canary_nchw.numel() > 0) {
     // Canary verification: the recovered worker must produce sane logits
     // before it re-enters a dispatch pool. Shape and finiteness are the
@@ -525,15 +518,6 @@ void DeployedTBNet::reopen(const Tensor& canary_nchw) {
   }
   MutexLock lock(mu_);
   ++reopens_;
-}
-
-void DeployedTBNet::set_intra_op_width(int width) {
-  intra_op_width_ = width > 0 ? width : 0;
-  exec_ctx_.set_intra_op_width(intra_op_width_);
-  // Mirror the cap into the TA so the secure-world shards respect it too.
-  std::vector<uint8_t> payload;
-  put_i64(payload, intra_op_width_);
-  invoke_with_retry(kCmdSetWidth, payload, nullptr, "SetWidth");
 }
 
 uint64_t DeployedTBNet::next_jitter() {

@@ -35,8 +35,9 @@
 
 namespace tbnet::runtime {
 
-/// TA command IDs. The TA serves kCmdRun and kCmdSetWidth only. Ids 1 to 6
-/// are retired; kCmdPushStage keeps its name because perfbench's invoke
+/// TA command IDs. The TA serves kCmdRun and kCmdSetWidth only; a caller
+/// caps the TA's intra-op width by sending kCmdSetWidth on session(). Ids 1
+/// to 6 are retired; kCmdPushStage keeps its name because perfbench's invoke
 /// replay still sends it to an echo TA.
 inline constexpr uint32_t kCmdPushStage = 2;
 inline constexpr uint32_t kCmdSetWidth = 7;
@@ -191,16 +192,6 @@ class DeployedTBNet {
     return reopens_;
   }
 
-  /// Caps intra-op parallelism on BOTH worlds' contexts: the REE context
-  /// directly, the TA's secure context via a kCmdSetWidth invocation. An
-  /// elastic InferenceServer sets each engine to ~hardware_threads /
-  /// active_workers so N engines sharding concurrently submit ~one chunk
-  /// per core instead of N. <= 0 removes the cap. Re-applied automatically
-  /// by reopen(), so a recovered worker keeps its width. Results are
-  /// bit-identical across widths (scheduling hint only).
-  void set_intra_op_width(int width);
-  int intra_op_width() const { return intra_op_width_; }
-
   /// The session, for enabling device-timing simulation in benches.
   tee::TeeSession& session() { return *session_; }
 
@@ -262,7 +253,6 @@ class DeployedTBNet {
   std::string uuid_;
   std::vector<uint8_t> ta_image_;  ///< retained for reopen()'s re-deploy
   int64_t ta_image_bytes_ = 0;
-  int intra_op_width_ = 0;  ///< last set_intra_op_width; reopen re-applies
   /// Guards the fault-handling counters a monitor may read cross-thread
   /// (retries/reopens) and the jitter PRNG both retry paths draw from.
   mutable Mutex mu_;

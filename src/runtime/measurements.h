@@ -64,12 +64,12 @@ class LatencyRecorder {
 
 /// Lifecycle state of one dispatch worker under the supervision layer
 /// (PR 8). Transitions: Healthy -> Quarantined on a tripped circuit breaker
-/// (K consecutive engine-error batches, any PermanentFault/IntegrityFault,
-/// or a watchdog overrun); Quarantined -> Recovering when the supervisor's
-/// backoff elapses and its RecoverFn runs; Recovering -> Healthy on success
-/// (canary passed) or back to Quarantined with doubled backoff on failure;
-/// -> Dead when the worker has no RecoverFn or the recovery-attempt budget
-/// is exhausted. Dead is terminal for the server's lifetime.
+/// (K consecutive engine-error batches or any PermanentFault/IntegrityFault);
+/// Quarantined -> Recovering when the supervisor's backoff elapses and its
+/// RecoverFn runs; Recovering -> Healthy on success (canary passed) or back
+/// to Quarantined with doubled backoff on failure; Healthy -> Dead when the
+/// breaker trips on a worker without a RecoverFn. Dead is terminal for the
+/// server's lifetime.
 ///
 /// The autoscaler (PR 10) adds Parked: a deliberately idle worker that the
 /// scaling policy has taken out of rotation (Healthy <-> Parked only — a
@@ -154,7 +154,6 @@ struct ServingStats {
   int64_t recoveries = 0;        ///< workers returned Quarantined -> Healthy
   int64_t requeued = 0;          ///< riders re-queued off a tripped worker
   int64_t canary_failures = 0;   ///< recovery attempts that failed
-  int64_t watchdog_trips = 0;    ///< batches exceeding Config::watchdog_timeout
   /// Engine-side counters the server cannot observe through BatchFn:
   /// transient-fault retries performed (DeployedTBNet::retries()) and
   /// faults injected (TeeContext::faults().faults_injected()). The

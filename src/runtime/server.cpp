@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -148,54 +149,6 @@ int InferenceServer::active_workers_locked() const {
   return active;
 }
 
-int64_t InferenceServer::queued_total_locked() const {
-  int64_t total = 0;
-  for (const std::deque<Pending>& lane : lanes_) {
-    total += static_cast<int64_t>(lane.size());
-  }
-  return total;
-}
-
-bool InferenceServer::lanes_empty_locked() const {
-  for (const std::deque<Pending>& lane : lanes_) {
-    if (!lane.empty()) return false;
-  }
-  return true;
-}
-
-void InferenceServer::enqueue_locked(Pending p) {
-  std::deque<Pending>& lane = lanes_[static_cast<size_t>(p.priority)];
-  // Earliest-deadline-first within the lane, stable for ties: walk from the
-  // back past strictly-later deadlines. No-deadline requests (time max) stay
-  // FIFO among themselves behind every deadlined one; the common all-FIFO /
-  // monotone-deadline traffic inserts at the back in O(1).
-  auto it = lane.end();
-  while (it != lane.begin() && std::prev(it)->deadline > p.deadline) --it;
-  lane.insert(it, std::move(p));
-}
-
-InferenceServer::Pending InferenceServer::pop_shed_victim_locked() {
-  for (std::deque<Pending>& lane : lanes_) {  // lowest priority first
-    if (!lane.empty()) {
-      Pending victim = std::move(lane.front());
-      lane.pop_front();
-      return victim;
-    }
-  }
-  throw std::logic_error("InferenceServer: shed with empty lanes");
-}
-
-std::deque<InferenceServer::Pending> InferenceServer::take_queue_locked() {
-  std::deque<Pending> taken;
-  for (int lane = kPriorityLanes - 1; lane >= 0; --lane) {
-    for (Pending& p : lanes_[static_cast<size_t>(lane)]) {
-      taken.push_back(std::move(p));
-    }
-    lanes_[static_cast<size_t>(lane)].clear();
-  }
-  return taken;
-}
-
 bool InferenceServer::trip_breaker_locked(int w) {
   WorkerControl& wc = control_[static_cast<size_t>(w)];
   if (wc.health != WorkerHealth::kHealthy) return false;
@@ -215,23 +168,12 @@ bool InferenceServer::trip_breaker_locked(int w) {
 }
 
 std::future<InferenceResult> InferenceServer::submit(Tensor image_chw) {
-  return submit(std::move(image_chw), cfg_.default_deadline,
-                Priority::kNormal);
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    Tensor image_chw, std::chrono::microseconds deadline) {
-  return submit(std::move(image_chw), deadline, Priority::kNormal);
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    Tensor image_chw, std::chrono::microseconds deadline, Priority priority) {
   Pending p;
   p.image = std::move(image_chw);
   p.enqueued = Clock::now();
-  p.deadline = deadline.count() > 0 ? p.enqueued + deadline
-                                    : Clock::time_point::max();
-  p.priority = priority;
+  p.deadline = cfg_.default_deadline.count() > 0
+                   ? p.enqueued + cfg_.default_deadline
+                   : Clock::time_point::max();
   std::future<InferenceResult> fut = p.promise.get_future();
 
   // A malformed request resolves Rejected on its own future — it must never
@@ -261,7 +203,7 @@ std::future<InferenceResult> InferenceServer::submit(
       }
     }
     if (reject.empty() && cfg_.queue_capacity > 0 &&
-        queued_total_locked() >= cfg_.queue_capacity) {
+        static_cast<int64_t>(queue_.size()) >= cfg_.queue_capacity) {
       switch (cfg_.admission) {
         case AdmissionPolicy::kBlock:
           // Backpressure: park this submitter until a worker frees space
@@ -269,7 +211,7 @@ std::future<InferenceResult> InferenceServer::submit(
           space_cv_.wait(lock, [this] {
             mu_.assert_held();  // wait re-acquires mu_ before evaluating
             return stop_ || live_workers_locked() == 0 ||
-                   queued_total_locked() < cfg_.queue_capacity;
+                   static_cast<int64_t>(queue_.size()) < cfg_.queue_capacity;
           });
           if (stop_) {
             reject = "submit blocked at shutdown";
@@ -282,11 +224,12 @@ std::future<InferenceResult> InferenceServer::submit(
                    std::to_string(cfg_.queue_capacity) + ")";
           break;
         case AdmissionPolicy::kShedOldest:
-          // The victim — the lowest lane's front, so low-priority traffic
-          // absorbs overload first — hands its in-flight slot to the new
-          // request: in_flight_ is net unchanged within this critical
-          // section and drain() never observes a spurious zero.
-          shed_victim = pop_shed_victim_locked();
+          // The victim — the queue front, the oldest request — hands its
+          // in-flight slot to the new request: in_flight_ is net unchanged
+          // within this critical section and drain() never observes a
+          // spurious zero.
+          shed_victim = std::move(queue_.front());
+          queue_.pop_front();
           have_victim = true;
           ++stats_.shed;
           --in_flight_;
@@ -294,10 +237,10 @@ std::future<InferenceResult> InferenceServer::submit(
       }
     }
     if (reject.empty()) {
-      enqueue_locked(std::move(p));
+      queue_.push_back(std::move(p));
       ++in_flight_;
-      stats_.max_queue_depth =
-          std::max(stats_.max_queue_depth, queued_total_locked());
+      stats_.max_queue_depth = std::max(
+          stats_.max_queue_depth, static_cast<int64_t>(queue_.size()));
     } else {
       ++stats_.rejected;
     }
@@ -313,7 +256,7 @@ std::future<InferenceResult> InferenceServer::submit(
   }
   // Only claimable workers wait on queue_cv_ (non-Healthy ones sit on
   // park_cv_): the first to take mu_ claims the request, and the others
-  // find the lanes empty and wait again.
+  // find the queue empty and wait again.
   queue_cv_.notify_all();
   return fut;
 }
@@ -321,10 +264,9 @@ std::future<InferenceResult> InferenceServer::submit(
 void InferenceServer::drain() {
   // Requeued riders keep their in_flight_ slot, so this also waits for work
   // bounced off a quarantined worker to be re-served (possibly by the same
-  // worker after recovery). With max_recovery_attempts <= 0 and a recovery
-  // that never succeeds, that wait is unbounded — cap the attempts (the
-  // exhausted worker dies and the backlog resolves) when drain() must
-  // terminate without a healthy engine.
+  // worker after recovery). While a recovery keeps failing and no other
+  // worker is healthy, that wait lasts until it succeeds; shutdown() ends it,
+  // resolving the backlog kRejected.
   MutexLock lock(mu_);
   idle_cv_.wait(lock, [this] {
     mu_.assert_held();  // wait re-acquires mu_ before evaluating
@@ -357,7 +299,7 @@ void InferenceServer::shutdown() {
   std::deque<Pending> leftover;
   {
     MutexLock lock(mu_);
-    leftover = take_queue_locked();
+    leftover = std::exchange(queue_, {});
     stats_.rejected += static_cast<int64_t>(leftover.size());
   }
   if (leftover.empty()) return;
@@ -416,38 +358,33 @@ void InferenceServer::worker_loop(int worker) {
         return stop_ ||
                control_[static_cast<size_t>(worker)].health !=
                    WorkerHealth::kHealthy ||
-               !lanes_empty_locked();
+               !queue_.empty();
       });
-      if (lanes_empty_locked() || control_[static_cast<size_t>(worker)]
-                                          .health != WorkerHealth::kHealthy) {
+      if (queue_.empty() || control_[static_cast<size_t>(worker)].health !=
+                                WorkerHealth::kHealthy) {
         if (stop_) return;
         continue;
       }
-      // Work-conserving: claim what is queued, up to max_batch, in this
-      // same critical section; a free worker never idles beside queued
-      // work waiting for company. Claim highest lane first, enforcing
-      // deadlines at batch-formation time: an expired request resolves
-      // kExpired without consuming a batch slot or ever touching an engine.
-      // Lanes are EDF-ordered, so each lane's front is its most urgent
-      // request and expiry checks stay O(1) amortized per request.
+      // Work-conserving: claim what is queued, up to max_batch, from the
+      // front in this same critical section; a free worker never idles
+      // beside queued work waiting for company. Deadlines are enforced at
+      // batch-formation time: an expired request resolves kExpired without
+      // consuming a batch slot or ever touching an engine.
       const auto now = Clock::now();
-      for (int ln = kPriorityLanes - 1; ln >= 0; --ln) {
-        std::deque<Pending>& lane = lanes_[static_cast<size_t>(ln)];
-        while (static_cast<int64_t>(batch.size()) < cfg_.max_batch &&
-               !lane.empty()) {
-          Pending pr = std::move(lane.front());
-          lane.pop_front();
-          if (pr.deadline <= now) {
-            expired.push_back(std::move(pr));
-          } else {
-            batch.push_back(std::move(pr));
-          }
+      while (static_cast<int64_t>(batch.size()) < cfg_.max_batch &&
+             !queue_.empty()) {
+        Pending pr = std::move(queue_.front());
+        queue_.pop_front();
+        if (pr.deadline <= now) {
+          expired.push_back(std::move(pr));
+        } else {
+          batch.push_back(std::move(pr));
         }
       }
       stats_.expired += static_cast<int64_t>(expired.size());
       // Requests may remain (more than max_batch queued): hand them to the
       // idle siblings instead of serializing behind this batch.
-      if (!lanes_empty_locked()) queue_cv_.notify_all();
+      if (!queue_.empty()) queue_cv_.notify_all();
     }
     // Popping freed queue space: wake submitters blocked on admission.
     if (cfg_.queue_capacity > 0) space_cv_.notify_all();
@@ -465,7 +402,7 @@ void InferenceServer::worker_loop(int worker) {
     bool done;
     {
       MutexLock lock(mu_);
-      done = stop_ && lanes_empty_locked();
+      done = stop_ && queue_.empty();
     }
     if (done) return;
   }
@@ -532,9 +469,6 @@ void InferenceServer::run_batch(int worker, std::vector<Pending> batch) {
     failure = "unknown engine failure";
   }
   const auto batch_end = Clock::now();
-  const bool watchdog_overrun =
-      cfg_.watchdog_timeout.count() > 0 &&
-      batch_end - batch_start > cfg_.watchdog_timeout;
 
   // Stats first, promises second: anyone who has observed a request's
   // future resolve must also see it in stats(). Breaker/requeue decisions
@@ -545,13 +479,12 @@ void InferenceServer::run_batch(int worker, std::vector<Pending> batch) {
   int64_t requeued_count = 0;
   {
     MutexLock lock(mu_);
-    if (watchdog_overrun) ++stats_.watchdog_trips;
     bool tripped = false;
     WorkerControl& wc = control_[static_cast<size_t>(worker)];
     if (cfg_.breaker_threshold > 0 && wc.health == WorkerHealth::kHealthy) {
-      if (failed || watchdog_overrun) {
+      if (failed) {
         ++wc.strikes;
-        if ((failed && trip_now) || wc.strikes >= cfg_.breaker_threshold) {
+        if (trip_now || wc.strikes >= cfg_.breaker_threshold) {
           tripped = trip_breaker_locked(worker);
         }
       } else {
@@ -575,16 +508,11 @@ void InferenceServer::run_batch(int worker, std::vector<Pending> batch) {
     }
     requeued_count = static_cast<int64_t>(requeue.size());
     stats_.requeued += requeued_count;
-    // Each rider re-enters its own lane at EDF position — NOT a blind
-    // push_front: requests enqueued while the batch ran may hold earlier
-    // deadlines than the riders, and the lane's sort invariant is what
-    // keeps enqueue_locked's back-walk and the O(1) front-expiry honest.
-    // The batch was claimed front-first from EDF-sorted lanes and the
-    // insert is stable, so riders keep their relative order and never lose
-    // their lane by bouncing.
-    for (Pending& rider : requeue) {
-      enqueue_locked(std::move(rider));
-    }
+    // The riders were the oldest requests when claimed, so they return to
+    // the front, in claim order, ahead of whatever arrived while their
+    // batch ran.
+    queue_.insert(queue_.begin(), std::make_move_iterator(requeue.begin()),
+                  std::make_move_iterator(requeue.end()));
     // A requeued rider is NOT counted as an answered request here — the
     // batch that finally resolves it will count it — preserving the PR-7
     // identity: submits = requests + rejected + shed + expired.
@@ -613,7 +541,7 @@ void InferenceServer::run_batch(int worker, std::vector<Pending> batch) {
     // The last live worker just died: nothing will ever serve the backlog,
     // so it resolves now with a typed error instead of hanging submitters.
     if (tripped && live_workers_locked() == 0) {
-      flushed = take_queue_locked();
+      flushed = std::exchange(queue_, {});
       stats_.requests += static_cast<int64_t>(flushed.size());
       stats_.engine_errors += static_cast<int64_t>(flushed.size());
     }
@@ -682,14 +610,11 @@ int InferenceServer::autoscale_tick(Clock::time_point now) {
   }
   const double util =
       active > 0 && elapsed > 0.0 ? busy / (elapsed * active) : 0.0;
-  const int64_t queued = queued_total_locked();
+  const int64_t queued = static_cast<int64_t>(queue_.size());
   if (now < next_scale_allowed_) return -1;  // cooldown: no action this tick
 
   // Scale UP when the backlog exceeds one batch round per healthy worker.
-  const double backlog_limit = cfg_.scale_up_queue_factor *
-                               static_cast<double>(cfg_.max_batch) *
-                               static_cast<double>(std::max(1, healthy));
-  if (static_cast<double>(queued) > backlog_limit &&
+  if (queued > cfg_.max_batch * std::max(1, healthy) &&
       active < cfg_.max_workers) {
     for (int w = 0; w < static_cast<int>(control_.size()); ++w) {
       WorkerControl& wc = control_[static_cast<size_t>(w)];
@@ -715,7 +640,7 @@ int InferenceServer::autoscale_tick(Clock::time_point now) {
     return -1;  // nothing parked (the rest are quarantined/recovering/dead)
   }
 
-  // Scale DOWN when the pool is demonstrably idle: empty lanes and recent
+  // Scale DOWN when the pool is demonstrably idle: an empty queue and recent
   // utilization under the threshold. Parking the HIGHEST healthy slot keeps
   // the active set a prefix, and a parked worker finishes any batch it
   // already claimed — nothing in flight is abandoned (drain stays exact).
@@ -816,18 +741,12 @@ void InferenceServer::supervisor_loop() {
     // thread is parked (non-Healthy workers never claim), so the engine is
     // not invoked concurrently.
     bool recovered = true;
-    std::string error;
     try {
       recover();
-    } catch (const std::exception& e) {
-      recovered = false;
-      error = e.what();
     } catch (...) {
-      recovered = false;
-      error = "unknown recovery failure";
+      recovered = false;  // counted below; the supervisor backs off and retries
     }
     lock.lock();
-    std::deque<Pending> flushed;
     if (recovered) {
       wc.health = WorkerHealth::kHealthy;
       wc.strikes = 0;
@@ -838,37 +757,16 @@ void InferenceServer::supervisor_loop() {
     } else {
       ++stats_.canary_failures;
       ++wc.recovery_attempts;
-      if (cfg_.max_recovery_attempts > 0 &&
-          wc.recovery_attempts >= cfg_.max_recovery_attempts) {
-        wc.health = WorkerHealth::kDead;
-        if (live_workers_locked() == 0) {
-          flushed = take_queue_locked();
-          stats_.requests += static_cast<int64_t>(flushed.size());
-          stats_.engine_errors += static_cast<int64_t>(flushed.size());
-        }
-      } else {
-        // Capped exponential backoff: attempt k waits base * 2^(k-1).
-        auto backoff = cfg_.recovery_backoff;
-        for (int k = 1; k < wc.recovery_attempts + 1 &&
-                        backoff < cfg_.recovery_max_backoff;
-             ++k) {
-          backoff *= 2;
-        }
-        wc.next_recovery =
-            Clock::now() + std::min(backoff, cfg_.recovery_max_backoff);
-        wc.health = WorkerHealth::kQuarantined;
+      // Capped exponential backoff: attempt k waits base * 2^(k-1).
+      auto backoff = cfg_.recovery_backoff;
+      for (int k = 1; k < wc.recovery_attempts + 1 &&
+                      backoff < cfg_.recovery_max_backoff;
+           ++k) {
+        backoff *= 2;
       }
-    }
-    if (!flushed.empty()) {
-      lock.unlock();
-      for (Pending& p : flushed) {
-        resolve_failure(p, Status::kEngineError,
-                        "no live workers (recovery exhausted: " + error + ")");
-      }
-      lock.lock();
-      in_flight_ -= static_cast<int64_t>(flushed.size());
-      if (in_flight_ == 0) idle_cv_.notify_all();
-      space_cv_.notify_all();
+      wc.next_recovery =
+          Clock::now() + std::min(backoff, cfg_.recovery_max_backoff);
+      wc.health = WorkerHealth::kQuarantined;
     }
   }
 }

@@ -1,28 +1,30 @@
 #pragma once
 // InferenceServer — multi-session request coalescing over batched engines,
-// with bounded admission, per-request deadlines, and typed outcomes.
+// with bounded admission, a request deadline, and typed outcomes.
 //
 // Production serving rarely sees one request at a time: many clients submit
 // single images concurrently, and the per-batch costs of the deployed TEE
 // engine (world switches, TA invocations, channel traffic bookkeeping) make
 // it much cheaper to push one batch of N than N batches of one. The server
-// accepts concurrent submit() calls, runs queued requests through
-// caller-provided batch functions on a pool of dispatch workers, and fans
-// the per-image results back out through futures. Dispatch is
-// work-conserving: a free worker takes what is queued, up to `max_batch`, at
-// once, so no request waits while a worker idles, and multi-request batches
-// form from what queues while every worker is busy.
+// accepts concurrent submit() calls into one FIFO queue, runs queued
+// requests through caller-provided batch functions on a pool of dispatch
+// workers, and fans the per-image results back out through futures.
+// Dispatch is work-conserving: a free worker takes what is queued, up to
+// `max_batch`, from the front at once, so no request waits while a worker
+// idles, and multi-request batches form from what queues while every worker
+// is busy.
 //
 // Overload safety: the queue is bounded (`queue_capacity`) with a pick of
 // admission policies — block the submitter (backpressure), reject the new
-// request, or shed the oldest queued one — and every request can carry a
-// deadline that is enforced at batch-formation time (an expired request
-// resolves without ever touching an engine). Futures therefore always
-// resolve with a typed InferenceResult::Status instead of submit() throwing
-// mid-stream: Ok, Rejected (never admitted / shed), Expired (deadline
-// passed in queue), or EngineError (its batch ran and the engine failed —
-// e.g. TEE retry exhaustion, see runtime/deployed.h). The failure counters
-// land in runtime::ServingStats alongside the latency recorders.
+// request, or shed the oldest queued one — and every request carries the
+// configured deadline (`default_deadline`), enforced at batch-formation time
+// (an expired request resolves without ever touching an engine). Futures
+// therefore always resolve with a typed InferenceResult::Status instead of
+// submit() throwing mid-stream: Ok, Rejected (never admitted / shed),
+// Expired (deadline passed in queue), or EngineError (its batch ran and the
+// engine failed — e.g. TEE retry exhaustion, see runtime/deployed.h). The
+// failure counters land in runtime::ServingStats alongside the latency
+// recorders.
 //
 // Inter-op parallelism: the server runs one dispatch worker PER ENGINE
 // function it is given. Each engine is invoked from exactly one worker
@@ -36,19 +38,17 @@
 //
 // Supervision (PR 8): permanent engine loss is survivable. Each worker
 // carries a circuit breaker — `breaker_threshold` consecutive failed
-// batches, any tee::PermanentFault / integrity fault, or a watchdog overrun
-// trips it — and a tripped worker is quarantined: it stops claiming work,
-// the riders of its failing batch are re-queued ONCE to the surviving
-// workers (their futures resolve from whichever batch finally runs them),
-// and a supervisor thread retries the worker's RecoverFn (e.g.
+// batches, or any tee::PermanentFault / integrity fault, trips it — and a
+// tripped worker is quarantined: it stops claiming work, the riders of its
+// failing batch go back to the queue front ONCE for the surviving workers
+// (their futures resolve from whichever batch finally runs them), and a
+// supervisor thread retries the worker's RecoverFn (e.g.
 // DeployedTBNet::reopen with a canary) under capped exponential backoff
-// until the worker re-enters the pool or exhausts its attempt budget and is
-// marked dead. Workers without a RecoverFn go straight to dead. When the
-// last live worker dies, everything queued (and every later submit)
-// resolves with a typed status instead of hanging. Health states and the
-// quarantine/recovery counters land in ServingStats.
+// until the worker re-enters the pool. Workers without a RecoverFn go
+// straight to dead. When the last live worker dies, everything queued (and
+// every later submit) resolves with a typed status instead of hanging.
+// Health states and the quarantine/recovery counters land in ServingStats.
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -79,21 +79,6 @@ enum class AdmissionPolicy {
   /// still have a use for.
   kShedOldest,
 };
-
-/// Per-request priority lane (PR 10). Batch formation serves the highest
-/// non-empty lane first, ordering WITHIN a lane by earliest deadline
-/// (requests without deadlines keep FIFO order — "no deadline" sorts last,
-/// stably). kShedOldest drops from the LOWEST non-empty lane, so under
-/// sustained overload low-priority traffic absorbs the shedding while high
-/// lanes keep their goodput. Not an admission class: every lane obeys the
-/// same queue bound and the same accounting identity.
-enum class Priority {
-  kLow = 0,
-  kNormal = 1,
-  kHigh = 2,
-};
-
-inline constexpr int kPriorityLanes = 3;
 
 /// Typed outcome of one request. The future always resolves with one of
 /// these — never an exception — so one bad request or one failing engine
@@ -146,10 +131,10 @@ class InferenceServer {
     int64_t queue_capacity = 0;
     /// Applied when the queue is full (only meaningful with a bound).
     AdmissionPolicy admission = AdmissionPolicy::kBlock;
-    /// Deadline stamped on every submit() that doesn't carry its own;
-    /// <= 0 = none. Enforced when a worker forms a batch: a request whose
-    /// deadline has passed resolves kExpired without running, which bounds
-    /// an accepted request's latency by deadline + one batch.
+    /// Deadline stamped on every submit(); <= 0 = none. Enforced when a
+    /// worker forms a batch: a request whose deadline has passed resolves
+    /// kExpired without running, which bounds an accepted request's latency
+    /// by deadline + one batch.
     std::chrono::microseconds default_deadline{0};
     /// Expected CHW shape of every request. When set, a mismatched submit
     /// resolves kRejected alone instead of poisoning its whole coalesced
@@ -165,19 +150,10 @@ class InferenceServer {
     /// recovery_backoff * 2^(k-1), capped at recovery_max_backoff.
     std::chrono::microseconds recovery_backoff{5000};
     std::chrono::microseconds recovery_max_backoff{1000000};
-    /// Failed recovery attempts before a quarantined worker is marked dead;
-    /// <= 0 = keep trying for the server's lifetime.
-    int max_recovery_attempts = 0;
-    /// A batch whose engine call exceeds this marks the worker suspect: one
-    /// breaker strike (counted in ServingStats::watchdog_trips) even when
-    /// the batch succeeded, so a wedged-but-eventually-returning engine
-    /// drains into quarantine instead of silently serving at 100x latency.
-    /// <= 0 disables the watchdog.
-    std::chrono::microseconds watchdog_timeout{0};
     // ---- elasticity (PR 10) -------------------------------------------
     // The fixed-pool constructors pin min_workers = max_workers =
     // engines.size(). The autoscaler runs only when max_workers >
-    // min_workers, so a fixed pool never reads the other four.
+    // min_workers, so a fixed pool never reads the other three.
     /// Workers the elastic server keeps active at all times; the factory is
     /// invoked for them at construction. Must be >= 1 and <= max_workers.
     int min_workers = 1;
@@ -192,10 +168,6 @@ class InferenceServer {
     /// utilization signal gets at least one cooldown to reflect the new
     /// pool before the next decision.
     std::chrono::microseconds autoscale_cooldown{100000};
-    /// Scale up when queued > scale_up_queue_factor * max_batch * healthy
-    /// workers — i.e. the backlog exceeds what the active pool can clear in
-    /// one batch round per worker.
-    double scale_up_queue_factor = 1.0;
     /// Park a worker when mean active-worker utilization since the last
     /// tick falls below this AND the queue is empty. 0 disables scale-down.
     double scale_down_utilization = 0.3;
@@ -255,14 +227,8 @@ class InferenceServer {
   /// typed status (see InferenceResult) — malformed shapes, a full queue
   /// under kReject, or a post-shutdown submit resolve kRejected instead of
   /// throwing. Under kBlock with a full queue this call blocks (that is the
-  /// backpressure). The one-argument form applies cfg.default_deadline; the
-  /// short forms submit at Priority::kNormal.
+  /// backpressure). The request carries cfg.default_deadline.
   std::future<InferenceResult> submit(Tensor image_chw);
-  std::future<InferenceResult> submit(Tensor image_chw,
-                                      std::chrono::microseconds deadline);
-  std::future<InferenceResult> submit(Tensor image_chw,
-                                      std::chrono::microseconds deadline,
-                                      Priority priority);
 
   /// Blocks until every request submitted so far has been answered.
   void drain();
@@ -290,7 +256,6 @@ class InferenceServer {
     std::chrono::steady_clock::time_point enqueued;
     /// Absolute expiry; time_point::max() = none.
     std::chrono::steady_clock::time_point deadline;
-    Priority priority = Priority::kNormal;
     /// Already survived one failed batch. A rider is re-queued AT MOST once
     /// (bounding the work one request can consume); a second failure
     /// resolves it with the failing batch's status.
@@ -337,19 +302,6 @@ class InferenceServer {
   int live_workers_locked() const TS_REQUIRES(mu_);
   /// Counts workers in rotation (Healthy / Quarantined / Recovering).
   int active_workers_locked() const TS_REQUIRES(mu_);
-  /// Requests across all lanes (the queue-bound observable).
-  int64_t queued_total_locked() const TS_REQUIRES(mu_);
-  bool lanes_empty_locked() const TS_REQUIRES(mu_);
-  /// Inserts into its priority lane in earliest-deadline-first order
-  /// (stable: no-deadline requests stay FIFO behind deadlined ones).
-  void enqueue_locked(Pending p) TS_REQUIRES(mu_);
-  /// Pops the shed victim: the front of the LOWEST non-empty lane.
-  Pending pop_shed_victim_locked() TS_REQUIRES(mu_);
-  /// Fails everything still queued (used when the last live worker dies and
-  /// at shutdown when no healthy worker remains to serve the backlog).
-  /// Returns the extracted requests (highest lane first) to resolve outside
-  /// the lock.
-  std::deque<Pending> take_queue_locked() TS_REQUIRES(mu_);
   /// Resolves `p` with a non-Ok status, stamping latency fields.
   static void resolve_failure(Pending& p, Status status, std::string error);
 
@@ -375,8 +327,9 @@ class InferenceServer {
   CondVar idle_cv_;        // drain() waits for in-flight == 0
   CondVar space_cv_;       // kBlock submitters wait for room
   CondVar supervisor_cv_;  // supervisor waits for quarantines
-  /// lanes_[p] holds Priority p's queued requests, earliest deadline first.
-  std::array<std::deque<Pending>, kPriorityLanes> lanes_ TS_GUARDED_BY(mu_);
+  /// Accepted, unclaimed requests in arrival order; requeued riders go back
+  /// to the front.
+  std::deque<Pending> queue_ TS_GUARDED_BY(mu_);
   /// Pinned input shape ({} until first accept).
   Shape expected_chw_ TS_GUARDED_BY(mu_);
   /// Submitted, not yet answered.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "tensor/bytes.h"
 #include "tensor/crc32c.h"
@@ -13,36 +11,14 @@
 namespace tbnet::tee {
 namespace {
 
-/// TBNET_SPIN_STALLS=1 forces injected stalls to busy-wait for their whole
-/// duration (the pre-PR-10 behavior) — the most faithful model of the CPU
-/// being seized by SMC + context save/restore, at the cost of burning a
-/// core. Read once; a process-lifetime switch like the fault-injection envs.
-bool pure_spin_stalls() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("TBNET_SPIN_STALLS");
-    return v != nullptr && v[0] == '1';
-  }();
-  return enabled;
-}
-
-/// Waits for `seconds` on the steady clock. OP-TEE world switches are tens
-/// of microseconds — far below sleep granularity — so short stalls spin,
-/// modeling the CPU being unavailable during SMC + context save/restore.
-/// Long stalls (device-timing profiles inject hundreds of microseconds per
-/// invocation) sleep most of the interval and spin only the final ~100us to
-/// the deadline: on machines with fewer cores than serving workers, N
-/// workers pure-spinning their stalls serialize on the core instead of
-/// overlapping, which inverts every multi-worker scaling measurement.
-/// TBNET_SPIN_STALLS=1 restores the pure spin.
+/// Busy-waits `seconds` on the steady clock: the CPU is seized for the
+/// whole SMC + context save/restore, as on the device. A stall that slept
+/// would also pay the host's wake-up latency.
 void spin_for(double seconds) {
   if (seconds <= 0.0) return;
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::duration_cast<std::chrono::nanoseconds>(
                          std::chrono::duration<double>(seconds));
-  constexpr auto kSpinTail = std::chrono::microseconds(100);
-  if (!pure_spin_stalls() && seconds > 200e-6) {
-    std::this_thread::sleep_until(until - kSpinTail);
-  }
   while (std::chrono::steady_clock::now() < until) {
   }
 }

@@ -121,7 +121,7 @@ class TeeSession {
     return switches_;
   }
 
-  /// Device-faithful timing: when set, every invoke stalls the caller for
+  /// Device-faithful timing: when set, every invoke busy-waits the caller for
   /// the profile's world-switch latency (entry, plus exit when a result
   /// crosses back) and the payload's shared-memory transfer time. TA compute
   /// still runs at host speed; only the cross-world overheads the paper's

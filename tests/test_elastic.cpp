@@ -1,8 +1,8 @@
 // Tests for PR 10's elastic serving: the supervisor-hosted autoscaler
 // (scale-up under sustained queue depth, cooldown hysteresis, min/max
-// bounds, drain exactness across park/unpark) and the priority lanes
-// (highest-lane-first batch formation, earliest-deadline-first ordering
-// within a lane, lowest-lane-first shedding under kShedOldest). All
+// bounds, drain exactness across park/unpark) and the FIFO queue it serves
+// from (a released worker claims in submission order, a requeued rider goes
+// back to the front, the accounting identity holds across scale-up). All
 // scenarios use synthetic engines so they are fast and TSan-clean; the
 // real-model elastic soak lives in bench_serving --soak-seconds.
 
@@ -236,7 +236,7 @@ TEST(Autoscaler, ParkedMajorityNeverSwallowsWakeups) {
 
 /// Single-worker fixed-pool server whose engine blocks its FIRST batch on a
 /// gate; everything submitted while it is blocked queues up, which makes
-/// lane/ordering behavior at batch formation directly observable.
+/// ordering at batch formation directly observable.
 struct GatedServer {
   std::mutex order_mu;
   std::vector<float> order;  // ids in service order, first (gate) batch too
@@ -274,119 +274,36 @@ struct GatedServer {
   }
 };
 
-TEST(PriorityLanes, HighLaneServedFirst) {
-  InferenceServer::Config cfg;
-  cfg.max_batch = 1;
-  GatedServer gs(cfg);
-  auto blocker = gs.occupy();
-
-  std::vector<std::future<InferenceResult>> futs;
-  futs.push_back(gs.server->submit(tagged_image(1), microseconds(0),
-                                   Priority::kLow));
-  futs.push_back(gs.server->submit(tagged_image(2), microseconds(0),
-                                   Priority::kNormal));
-  futs.push_back(gs.server->submit(tagged_image(3), microseconds(0),
-                                   Priority::kHigh));
-  futs.push_back(gs.server->submit(tagged_image(4), microseconds(0),
-                                   Priority::kLow));
-  futs.push_back(gs.server->submit(tagged_image(5), microseconds(0),
-                                   Priority::kHigh));
-  gs.gate.set_value();
-
-  EXPECT_EQ(blocker.get().status, Status::kOk);
-  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
-  // High lane first (FIFO within: 3 then 5), then normal, then low.
-  EXPECT_EQ(gs.service_order(),
-            (std::vector<float>{0, 3, 5, 2, 1, 4}));
-}
-
-TEST(PriorityLanes, EarliestDeadlineFirstWithinLane) {
-  InferenceServer::Config cfg;
-  cfg.max_batch = 1;
-  GatedServer gs(cfg);
-  auto blocker = gs.occupy();
-
-  // Same lane, deadlines far enough apart (and generous enough) that the
-  // EDF insert — not expiry, not submit timing — decides the order.
-  std::vector<std::future<InferenceResult>> futs;
-  futs.push_back(gs.server->submit(tagged_image(1), milliseconds(8000)));
-  futs.push_back(gs.server->submit(tagged_image(2), milliseconds(2000)));
-  futs.push_back(gs.server->submit(tagged_image(3), milliseconds(5000)));
-  futs.push_back(
-      gs.server->submit(tagged_image(4), microseconds(0)));  // no deadline
-  gs.gate.set_value();
-
-  EXPECT_EQ(blocker.get().status, Status::kOk);
-  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
-  // 2 (2s) before 3 (5s) before 1 (8s); the deadline-less 4 sorts last.
-  EXPECT_EQ(gs.service_order(), (std::vector<float>{0, 2, 3, 1, 4}));
-}
-
-TEST(PriorityLanes, ShedOldestDropsLowestLaneFirst) {
-  InferenceServer::Config cfg;
-  cfg.max_batch = 1;
-  cfg.queue_capacity = 2;
-  cfg.admission = AdmissionPolicy::kShedOldest;
-  GatedServer gs(cfg);
-  auto blocker = gs.occupy();
-
-  // Fill the queue with low-priority work...
-  auto low1 = gs.server->submit(tagged_image(1), microseconds(0),
-                                Priority::kLow);
-  auto low2 = gs.server->submit(tagged_image(2), microseconds(0),
-                                Priority::kLow);
-  // ...then two high-priority arrivals each shed the lowest lane's front.
-  auto high1 = gs.server->submit(tagged_image(3), microseconds(0),
-                                 Priority::kHigh);
-  auto high2 = gs.server->submit(tagged_image(4), microseconds(0),
-                                 Priority::kHigh);
-  gs.gate.set_value();
-
-  EXPECT_EQ(low1.get().status, Status::kRejected);
-  EXPECT_EQ(low2.get().status, Status::kRejected);
-  EXPECT_EQ(blocker.get().status, Status::kOk);
-  EXPECT_EQ(high1.get().status, Status::kOk);
-  EXPECT_EQ(high2.get().status, Status::kOk);
-
-  const ServingStats stats = gs.server->stats();
-  EXPECT_EQ(stats.shed, 2);
-  // Accounting identity across the shed: 5 submits.
-  EXPECT_EQ(stats.requests + stats.rejected + stats.shed + stats.expired, 5);
-  EXPECT_EQ(stats.requests, 3);
-}
-
-TEST(PriorityLanes, ReleasedWorkerClaimsPartialBatchInEdfOrder) {
+TEST(FifoQueue, ReleasedWorkerClaimsPartialBatchInSubmissionOrder) {
   // The moment the gate frees the worker it claims everything queued, a
-  // partial batch, instead of idling for company. EDF ordering places the
-  // early no-deadline arrival BEHIND the later deadlined one within it.
+  // partial batch, instead of idling for company, in submission order.
   InferenceServer::Config cfg;
   cfg.max_batch = 3;  // strictly more than what queues up: a partial batch
   GatedServer gs(cfg);
   auto blocker = gs.occupy();
 
-  auto no_deadline = gs.server->submit(tagged_image(1), microseconds(0));
-  auto deadlined = gs.server->submit(tagged_image(2), milliseconds(10000));
+  auto first = gs.server->submit(tagged_image(1));
+  auto second = gs.server->submit(tagged_image(2));
   const auto released = std::chrono::steady_clock::now();
   gs.gate.set_value();
 
   EXPECT_EQ(blocker.get().status, Status::kOk);
-  EXPECT_EQ(no_deadline.get().status, Status::kOk);
-  EXPECT_EQ(deadlined.get().status, Status::kOk);
+  EXPECT_EQ(first.get().status, Status::kOk);
+  EXPECT_EQ(second.get().status, Status::kOk);
   const double after_release = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - released)
                                    .count();
   EXPECT_LT(after_release, 0.1)
       << "the released worker idled before claiming a partial batch";
-  // One batch, EDF order within it: the deadlined request first.
-  EXPECT_EQ(gs.service_order(), (std::vector<float>{0, 2, 1}));
+  // One batch, in the order the requests arrived.
+  EXPECT_EQ(gs.service_order(), (std::vector<float>{0, 1, 2}));
 }
 
-TEST(PriorityLanes, RequeuedRiderKeepsEdfOrder) {
-  // A rider bounced off a tripped worker re-enters its lane at EDF
-  // position: a request that arrived while the failing batch ran and holds
-  // an EARLIER deadline is served first after recovery. A blind re-queue to
-  // the lane front would invert that and break the sort invariant that
-  // enqueue_locked's back-walk insertion and the O(1) front-expiry rely on.
+TEST(FifoQueue, RequeuedRiderIsServedBeforeLaterArrivals) {
+  // A rider bounced off a tripped worker goes back to the queue FRONT: it
+  // arrived before anything submitted while its batch failed, so after
+  // recovery it is served first. No deadline is configured, so arrival
+  // order alone decides; a re-queue to the back would serve {2, 1}.
   std::mutex order_mu;
   std::vector<float> order;
   std::promise<void> in_failing_batch;
@@ -419,18 +336,17 @@ TEST(PriorityLanes, RequeuedRiderKeepsEdfOrder) {
   cfg.recovery_backoff = microseconds(500);
   InferenceServer server(std::move(engines), std::move(recovery), cfg);
 
-  auto rider = server.submit(tagged_image(1), milliseconds(8000));
+  auto rider = server.submit(tagged_image(1));
   in_failing_batch.get_future().wait();  // worker is inside the failing batch
-  // Arrives mid-batch with the earlier deadline: EDF puts it ahead of the
-  // about-to-bounce rider.
-  auto urgent = server.submit(tagged_image(2), milliseconds(3000));
+  // Arrives mid-batch, behind the about-to-bounce rider.
+  auto newcomer = server.submit(tagged_image(2));
   release_failing_batch.set_value();
 
-  EXPECT_EQ(urgent.get().status, Status::kOk);
+  EXPECT_EQ(newcomer.get().status, Status::kOk);
   EXPECT_EQ(rider.get().status, Status::kOk);
   {
     std::lock_guard<std::mutex> lock(order_mu);
-    EXPECT_EQ(order, (std::vector<float>{2, 1}));
+    EXPECT_EQ(order, (std::vector<float>{1, 2}));
   }
   const ServingStats stats = server.stats();
   EXPECT_EQ(stats.requeued, 1);
@@ -438,9 +354,9 @@ TEST(PriorityLanes, RequeuedRiderKeepsEdfOrder) {
   EXPECT_GE(stats.recoveries, 1);
 }
 
-TEST(PriorityLanes, ElasticServerPreservesPriorityAcrossScaleUp) {
-  // Priority ordering must survive the pool growing mid-backlog: a scaled-up
-  // worker claims from the same lanes, highest first.
+TEST(FifoQueue, ElasticServerKeepsIdentityAcrossScaleUp) {
+  // The pool grows mid-backlog: a scaled-up worker claims from the same
+  // queue, and every request is answered exactly once.
   std::atomic<int> builds{0};
   InferenceServer::Config cfg;
   cfg.max_batch = 4;
@@ -451,10 +367,7 @@ TEST(PriorityLanes, ElasticServerPreservesPriorityAcrossScaleUp) {
   InferenceServer server(slow_factory(builds, milliseconds(2)), cfg);
 
   std::vector<std::future<InferenceResult>> futs;
-  for (int i = 0; i < 20; ++i) {
-    const Priority p = i % 2 == 0 ? Priority::kHigh : Priority::kLow;
-    futs.push_back(server.submit(tagged_image(1), microseconds(0), p));
-  }
+  for (int i = 0; i < 20; ++i) futs.push_back(server.submit(tagged_image(1)));
   for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
   const ServingStats stats = server.stats();
   EXPECT_EQ(stats.requests, 20);

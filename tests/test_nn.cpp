@@ -399,6 +399,33 @@ TEST(Dense, SelectInChannelsSpansFeatureBlocks) {
   EXPECT_THROW(dense.select_in_channels({0}, 5), std::invalid_argument);
 }
 
+// ---------------------------------------------------------- fused forward --
+
+TEST(FusedForward, UnknownActThrowsBeforeAnyTierRuns) {
+  // An Act outside {kNone, kReLU} must be rejected at the layer entry: the
+  // tiers would otherwise disagree on it (the AVX-512 direct kernels clamp
+  // it like kReLU, the scalar tier applies it as kNone). Checked before and
+  // after prepare_inference, which switches both layers to packed weights.
+  const auto bogus = static_cast<simd::Act>(7);
+  Rng rng(61);
+  ExecutionContext ctx;
+  Conv2d conv(2, 4, {.kernel = 3, .stride = 1, .pad = 1, .bias = false}, rng);
+  Dense dense(8, 3, rng);
+  const Tensor image = Tensor::randn(Shape{1, 2, 6, 6}, rng);
+  const Tensor rows = Tensor::randn(Shape{2, 8}, rng);
+  for (const bool prepared : {false, true}) {
+    if (prepared) {
+      conv.prepare_inference(ctx);
+      dense.prepare_inference(ctx);
+    }
+    EXPECT_THROW(conv.forward_fused(ctx, image, nullptr, nullptr, bogus),
+                 std::invalid_argument)
+        << (prepared ? "prepared conv" : "conv");
+    EXPECT_THROW(dense.forward_fused(ctx, rows, bogus), std::invalid_argument)
+        << (prepared ? "prepared dense" : "dense");
+  }
+}
+
 // -------------------------------------------------------------- Flatten ----
 
 TEST(Flatten, RoundTripsThroughBackward) {

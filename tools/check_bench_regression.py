@@ -73,10 +73,6 @@ METADATA_KEYS = frozenset({
     "nested_scaling",
     # BENCH_serving.json
     "model", "stages", "device_timing",
-    # width_cap is descriptive: the capped-vs-uncapped ratio only means
-    # something on >= 2 hardware threads, so CI notes it warn-only instead
-    # of gating a 1-vCPU runner's noise.
-    "width_cap",
 })
 
 

@@ -27,15 +27,21 @@ Rules (each reported as `rule-name: file:line: message`):
                      (src/, bench/, tools/, examples/) is documented in
                      README.md or docs/OPERATIONS.md (the consolidated
                      env-var table lives there since PR 10). Undocumented
-                     knobs rot.
+                     knobs rot. The other direction too: a variable the
+                     OPERATIONS.md environment table lists must be named
+                     in that code, so a retired knob's row goes with it.
   docs-coverage      Every data member of InferenceServer::Config
                      (src/runtime/server.h) and every counter of
                      ServingStats (src/runtime/measurements.h) is named in
                      docs/OPERATIONS.md — adding a serving knob or stat
-                     without operator documentation fails CI. Skipped
-                     silently when the anchor structs are absent (fixture
-                     trees); the structs existing WITHOUT the docs file is
-                     itself a finding.
+                     without operator documentation fails CI. The other
+                     direction too: each backticked first-column name in a
+                     table under "Config reference" or "Stats reference"
+                     must be a data member of Config or ServingStats, so a
+                     deleted field's row goes with it. Skipped silently
+                     when the anchor structs are absent (fixture trees);
+                     the structs existing WITHOUT the docs file is itself a
+                     finding.
   bench-keys         Every top-level key of the committed BENCH_*.json
                      baselines is known to tools/check_bench_regression.py
                      (gated, or listed in its METADATA_KEYS). A bench
@@ -256,7 +262,23 @@ def check_enum_switch(root):
 
 # ---------------------------------------------------------------- env-doc --
 
-ENV_DOC_FILES = ["README.md", "docs/OPERATIONS.md"]
+DOCS_OPS = "docs/OPERATIONS.md"
+ENV_DOC_FILES = ["README.md", DOCS_OPS]
+FIRST_COLUMN_NAME = re.compile(r"\|\s*`([^`]+)`\s*\|")
+
+
+def doc_table_names(text, heading):
+    """Yields (name, lineno) for the backticked first-column cell of each
+    table row in the `## <heading>` section of a markdown document (up to
+    the next `## ` heading, sub-sections included)."""
+    inside = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            inside = line[3:].startswith(heading)
+            continue
+        m = FIRST_COLUMN_NAME.match(line) if inside else None
+        if m:
+            yield m.group(1), lineno
 
 
 def check_env_doc(root):
@@ -267,11 +289,13 @@ def check_env_doc(root):
             documented += read(path)
     findings = []
     seen = set()
+    named = set()
     for path in code_files(root):
         # Scan raw text: env names live inside string literals by nature.
         for lineno, line in enumerate(read(path).splitlines(), start=1):
             for m in ENV_VAR.finditer(line):
                 var = m.group(1)
+                named.add(var)
                 if var in seen or var in documented:
                     continue
                 seen.add(var)
@@ -279,17 +303,28 @@ def check_env_doc(root):
                     "env-doc", rel(root, path), lineno,
                     f"{var} is read here but not documented in "
                     f"{' or '.join(ENV_DOC_FILES)}"))
+    ops_path = os.path.join(root, DOCS_OPS)
+    if os.path.exists(ops_path):
+        for var, lineno in doc_table_names(read(ops_path),
+                                           "Environment variables"):
+            if var.startswith("TBNET_") and var not in named:
+                findings.append(Finding(
+                    "env-doc", DOCS_OPS, lineno,
+                    f"{var} is documented but nothing in "
+                    f"{', '.join(d + '/' for d in CODE_DIRS)} reads it — "
+                    f"delete the row with the knob"))
     return findings
 
 
 # ----------------------------------------------------------- docs-coverage --
 
-# (struct, header) anchors whose data members must all be named in DOCS_OPS.
+# (struct, header, DOCS_OPS section) anchors: every data member must be
+# named in DOCS_OPS, and every first-column name in the section's tables
+# must be a data member.
 DOCS_COVERAGE_STRUCTS = [
-    ("Config", "src/runtime/server.h"),
-    ("ServingStats", "src/runtime/measurements.h"),
+    ("Config", "src/runtime/server.h", "Config reference"),
+    ("ServingStats", "src/runtime/measurements.h", "Stats reference"),
 ]
-DOCS_OPS = "docs/OPERATIONS.md"
 
 
 def struct_members(text, name):
@@ -346,7 +381,7 @@ def check_docs_coverage(root):
     findings = []
     ops_path = os.path.join(root, DOCS_OPS)
     ops = read(ops_path) if os.path.exists(ops_path) else None
-    for struct, header in DOCS_COVERAGE_STRUCTS:
+    for struct, header, section in DOCS_COVERAGE_STRUCTS:
         path = os.path.join(root, header)
         if not os.path.exists(path):
             continue  # tree without the serving stack (lint fixtures)
@@ -367,6 +402,14 @@ def check_docs_coverage(root):
                     f"{struct}::{name} is not mentioned in {DOCS_OPS} — "
                     f"document the knob/counter where operators will look "
                     f"for it"))
+        member_names = {name for name, _ in members}
+        for name, lineno in doc_table_names(ops, section):
+            if name not in member_names:
+                findings.append(Finding(
+                    "docs-coverage", DOCS_OPS, lineno,
+                    f"`{name}` has a row under \"{section}\" but is not a "
+                    f"data member of {struct} ({header}) — delete the row "
+                    f"with the field"))
     return findings
 
 

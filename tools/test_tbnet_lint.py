@@ -186,6 +186,36 @@ class EnvDocTest(LintFixture):
                  "`TBNET_MYSTERY=1` enables mystery mode.\n")
         self.assertEqual(self.rules_fired(), [])
 
+    ENV_TABLE = """\
+        ## Environment variables
+
+        | Variable | Default | Meaning |
+        |---|---|---|
+        | `TBNET_MYSTERY` | off | Mystery mode. |
+        | `TBNET_RETIRED` | off | Nothing reads this any more. |
+
+        ## Benchmarks
+
+        | `TBNET_ELSEWHERE` | a row outside the environment table |
+        """
+
+    def test_documented_env_var_nothing_reads_fires(self):
+        self.put("src/runtime/server.cpp",
+                 'const char* v = std::getenv("TBNET_MYSTERY");\n')
+        self.put("docs/OPERATIONS.md", self.ENV_TABLE)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual([(f.rule, f.path, f.line) for f in fired],
+                         [("env-doc", "docs/OPERATIONS.md", 6)])
+        self.assertIn("TBNET_RETIRED", fired[0].message)
+
+    def test_every_listed_env_var_read_is_clean(self):
+        self.put("src/runtime/server.cpp",
+                 'const char* v = std::getenv("TBNET_MYSTERY");\n')
+        self.put("bench/common.cpp",
+                 'const char* w = std::getenv("TBNET_RETIRED");\n')
+        self.put("docs/OPERATIONS.md", self.ENV_TABLE)
+        self.assertEqual(self.rules_fired(), [])
+
 
 class DocsCoverageTest(LintFixture):
     SERVER_H = """\
@@ -244,6 +274,51 @@ class DocsCoverageTest(LintFixture):
         fired = tbnet_lint.run(self.root)
         self.assertEqual([f.rule for f in fired], ["docs-coverage"])
         self.assertIn("docs/OPERATIONS.md is missing", fired[0].message)
+
+    DOCS_TABLES = """\
+        ## Config reference
+
+        | Field | Default | Meaning |
+        |---|---|---|
+        | `max_batch` | 16 | Largest batch. |
+        | `max_queue_delay` | 0 | Retired. |
+        | `scale_down_utilization` | 0.3 | Park below this. |
+        | `deleted_knob` | 0 | A deleted field's leftover row. |
+
+        ## Stats reference
+
+        | Member | Meaning |
+        |---|---|
+        | `requests` | Answered. |
+        | `scale_ups` | Unparked. |
+        | `deleted_counter` | A deleted counter's leftover row. |
+
+        ## Troubleshooting
+
+        | `helper` isn't configurable | rows outside the references pass |
+        """
+
+    def test_table_row_without_a_member_fires(self):
+        self.put("src/runtime/server.h", self.SERVER_H)
+        self.put("src/runtime/measurements.h", self.MEASUREMENTS_H)
+        self.put("docs/OPERATIONS.md", self.DOCS_TABLES)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual([(f.rule, f.path, f.line) for f in fired],
+                         [("docs-coverage", "docs/OPERATIONS.md", 8),
+                          ("docs-coverage", "docs/OPERATIONS.md", 16)])
+        self.assertIn("deleted_knob", fired[0].message)
+        self.assertIn("Config", fired[0].message)
+        self.assertIn("deleted_counter", fired[1].message)
+        self.assertIn("ServingStats", fired[1].message)
+
+    def test_table_rows_that_are_members_are_clean(self):
+        self.put("src/runtime/server.h", self.SERVER_H)
+        self.put("src/runtime/measurements.h", self.MEASUREMENTS_H)
+        self.put("docs/OPERATIONS.md",
+                 "\n".join(line for line in
+                           textwrap.dedent(self.DOCS_TABLES).splitlines()
+                           if "deleted_" not in line) + "\n")
+        self.assertEqual(self.rules_fired(), [])
 
     def test_tree_without_serving_stack_is_skipped(self):
         self.put("src/tensor/simd.cpp", "int x = 0;\n")
